@@ -8,23 +8,14 @@
   records and sessions;
 * :mod:`repro.bench.store` appends sessions to the ``BENCH_<seq>.json``
   trajectory (default ``results/bench``);
-* :mod:`repro.bench.compare` gates a new session against an old one with
-  noise-aware thresholds;
 * :mod:`repro.bench.provenance` stamps every artifact with git SHA,
   scale, python version, and schema version.
 
 Surfaced as ``repro-alloc bench run / compare / history`` and wired into
-the benchmark pytest session (``REPRO_BENCH_RECORD=1``) and CI.
+the benchmark pytest session (``REPRO_BENCH_RECORD=1``) and CI; the
+regression gate is :func:`repro.obs.diff.bench_gate`, a comparator preset.
 """
 
-from repro.bench.compare import (
-    DEFAULT_WALL_FLOOR,
-    DEFAULT_WALL_TOLERANCE,
-    CompareResult,
-    Delta,
-    compare_sessions,
-    render_compare,
-)
 from repro.bench.provenance import (
     BENCH_SCHEMA_VERSION,
     collect_provenance,
@@ -44,19 +35,13 @@ __all__ = [
     "BENCH_ALLOCATORS",
     "BENCH_DIR_ENV",
     "DEFAULT_REPEATS",
-    "DEFAULT_WALL_FLOOR",
-    "DEFAULT_WALL_TOLERANCE",
     "TIMING_FIELDS",
     "BenchRecord",
     "BenchSession",
     "BenchStore",
-    "CompareResult",
-    "Delta",
     "collect_provenance",
-    "compare_sessions",
     "default_bench_dir",
     "git_sha",
-    "render_compare",
     "run_session",
     "run_suite",
 ]

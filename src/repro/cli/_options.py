@@ -5,12 +5,14 @@ them here (and only here) is what makes ``--scale``/``--cache-dir``/
 ``--no-cache``/``--jobs`` spell and behave identically across the CLI.
 ``--jobs`` is validated at parse time by :func:`jobs_count`, so every
 subcommand rejects a non-integer or non-positive worker count with the
-same usage error before any work starts.
+same usage error before any work starts; :func:`tolerance` does the
+same for ``--rel-threshold``/``--wall-tol``.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from repro.workloads.registry import PROGRAM_ORDER
 
 __all__ = [
     "jobs_count",
+    "tolerance",
     "_add_store_options",
     "_add_predictor_option",
     "_add_stream_option",
@@ -48,6 +51,19 @@ def jobs_count(value: str) -> int:
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
     return jobs
+
+
+def tolerance(value: str) -> float:
+    """argparse ``type=`` for comparator tolerances: a finite float >= 0."""
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not (math.isfinite(number) and number >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {value!r}"
+        )
+    return number
 
 
 def _add_store_options(

@@ -1,7 +1,8 @@
 """Benchmark command family: the ``bench run/compare/history`` trajectory.
 
 ``bench`` runs the benchmark suite into the ``BENCH_<seq>.json``
-trajectory and gates regressions (see :mod:`repro.bench`).
+trajectory (see :mod:`repro.bench`) and gates regressions with the
+session comparator's bench preset (:func:`repro.obs.diff.bench_gate`).
 """
 
 from __future__ import annotations
@@ -14,14 +15,17 @@ from repro.analysis import TraceStore
 from repro.bench import (
     BENCH_ALLOCATORS,
     DEFAULT_REPEATS,
-    DEFAULT_WALL_TOLERANCE,
     BenchStore,
-    compare_sessions,
-    render_compare,
     run_session,
 )
-from repro.cli._options import _add_predictor_option, jobs_count
+from repro.cli._options import _add_predictor_option, jobs_count, tolerance
 from repro.obs.attrib import attribute_sites
+from repro.obs.diff import (
+    DEFAULT_WALL_TOLERANCE,
+    bench_gate,
+    load_session_doc,
+    render_diff_report,
+)
 from repro.workloads.registry import PROGRAM_ORDER
 
 __all__ = ["register"]
@@ -80,7 +84,7 @@ def register(sub) -> None:
                                help="trajectory directory (default "
                                     "$REPRO_BENCH_DIR or results/bench)")
     bench_compare.add_argument(
-        "--wall-tol", type=float, default=DEFAULT_WALL_TOLERANCE,
+        "--wall-tol", type=tolerance, default=DEFAULT_WALL_TOLERANCE,
         help="relative wall-time noise threshold "
              f"(default {DEFAULT_WALL_TOLERANCE})")
     bench_compare.add_argument(
@@ -170,15 +174,15 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
 
 def _cmd_bench_compare(args: argparse.Namespace) -> int:
     bench_store = BenchStore(args.bench_dir)
-    old = bench_store.load(args.old if args.old is not None else "prev")
-    new = bench_store.load(args.new if args.new is not None else "latest")
-    result = compare_sessions(
-        old, new,
+    old = bench_store.resolve(args.old if args.old is not None else "prev")
+    new = bench_store.resolve(args.new if args.new is not None else "latest")
+    result = bench_gate(
+        load_session_doc(old), load_session_doc(new),
         wall_tolerance=args.wall_tol,
         include_wall=not args.no_wall,
     )
-    print(render_compare(result))
-    return 0 if result.ok else 1
+    print(render_diff_report(result))
+    return 1 if result.regressed else 0
 
 
 def _cmd_bench_history(args: argparse.Namespace) -> int:

@@ -30,6 +30,7 @@ from repro.cli._options import (
     _make_store,
     _report_peak_rss,
     jobs_count,
+    tolerance,
 )
 from repro.core.database import load_predictor
 from repro.obs import (
@@ -94,7 +95,7 @@ def register(sub) -> None:
                        help="diff this recorded telemetry summary JSON "
                             "(old) against the current replay (new); "
                             "exits 1 on a regression verdict")
-    stats.add_argument("--rel-threshold", type=float,
+    stats.add_argument("--rel-threshold", type=tolerance,
                        default=DEFAULT_REL_THRESHOLD,
                        help="relative change below which a --diff metric "
                             "counts as unchanged "
@@ -236,7 +237,7 @@ def register(sub) -> None:
                                            "summary, or bench session)")
     diff_sessions.add_argument("new", help="candidate session file "
                                            "(same kind as OLD)")
-    diff_sessions.add_argument("--rel-threshold", type=float,
+    diff_sessions.add_argument("--rel-threshold", type=tolerance,
                                default=DEFAULT_REL_THRESHOLD,
                                help="relative change below which a metric "
                                     "counts as unchanged "

@@ -1,9 +1,9 @@
 """Differential telemetry: regression verdicts between two sessions.
 
-``bench compare`` answers "did the suite regress?" at whole-benchmark
-granularity.  This module answers the same question one level down —
-*which sites* paid — and across every observability document the repo
-emits.  It diffs two session files of the same kind:
+This is the repo's one session comparator.  It answers "did it
+regress?" — and *which sites* or benchmarks paid — across every
+observability document the repo emits.  It diffs two session files of
+the same kind:
 
 * **attribution** documents (``profile-sites --json`` /
   ``*.attrib.json``) — per-call-chain cost, fragmentation, and
@@ -19,42 +19,69 @@ emits.  It diffs two session files of the same kind:
   scores and raw metrics, so a code change that worsens any candidate's
   score (or loses a candidate outright) gates the diff.
 
-The verdict contract mirrors :mod:`repro.bench.compare`: each metric has
-a *good direction* ("lower", "higher", "equal", or "info"), movements
-within the configurable relative threshold are ``unchanged``, movements
-beyond it get ``improved``/``regressed`` by direction, "equal" metrics
-regress on *any* move, and "info" metrics (occupancy, object counts,
-wall time, gauges like ``peak_rss_kb``) are reported but never gate.
-The report and its JSON form are deterministic — same inputs, same
-bytes — and the CLI exits nonzero iff :attr:`DiffResult.regressed`.
+The verdict contract: each metric has a *good direction* ("lower",
+"higher", "equal", or "info"), movements within the relative threshold
+are ``unchanged``, beyond it ``improved``/``regressed`` by direction,
+"equal" metrics regress on *any* move, and "info" metrics (occupancy,
+object counts, wall time, gauges like ``peak_rss_kb``) never gate.  A
+:class:`MetricRule` overrides one metric's direction, tolerance, and
+noise floor; ``bench compare`` is such a preset (:func:`bench_gate`).
+Incomparable documents raise ``ValueError`` rather than mis-report:
+mixed kinds, bench sessions at different schema versions or scales,
+and non-finite values (``json`` reads ``Infinity``/``NaN``).  The
+report and its JSON form are deterministic — same inputs, same bytes —
+and the CLI exits nonzero iff :attr:`DiffResult.regressed`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "DEFAULT_REL_THRESHOLD",
+    "DEFAULT_WALL_TOLERANCE",
+    "DEFAULT_WALL_FLOOR",
+    "MetricRule",
     "MetricDelta",
     "DiffResult",
     "load_session_doc",
     "detect_kind",
     "diff_documents",
     "diff_paths",
+    "bench_gate",
     "render_diff_report",
 ]
 
 #: Default relative threshold: movements within 1% are ``unchanged``.
 DEFAULT_REL_THRESHOLD = 0.01
 
-#: Relative slack absorbing float serialization rounding, nothing more
-#: (same constant as the bench comparator).
+#: ``bench compare``'s default relative wall-time tolerance (0.5 = the
+#: new session may be up to 50% slower before it counts as a regression).
+DEFAULT_WALL_TOLERANCE = 0.5
+
+#: Wall times where both sides are under this many seconds count as
+#: unchanged — at that duration the measurement is all scheduler noise.
+DEFAULT_WALL_FLOOR = 0.05
+
+#: Relative slack absorbing float serialization rounding, nothing more.
 _FLOAT_EPS = 1e-9
 
 _VERDICT_ORDER = ("regressed", "improved", "unchanged", "info")
+
+
+@dataclass(frozen=True)
+class MetricRule:
+    """How one metric is judged: its *good* direction, a relative
+    tolerance replacing the diff's threshold (None keeps it), and an
+    absolute floor under which both sides count as unchanged."""
+
+    direction: str
+    rel_tolerance: Optional[float] = None
+    floor: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -76,14 +103,7 @@ class MetricDelta:
         return (self.new - self.old) / abs(self.old)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "key": self.key,
-            "metric": self.metric,
-            "old": self.old,
-            "new": self.new,
-            "direction": self.direction,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -98,6 +118,7 @@ class DiffResult:
     only_old: List[str] = field(default_factory=list)
     only_new: List[str] = field(default_factory=list)
     keys_compared: int = 0
+    rules: Dict[str, MetricRule] = field(default_factory=dict)
 
     @property
     def regressed(self) -> bool:
@@ -112,7 +133,7 @@ class DiffResult:
 
     def to_dict(self) -> Dict[str, Any]:
         counts = {v: len(self.by_verdict(v)) for v in _VERDICT_ORDER}
-        return {
+        data = {
             "kind": self.kind,
             "rel_threshold": self.rel_threshold,
             "old_identity": dict(self.old_identity),
@@ -124,6 +145,11 @@ class DiffResult:
             "only_old": list(self.only_old),
             "only_new": list(self.only_new),
         }
+        if self.rules:
+            data["rules"] = {
+                metric: asdict(rule) for metric, rule in self.rules.items()
+            }
+        return data
 
 
 def load_session_doc(path: Union[str, Path]) -> Dict[str, Any]:
@@ -137,12 +163,8 @@ def load_session_doc(path: Union[str, Path]) -> Dict[str, Any]:
 
 def detect_kind(doc: Dict[str, Any]) -> str:
     """Which session family a loaded document belongs to."""
-    if doc.get("kind") == "attribution":
-        return "attribution"
-    if doc.get("kind") == "drift":
-        return "drift"
-    if doc.get("kind") == "search":
-        return "search"
+    if doc.get("kind") in ("attribution", "drift", "search"):
+        return doc["kind"]
     if "records" in doc and "schema_version" in doc:
         return "bench"
     if "totals" in doc and "top_misprediction_sites" in doc:
@@ -197,7 +219,7 @@ _BENCH_DIRECTIONS = {
     "arena_byte_pct": "higher",
     "mispredictions_total": "lower",
     # wall_seconds/wall_seconds_mean/peak_rss_kb/final_live_bytes are
-    # noisy or ungated — informational, same stance as bench compare.
+    # noisy or ungated — informational (bench_gate rules wall_seconds).
 }
 
 _DRIFT_DIRECTIONS = {
@@ -230,45 +252,43 @@ def _numeric_items(data: Dict[str, Any]) -> Dict[str, float]:
     }
 
 
-def _normalize_attribution(
-    doc: Dict[str, Any]
-) -> Tuple[Dict[str, Any], Entries, Dict[str, str]]:
-    identity = {
-        key: doc.get(key)
-        for key in ("program", "dataset", "profile", "threshold")
-    }
-    entries: Entries = {"totals": _numeric_items(doc.get("totals", {}))}
-    for site in doc.get("sites", []):
-        key = "site:" + ";".join(site.get("chain", []))
-        metrics = {k: v for k, v in site.items() if k != "chain"}
-        entries[key] = _numeric_items(metrics)
-    return identity, entries, _ATTRIB_DIRECTIONS
+Normalized = Tuple[Dict[str, Any], Entries, Dict[str, str]]
 
 
-def _normalize_telemetry(
-    doc: Dict[str, Any]
-) -> Tuple[Dict[str, Any], Entries, Dict[str, str]]:
-    identity = {
-        key: doc.get(key)
-        for key in ("program", "dataset", "allocator", "threshold", "interval")
-    }
+def _identity(doc: Dict[str, Any], keys: Tuple[str, ...]) -> Dict[str, Any]:
+    return {key: doc.get(key) for key in keys}
+
+
+def _site_entries(doc: Dict[str, Any], sites: str) -> Entries:
+    """``totals`` plus one ``site:<chain>`` entry per listed site."""
     entries: Entries = {"totals": _numeric_items(doc.get("totals", {}))}
-    for site in doc.get("top_misprediction_sites", []):
-        key = "site:" + ";".join(site.get("chain", []))
-        metrics = {k: v for k, v in site.items() if k != "chain"}
-        entries[key] = _numeric_items(metrics)
+    for site in doc.get(sites, []):
+        entries["site:" + ";".join(site.get("chain", []))] = (
+            _numeric_items(site)
+        )
+    return entries
+
+
+def _normalize_attribution(doc: Dict[str, Any]) -> Normalized:
+    identity = _identity(doc, ("program", "dataset", "profile", "threshold"))
+    return identity, _site_entries(doc, "sites"), _ATTRIB_DIRECTIONS
+
+
+def _normalize_telemetry(doc: Dict[str, Any]) -> Normalized:
+    identity = _identity(
+        doc, ("program", "dataset", "allocator", "threshold", "interval")
+    )
+    entries = _site_entries(doc, "top_misprediction_sites")
     gauges = doc.get("gauges")
     if isinstance(gauges, dict) and gauges:
         entries["gauges"] = _numeric_items(gauges)
     return identity, entries, _TELEMETRY_DIRECTIONS
 
 
-def _normalize_bench(
-    doc: Dict[str, Any]
-) -> Tuple[Dict[str, Any], Entries, Dict[str, str]]:
+def _normalize_bench(doc: Dict[str, Any]) -> Normalized:
     identity = {
         "schema_version": doc.get("schema_version"),
-        "scale": doc.get("provenance", {}).get("scale"),
+        "scale": doc.get("provenance", {}).get("scale", 1.0),
     }
     entries: Entries = {}
     for record in doc.get("records", []):
@@ -283,34 +303,18 @@ def _normalize_bench(
     return identity, entries, _BENCH_DIRECTIONS
 
 
-def _normalize_drift(
-    doc: Dict[str, Any]
-) -> Tuple[Dict[str, Any], Entries, Dict[str, str]]:
-    identity = {
-        key: doc.get(key)
-        for key in ("program", "dataset", "axis", "windows", "threshold",
-                    "classifier", "min_windows", "min_objects",
-                    "flip_fraction")
-    }
-    entries: Entries = {"totals": _numeric_items(doc.get("totals", {}))}
-    for site in doc.get("sites", []):
-        key = "site:" + ";".join(site.get("chain", []))
-        metrics = {
-            k: v for k, v in site.items()
-            if k not in ("chain", "windows", "classification")
-        }
-        entries[key] = _numeric_items(metrics)
-    return identity, entries, _DRIFT_DIRECTIONS
+def _normalize_drift(doc: Dict[str, Any]) -> Normalized:
+    identity = _identity(
+        doc, ("program", "dataset", "axis", "windows", "threshold",
+              "classifier", "min_windows", "min_objects", "flip_fraction")
+    )
+    return identity, _site_entries(doc, "sites"), _DRIFT_DIRECTIONS
 
 
-def _normalize_search(
-    doc: Dict[str, Any]
-) -> Tuple[Dict[str, Any], Entries, Dict[str, str]]:
-    identity = {
-        key: doc.get(key)
-        for key in ("program", "dataset", "scale", "mode", "seed",
-                    "space_hash")
-    }
+def _normalize_search(doc: Dict[str, Any]) -> Normalized:
+    identity = _identity(
+        doc, ("program", "dataset", "scale", "mode", "seed", "space_hash")
+    )
     entries: Entries = {}
     baseline = doc.get("baseline", {})
     if isinstance(baseline, dict):
@@ -338,28 +342,60 @@ def _changed(old: float, new: float) -> bool:
 
 
 def _verdict(
-    old: float, new: float, direction: str, rel_threshold: float
+    old: float, new: float, rule: MetricRule, rel_threshold: float
 ) -> str:
-    if direction == "info":
+    if rule.direction == "info":
         return "info"
-    if direction == "equal":
-        return "regressed"  # caller only asks about changed values
-    rel = abs(new - old) / abs(old) if old != 0 else float("inf")
-    if rel <= rel_threshold:
+    if max(abs(old), abs(new)) < rule.floor:
         return "unchanged"
-    worse = (direction == "lower") == (new > old)
+    if rule.direction == "equal":
+        return "regressed"  # caller only asks about changed values
+    tolerance = (
+        rel_threshold if rule.rel_tolerance is None else rule.rel_tolerance
+    )
+    rel = abs(new - old) / abs(old) if old != 0 else float("inf")
+    if rel <= tolerance:
+        return "unchanged"
+    worse = (rule.direction == "lower") == (new > old)
     return "regressed" if worse else "improved"
+
+
+def _check_bench_identity(old: Dict[str, Any], new: Dict[str, Any]) -> None:
+    if old["schema_version"] != new["schema_version"]:
+        raise ValueError(
+            f"schema version mismatch: old session v{old['schema_version']} "
+            f"vs new v{new['schema_version']} — regenerate the baseline"
+        )
+    if old["scale"] != new["scale"]:
+        raise ValueError(
+            f"scale mismatch: old session ran at scale {old['scale']}, new "
+            f"at {new['scale']} — benchmark trajectories are per-scale"
+        )
+
+
+def _check_finite(side: str, entries: Entries) -> None:
+    for key, metrics in entries.items():
+        for metric, value in metrics.items():
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{side} session has a non-finite value at {key}: "
+                    f"{metric} = {value} — only finite metrics compare"
+                )
 
 
 def diff_documents(
     old: Dict[str, Any],
     new: Dict[str, Any],
     rel_threshold: float = DEFAULT_REL_THRESHOLD,
+    rules: Optional[Mapping[str, MetricRule]] = None,
 ) -> DiffResult:
     """Diff two loaded session documents of the same kind.
 
+    ``rules`` overrides the kind's rule for each metric it names.
     Raises ValueError when the kinds differ — diffing an attribution
-    export against a bench session is a category error, not a report.
+    export against a bench session is a category error, not a report —
+    when bench sessions disagree on schema version or scale, and when
+    either side carries a non-finite metric value.
     """
     old_kind, new_kind = detect_kind(old), detect_kind(new)
     if old_kind != new_kind:
@@ -369,6 +405,11 @@ def diff_documents(
         )
     old_identity, old_entries, directions = _NORMALIZERS[old_kind](old)
     new_identity, new_entries, _ = _NORMALIZERS[new_kind](new)
+    if old_kind == "bench":
+        _check_bench_identity(old_identity, new_identity)
+    _check_finite("old", old_entries)
+    _check_finite("new", new_entries)
+    overrides = dict(rules or {})
     result = DiffResult(
         kind=old_kind,
         rel_threshold=rel_threshold,
@@ -376,6 +417,7 @@ def diff_documents(
         new_identity=new_identity,
         only_old=sorted(set(old_entries) - set(new_entries)),
         only_new=sorted(set(new_entries) - set(old_entries)),
+        rules=overrides,
     )
     for key in sorted(set(old_entries) & set(new_entries)):
         old_metrics, new_metrics = old_entries[key], new_entries[key]
@@ -384,19 +426,13 @@ def diff_documents(
             old_value, new_value = old_metrics[metric], new_metrics[metric]
             if not _changed(old_value, new_value):
                 continue
-            direction = directions.get(metric, "info")
-            result.deltas.append(
-                MetricDelta(
-                    key=key,
-                    metric=metric,
-                    old=old_value,
-                    new=new_value,
-                    direction=direction,
-                    verdict=_verdict(
-                        old_value, new_value, direction, rel_threshold
-                    ),
-                )
+            rule = overrides.get(metric) or MetricRule(
+                directions.get(metric, "info")
             )
+            verdict = _verdict(old_value, new_value, rule, rel_threshold)
+            result.deltas.append(MetricDelta(
+                key, metric, old_value, new_value, rule.direction, verdict
+            ))
     order = {verdict: rank for rank, verdict in enumerate(_VERDICT_ORDER)}
     result.deltas.sort(key=lambda d: (order[d.verdict], d.key, d.metric))
     return result
@@ -412,6 +448,33 @@ def diff_paths(
         load_session_doc(old_path),
         load_session_doc(new_path),
         rel_threshold=rel_threshold,
+    )
+
+
+def bench_gate(
+    old: Dict[str, Any],
+    new: Dict[str, Any],
+    wall_tolerance: float = DEFAULT_WALL_TOLERANCE,
+    include_wall: bool = True,
+) -> DiffResult:
+    """``bench compare``: :func:`diff_documents` under the bench preset.
+
+    Deterministic metrics get threshold 0 (any bad move regresses); wall
+    time is held to ``wall_tolerance`` once either side reaches
+    :data:`DEFAULT_WALL_FLOOR`, or is informational with
+    ``include_wall=False`` (sessions from different machines).
+    """
+    if detect_kind(old) != "bench" or detect_kind(new) != "bench":
+        raise ValueError(
+            "bench compare gates bench sessions (BENCH_<seq>.json); use "
+            "diff-sessions for other session documents"
+        )
+    wall = (
+        MetricRule("lower", wall_tolerance, DEFAULT_WALL_FLOOR)
+        if include_wall else MetricRule("info")
+    )
+    return diff_documents(
+        old, new, rel_threshold=0.0, rules={"wall_seconds": wall}
     )
 
 
@@ -444,6 +507,13 @@ def render_diff_report(result: DiffResult) -> str:
         f"session diff ({result.kind}): {result.keys_compared} keys"
         f" compared, threshold ±{threshold_pct:g}%"
     ]
+    for metric, rule in sorted(result.rules.items()):
+        text = rule.direction
+        if rule.rel_tolerance is not None:
+            text += f", ±{100.0 * rule.rel_tolerance:g}%"
+        if rule.floor:
+            text += f", both under {rule.floor:g} unchanged"
+        lines.append(f"  rule {metric}: {text}")
     for key, value in sorted(result.old_identity.items()):
         new_value = result.new_identity.get(key)
         if new_value != value:

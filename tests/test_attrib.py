@@ -28,6 +28,7 @@ from repro.obs.attrib import (
 )
 from repro.obs.diff import (
     DiffResult,
+    MetricRule,
     detect_kind,
     diff_documents,
     diff_paths,
@@ -389,6 +390,43 @@ class TestDiff:
         assert {d.metric for d in result.by_verdict("regressed")} == {
             "mispredictions_total"
         }
+
+    def test_rule_overrides_direction_tolerance_and_floor(self):
+        old, new = _telemetry_doc(), _telemetry_doc()
+        new["totals"]["late_free"] = 5          # +25%: regressed at 1%
+        assert diff_documents(old, new).regressed
+        loose = {"late_free": MetricRule("lower", rel_tolerance=0.3)}
+        assert not diff_documents(old, new, rules=loose).regressed
+        floored = {"late_free": MetricRule("lower", floor=10)}
+        (delta,) = diff_documents(old, new, rules=floored).deltas
+        assert delta.verdict == "unchanged"
+        info = {"late_free": MetricRule("info")}
+        result = diff_documents(old, new, rules=info)
+        assert [d.verdict for d in result.deltas] == ["info"]
+        assert result.to_dict()["rules"] == {
+            "late_free": {"direction": "info", "rel_tolerance": None,
+                          "floor": 0.0},
+        }
+        assert "rule late_free: info" in render_diff_report(result)
+
+    @pytest.mark.parametrize("side", ["old", "new"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_values_refused(self, side, value):
+        docs = {"old": _telemetry_doc(), "new": _telemetry_doc()}
+        docs[side]["totals"]["late_free"] = value
+        with pytest.raises(
+            ValueError,
+            match=f"{side} session has a non-finite value at totals: "
+                  f"late_free = {value}",
+        ):
+            diff_documents(docs["old"], docs["new"])
+
+    def test_bench_identity_mismatch_refused(self):
+        old, new = _bench_doc(), _bench_doc()
+        new["provenance"]["scale"] = 1.0
+        with pytest.raises(ValueError, match="scale mismatch: old session "
+                                             "ran at scale 0.05, new at 1.0"):
+            diff_documents(old, new)
 
     def test_to_dict_is_deterministic(self, trace):
         old = attribute_sites(trace, profile="bsd").to_dict()

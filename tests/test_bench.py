@@ -1,4 +1,5 @@
-"""Tests for the benchmark trajectory: suite, records, store, comparator.
+"""Tests for the benchmark trajectory: suite, records, store, and the
+``bench compare`` preset of the session comparator.
 
 Suite runs use a fake store over the synthetic churn trace (threshold
 4096 separates churn from the keeper), so they are fast and — the
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -17,13 +20,13 @@ from repro.bench import (
     BenchRecord,
     BenchSession,
     BenchStore,
-    compare_sessions,
-    render_compare,
     run_session,
     run_suite,
 )
 from repro.bench.provenance import collect_provenance
 from repro.cli import main
+from repro.cli._options import tolerance
+from repro.obs.diff import DEFAULT_WALL_FLOOR, bench_gate, render_diff_report
 from repro.core.predictor import train_site_predictor
 from repro.obs.telemetry import MISPREDICTION_KINDS
 from tests.conftest import make_churn_trace
@@ -229,53 +232,69 @@ def _make_session(seq, records, scale=1.0, schema_version=None):
     return session
 
 
+def gate(old, new, **kwargs):
+    """``bench compare``'s preset over two in-memory sessions."""
+    return bench_gate(old.to_dict(), new.to_dict(), **kwargs)
+
+
 class TestCompare:
+    """The ``bench compare`` policy, run through the one diff engine."""
+
     def test_identical_sessions_ok(self):
         old = _make_session(1, [_make_record("a")])
         new = _make_session(2, [_make_record("a")])
-        result = compare_sessions(old, new)
-        assert result.ok
-        assert result.benchmarks_checked == 1
-        assert "OK — no regressions" in render_compare(result)
+        result = gate(old, new)
+        assert not result.regressed
+        assert result.keys_compared == 1
+        assert "OK — no regressions" in render_diff_report(result)
 
     def test_wall_slowdown_beyond_tolerance_fails(self):
         old = _make_session(1, [_make_record("a", wall_seconds=1.0)])
         new = _make_session(2, [_make_record("a", wall_seconds=1.6)])
-        result = compare_sessions(new=new, old=old, wall_tolerance=0.5)
-        assert not result.ok
-        (delta,) = result.regressions
-        assert delta.benchmark == "a" and delta.metric == "wall_seconds"
-        assert "REGRESSION a: wall_seconds" in render_compare(result)
+        result = gate(new=new, old=old, wall_tolerance=0.5)
+        assert result.regressed
+        (delta,) = result.by_verdict("regressed")
+        assert delta.key == "a" and delta.metric == "wall_seconds"
+        assert "REGRESSED a: wall_seconds" in render_diff_report(result)
 
     def test_wall_slowdown_within_tolerance_ok(self):
         old = _make_session(1, [_make_record("a", wall_seconds=1.0)])
         new = _make_session(2, [_make_record("a", wall_seconds=1.4)])
-        assert compare_sessions(old, new, wall_tolerance=0.5).ok
+        result = gate(old, new, wall_tolerance=0.5)
+        assert not result.regressed
+        assert [d.verdict for d in result.deltas] == ["unchanged"]
 
     def test_wall_floor_skips_millisecond_noise(self):
         # 3x slower, but both sides under the floor: never gated.
         old = _make_session(1, [_make_record("a", wall_seconds=0.010)])
         new = _make_session(2, [_make_record("a", wall_seconds=0.030)])
-        assert compare_sessions(old, new, wall_floor=0.05).ok
+        assert 0.030 < DEFAULT_WALL_FLOOR
+        result = gate(old, new)
+        assert not result.regressed
+        assert [d.verdict for d in result.deltas] == ["unchanged"]
 
     def test_include_wall_false_ignores_any_slowdown(self):
         old = _make_session(1, [_make_record("a", wall_seconds=1.0)])
         new = _make_session(2, [_make_record("a", wall_seconds=9.0)])
-        assert compare_sessions(old, new, include_wall=False).ok
+        result = gate(old, new, include_wall=False)
+        assert not result.regressed
+        assert [d.verdict for d in result.deltas] == ["info"]
 
     def test_heap_growth_is_zero_tolerance(self):
         old = _make_session(1, [_make_record("a", max_heap_size=65536)])
         new = _make_session(2, [_make_record("a", max_heap_size=65537)])
-        result = compare_sessions(old, new)
-        (delta,) = result.regressions
+        result = gate(old, new)
+        (delta,) = result.by_verdict("regressed")
         assert delta.metric == "max_heap_size"
-        assert "zero tolerance" in render_compare(result)
+        assert "threshold ±0%" in render_diff_report(result)
 
     def test_capture_rate_drop_fails(self):
         old = _make_session(1, [_make_record("a", arena_byte_pct=75.0)])
         new = _make_session(2, [_make_record("a", arena_byte_pct=74.0)])
-        result = compare_sessions(old, new)
-        assert [d.metric for d in result.regressions] == ["arena_byte_pct"]
+        result = gate(old, new)
+        assert [d.metric for d in result.by_verdict("regressed")] == [
+            "arena_byte_pct"
+        ]
 
     def test_improvements_do_not_fail(self):
         old = _make_session(1, [_make_record("a")])
@@ -283,9 +302,9 @@ class TestCompare:
             "a", instr_per_alloc=40.0, arena_byte_pct=80.0,
             mispredictions={"late_free": 0, "overflow": 0, "missed_short": 0},
         )])
-        result = compare_sessions(old, new)
-        assert result.ok
-        assert {d.metric for d in result.improvements} == {
+        result = gate(old, new)
+        assert not result.regressed
+        assert {d.metric for d in result.by_verdict("improved")} == {
             "instr_per_alloc", "arena_byte_pct", "mispredictions_total",
         }
 
@@ -293,40 +312,183 @@ class TestCompare:
         old = _make_session(1, [_make_record("a", allocs=100)])
         for new_allocs in (99, 101):
             new = _make_session(2, [_make_record("a", allocs=new_allocs)])
-            result = compare_sessions(old, new)
-            assert [d.metric for d in result.regressions] == ["allocs"]
+            result = gate(old, new)
+            assert [d.metric for d in result.by_verdict("regressed")] == [
+                "allocs"
+            ]
 
     def test_missing_benchmark_fails(self):
         old = _make_session(1, [_make_record("a"), _make_record("b")])
         new = _make_session(2, [_make_record("a")])
-        result = compare_sessions(old, new)
-        assert not result.ok
-        assert result.missing == ["b"]
-        assert "MISSING b" in render_compare(result)
+        result = gate(old, new)
+        assert result.regressed
+        assert result.only_old == ["b"]
+        assert "MISSING b" in render_diff_report(result)
 
     def test_added_benchmark_reported_not_gated(self):
         old = _make_session(1, [_make_record("a")])
         new = _make_session(2, [_make_record("a"), _make_record("c")])
-        result = compare_sessions(old, new)
-        assert result.ok
-        assert result.added == ["c"]
+        result = gate(old, new)
+        assert not result.regressed
+        assert result.only_new == ["c"]
 
     def test_scale_mismatch_refused(self):
         old = _make_session(1, [_make_record("a")], scale=1.0)
         new = _make_session(2, [_make_record("a")], scale=0.05)
         with pytest.raises(ValueError, match="scale mismatch"):
-            compare_sessions(old, new)
+            gate(old, new)
 
     def test_schema_mismatch_refused(self):
         old = _make_session(1, [_make_record("a")], schema_version=0)
         new = _make_session(2, [_make_record("a")])
         with pytest.raises(ValueError, match="schema version mismatch"):
-            compare_sessions(old, new)
+            gate(old, new)
 
     def test_self_compare_of_real_sessions_is_clean(self, session_pair):
-        result = compare_sessions(*session_pair, include_wall=False)
-        assert result.ok
-        assert result.benchmarks_checked == 3
+        result = gate(*session_pair, include_wall=False)
+        assert not result.regressed
+        assert result.keys_compared == 3
+
+    def test_non_bench_documents_refused(self):
+        doc = {"kind": "drift", "totals": {}, "sites": []}
+        with pytest.raises(ValueError, match="gates bench sessions"):
+            bench_gate(doc, doc)
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+BASELINE_0001 = BENCHMARKS / "baseline" / "BENCH_0001.json"
+
+
+def _verdict(out):
+    """The regression count a diff report's verdict line states."""
+    match = re.search(r"^result: FAIL — (\d+) regression", out, re.M)
+    if match:
+        return int(match.group(1))
+    assert "result: OK — no regressions" in out
+    return 0
+
+
+_COMMANDS = {
+    "bench compare": ["bench", "compare"],
+    "bench compare --no-wall": ["bench", "compare", "--no-wall"],
+    "diff-sessions": ["diff-sessions"],
+}
+
+
+class TestCommittedPairs:
+    """Exit codes and regression counts on the committed session pairs."""
+
+    # (old, new): {command: (exit code, regressions)}
+    TABLE = {
+        ("parallel/BENCH_0001", "parallel/BENCH_0002"): {
+            "bench compare": (1, 2),
+            "bench compare --no-wall": (0, 0),
+            "diff-sessions": (0, 0),
+        },
+        ("escape/BENCH_0001", "escape/BENCH_0002"): {
+            "bench compare": (1, 22),
+            "bench compare --no-wall": (1, 21),
+            "diff-sessions": (1, 21),
+        },
+        ("baseline/BENCH_0001", "baseline/BENCH_0001"): {
+            "bench compare": (0, 0),
+            "bench compare --no-wall": (0, 0),
+            "diff-sessions": (0, 0),
+        },
+        ("baseline/BENCH_0001", "parallel/BENCH_0001"): {
+            "bench compare": (0, 0),
+            "bench compare --no-wall": (0, 0),
+            "diff-sessions": (0, 0),
+        },
+        ("baseline/BENCH_0001", "baseline/regressed"): {
+            "bench compare": (1, 1),
+            "bench compare --no-wall": (1, 1),
+            "diff-sessions": (1, 1),
+        },
+    }
+
+    @pytest.mark.parametrize("pair,command", [
+        (pair, command) for pair in TABLE for command in _COMMANDS
+    ])
+    def test_verdict_table(self, pair, command, capsys):
+        old, new = (str(BENCHMARKS / f"{name}.json") for name in pair)
+        code = main(_COMMANDS[command] + [old, new])
+        out = capsys.readouterr().out
+        assert (code, _verdict(out)) == self.TABLE[pair][command]
+
+    def test_seeded_regression_names_the_record(self, capsys):
+        assert main([
+            "bench", "compare", "--no-wall",
+            str(BASELINE_0001),
+            str(BENCHMARKS / "baseline" / "regressed.json"),
+        ]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSED replay/gawk/arena: max_heap_size" in out
+
+
+def _record(doc, name):
+    return next(rec for rec in doc["records"] if rec["name"] == name)
+
+
+class TestRefusals:
+    """Pairs no threshold can judge exit 1 with an error, from both
+    commands, instead of reporting a verdict."""
+
+    @pytest.fixture()
+    def tampered(self, tmp_path):
+        def write(mutate):
+            doc = json.loads(BASELINE_0001.read_text())
+            mutate(doc)
+            path = tmp_path / "tampered.json"
+            path.write_text(json.dumps(doc))
+            return str(path)
+        return write
+
+    @pytest.mark.parametrize("command", ["bench compare", "diff-sessions"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_metric_refused(self, tampered, command, value,
+                                       capsys):
+        def mutate(doc):
+            _record(doc, "replay/gawk/arena")["instr_per_alloc"] = value
+        argv = _COMMANDS[command] + [str(BASELINE_0001), tampered(mutate)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "result:" not in captured.out
+        assert (
+            "error: new session has a non-finite value at "
+            f"replay/gawk/arena: instr_per_alloc = {value}"
+        ) in captured.err
+
+    @pytest.mark.parametrize("command", ["bench compare", "diff-sessions"])
+    @pytest.mark.parametrize("message,mutate", [
+        ("scale mismatch",
+         lambda doc: doc["provenance"].update(scale=1.0)),
+        ("schema version mismatch",
+         lambda doc: doc.update(schema_version=0)),
+    ])
+    def test_identity_mismatch_refused(self, tampered, command, message,
+                                       mutate, capsys):
+        argv = _COMMANDS[command] + [str(BASELINE_0001), tampered(mutate)]
+        assert main(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+
+class TestToleranceOption:
+    @pytest.mark.parametrize("value", ["-0.5", "nan", "inf", "x"])
+    @pytest.mark.parametrize("argv", [
+        ["bench", "compare", "--wall-tol"],
+        ["diff-sessions", "a.json", "b.json", "--rel-threshold"],
+        ["stats", "--program", "gawk", "--rel-threshold"],
+    ])
+    def test_bad_values_are_usage_errors(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + [value])
+        assert excinfo.value.code == 2
+        assert "must be a finite number >= 0" in capsys.readouterr().err
+
+    def test_accepts_finite_non_negative(self):
+        assert tolerance("0") == 0.0
+        assert tolerance("0.25") == 0.25
 
 
 class TestBenchCli:
@@ -368,7 +530,7 @@ class TestBenchCli:
             "bench", "compare", "--bench-dir", str(bench_env["bench_dir"]),
         ]) == 1
         out = capsys.readouterr().out
-        assert "REGRESSION replay/gawk/arena: max_heap_size" in out
+        assert "REGRESSED replay/gawk/arena: max_heap_size" in out
         assert "FAIL" in out
 
     def test_compare_without_sessions_reports_cleanly(self, tmp_path,
