@@ -8,7 +8,9 @@ object-lifetime arenas:
   pointer (``alloc``) and a **live-object count**; arena objects carry *no*
   per-object header.
 * At each allocation the site database (a trained
-  :class:`~repro.core.predictor.LifetimePredictor`) is consulted.
+  :class:`~repro.core.predictor.LifetimePredictor`) is consulted through
+  the memoized lookup its ``bind()`` returns: one hash probe per
+  allocation, as in the paper's runtime.
   Predicted-short-lived objects are bump-allocated into the current arena.
   When the current arena is full, every arena is scanned for one whose
   count has dropped to zero (all its objects died); such an arena is reset
@@ -141,6 +143,11 @@ class ArenaAllocator(Allocator):
         if arena_size < ARENA_ALIGNMENT:
             raise AllocatorError(f"arena size too small: {arena_size}")
         self.predictor = predictor
+        # Bound once per allocator, so the verdict memo lives exactly as
+        # long as this replay.
+        self._predicts_short = (
+            predictor.bind() if predictor is not None else None
+        )
         self.arena_size = arena_size
         self.arenas: List[Arena] = [
             Arena(base + i * arena_size, arena_size) for i in range(num_arenas)
@@ -173,9 +180,9 @@ class ArenaAllocator(Allocator):
         self.ops.allocs += 1
         self.ops.bytes_requested += size
         placement = "unpredicted"
-        if self.predictor is not None and chain is not None:
+        if self._predicts_short is not None and chain is not None:
             self.ops.predictions += 1
-            if self.predictor.predicts_short_lived(chain, size):
+            if self._predicts_short(chain, size):
                 self.ops.predicted_short += 1
                 addr = self._arena_malloc(size)
                 if addr is not None:

@@ -20,6 +20,7 @@ from repro.alloc.arena import ARENA_ALIGNMENT, Arena
 from repro.alloc.base import Allocator, AllocatorError
 from repro.alloc.firstfit import FirstFitAllocator
 from repro.core.multiclass import MultiClassPredictor
+from repro.core.predictor import memoize_by_site
 from repro.core.sites import CallChain
 
 __all__ = ["MultiArenaAllocator", "AreaStats"]
@@ -117,6 +118,7 @@ class MultiArenaAllocator(Allocator):
                 f"need at least one arena per area, got {arenas_per_area}"
             )
         self.predictor = predictor
+        self._class_of = memoize_by_site(predictor.class_of)
         self.areas: List[_Area] = []
         self.area_stats: List[AreaStats] = []
         cursor = base
@@ -153,7 +155,7 @@ class MultiArenaAllocator(Allocator):
         placement = "unpredicted"
         if chain is not None:
             self.ops.predictions += 1
-            klass = self.predictor.class_of(chain, size)
+            klass = self._class_of(chain, size)
             if klass is not None:
                 if klass == 0:
                     self.ops.predicted_short += 1

@@ -11,6 +11,8 @@ requiring no programmer annotations.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.alloc.arena import DEFAULT_ARENA_SIZE, DEFAULT_NUM_ARENAS
 from repro.alloc.spec import AllocatorSpec, build_allocator
 from repro.analysis.simulate import SimulationResult
@@ -35,6 +37,10 @@ class _OracleAnswer(LifetimePredictor):
 
     def predicts_short_lived(self, chain: CallChain, size: int) -> bool:
         return self.answer
+
+    def bind(self) -> Callable[[CallChain, int], bool]:
+        # The answer changes per object, not per (chain, size): never memoize.
+        return self.predicts_short_lived
 
     @property
     def site_count(self) -> int:

@@ -35,11 +35,13 @@ from repro.core.predictor import LifetimePredictor
 from repro.obs.spans import TRACER
 from repro.runtime.events import Trace
 from repro.runtime.stream.protocol import (
+    EV_ALLOC,
     EV_FREE,
     EV_TOUCH,
     EventSource,
     as_event_source,
 )
+from repro.runtime.tracefile import TraceFormatError
 
 if TYPE_CHECKING:
     from repro.obs.telemetry import Telemetry
@@ -109,6 +111,11 @@ def replay(trace: Union[Trace, EventSource], allocator: Allocator,
     With ``check_invariants`` the allocator is audited after every 4096
     events — slow, used by the integration tests.
 
+    A stream that frees an object that is not live, or allocates under a
+    chain id its header never interned, raises
+    :class:`~repro.runtime.tracefile.TraceFormatError` naming the file,
+    the event offset, and the object id.
+
     ``telemetry`` attaches a :class:`~repro.obs.telemetry.Telemetry`
     recorder for the duration of the replay: the allocator reports every
     operation through its probe and the recorder samples the heap gauges
@@ -128,21 +135,60 @@ def replay(trace: Union[Trace, EventSource], allocator: Allocator,
         chain_of = header.chains.chain
         addresses = {}
         step = 0
-        for ev in source.events():
-            tag = ev[0]
-            if tag == EV_TOUCH:  # touch events carry no allocator work
-                continue
-            if tag == EV_FREE:
-                allocator.free(addresses.pop(ev[1]))
-            else:
-                addresses[ev[1]] = allocator.malloc(ev[3], chain_of(ev[2]))
-            step += 1
-            if check_invariants and step % 4096 == 0:
-                allocator.check_invariants()
+        offset, ev = -1, ()
+        try:
+            for offset, ev in enumerate(source.events()):
+                tag = ev[0]
+                if tag == EV_TOUCH:  # touch events carry no allocator work
+                    continue
+                if tag == EV_FREE:
+                    allocator.free(addresses.pop(ev[1]))
+                else:
+                    addresses[ev[1]] = allocator.malloc(
+                        ev[3], chain_of(ev[2])
+                    )
+                step += 1
+                if check_invariants and step % 4096 == 0:
+                    allocator.check_invariants()
+        except (KeyError, IndexError) as exc:
+            error = _stream_error(source, offset, ev, exc)
+            if error is None:
+                raise
+            raise error from exc
         if check_invariants:
             allocator.check_invariants()
     if telemetry is not None:
         telemetry.finish()
+
+
+def _stream_error(
+    source: EventSource, offset: int, ev: tuple, exc: Exception
+) -> Optional[TraceFormatError]:
+    """The format error behind a lookup failure at event ``offset``.
+
+    ``None`` when ``exc`` did not come from the event itself (a free of
+    an object that is not live, an alloc naming a chain the header never
+    interned), so the caller re-raises it untouched.
+    """
+    if not ev:
+        return None
+    header = source.header
+    where = getattr(source, "path", None) or (
+        f"{header.program}/{header.dataset}"
+    )
+    if ev[0] == EV_FREE and isinstance(exc, KeyError) and exc.args == (ev[1],):
+        return TraceFormatError(
+            f"{where}: event {offset}: free of object {ev[1]}, "
+            f"which is not live"
+        )
+    if ev[0] == EV_ALLOC and isinstance(exc, IndexError) and not (
+        0 <= ev[2] < len(header.chains)
+    ):
+        return TraceFormatError(
+            f"{where}: event {offset}: object {ev[1]} names chain id "
+            f"{ev[2]}, but the header interns {len(header.chains)} chains"
+        )
+    return None
 
 
 def _result_name(spec: AllocatorSpec) -> str:

@@ -131,12 +131,16 @@ def train_cce_predictor(
 
     source = as_event_source(trace)
     chain_of = source.header.chains.chain
+    # One encryption per chain id, not one sha256 per frame per object.
+    chain_keys: Dict[int, int] = {}
     all_short: Dict[Tuple[int, int], bool] = {}
     for chain_id, size, lifetime, _ in iter_object_lifetimes(source):
-        key = (
-            encrypt_chain(chain_of(chain_id), bits),
-            round_size(size, size_rounding),
-        )
+        chain_key = chain_keys.get(chain_id)
+        if chain_key is None:
+            chain_key = chain_keys[chain_id] = encrypt_chain(
+                chain_of(chain_id), bits
+            )
+        key = (chain_key, round_size(size, size_rounding))
         short = lifetime < threshold
         all_short[key] = all_short.get(key, True) and short
     selected = frozenset(key for key, short in all_short.items() if short)

@@ -19,7 +19,7 @@ to its threshold the way the paper sizes 64 KB to the 32 KB cutoff.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from typing import TYPE_CHECKING
 
@@ -28,11 +28,12 @@ from repro.core.predictor import (
     TRUE_PREDICTION_ROUNDING,
     LifetimePredictor,
 )
-from repro.core.profile import SiteKey, build_profile
+from repro.core.profile import SiteKey
 from repro.core.sites import FULL_CHAIN, CallChain, site_key
 
 if TYPE_CHECKING:
     from repro.runtime.events import Trace
+    from repro.runtime.stream.protocol import EventSource
 
 __all__ = [
     "DEFAULT_CLASS_THRESHOLDS",
@@ -109,7 +110,7 @@ class MultiClassPredictor(LifetimePredictor):
 
 
 def train_multiclass_predictor(
-    trace: "Trace",
+    trace: Union["Trace", "EventSource"],
     thresholds: Sequence[int] = DEFAULT_CLASS_THRESHOLDS,
     chain_length: Optional[int] = FULL_CHAIN,
     size_rounding: int = TRUE_PREDICTION_ROUNDING,
@@ -121,16 +122,21 @@ def train_multiclass_predictor(
     lifetime.  With ``thresholds=(32768,)`` this is byte-for-byte the
     paper's predictor.
     """
-    profile = build_profile(
-        trace, chain_length=chain_length, size_rounding=size_rounding
+    from repro.runtime.shard import SiteSelectFold, fold_object_lifetimes
+    from repro.runtime.stream.protocol import as_event_source
+
+    source = as_event_source(trace)
+    fold = fold_object_lifetimes(
+        source,
+        lambda: SiteSelectFold(
+            source.header.chains, chain_length, size_rounding
+        ),
     )
     ladder = tuple(thresholds)
     site_classes: Dict[SiteKey, int] = {}
-    for key, stats in profile.sites():
-        if stats.max_lifetime is None:
-            continue
+    for key, max_lifetime in fold.site_max_lifetimes().items():
         for klass, bound in enumerate(ladder):
-            if stats.max_lifetime < bound:
+            if max_lifetime < bound:
                 site_classes[key] = klass
                 break
     return MultiClassPredictor(
@@ -138,5 +144,5 @@ def train_multiclass_predictor(
         thresholds=ladder,
         chain_length=chain_length,
         size_rounding=size_rounding,
-        program=trace.program,
+        program=source.header.program,
     )

@@ -34,14 +34,14 @@ New Ref column).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Optional, Tuple, TypeVar, Union
 
-from repro.core.profile import SiteKey, SiteProfile, build_profile
+from repro.core.profile import SiteKey, SiteProfile
 from repro.core.sites import (
     FULL_CHAIN,
     CallChain,
+    ChainTable,
     prune_recursive_cycles,
-    round_size,
     site_key,
 )
 from typing import TYPE_CHECKING
@@ -59,6 +59,8 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "TRUE_PREDICTION_ROUNDING",
     "LifetimePredictor",
+    "ChainVerdicts",
+    "memoize_by_site",
     "SitePredictor",
     "SizeOnlyPredictor",
     "StaticEscapePredictor",
@@ -78,6 +80,31 @@ DEFAULT_THRESHOLD = 32 * 1024
 #: corresponding sites were more likely to map correctly").
 TRUE_PREDICTION_ROUNDING = 4
 
+_T = TypeVar("_T")
+_MISSING = object()
+
+
+def memoize_by_site(
+    lookup: Callable[[CallChain, int], _T]
+) -> Callable[[CallChain, int], _T]:
+    """``lookup`` answered once per distinct ``(chain, size)`` pair.
+
+    The memo is a dict owned by the returned callable, so it lives
+    exactly as long as whoever holds the callable — one allocator, one
+    replay — and never outlives the chain tuples it keys on.
+    """
+    memo: Dict[Tuple[CallChain, int], _T] = {}
+    get = memo.get
+
+    def bound(chain: CallChain, size: int) -> _T:
+        key = (chain, size)
+        value = get(key, _MISSING)
+        if value is _MISSING:
+            value = memo[key] = lookup(chain, size)
+        return value  # type: ignore[return-value]
+
+    return bound
+
 
 class LifetimePredictor:
     """Interface shared by every predictor.
@@ -87,6 +114,9 @@ class LifetimePredictor:
     expose ``site_count`` (how many database entries back the prediction —
     the Sites Used columns) and ``threshold`` (the short-lived cutoff they
     were trained for).
+
+    The answer is a pure function of ``(chain, size)``, so replay asks
+    through :meth:`bind`, which resolves each distinct pair once.
     """
 
     threshold: int
@@ -95,10 +125,45 @@ class LifetimePredictor:
         """Whether an object born at ``(chain, size)`` is predicted short-lived."""
         raise NotImplementedError
 
+    def bind(self) -> Callable[[CallChain, int], bool]:
+        """A memoized :meth:`predicts_short_lived` for one replay.
+
+        The memo belongs to the returned callable, not to the predictor,
+        so a predictor reused across many replays keeps no chains alive
+        between them.  A predictor whose answer is not a function of
+        ``(chain, size)`` overrides this to return the raw method.
+        """
+        return memoize_by_site(self.predicts_short_lived)
+
     @property
     def site_count(self) -> int:
         """Number of predictor database entries (Sites Used)."""
         raise NotImplementedError
+
+
+class ChainVerdicts:
+    """A fold's ``(chain id, size) → verdict`` memo over one chain table.
+
+    Folds see interned chain ids, so they key on the id pair and turn
+    an id back into its chain only on a miss.  Plain data (no closure),
+    so it pickles with the fold it belongs to.
+    """
+
+    __slots__ = ("predictor", "chains", "_memo")
+
+    def __init__(self, predictor: LifetimePredictor, chains: ChainTable):
+        self.predictor = predictor
+        self.chains = chains
+        self._memo: Dict[Tuple[int, int], bool] = {}
+
+    def __call__(self, chain_id: int, size: int) -> bool:
+        key = (chain_id, size)
+        verdict = self._memo.get(key)
+        if verdict is None:
+            verdict = self._memo[key] = self.predictor.predicts_short_lived(
+                self.chains.chain(chain_id), size
+            )
+        return verdict
 
 
 class SitePredictor(LifetimePredictor):
@@ -280,27 +345,20 @@ def train_site_predictor(
     with TRACER.span("profile.train_sites", cat="core",
                      program=program, dataset=dataset,
                      threshold=threshold):
-        if getattr(trace, "shard_jobs", 1) > 1:
-            # Selection reads only each site's max lifetime, an
-            # order-independent fold, so a sharded source trains the
-            # identical database in parallel.
-            from repro.runtime.shard import (
-                SiteSelectFold,
-                fold_object_lifetimes,
-            )
+        # Selection reads only each site's max lifetime, an
+        # order-independent fold, so a sharded source trains the
+        # identical database in parallel.
+        from repro.runtime.shard import SiteSelectFold, fold_object_lifetimes
+        from repro.runtime.stream.protocol import as_event_source
 
-            fold = fold_object_lifetimes(
-                trace,
-                lambda: SiteSelectFold(
-                    trace.header.chains, chain_length, size_rounding
-                ),
-            )
-            selected = fold.short_lived_sites(threshold)
-        else:
-            profile = build_profile(
-                trace, chain_length=chain_length, size_rounding=size_rounding
-            )
-            selected = frozenset(profile.short_lived_sites(threshold))
+        source = as_event_source(trace)
+        fold = fold_object_lifetimes(
+            source,
+            lambda: SiteSelectFold(
+                source.header.chains, chain_length, size_rounding
+            ),
+        )
+        selected = fold.short_lived_sites(threshold)
     return SitePredictor(
         selected,
         threshold=threshold,
@@ -314,27 +372,14 @@ def train_size_only_predictor(
     trace: TraceLike, threshold: int = DEFAULT_THRESHOLD
 ) -> SizeOnlyPredictor:
     """Train a :class:`SizeOnlyPredictor`: sizes whose objects all died young."""
-    from repro.runtime.stream.protocol import (
-        as_event_source,
-        iter_object_lifetimes,
-    )
+    from repro.runtime.shard import SizeOnlyFold, fold_object_lifetimes
+    from repro.runtime.stream.protocol import as_event_source
 
     source = as_event_source(trace)
-    if getattr(source, "shard_jobs", 1) > 1:
-        from repro.runtime.shard import SizeOnlyFold, fold_object_lifetimes
-
-        fold = fold_object_lifetimes(source, lambda: SizeOnlyFold(threshold))
-        selected = fold.short_lived_sizes()
-        return SizeOnlyPredictor(
-            selected, threshold=threshold, program=source.header.program
-        )
-    per_size: Dict[int, bool] = {}
-    for _, size, lifetime, _ in iter_object_lifetimes(source):
-        short = lifetime < threshold
-        per_size[size] = per_size.get(size, True) and short
-    selected = frozenset(size for size, short in per_size.items() if short)
+    fold = fold_object_lifetimes(source, lambda: SizeOnlyFold(threshold))
     return SizeOnlyPredictor(
-        selected, threshold=threshold, program=source.header.program
+        fold.short_lived_sizes(), threshold=threshold,
+        program=source.header.program,
     )
 
 
@@ -344,23 +389,12 @@ def actual_short_lived_bytes(trace: TraceLike, threshold: int) -> int:
     This is the per-object ground truth behind the Actual Short-lived Bytes
     column: the most any site-based predictor could correctly capture.
     """
-    from repro.runtime.stream.protocol import (
-        as_event_source,
-        iter_object_lifetimes,
-    )
+    from repro.runtime.shard import ShortBytesFold, fold_object_lifetimes
+    from repro.runtime.stream.protocol import as_event_source
 
-    source = as_event_source(trace)
-    if getattr(source, "shard_jobs", 1) > 1:
-        from repro.runtime.shard import ShortBytesFold, fold_object_lifetimes
-
-        return fold_object_lifetimes(
-            source, lambda: ShortBytesFold(threshold)
-        ).total
-    total = 0
-    for _, size, lifetime, _ in iter_object_lifetimes(source):
-        if lifetime < threshold:
-            total += size
-    return total
+    return fold_object_lifetimes(
+        as_event_source(trace), lambda: ShortBytesFold(threshold)
+    ).total
 
 
 @dataclass(frozen=True)
@@ -445,81 +479,16 @@ def _evaluate(
     source: "EventSource",
     count_matched_sites: bool,
 ) -> PredictionEvaluation:
-    from repro.runtime.stream.protocol import iter_object_lifetimes
+    # Scoring is sums and set unions over objects, so one fold serves
+    # serial and sharded sources alike.
+    from repro.runtime.shard import EvaluateFold, fold_object_lifetimes
 
     header = source.header
-    if getattr(source, "shard_jobs", 1) > 1:
-        # Scoring is sums and set unions over objects, so a sharded
-        # source evaluates through the parallel map/reduce fold.
-        from repro.runtime.shard import EvaluateFold, fold_object_lifetimes
-
-        fold = fold_object_lifetimes(
-            source, lambda: EvaluateFold(predictor, header.chains)
-        )
-        return fold.result(
-            header, source.summary, count_matched_sites=count_matched_sites
-        )
-    chain_of = header.chains.chain
-    total_bytes = 0
-    actual_short = 0
-    predicted_short = 0
-    error_bytes = 0
-    predicted_objects = 0
-    predicted_refs = 0
-    matched_keys = set()
-    test_keys = set()
-    threshold = predictor.threshold
-    is_site_based = isinstance(predictor, SitePredictor)
-    is_static = isinstance(predictor, StaticEscapePredictor)
-
-    for chain_id, size, lifetime, touches in iter_object_lifetimes(source):
-        chain = chain_of(chain_id)
-        total_bytes += size
-        short = lifetime < threshold
-        if short:
-            actual_short += size
-        if is_site_based:
-            key = predictor.key_for(chain, size)  # type: ignore[attr-defined]
-            test_keys.add(key)
-            hit = key in predictor.sites  # type: ignore[attr-defined]
-            if hit:
-                matched_keys.add(key)
-        elif is_static:
-            test_keys.add(predictor.key_for(chain, size))  # type: ignore[attr-defined]
-            hit = predictor.predicts_short_lived(chain, size)
-            if hit:
-                matched_keys.update(
-                    predictor.matching_keys(chain, size)  # type: ignore[attr-defined]
-                )
-        else:
-            test_keys.add(size)
-            hit = predictor.predicts_short_lived(chain, size)
-            if hit:
-                matched_keys.add(size)
-        if hit:
-            predicted_objects += 1
-            predicted_refs += touches
-            if short:
-                predicted_short += size
-            else:
-                error_bytes += size
-
-    sites_used = (
-        len(matched_keys) if count_matched_sites else predictor.site_count
+    fold = fold_object_lifetimes(
+        source, lambda: EvaluateFold(predictor, header.chains)
     )
-    return PredictionEvaluation(
-        program=header.program,
-        dataset=header.dataset,
-        threshold=threshold,
-        total_sites=len(test_keys),
-        sites_used=sites_used,
-        total_bytes=total_bytes,
-        actual_short_bytes=actual_short,
-        predicted_short_bytes=predicted_short,
-        error_bytes=error_bytes,
-        predicted_objects=predicted_objects,
-        total_heap_refs=source.summary.heap_refs,
-        predicted_heap_refs=predicted_refs,
+    return fold.result(
+        header, source.summary, count_matched_sites=count_matched_sites
     )
 
 

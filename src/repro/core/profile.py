@@ -17,10 +17,10 @@ compared with a profile built at a different level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.core.quantile import P2Histogram
-from repro.core.sites import FULL_CHAIN, CallChain, site_key
+from repro.core.sites import FULL_CHAIN, CallChain, ChainTable, site_key
 from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
@@ -177,21 +177,37 @@ def build_profile(
         chain_length=chain_length,
         size_rounding=size_rounding,
     )
+    key_of = _site_keys(trace.chains, chain_length, size_rounding)
+    chain_ids = trace.raw_arrays()["chain_ids"]
     for obj_id in range(trace.total_objects):
-        key = site_key(
-            trace.chain_of(obj_id),
-            trace.size_of(obj_id),
-            length=chain_length,
-            size_rounding=size_rounding,
-        )
+        size = trace.size_of(obj_id)
         profile.observe(
-            key,
-            size=trace.size_of(obj_id),
+            key_of(chain_ids[obj_id], size),
+            size=size,
             lifetime=trace.lifetime_of(obj_id),
             touches=trace.touches_of(obj_id),
             freed=trace.freed(obj_id),
         )
     return profile
+
+
+def _site_keys(
+    chains: ChainTable, chain_length: Optional[int], size_rounding: int
+) -> Callable[[int, int], SiteKey]:
+    """``(chain id, size) → site key``, abstracted once per distinct pair."""
+    chain_of = chains.chain
+    memo: Dict[Tuple[int, int], SiteKey] = {}
+
+    def key_of(chain_id: int, size: int) -> SiteKey:
+        key = memo.get((chain_id, size))
+        if key is None:
+            key = memo[(chain_id, size)] = site_key(
+                chain_of(chain_id), size,
+                length=chain_length, size_rounding=size_rounding,
+            )
+        return key
+
+    return key_of
 
 
 def _build_profile_streaming(
@@ -209,7 +225,7 @@ def _build_profile_streaming(
         chain_length=chain_length,
         size_rounding=size_rounding,
     )
-    chain_of = header.chains.chain
+    key_of = _site_keys(header.chains, chain_length, size_rounding)
     live = {}
     for ev in source.events():
         tag = ev[0]
@@ -217,24 +233,17 @@ def _build_profile_streaming(
             live[ev[1]] = (ev[2], ev[3], ev[4])
         elif tag == EV_FREE:
             chain_id, size, birth = live.pop(ev[1])
-            key = site_key(
-                chain_of(chain_id), size,
-                length=chain_length, size_rounding=size_rounding,
-            )
             profile.observe(
-                key, size=size, lifetime=ev[2] - birth, touches=ev[3],
+                key_of(chain_id, size), size=size, lifetime=ev[2] - birth,
+                touches=ev[3],
             )
     summary = source.summary
     end_time = summary.end_time
     unfreed_touches = dict(summary.unfreed_touches)
     for obj_id in sorted(live):
         chain_id, size, birth = live[obj_id]
-        key = site_key(
-            chain_of(chain_id), size,
-            length=chain_length, size_rounding=size_rounding,
-        )
         profile.observe(
-            key,
+            key_of(chain_id, size),
             size=size,
             lifetime=end_time - birth,
             touches=unfreed_touches.get(obj_id, 0),

@@ -56,7 +56,11 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.alloc.bsd import bucket_for
 from repro.alloc.costs import DEFAULT_COST_MODEL, CostModel
 from repro.alloc.firstfit import ALIGNMENT, HEADER_SIZE
-from repro.core.predictor import DEFAULT_THRESHOLD, LifetimePredictor
+from repro.core.predictor import (
+    DEFAULT_THRESHOLD,
+    ChainVerdicts,
+    LifetimePredictor,
+)
 from repro.core.sites import CallChain, ChainTable
 from repro.runtime.shard.folds import LifetimeFold
 
@@ -194,6 +198,9 @@ class AttributionFold(LifetimeFold):
         self.chains = chains
         self.profile = profile
         self.predictor = predictor
+        self._verdict = (
+            ChainVerdicts(predictor, chains) if predictor is not None else None
+        )
         if threshold is None:
             threshold = getattr(predictor, "threshold", DEFAULT_THRESHOLD)
         self.threshold = threshold
@@ -224,10 +231,8 @@ class AttributionFold(LifetimeFold):
             free = model.ff_free_base
             frag = _firstfit_padding(size)
         else:  # arena: the predictor decides placement per object
-            predicted = self.predictor is not None and (
-                self.predictor.predicts_short_lived(
-                    self.chains.chain(chain_id), size
-                )
+            predicted = self._verdict is not None and self._verdict(
+                chain_id, size
             )
             if predicted:
                 site.predicted_objects += 1

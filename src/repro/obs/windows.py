@@ -50,7 +50,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.alloc.bsd import bucket_for
-from repro.core.predictor import DEFAULT_THRESHOLD, LifetimePredictor
+from repro.core.predictor import (
+    DEFAULT_THRESHOLD,
+    ChainVerdicts,
+    LifetimePredictor,
+)
 from repro.core.sites import CallChain, ChainTable
 from repro.runtime.shard.folds import LifetimeFold
 from repro.runtime.stream.protocol import EV_ALLOC, EventSource
@@ -240,6 +244,9 @@ class WindowFold(LifetimeFold):
         self.spec = spec
         self.chains = chains
         self.predictor = predictor
+        self._verdict = (
+            ChainVerdicts(predictor, chains) if predictor is not None else None
+        )
         if threshold is None:
             threshold = getattr(predictor, "threshold", DEFAULT_THRESHOLD)
         self.threshold = threshold
@@ -274,10 +281,8 @@ class WindowFold(LifetimeFold):
         death_w = spec.index(death)
         lifetime = death - birth
         short = lifetime < self.threshold
-        predicted = self.predictor is not None and (
-            self.predictor.predicts_short_lived(
-                self.chains.chain(chain_id), size
-            )
+        predicted = self._verdict is not None and self._verdict(
+            chain_id, size
         )
         self.allocs[birth_w] += 1
         self.alloc_bytes[birth_w] += size

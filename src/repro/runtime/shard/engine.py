@@ -33,10 +33,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.spans import TRACER
 from repro.runtime import tracefile
+from repro.runtime.events import _NEVER_FREED, Trace
 from repro.runtime.stream.protocol import (
     EV_ALLOC,
     EV_FREE,
     EventSource,
+    TraceEventSource,
     iter_object_records,
 )
 from repro.runtime.stream.v3 import TraceFileSource, read_chunk_events
@@ -91,6 +93,32 @@ def _shard_worker(
     return fold, live, closes, span_state
 
 
+def _fold_trace(trace: Trace, fold: LifetimeFold) -> None:
+    """Fold an in-memory trace straight from its object arrays.
+
+    Every object's record is already at hand, so there is no event
+    stream to replay; folds are order-independent, so object-id order
+    gives the state the stream order would.  Lifetime-only folds get
+    ``add`` directly, skipping the positional record.
+    """
+    arrays = trace.raw_arrays()
+    end_time = trace.end_time
+    records = zip(arrays["chain_ids"], arrays["sizes"], arrays["births"],
+                  arrays["deaths"], arrays["touches"])
+    if type(fold).add_object is LifetimeFold.add_object:
+        add = fold.add
+        for chain_id, size, birth, death, touches in records:
+            if death == _NEVER_FREED:
+                death = end_time
+            add(chain_id, size, death - birth, touches)
+        return
+    add_object = fold.add_object
+    for obj_id, (chain_id, size, birth, death, touches) in enumerate(records):
+        if death == _NEVER_FREED:
+            death = end_time
+        add_object(obj_id, chain_id, size, birth, death, touches)
+
+
 def fold_object_lifetimes(
     source: EventSource,
     fold_factory: Callable[[], LifetimeFold],
@@ -100,8 +128,9 @@ def fold_object_lifetimes(
 
     ``jobs`` defaults to the source's :attr:`shard_jobs` (1 for plain
     sources), and anything that cannot shard — an in-memory source, one
-    worker, a single-chunk file — falls back to the serial
-    :func:`iter_object_lifetimes` pass, so this is always safe to call.
+    worker, a single-chunk file — falls back to one serial pass (over
+    the object arrays for an in-memory trace, else
+    :func:`iter_object_records`), so this is always safe to call.
     ``fold_factory`` builds one fresh fold per shard (plus the parent's
     accumulator); it runs in the parent, and its folds travel to the
     workers by pickling.
@@ -116,9 +145,12 @@ def fold_object_lifetimes(
         or chunk_index is None
         or len(chunk_index) <= 1
     ):
-        add_object = fold.add_object
-        for record in iter_object_records(source):
-            add_object(*record)
+        if isinstance(source, TraceEventSource):
+            _fold_trace(source.trace, fold)
+        else:
+            add_object = fold.add_object
+            for record in iter_object_records(source):
+                add_object(*record)
         return fold
 
     summary = source.summary

@@ -36,7 +36,7 @@ instead.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.core.predictor import (
     LifetimePredictor,
@@ -44,6 +44,7 @@ from repro.core.predictor import (
     SitePredictor,
     StaticEscapePredictor,
 )
+from repro.core.profile import SiteKey
 from repro.core.sites import ChainTable, site_key
 from repro.runtime.stream.protocol import StreamHeader, StreamSummary
 
@@ -93,9 +94,10 @@ class LifetimeFold:
 class EvaluateFold(LifetimeFold):
     """The accumulators of :func:`repro.core.predictor.evaluate`.
 
-    Integer sums plus matched/test key-set unions — exactly the state
-    the serial ``_evaluate`` loop keeps, so :meth:`result` rebuilds an
-    identical :class:`~repro.core.predictor.PredictionEvaluation`.
+    Integer sums plus matched/test key-set unions.  Every object with
+    the same ``(chain id, size)`` has the same keys and verdict, so the
+    key sets grow only on the first object of each pair and later ones
+    cost one memo lookup.
     """
 
     def __init__(self, predictor: LifetimePredictor, chains: ChainTable):
@@ -109,38 +111,41 @@ class EvaluateFold(LifetimeFold):
         self.predicted_refs = 0
         self.matched_keys: Set = set()
         self.test_keys: Set = set()
-        self._site_based = isinstance(predictor, SitePredictor)
-        self._static = isinstance(predictor, StaticEscapePredictor)
+        self._hits: Dict[Tuple[int, int], bool] = {}
+
+    def _score(self, chain_id: int, size: int) -> bool:
+        """Record a new pair's test and matched keys; return its verdict."""
+        predictor = self.predictor
+        chain = self.chains.chain(chain_id)
+        if isinstance(predictor, SitePredictor):
+            key = predictor.key_for(chain, size)
+            matched: Tuple = (key,) if key in predictor.sites else ()
+        elif isinstance(predictor, StaticEscapePredictor):
+            key = predictor.key_for(chain, size)
+            matched = (
+                predictor.matching_keys(chain, size)
+                if predictor.predicts_short_lived(chain, size) else ()
+            )
+        else:
+            key = size
+            matched = (
+                (size,) if predictor.predicts_short_lived(chain, size) else ()
+            )
+        self.test_keys.add(key)
+        self.matched_keys.update(matched)
+        hit = self._hits[(chain_id, size)] = bool(matched)
+        return hit
 
     def add(
         self, chain_id: int, size: int, lifetime: int, touches: int
     ) -> None:
-        predictor = self.predictor
-        chain = self.chains.chain(chain_id)
         self.total_bytes += size
-        short = lifetime < predictor.threshold
+        short = lifetime < self.predictor.threshold
         if short:
             self.actual_short += size
-        if self._site_based:
-            key = predictor.key_for(chain, size)  # type: ignore[attr-defined]
-            self.test_keys.add(key)
-            hit = key in predictor.sites  # type: ignore[attr-defined]
-            if hit:
-                self.matched_keys.add(key)
-        elif self._static:
-            self.test_keys.add(
-                predictor.key_for(chain, size)  # type: ignore[attr-defined]
-            )
-            hit = predictor.predicts_short_lived(chain, size)
-            if hit:
-                self.matched_keys.update(
-                    predictor.matching_keys(chain, size)  # type: ignore[attr-defined]
-                )
-        else:
-            self.test_keys.add(size)
-            hit = predictor.predicts_short_lived(chain, size)
-            if hit:
-                self.matched_keys.add(size)
+        hit = self._hits.get((chain_id, size))
+        if hit is None:
+            hit = self._score(chain_id, size)
         if hit:
             self.predicted_objects += 1
             self.predicted_refs += touches
@@ -191,9 +196,11 @@ class SiteSelectFold(LifetimeFold):
 
     The all-short-lived rule reads nothing else ("all objects lived
     less than 32 kilobytes" is ``max_lifetime < threshold``), and max
-    is a commutative fold — so the sharded site predictor selects
-    exactly the serial trainer's frozenset, which is why the saved
-    databases stay byte-identical (the writer sorts its site list).
+    is a commutative fold — so serial and sharded training select the
+    same frozenset, which is why the saved databases stay
+    byte-identical (the writer sorts its site list).  The fold keys on
+    the interned ``(chain id, size)`` and abstracts each distinct pair
+    to its site key once, in :meth:`site_max_lifetimes`.
     """
 
     def __init__(
@@ -205,15 +212,12 @@ class SiteSelectFold(LifetimeFold):
         self.chains = chains
         self.chain_length = chain_length
         self.size_rounding = size_rounding
-        self.max_lifetime: Dict = {}
+        self.max_lifetime: Dict[Tuple[int, int], int] = {}
 
     def add(
         self, chain_id: int, size: int, lifetime: int, touches: int
     ) -> None:
-        key = site_key(
-            self.chains.chain(chain_id), size,
-            length=self.chain_length, size_rounding=self.size_rounding,
-        )
+        key = (chain_id, size)
         current = self.max_lifetime.get(key)
         if current is None or lifetime > current:
             self.max_lifetime[key] = lifetime
@@ -225,10 +229,24 @@ class SiteSelectFold(LifetimeFold):
             if current is None or lifetime > current:
                 mine[key] = lifetime
 
-    def short_lived_sites(self, threshold: int) -> FrozenSet:
+    def site_max_lifetimes(self) -> Dict[SiteKey, int]:
+        """Each site key's maximum lifetime at this fold's level."""
+        chain_of = self.chains.chain
+        per_site: Dict[SiteKey, int] = {}
+        for (chain_id, size), lifetime in self.max_lifetime.items():
+            key = site_key(
+                chain_of(chain_id), size,
+                length=self.chain_length, size_rounding=self.size_rounding,
+            )
+            current = per_site.get(key)
+            if current is None or lifetime > current:
+                per_site[key] = lifetime
+        return per_site
+
+    def short_lived_sites(self, threshold: int) -> FrozenSet[SiteKey]:
         """Site keys whose every object died under ``threshold``."""
         return frozenset(
-            key for key, lifetime in self.max_lifetime.items()
+            key for key, lifetime in self.site_max_lifetimes().items()
             if lifetime < threshold
         )
 
