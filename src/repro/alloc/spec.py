@@ -217,6 +217,16 @@ class AllocatorSpec:
             )
         return self
 
+    def placement(self) -> "AllocatorSpec":
+        """The canonical form with the costing-only ``strategy`` reset.
+
+        ``strategy`` only decides how Table 9 prices chain
+        identification from the finished op counts; it never changes
+        where an object goes.  Two specs with equal placements therefore
+        replay identically, which is what a replay memo keys on.
+        """
+        return replace(self.canonical(), strategy=STRATEGIES[0])
+
     def to_dict(self) -> Dict[str, object]:
         """A JSON-ready dict with every field, class ladder as a list."""
         return {

@@ -34,18 +34,32 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.alloc.costs import DEFAULT_COST_MODEL, CostModel
+from repro.obs.attrib import (
+    AttributionProfile,
+    attribute_sites,
+    profile_for_spec,
+)
 from repro.obs.metrics import METRICS, Metrics
 from repro.obs.spans import TRACER
+from repro.analysis.simulate import (
+    ReplayCounts,
+    SimulationResult,
+    price,
+    replay_spec,
+)
 from repro.analysis.trace_cache import TraceCache, cache_disabled_by_env
 from repro.core.cce import CCEPredictor, train_cce_predictor
+from repro.core.multiclass import MultiClassPredictor
 from repro.core.predictor import (
     DEFAULT_THRESHOLD,
     TRUE_PREDICTION_ROUNDING,
     SitePredictor,
-    train_site_predictor,
+    site_maxima,
 )
 from repro.core.sites import FULL_CHAIN
 from repro.runtime.events import Trace
+from repro.runtime.shard.folds import SiteSelectFold
 from repro.runtime.stream.protocol import EventSource, TraceEventSource
 from repro.workloads.registry import PROGRAM_ORDER, run_workload
 
@@ -119,6 +133,13 @@ class TraceStore:
     chunks in a process pool and unlocks the map/reduce fold path in
     predictor training and evaluation — byte-identical results, less
     wall clock.
+
+    The store also computes each distinct derived result once (DESIGN.md
+    §17): one replay per allocator placement (:meth:`simulate`), one
+    site-maxima fold per execution that every site and multi-class
+    predictor selects from, and one attribution per distinct prediction
+    (:meth:`attribution`).  These memos hold results only — counters,
+    max-lifetime dicts, profiles — and live exactly as long as the store.
     """
 
     def __init__(
@@ -155,7 +176,12 @@ class TraceStore:
         self._site_predictors: Dict[tuple, SitePredictor] = {}
         self._cce_predictors: Dict[tuple, CCEPredictor] = {}
         self._static_predictors: Dict[tuple, "StaticEscapePredictor"] = {}
-        self._multiclass_predictors: Dict[tuple, object] = {}
+        self._multiclass_predictors: Dict[tuple, MultiClassPredictor] = {}
+        # Derived-result memos (DESIGN.md §17): results only, never an
+        # allocator or a source.
+        self._site_folds: Dict[Tuple[str, str], SiteSelectFold] = {}
+        self._replays: Dict[tuple, ReplayCounts] = {}
+        self._attributions: Dict[tuple, AttributionProfile] = {}
 
     @property
     def programs(self) -> list:
@@ -256,16 +282,26 @@ class TraceStore:
             return self.static_predictor(program, threshold=threshold)
         key = (program, train_dataset, threshold, chain_length, size_rounding)
         if key not in self._site_predictors:
-            source = self.source(program, train_dataset)
+            maxima = self._site_maxima(program, train_dataset)
             with TRACER.span("predictor.train", cat="core",
                              program=program, dataset=train_dataset):
-                self._site_predictors[key] = train_site_predictor(
-                    source,
-                    threshold=threshold,
-                    chain_length=chain_length,
-                    size_rounding=size_rounding,
+                self._site_predictors[key] = SitePredictor.from_maxima(
+                    maxima, threshold, chain_length, size_rounding,
+                    program=program,
                 )
         return self._site_predictors[key]
+
+    def _site_maxima(self, program: str, dataset: str) -> SiteSelectFold:
+        """One execution's per-pair maximum lifetimes, folded once.
+
+        Every site and multi-class predictor this store trains on the
+        execution selects from this fold, whatever its level or
+        threshold.
+        """
+        key = (program, dataset)
+        if key not in self._site_folds:
+            self._site_folds[key] = site_maxima(self.source(program, dataset))
+        return self._site_folds[key]
 
     def cce_predictor(
         self,
@@ -323,19 +359,19 @@ class TraceStore:
             return None
         train_dataset = EVAL_DATASET if mode == "self" else TRAIN_DATASET
         if spec.kind == "multiarena":
-            from repro.core.multiclass import train_multiclass_predictor
-
             key = (program, train_dataset, spec.class_thresholds,
                    spec.chain_length, spec.size_rounding)
             if key not in self._multiclass_predictors:
-                self._multiclass_predictors[key] = (
-                    train_multiclass_predictor(
-                        self.trace(program, train_dataset),
-                        thresholds=spec.class_thresholds,
-                        chain_length=spec.chain_length,
-                        size_rounding=spec.size_rounding,
+                maxima = self._site_maxima(program, train_dataset)
+                with TRACER.span("predictor.train", cat="core",
+                                 program=program, dataset=train_dataset):
+                    self._multiclass_predictors[key] = (
+                        MultiClassPredictor.from_maxima(
+                            maxima, spec.class_thresholds,
+                            spec.chain_length, spec.size_rounding,
+                            program=program,
+                        )
                     )
-                )
             return self._multiclass_predictors[key]
         if mode == "static":
             return self.static_predictor(program, threshold=spec.threshold)
@@ -351,6 +387,59 @@ class TraceStore:
             chain_length=spec.chain_length,
             size_rounding=spec.size_rounding,
         )
+
+    def simulate(
+        self,
+        program: str,
+        spec,
+        dataset: str = EVAL_DATASET,
+        model: CostModel = DEFAULT_COST_MODEL,
+    ) -> SimulationResult:
+        """``spec`` replayed on one execution, once per placement.
+
+        Memoized per ``(program, dataset, spec.placement())``, so specs
+        that differ only in the costing ``strategy`` share a replay.
+        Every call prices the stored counters under its own strategy and
+        ``model`` with :func:`~repro.analysis.simulate.price`, the
+        function :func:`~repro.analysis.simulate.simulate_spec` prices
+        with, so the result equals a fresh ``simulate_spec`` field for
+        field.  Telemetry and timed replays call ``simulate_spec``
+        directly, because they must run.
+        """
+        key = (program, dataset, spec.placement())
+        counts = self._replays.get(key)
+        if counts is None:
+            counts = self._replays[key] = replay_spec(
+                self.source(program, dataset), spec,
+                self.predictor_for(program, spec),
+            )
+        return price(counts, spec, model)
+
+    def attribution(
+        self,
+        program: str,
+        spec,
+        dataset: str = EVAL_DATASET,
+        model: CostModel = DEFAULT_COST_MODEL,
+    ) -> AttributionProfile:
+        """The per-site attribution ``spec`` prices on one execution.
+
+        Memoized on everything :func:`~repro.obs.attrib.attribute_sites`
+        reads — the profile, the resolved predictor, the threshold and
+        the cost model — so specs that differ only in arena geometry or
+        ``strategy`` share one fold.  Callers share the returned
+        profile, so treat it as read-only.
+        """
+        predictor = self.predictor_for(program, spec)
+        key = (program, dataset, profile_for_spec(spec), predictor,
+               spec.threshold, model)
+        profile = self._attributions.get(key)
+        if profile is None:
+            profile = self._attributions[key] = attribute_sites(
+                self.source(program, dataset), predictor=predictor,
+                model=model, spec=spec,
+            )
+        return profile
 
     # ------------------------------------------------------------------
     # Warming

@@ -8,6 +8,12 @@ heap size, and fragmentation measurements."  This module is that
 simulator driver: it replays a trace's alloc/free event sequence against
 any of the allocator simulators and packages the measurements the tables
 need.
+
+A simulation is two steps: :func:`replay_spec` drives the allocator
+and keeps its counters (:class:`ReplayCounts`), and :func:`price` turns
+counters into instruction costs.  Pricing never touches the trace, so
+:meth:`~repro.analysis.experiments.TraceStore.simulate` replays each
+distinct placement once and prices it per caller.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from repro.runtime.stream.protocol import (
     EV_TOUCH,
     EventSource,
     as_event_source,
+    event_error,
 )
 from repro.runtime.tracefile import TraceFormatError
 
@@ -48,7 +55,10 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SimulationResult",
+    "ReplayCounts",
     "replay",
+    "replay_spec",
+    "price",
     "simulate_spec",
     "simulate_firstfit",
     "simulate_bsd",
@@ -172,22 +182,12 @@ def _stream_error(
     """
     if not ev:
         return None
-    header = source.header
-    where = getattr(source, "path", None) or (
-        f"{header.program}/{header.dataset}"
-    )
     if ev[0] == EV_FREE and isinstance(exc, KeyError) and exc.args == (ev[1],):
-        return TraceFormatError(
-            f"{where}: event {offset}: free of object {ev[1]}, "
-            f"which is not live"
-        )
+        return event_error(source, offset, ev)
     if ev[0] == EV_ALLOC and isinstance(exc, IndexError) and not (
-        0 <= ev[2] < len(header.chains)
+        0 <= ev[2] < len(source.header.chains)
     ):
-        return TraceFormatError(
-            f"{where}: event {offset}: object {ev[1]} names chain id "
-            f"{ev[2]}, but the header interns {len(header.chains)} chains"
-        )
+        return event_error(source, offset, ev)
     return None
 
 
@@ -200,6 +200,107 @@ def _result_name(spec: AllocatorSpec) -> str:
     if spec.kind == "multiarena":
         return f"multi-arena ({spec.strategy})"
     return f"arena ({spec.strategy})"
+
+
+@dataclass(frozen=True)
+class ReplayCounts:
+    """What one replay measured, before any instruction pricing.
+
+    Everything here follows from the allocator's placement decisions,
+    so specs that differ only in the costing ``strategy`` — or callers
+    pricing under another :class:`CostModel` — share one replay and
+    differ only in :func:`price`.  Holds counters only, never the
+    allocator or the source.
+    """
+
+    program: str
+    dataset: str
+    max_heap_size: int
+    final_live_bytes: int
+    ops: OpCounts
+    #: Arena kinds only: the embedded general heap's counters, the
+    #: placement split, and the calls the ``cce`` strategy amortizes.
+    general_ops: Optional[OpCounts] = None
+    arena_bytes: int = 0
+    general_bytes: int = 0
+    arena_area_size: int = 0
+    total_calls: int = 0
+
+
+def replay_spec(
+    trace: Union[Trace, EventSource],
+    spec: AllocatorSpec,
+    predictor: Optional[LifetimePredictor] = None,
+    telemetry: Optional["Telemetry"] = None,
+) -> ReplayCounts:
+    """Replay a trace against the allocator ``spec`` describes and
+    collect its counters (see :func:`simulate_spec`)."""
+    source = as_event_source(trace)
+    allocator = build_allocator(spec, predictor)
+    replay(source, allocator, telemetry=telemetry)
+    common = dict(
+        program=source.header.program,
+        dataset=source.header.dataset,
+        max_heap_size=allocator.max_heap_size,
+        final_live_bytes=allocator.live_bytes,
+        ops=allocator.ops,
+    )
+    if spec.kind in ("firstfit", "bsd"):
+        return ReplayCounts(**common)
+    return ReplayCounts(
+        general_ops=allocator.general.ops,
+        arena_bytes=allocator.arena_bytes,
+        general_bytes=allocator.general_bytes,
+        arena_area_size=(
+            allocator.total_area_size if spec.kind == "multiarena"
+            else allocator.arena_area_size
+        ),
+        total_calls=source.summary.total_calls,
+        **common,
+    )
+
+
+def price(
+    counts: ReplayCounts,
+    spec: AllocatorSpec,
+    model: CostModel = DEFAULT_COST_MODEL,
+) -> SimulationResult:
+    """Price one replay's counters under ``spec``'s strategy and ``model``.
+
+    The only place a :class:`SimulationResult` is built: a fresh replay
+    and a memoized one come out identical field for field.  Each result
+    gets its own copy of the counters.
+    """
+    ops = counts.ops
+    common = dict(
+        allocator=_result_name(spec),
+        program=counts.program,
+        dataset=counts.dataset,
+        max_heap_size=counts.max_heap_size,
+        final_live_bytes=counts.final_live_bytes,
+        ops=ops.snapshot(),
+    )
+    if spec.kind == "firstfit":
+        return SimulationResult(cost=firstfit_cost(ops, model), **common)
+    if spec.kind == "bsd":
+        return SimulationResult(cost=bsd_cost(ops, model), **common)
+    cost = arena_cost(
+        ops,
+        counts.general_ops,
+        strategy=spec.strategy,
+        total_calls=counts.total_calls,
+        model=model,
+    )
+    return SimulationResult(
+        cost=cost,
+        general_ops=counts.general_ops.snapshot(),
+        arena_allocs=ops.arena_allocs,
+        arena_bytes=counts.arena_bytes,
+        general_allocs=ops.allocs - ops.arena_allocs,
+        general_bytes=counts.general_bytes,
+        arena_area_size=counts.arena_area_size,
+        **common,
+    )
 
 
 def simulate_spec(
@@ -218,46 +319,10 @@ def simulate_spec(
     configuration the spec hashes to.  ``predictor`` is the resolved
     predictor object for the arena kinds (see
     :meth:`~repro.analysis.experiments.TraceStore.predictor_for`).
+    Always a fresh replay; :meth:`~repro.analysis.experiments.TraceStore.
+    simulate` is the memoized form.
     """
-    source = as_event_source(trace)
-    allocator = build_allocator(spec, predictor)
-    replay(source, allocator, telemetry=telemetry)
-    name = _result_name(spec)
-    common = dict(
-        allocator=name,
-        program=source.header.program,
-        dataset=source.header.dataset,
-        max_heap_size=allocator.max_heap_size,
-        final_live_bytes=allocator.live_bytes,
-        ops=allocator.ops.snapshot(),
-    )
-    if spec.kind == "firstfit":
-        return SimulationResult(
-            cost=firstfit_cost(allocator.ops, model), **common
-        )
-    if spec.kind == "bsd":
-        return SimulationResult(cost=bsd_cost(allocator.ops, model), **common)
-    cost = arena_cost(
-        allocator.ops,
-        allocator.general.ops,
-        strategy=spec.strategy,
-        total_calls=source.summary.total_calls,
-        model=model,
-    )
-    area_size = (
-        allocator.total_area_size if spec.kind == "multiarena"
-        else allocator.arena_area_size
-    )
-    return SimulationResult(
-        cost=cost,
-        general_ops=allocator.general.ops.snapshot(),
-        arena_allocs=allocator.ops.arena_allocs,
-        arena_bytes=allocator.arena_bytes,
-        general_allocs=allocator.ops.allocs - allocator.ops.arena_allocs,
-        general_bytes=allocator.general_bytes,
-        arena_area_size=area_size,
-        **common,
-    )
+    return price(replay_spec(trace, spec, predictor, telemetry), spec, model)
 
 
 def simulate_firstfit(

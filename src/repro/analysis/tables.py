@@ -8,6 +8,10 @@ Every table evaluates on the ``test`` execution (the paper reports "the
 largest of the input sets"); self prediction trains on that same
 execution, true prediction on ``train``.  See EXPERIMENTS.md for the
 side-by-side against the paper's numbers.
+
+Tables 7-9 ask the store for their replays
+(:meth:`~repro.analysis.experiments.TraceStore.simulate`), so each
+distinct allocator placement replays once however many tables read it.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from repro.alloc.spec import (
     AllocatorSpec,
 )
 from repro.analysis.experiments import EVAL_DATASET, TRAIN_DATASET, TraceStore
-from repro.analysis.simulate import SimulationResult, simulate_spec
 
 __all__ = [
     "Table1Row", "table1",
@@ -363,13 +366,9 @@ class Table7Row:
 @traced("table.table7", cat="table")
 def table7(store: TraceStore) -> List[Table7Row]:
     """Arena capture fractions, simulating true prediction."""
-    spec = PAPER_DEFAULT_SPEC
     rows = []
     for program in store.programs:
-        result = simulate_spec(
-            store.source(program, EVAL_DATASET), spec,
-            store.predictor_for(program, spec),
-        )
+        result = store.simulate(program, PAPER_DEFAULT_SPEC)
         rows.append(
             Table7Row(
                 program=program,
@@ -408,23 +407,18 @@ class Table8Row:
 def table8(store: TraceStore) -> List[Table8Row]:
     """Maximum heap sizes under first-fit and arena allocation."""
     self_spec = AllocatorSpec(predictor="self")
-    true_spec = PAPER_DEFAULT_SPEC
     rows = []
     for program in store.programs:
-        source = store.source(program, EVAL_DATASET)
-        firstfit = simulate_spec(source, FIRSTFIT_SPEC)
-        self_arena = simulate_spec(
-            source, self_spec, store.predictor_for(program, self_spec)
-        )
-        true_arena = simulate_spec(
-            source, true_spec, store.predictor_for(program, true_spec)
+        firstfit, self_arena, true_arena = (
+            store.simulate(program, spec).max_heap_size
+            for spec in (FIRSTFIT_SPEC, self_spec, PAPER_DEFAULT_SPEC)
         )
         rows.append(
             Table8Row(
                 program=program,
-                firstfit_heap=firstfit.max_heap_size,
-                self_arena_heap=self_arena.max_heap_size,
-                true_arena_heap=true_arena.max_heap_size,
+                firstfit_heap=firstfit,
+                self_arena_heap=self_arena,
+                true_arena_heap=true_arena,
             )
         )
     return rows
@@ -453,23 +447,22 @@ class Table9Row:
 @traced("table.table9", cat="table")
 def table9(store: TraceStore) -> List[Table9Row]:
     """Average instruction costs, true prediction for the arena rows."""
-    len4_spec = PAPER_DEFAULT_SPEC
     cce_spec = AllocatorSpec(strategy="cce")
     rows = []
     for program in store.programs:
-        source = store.source(program, EVAL_DATASET)
-        predictor = store.predictor_for(program, len4_spec)
-        bsd = simulate_spec(source, BSD_SPEC)
-        firstfit = simulate_spec(source, FIRSTFIT_SPEC)
-        len4 = simulate_spec(source, len4_spec, predictor)
-        cce = simulate_spec(source, cce_spec, predictor)
+        # The len-4 and CCE columns price one arena replay two ways.
+        bsd, firstfit, len4, cce = (
+            store.simulate(program, spec).cost
+            for spec in (BSD_SPEC, FIRSTFIT_SPEC, PAPER_DEFAULT_SPEC,
+                         cce_spec)
+        )
         rows.append(
             Table9Row(
                 program=program,
-                bsd=(bsd.cost.per_alloc, bsd.cost.per_free),
-                firstfit=(firstfit.cost.per_alloc, firstfit.cost.per_free),
-                arena_len4=(len4.cost.per_alloc, len4.cost.per_free),
-                arena_cce=(cce.cost.per_alloc, cce.cost.per_free),
+                bsd=(bsd.per_alloc, bsd.per_free),
+                firstfit=(firstfit.per_alloc, firstfit.per_free),
+                arena_len4=(len4.per_alloc, len4.per_free),
+                arena_cce=(cce.per_alloc, cce.per_free),
             )
         )
     return rows

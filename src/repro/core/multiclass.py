@@ -27,12 +27,14 @@ from repro.core.predictor import (
     DEFAULT_THRESHOLD,
     TRUE_PREDICTION_ROUNDING,
     LifetimePredictor,
+    site_maxima,
 )
 from repro.core.profile import SiteKey
 from repro.core.sites import FULL_CHAIN, CallChain, site_key
 
 if TYPE_CHECKING:
     from repro.runtime.events import Trace
+    from repro.runtime.shard.folds import SiteSelectFold
     from repro.runtime.stream.protocol import EventSource
 
 __all__ = [
@@ -108,6 +110,35 @@ class MultiClassPredictor(LifetimePredictor):
         """Number of sites assigned to class ``klass``."""
         return sum(1 for c in self.site_classes.values() if c == klass)
 
+    @classmethod
+    def from_maxima(
+        cls,
+        maxima: "SiteSelectFold",
+        thresholds: Sequence[int],
+        chain_length: Optional[int],
+        size_rounding: int,
+        program: str = "?",
+    ) -> "MultiClassPredictor":
+        """Assign each site at one level to the smallest class whose
+        threshold strictly bounds its maximum lifetime in a
+        :func:`~repro.core.predictor.site_maxima` fold."""
+        ladder = tuple(thresholds)
+        site_classes: Dict[SiteKey, int] = {}
+        for key, max_lifetime in maxima.site_max_lifetimes(
+            chain_length, size_rounding
+        ).items():
+            for klass, bound in enumerate(ladder):
+                if max_lifetime < bound:
+                    site_classes[key] = klass
+                    break
+        return cls(
+            site_classes,
+            thresholds=ladder,
+            chain_length=chain_length,
+            size_rounding=size_rounding,
+            program=program,
+        )
+
 
 def train_multiclass_predictor(
     trace: Union["Trace", "EventSource"],
@@ -120,29 +151,13 @@ def train_multiclass_predictor(
     Applies the paper's conservative rule per rung: a site lands in the
     smallest class whose threshold strictly bounds its maximum observed
     lifetime.  With ``thresholds=(32768,)`` this is byte-for-byte the
-    paper's predictor.
+    paper's predictor.  Like
+    :func:`~repro.core.predictor.train_site_predictor`, this is one
+    :func:`~repro.core.predictor.site_maxima` fold, then a selection.
     """
-    from repro.runtime.shard import SiteSelectFold, fold_object_lifetimes
-    from repro.runtime.stream.protocol import as_event_source
+    from repro.runtime.stream.protocol import source_identity
 
-    source = as_event_source(trace)
-    fold = fold_object_lifetimes(
-        source,
-        lambda: SiteSelectFold(
-            source.header.chains, chain_length, size_rounding
-        ),
-    )
-    ladder = tuple(thresholds)
-    site_classes: Dict[SiteKey, int] = {}
-    for key, max_lifetime in fold.site_max_lifetimes().items():
-        for klass, bound in enumerate(ladder):
-            if max_lifetime < bound:
-                site_classes[key] = klass
-                break
-    return MultiClassPredictor(
-        site_classes,
-        thresholds=ladder,
-        chain_length=chain_length,
-        size_rounding=size_rounding,
-        program=source.header.program,
+    return MultiClassPredictor.from_maxima(
+        site_maxima(trace), thresholds, chain_length, size_rounding,
+        program=source_identity(trace)[0],
     )

@@ -48,6 +48,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.runtime.events import Trace
+    from repro.runtime.shard.folds import SiteSelectFold
     from repro.runtime.stream.protocol import EventSource
 
 #: Consumers here take either an in-memory trace or an event stream; all
@@ -64,6 +65,7 @@ __all__ = [
     "SitePredictor",
     "SizeOnlyPredictor",
     "StaticEscapePredictor",
+    "site_maxima",
     "train_site_predictor",
     "train_size_only_predictor",
     "actual_short_lived_bytes",
@@ -188,6 +190,25 @@ class SitePredictor(LifetimePredictor):
         self.chain_length = chain_length
         self.size_rounding = size_rounding
         self.program = program
+
+    @classmethod
+    def from_maxima(
+        cls,
+        maxima: "SiteSelectFold",
+        threshold: int,
+        chain_length: Optional[int],
+        size_rounding: int,
+        program: str = "?",
+    ) -> "SitePredictor":
+        """Select the all-short-lived sites at one level from a
+        :func:`site_maxima` fold."""
+        return cls(
+            maxima.short_lived_sites(threshold, chain_length, size_rounding),
+            threshold=threshold,
+            chain_length=chain_length,
+            size_rounding=size_rounding,
+            program=program,
+        )
 
     @property
     def site_count(self) -> int:
@@ -321,6 +342,31 @@ class StaticEscapePredictor(LifetimePredictor):
         return self.class_of(chain, size) == "short"
 
 
+def site_maxima(trace: TraceLike) -> "SiteSelectFold":
+    """Every ``(chain id, size)`` pair's maximum lifetime, in one pass.
+
+    The training half of every site-keyed predictor: selection at any
+    abstraction level and threshold reads only this fold, so one pass
+    per execution serves them all (:meth:`SitePredictor.from_maxima`,
+    :meth:`~repro.core.multiclass.MultiClassPredictor.from_maxima`).
+    Max is an order-independent fold, so a sharded source computes the
+    identical maxima in parallel.
+    """
+    # Imported lazily: repro.obs.telemetry imports this module for
+    # DEFAULT_THRESHOLD, so a top-level obs import would be circular.
+    from repro.obs.spans import TRACER
+    from repro.runtime.shard import SiteSelectFold, fold_object_lifetimes
+    from repro.runtime.stream.protocol import as_event_source
+
+    source = as_event_source(trace)
+    header = source.header
+    with TRACER.span("profile.train_sites", cat="core",
+                     program=header.program, dataset=header.dataset):
+        return fold_object_lifetimes(
+            source, lambda: SiteSelectFold(header.chains)
+        )
+
+
 def train_site_predictor(
     trace: TraceLike,
     threshold: int = DEFAULT_THRESHOLD,
@@ -334,37 +380,19 @@ def train_site_predictor(
     paper's conservative all-short-lived rule, chosen because mispredicted
     long-lived objects pollute arenas (§4.1, §5.2).  Selection depends
     only on each site's maximum lifetime, so a streamed trace trains the
-    identical database in O(live objects) memory.
+    identical database in O(live objects) memory.  This is
+    :func:`site_maxima` followed by :meth:`SitePredictor.from_maxima`;
+    a :class:`~repro.analysis.experiments.TraceStore` keeps the first
+    half per execution and repeats only the second.
     """
-    # Imported lazily: repro.obs.telemetry imports this module for
-    # DEFAULT_THRESHOLD, so a top-level obs import would be circular.
-    from repro.obs.spans import TRACER
     from repro.runtime.stream.protocol import source_identity
 
-    program, dataset = source_identity(trace)
-    with TRACER.span("profile.train_sites", cat="core",
-                     program=program, dataset=dataset,
-                     threshold=threshold):
-        # Selection reads only each site's max lifetime, an
-        # order-independent fold, so a sharded source trains the
-        # identical database in parallel.
-        from repro.runtime.shard import SiteSelectFold, fold_object_lifetimes
-        from repro.runtime.stream.protocol import as_event_source
-
-        source = as_event_source(trace)
-        fold = fold_object_lifetimes(
-            source,
-            lambda: SiteSelectFold(
-                source.header.chains, chain_length, size_rounding
-            ),
-        )
-        selected = fold.short_lived_sites(threshold)
-    return SitePredictor(
-        selected,
+    return SitePredictor.from_maxima(
+        site_maxima(trace),
         threshold=threshold,
         chain_length=chain_length,
         size_rounding=size_rounding,
-        program=program,
+        program=source_identity(trace)[0],
     )
 
 

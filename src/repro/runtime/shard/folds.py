@@ -25,9 +25,9 @@ intrinsic to the object, so order-independence is preserved.
 The concrete folds mirror the pipeline's per-object accumulations:
 :class:`EvaluateFold` is :func:`repro.core.predictor.evaluate`'s body
 (integer sums plus key-set unions); :class:`SiteSelectFold` keeps only
-each site's maximum lifetime, which is all the paper's all-short-lived
-selection rule reads; :class:`SizeOnlyFold` AND-folds per-size
-shortness; :class:`ShortBytesFold` is the oracle byte sum.  The
+each interned pair's maximum lifetime, which is all the paper's
+all-short-lived selection rule reads at any abstraction level;
+:class:`SizeOnlyFold` AND-folds per-size shortness; :class:`ShortBytesFold` is the oracle byte sum.  The
 order-*dependent* accumulations (P^2 quantiles, live-byte high-water
 marks, allocator state) are deliberately absent — those replay through
 the ordered :class:`~repro.runtime.shard.source.ShardedTraceSource`
@@ -192,26 +192,20 @@ class EvaluateFold(LifetimeFold):
 
 
 class SiteSelectFold(LifetimeFold):
-    """Per-site maximum lifetime at one abstraction level.
+    """Maximum lifetime per interned ``(chain id, size)`` pair.
 
     The all-short-lived rule reads nothing else ("all objects lived
     less than 32 kilobytes" is ``max_lifetime < threshold``), and max
     is a commutative fold — so serial and sharded training select the
     same frozenset, which is why the saved databases stay
     byte-identical (the writer sorts its site list).  The fold keys on
-    the interned ``(chain id, size)`` and abstracts each distinct pair
-    to its site key once, in :meth:`site_max_lifetimes`.
+    the interned pair, so one pass serves every abstraction level and
+    threshold: :meth:`site_max_lifetimes` abstracts each distinct pair
+    to the requested level's site key when a selection reads it.
     """
 
-    def __init__(
-        self,
-        chains: ChainTable,
-        chain_length: Optional[int],
-        size_rounding: int,
-    ):
+    def __init__(self, chains: ChainTable):
         self.chains = chains
-        self.chain_length = chain_length
-        self.size_rounding = size_rounding
         self.max_lifetime: Dict[Tuple[int, int], int] = {}
 
     def add(
@@ -229,24 +223,34 @@ class SiteSelectFold(LifetimeFold):
             if current is None or lifetime > current:
                 mine[key] = lifetime
 
-    def site_max_lifetimes(self) -> Dict[SiteKey, int]:
-        """Each site key's maximum lifetime at this fold's level."""
+    def site_max_lifetimes(
+        self, chain_length: Optional[int], size_rounding: int
+    ) -> Dict[SiteKey, int]:
+        """Each site key's maximum lifetime at one abstraction level."""
         chain_of = self.chains.chain
         per_site: Dict[SiteKey, int] = {}
         for (chain_id, size), lifetime in self.max_lifetime.items():
             key = site_key(
                 chain_of(chain_id), size,
-                length=self.chain_length, size_rounding=self.size_rounding,
+                length=chain_length, size_rounding=size_rounding,
             )
             current = per_site.get(key)
             if current is None or lifetime > current:
                 per_site[key] = lifetime
         return per_site
 
-    def short_lived_sites(self, threshold: int) -> FrozenSet[SiteKey]:
-        """Site keys whose every object died under ``threshold``."""
+    def short_lived_sites(
+        self,
+        threshold: int,
+        chain_length: Optional[int],
+        size_rounding: int,
+    ) -> FrozenSet[SiteKey]:
+        """Site keys at one level whose every object died under
+        ``threshold``."""
         return frozenset(
-            key for key, lifetime in self.site_max_lifetimes().items()
+            key for key, lifetime in self.site_max_lifetimes(
+                chain_length, size_rounding
+            ).items()
             if lifetime < threshold
         )
 

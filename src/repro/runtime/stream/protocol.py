@@ -49,6 +49,7 @@ from typing import Iterator, Tuple, Union
 
 from repro.core.sites import ChainTable
 from repro.runtime.events import _NEVER_FREED, LiveStats, Trace
+from repro.runtime.tracefile import TraceFormatError
 
 __all__ = [
     "EV_ALLOC",
@@ -61,6 +62,7 @@ __all__ = [
     "TraceEventSource",
     "as_event_source",
     "build_trace",
+    "event_error",
     "iter_object_lifetimes",
     "iter_object_records",
     "source_identity",
@@ -225,6 +227,38 @@ def source_identity(trace: Union[Trace, EventSource]) -> Tuple[str, str]:
     return trace.program, trace.dataset
 
 
+def event_error(
+    source: EventSource, offset: int, ev: Event, next_id: int = -1
+) -> TraceFormatError:
+    """The error for the malformed event ``ev`` at ``offset``.
+
+    Every consumer reports a malformed stream through this one message:
+    the file (``program/dataset`` for an in-memory stream), the event
+    offset and the object id.  A free is malformed when its object is
+    not live.  An alloc is malformed when it names a chain id the header
+    never interned, or else when its id is not ``next_id``, the next in
+    dense allocation order.
+    """
+    header = source.header
+    where = getattr(source, "path", None) or (
+        f"{header.program}/{header.dataset}"
+    )
+    obj_id = ev[1]
+    if ev[0] == EV_FREE:
+        problem = f"free of object {obj_id}, which is not live"
+    elif not 0 <= ev[2] < len(header.chains):
+        problem = (
+            f"object {obj_id} names chain id {ev[2]}, but the header "
+            f"interns {len(header.chains)} chains"
+        )
+    else:
+        problem = (
+            f"alloc of object {obj_id} out of order: object ids are dense "
+            f"in allocation order, so the next is {next_id}"
+        )
+    return TraceFormatError(f"{where}: event {offset}: {problem}")
+
+
 def build_trace(source: EventSource) -> Trace:
     """Materialize an event stream back into an in-memory :class:`Trace`.
 
@@ -232,8 +266,18 @@ def build_trace(source: EventSource) -> Trace:
     dense object-id order, so the parallel arrays are rebuilt with pure
     appends and the result round-trips exactly (same events, arrays, and
     aggregates).
+
+    A malformed stream raises
+    :class:`~repro.runtime.tracefile.TraceFormatError` (see
+    :func:`event_error`): an alloc out of dense id order or under a
+    chain id the header never interned, or a free of an object that is
+    not live — never allocated, negative, or already freed.  An event's
+    offset is the length of the event array before it, so the checks
+    cost a comparison or two per event and keep no counter.
     """
     header = source.header
+    chain_count = len(header.chains)
+    never = _NEVER_FREED
     chain_ids = array("i")
     sizes = array("q")
     births = array("q")
@@ -241,28 +285,34 @@ def build_trace(source: EventSource) -> Trace:
     touches = array("q")
     events = array("q")
     touch_counts = array("q")
-    for ev in source.events():
-        tag = ev[0]
-        obj_id = ev[1]
-        if tag == EV_ALLOC:
-            if obj_id != len(sizes):
-                raise ValueError(
-                    f"alloc events out of order: expected object "
-                    f"{len(sizes)}, got {obj_id}"
-                )
-            chain_ids.append(ev[2])
-            sizes.append(ev[3])
-            births.append(ev[4])
-            deaths.append(_NEVER_FREED)
-            touches.append(0)
-            events.append((obj_id << 2) | EV_ALLOC)
-        elif tag == EV_FREE:
-            deaths[obj_id] = ev[2]
-            touches[obj_id] = ev[3]
-            events.append((obj_id << 2) | EV_FREE)
-        else:
-            events.append((obj_id << 2) | EV_TOUCH)
-            touch_counts.append(ev[2])
+    ev: Event = ()
+    try:
+        for ev in source.events():
+            tag = ev[0]
+            obj_id = ev[1]
+            if tag == EV_ALLOC:
+                if obj_id != len(sizes) or not 0 <= ev[2] < chain_count:
+                    raise event_error(source, len(events), ev, len(sizes))
+                chain_ids.append(ev[2])
+                sizes.append(ev[3])
+                births.append(ev[4])
+                deaths.append(never)
+                touches.append(0)
+                events.append((obj_id << 2) | EV_ALLOC)
+            elif tag == EV_FREE:
+                if obj_id < 0 or deaths[obj_id] != never:
+                    raise event_error(source, len(events), ev)
+                deaths[obj_id] = ev[2]
+                touches[obj_id] = ev[3]
+                events.append((obj_id << 2) | EV_FREE)
+            else:
+                events.append((obj_id << 2) | EV_TOUCH)
+                touch_counts.append(ev[2])
+    except IndexError as exc:
+        # ``deaths[obj_id]`` of an id past every allocated object.
+        if ev and ev[0] == EV_FREE and ev[1] >= len(sizes):
+            raise event_error(source, len(events), ev) from exc
+        raise
     summary = source.summary
     for obj_id, count in summary.unfreed_touches:
         touches[obj_id] = count

@@ -1,16 +1,18 @@
 """The search service: evaluate specs, rank them, record the session.
 
-One candidate evaluation is two deterministic passes over the same
-workload execution:
+One candidate evaluation reads two results from the store:
 
-* :func:`~repro.analysis.simulate.simulate_spec` replays the trace for
-  the instruction total and the max-heap footprint;
-* :func:`~repro.obs.attrib.attribute_sites` prices fragmentation
-  byte-time through the same object-lifetime fold — which means a
-  streaming store built with ``jobs > 1`` shards both passes over the
-  v3 chunk index, so ``--jobs`` parallelism comes from the existing
-  pool rather than a second scheduler, and the recorded numbers cannot
-  depend on the worker count.
+* :meth:`~repro.analysis.experiments.TraceStore.simulate` — the spec's
+  replay, for the instruction total and the max-heap footprint;
+* :meth:`~repro.analysis.experiments.TraceStore.attribution` — the
+  per-site attribution fold, for fragmentation byte-time.
+
+The store computes each distinct replay and attribution once: the grid's
+arena geometries share one attribution per predictor, and the grid's
+paper-default spec shares the baseline's replay.  A streaming store
+built with ``jobs > 1`` shards both passes over the v3 chunk index, so
+``--jobs`` parallelism comes from the existing pool rather than a second
+scheduler, and the recorded numbers cannot depend on the worker count.
 
 Grid mode scores every spec the space enumerates; evolve mode walks the
 space with the seeded driver in :mod:`repro.search.evolve`.  Either
@@ -25,8 +27,6 @@ from typing import Any, Dict, Optional
 from repro.alloc.spec import PAPER_DEFAULT_SPEC, AllocatorSpec
 from repro.alloc.costs import DEFAULT_COST_MODEL, CostModel
 from repro.analysis.experiments import EVAL_DATASET
-from repro.analysis.simulate import simulate_spec
-from repro.obs.attrib import attribute_sites
 from repro.obs.spans import TRACER
 from repro.search.evolve import (
     DEFAULT_GENERATIONS,
@@ -63,26 +63,23 @@ def evaluate_spec(
 ) -> CandidateMetrics:
     """Measure one spec on one workload execution.
 
-    The predictor is resolved the way the spec asks
-    (:meth:`TraceStore.predictor_for`), then both the replay and the
-    attribution fold consume the store's event source — materialized or
-    sharded-streaming, whichever the store was built for.
+    Two store lookups, both over the predictor the spec asks for: the
+    spec's replay (:meth:`TraceStore.simulate`) gives the instruction
+    total and the max heap, and its attribution
+    (:meth:`TraceStore.attribution`) gives fragmentation byte-time.
+    Each pass runs only when no earlier spec on this store needed the
+    same replay or fold, so a candidate costs at most one replay and one
+    attribution fold, and usually just the replay.
     """
-    predictor = store.predictor_for(program, spec)
     with TRACER.span(
         "search.simulate", cat="search", spec=spec.spec_hash()
     ):
-        sim = simulate_spec(
-            store.source(program, dataset), spec, predictor, model=model
-        )
+        sim = store.simulate(program, spec, dataset=dataset, model=model)
     with TRACER.span(
         "search.attribute", cat="search", spec=spec.spec_hash()
     ):
-        profile = attribute_sites(
-            store.source(program, dataset),
-            predictor=predictor,
-            model=model,
-            spec=spec,
+        profile = store.attribution(
+            program, spec, dataset=dataset, model=model
         )
     return CandidateMetrics(
         total_instr=(sim.cost.total_alloc_instr + sim.cost.total_free_instr),

@@ -8,8 +8,46 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.sites import ChainTable
 from repro.runtime.heap import TracedHeap
+from repro.runtime.stream.protocol import (
+    EV_ALLOC,
+    EventSource,
+    StreamHeader,
+    StreamSummary,
+)
 from repro.workloads.registry import WORKLOADS
+
+
+class ListSource(EventSource):
+    """A hand-written event stream of program ``bad``, dataset ``test``.
+
+    The events are taken as given, malformed or not, so error-contract
+    tests can feed any consumer (or ``write_trace_v3``) a stream the
+    traced runtime would never record.
+    """
+
+    def __init__(self, events, chains=(("main", "f"),)):
+        self._events = list(events)
+        self._header = StreamHeader("bad", "test", ChainTable.from_list(chains),
+                                    has_touch_events=False)
+        allocs = [ev for ev in self._events if ev[0] == EV_ALLOC]
+        self._summary = StreamSummary(
+            total_calls=0, heap_refs=0, non_heap_refs=0,
+            end_time=sum(ev[3] for ev in allocs), total_objects=len(allocs),
+            event_count=len(self._events),
+        )
+
+    @property
+    def header(self):
+        return self._header
+
+    @property
+    def summary(self):
+        return self._summary
+
+    def events(self):
+        return iter(self._events)
 
 
 def make_churn_trace(

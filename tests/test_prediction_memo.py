@@ -46,15 +46,13 @@ from repro.runtime.shard import ShardedTraceSource
 from repro.runtime.stream.protocol import (
     EV_ALLOC,
     EV_FREE,
-    EventSource,
-    StreamHeader,
-    StreamSummary,
     TraceEventSource,
     iter_object_lifetimes,
 )
 from repro.runtime.stream.v3 import TraceFileSource, write_trace_v3
 from repro.runtime.tracefile import TraceFormatError
 from repro.workloads.registry import PROGRAM_ORDER, WORKLOADS, run_workload
+from tests.conftest import ListSource
 
 LENGTHS = [1, 2, 3, 4, 5, 6, 7, FULL_CHAIN]
 ROUNDINGS = [1, 4, 8]
@@ -370,30 +368,6 @@ class TestOracleIsNeverMemoized:
 # Error contract: streams naming ids nobody allocated or interned
 # ----------------------------------------------------------------------
 
-class _ListSource(EventSource):
-    def __init__(self, events, chains=(("main", "f"),)):
-        self._events = list(events)
-        self._header = StreamHeader("bad", "test", ChainTable.from_list(chains),
-                                    has_touch_events=False)
-        allocs = [ev for ev in self._events if ev[0] == EV_ALLOC]
-        self._summary = StreamSummary(
-            total_calls=0, heap_refs=0, non_heap_refs=0,
-            end_time=sum(ev[3] for ev in allocs), total_objects=len(allocs),
-            event_count=len(self._events),
-        )
-
-    @property
-    def header(self):
-        return self._header
-
-    @property
-    def summary(self):
-        return self._summary
-
-    def events(self):
-        return iter(self._events)
-
-
 BAD_STREAMS = {
     "unknown-free": (
         [(EV_ALLOC, 0, 0, 16, 0), (EV_FREE, 7, 16, 0)],
@@ -415,7 +389,7 @@ class TestReplayErrorContract:
     def test_replay_raises_trace_format_error(self, case, tmp_path):
         events, message = BAD_STREAMS[case]
         path = tmp_path / "bad.rtr3"
-        write_trace_v3(_ListSource(events), path)
+        write_trace_v3(ListSource(events), path)
         with pytest.raises(TraceFormatError) as info:
             replay(TraceFileSource(path), build_allocator(PAPER_DEFAULT_SPEC))
         assert str(path) in str(info.value)
@@ -424,13 +398,13 @@ class TestReplayErrorContract:
     def test_in_memory_source_names_program(self):
         events, message = BAD_STREAMS["unknown-free"]
         with pytest.raises(TraceFormatError, match=f"bad/test: {message}"):
-            replay(_ListSource(events), build_allocator(PAPER_DEFAULT_SPEC))
+            replay(ListSource(events), build_allocator(PAPER_DEFAULT_SPEC))
 
     @pytest.mark.parametrize("case", sorted(BAD_STREAMS))
     def test_cli_exits_one_with_error_line(self, case, tmp_path, capsys):
         events, message = BAD_STREAMS[case]
         path = tmp_path / "bad.rtr3"
-        write_trace_v3(_ListSource(events), path)
+        write_trace_v3(ListSource(events), path)
         code = main(["simulate", str(path), "--allocator", "firstfit",
                      "--stream"])
         err = capsys.readouterr().err

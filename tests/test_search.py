@@ -14,9 +14,12 @@ import random
 
 import pytest
 
+from repro.alloc.costs import DEFAULT_COST_MODEL
 from repro.alloc.spec import PAPER_DEFAULT_SPEC, AllocatorSpec
+from repro.analysis.simulate import simulate_spec
 from repro.cli import main
 from repro.core.predictor import train_site_predictor
+from repro.obs.attrib import attribute_sites
 from repro.obs.diff import detect_kind, diff_documents
 from repro.search import (
     DEFAULT_SPACE,
@@ -38,7 +41,7 @@ THRESHOLD = 4096
 
 class FakeStore:
     """The store surface the search service consumes, over one
-    synthetic trace."""
+    synthetic trace: every replay and fold runs fresh, with no memo."""
 
     scale = 1.0
 
@@ -48,8 +51,16 @@ class FakeStore:
         self._trace = make_churn_trace()
         self._predictors = {}
 
-    def source(self, program, dataset="test"):
-        return self._trace
+    def simulate(self, program, spec, dataset="test",
+                 model=DEFAULT_COST_MODEL):
+        return simulate_spec(self._trace, spec,
+                             self.predictor_for(program, spec), model=model)
+
+    def attribution(self, program, spec, dataset="test",
+                    model=DEFAULT_COST_MODEL):
+        return attribute_sites(self._trace,
+                               predictor=self.predictor_for(program, spec),
+                               model=model, spec=spec)
 
     def predictor_for(self, program, spec):
         if spec.predictor == "none":

@@ -1,0 +1,267 @@
+"""A TraceStore computes each distinct replay, fold and attribution once.
+
+* Differential: every memoized answer (``TraceStore.simulate``,
+  ``TraceStore.attribution``) equals a fresh ``simulate_spec`` /
+  ``attribute_sites`` call field for field, on materialized and
+  streaming stores, including answers re-priced from a shared replay.
+* Counts: span counts on one store pin how many passes ``table all``
+  and ``run_search`` make.
+* Multi-class training streams: a streaming store resolves a multiarena
+  spec without materializing its training trace.
+* ``build_trace`` raises ``TraceFormatError`` for every malformed
+  stream, so the trace cache counts such an entry as corrupt.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+
+import pytest
+
+from repro.alloc.costs import DEFAULT_COST_MODEL, CostModel
+from repro.alloc.spec import (
+    BSD_SPEC,
+    FIRSTFIT_SPEC,
+    PAPER_DEFAULT_SPEC,
+    AllocatorSpec,
+)
+from repro.analysis import tables
+from repro.analysis.experiments import TraceStore
+from repro.analysis.simulate import simulate_spec
+from repro.analysis.trace_cache import TraceCache
+from repro.cli import main
+from repro.obs.attrib import attribute_sites
+from repro.obs.metrics import Metrics
+from repro.obs.spans import TRACER
+from repro.runtime.stream.protocol import EV_ALLOC, EV_FREE, build_trace
+from repro.runtime.stream.v3 import write_trace_v3
+from repro.runtime.tracefile import TraceFormatError, load_trace
+from repro.search import DEFAULT_SPACE, run_search
+from tests.conftest import ListSource
+
+SCALE = 0.02
+PROGRAM = "gawk"
+MODES = ("materialized", "streaming")
+
+SPECS = {
+    "firstfit": FIRSTFIT_SPEC,
+    "bsd": BSD_SPEC,
+    "paper-default": PAPER_DEFAULT_SPEC,
+    "cce-strategy": AllocatorSpec(strategy="cce"),
+    "self": AllocatorSpec(predictor="self"),
+    "static": AllocatorSpec(predictor="static"),
+    "multiarena": AllocatorSpec(
+        kind="multiarena", class_thresholds=(32768, 262144)
+    ),
+    "small-arenas": AllocatorSpec(
+        num_arenas=8, arena_size=2048, threshold=16384
+    ),
+}
+
+MODELS = {
+    "default": DEFAULT_COST_MODEL,
+    "custom": CostModel(predict=25, chain4=12, cce_per_call=5, ff_scan=6,
+                        arena_bump=11, bsd_refill=300),
+}
+
+
+@pytest.fixture(scope="module")
+def cache_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("store-memo") / "cache"
+    TraceStore(scale=SCALE, cache_dir=directory).warm()
+    return directory
+
+
+def _store(cache_dir, mode: str) -> TraceStore:
+    return TraceStore(scale=SCALE, cache_dir=cache_dir,
+                      streaming=mode == "streaming")
+
+
+@pytest.fixture
+def spans():
+    TRACER.reset()
+    TRACER.enable()
+    yield TRACER
+    TRACER.disable()
+    TRACER.reset()
+
+
+class TestMemoMatchesFresh:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_simulate(self, cache_dir, mode):
+        store = _store(cache_dir, mode)
+        # Every spec under both models on one store, so most answers are
+        # re-priced from a replay an earlier spec or model left behind.
+        for model_name, model in MODELS.items():
+            for name, spec in SPECS.items():
+                fresh = simulate_spec(
+                    store.source(PROGRAM), spec,
+                    store.predictor_for(PROGRAM, spec), model=model,
+                )
+                memo = store.simulate(PROGRAM, spec, model=model)
+                assert dataclasses.asdict(memo) == dataclasses.asdict(
+                    fresh
+                ), (name, model_name)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_attribution(self, cache_dir, mode):
+        store = _store(cache_dir, mode)
+        for model_name, model in MODELS.items():
+            for name, spec in SPECS.items():
+                fresh = attribute_sites(
+                    store.source(PROGRAM),
+                    predictor=store.predictor_for(PROGRAM, spec),
+                    model=model, spec=spec,
+                )
+                memo = store.attribution(PROGRAM, spec, model=model)
+                assert json.dumps(memo.to_dict(), sort_keys=True) == (
+                    json.dumps(fresh.to_dict(), sort_keys=True)
+                ), (name, model_name)
+
+    def test_results_do_not_alias_the_memo(self, cache_dir):
+        store = _store(cache_dir, "materialized")
+        first = store.simulate(PROGRAM, PAPER_DEFAULT_SPEC)
+        first.ops.allocs += 1
+        first.general_ops.frees += 1
+        again = store.simulate(PROGRAM, PAPER_DEFAULT_SPEC)
+        assert again.ops.allocs == first.ops.allocs - 1
+        assert again.general_ops.frees == first.general_ops.frees - 1
+
+    def test_one_replay_per_placement(self, cache_dir, spans):
+        store = _store(cache_dir, "materialized")
+        for model in MODELS.values():
+            for spec in SPECS.values():
+                store.simulate(PROGRAM, spec, model=model)
+        placements = {spec.placement() for spec in SPECS.values()}
+        assert len(placements) == len(SPECS) - 1  # cce shares len4's
+        assert len(spans.find("simulate.replay")) == len(placements)
+
+    def test_strategy_is_costing_only(self):
+        assert AllocatorSpec(strategy="cce").placement() == (
+            PAPER_DEFAULT_SPEC.placement()
+        )
+        assert AllocatorSpec(num_arenas=8).placement() != (
+            PAPER_DEFAULT_SPEC.placement()
+        )
+
+
+class TestPassCounts:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_table_all(self, cache_dir, mode, spans):
+        store = _store(cache_dir, mode)
+        for number in range(1, 10):
+            getattr(tables, f"table{number}")(store)
+        assert len(spans.find("simulate.replay")) == 20
+        assert len(spans.find("profile.train_sites")) == 10
+        # Tables 4 and 6 select nine predictors per program; Tables 7-9
+        # reuse them.
+        assert len(spans.find("predictor.train")) == 45
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_run_search(self, cache_dir, mode, spans):
+        store = _store(cache_dir, mode)
+        run_search(store, PROGRAM, DEFAULT_SPACE)
+        assert len(list(DEFAULT_SPACE.specs())) == 18
+        assert len(spans.find("simulate.replay")) == 18
+        assert len(spans.find("attrib.fold")) == 2
+        assert len(spans.find("profile.train_sites")) == 1
+
+
+class TestMulticlassStreams:
+    SPEC = AllocatorSpec(kind="multiarena", class_thresholds=(4096, 32768))
+
+    def test_streaming_store_never_materializes(self, cache_dir):
+        materialized = _store(cache_dir, "materialized")
+        streaming = _store(cache_dir, "streaming")
+        for program in streaming.programs:
+            for spec in (self.SPEC,
+                         dataclasses.replace(self.SPEC, predictor="self")):
+                streamed = streaming.predictor_for(program, spec)
+                expected = materialized.predictor_for(program, spec)
+                assert streamed.site_classes == expected.site_classes
+                assert streamed.thresholds == expected.thresholds
+        assert streaming._traces == {}
+
+    def test_shares_the_site_predictors_fold(self, cache_dir, spans):
+        store = _store(cache_dir, "streaming")
+        store.predictor(PROGRAM)
+        store.predictor_for(PROGRAM, self.SPEC)
+        assert len(spans.find("profile.train_sites")) == 1
+        assert len(spans.find("predictor.train")) == 2
+
+
+# ----------------------------------------------------------------------
+# build_trace: one error contract for every malformed stream
+# ----------------------------------------------------------------------
+
+_A0 = (EV_ALLOC, 0, 0, 16, 0)
+_A1 = (EV_ALLOC, 1, 0, 16, 16)
+
+MALFORMED = {
+    "free-never-allocated": (
+        [_A0, (EV_FREE, 7, 16, 0)],
+        "event 1: free of object 7, which is not live",
+    ),
+    "free-negative-id": (
+        [_A0, _A1, (EV_FREE, -1, 32, 0)],
+        "event 2: free of object -1, which is not live",
+    ),
+    "double-free": (
+        [_A0, (EV_FREE, 0, 16, 0), _A1, (EV_FREE, 0, 32, 0)],
+        "event 3: free of object 0, which is not live",
+    ),
+    "uninterned-chain": (
+        [_A0, (EV_ALLOC, 1, 5, 16, 16)],
+        "event 1: object 1 names chain id 5, but the header interns "
+        "1 chains",
+    ),
+    "negative-chain": (
+        [(EV_ALLOC, 0, -1, 16, 0)],
+        "event 0: object 0 names chain id -1",
+    ),
+    "alloc-out-of-order": (
+        [_A0, (EV_ALLOC, 2, 0, 16, 16)],
+        "event 1: alloc of object 2 out of order",
+    ),
+}
+
+
+class TestBuildTraceErrorContract:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_in_memory_source_names_program(self, case):
+        events, message = MALFORMED[case]
+        with pytest.raises(TraceFormatError) as info:
+            build_trace(ListSource(events))
+        assert str(info.value).startswith(f"bad/test: {message}")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_file_source_names_path(self, case, tmp_path):
+        events, message = MALFORMED[case]
+        path = tmp_path / "bad.rtr3"
+        write_trace_v3(ListSource(events), path)
+        with pytest.raises(TraceFormatError) as info:
+            load_trace(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_cli_exits_one_with_error_line(self, case, tmp_path, capsys):
+        events, message = MALFORMED[case]
+        path = tmp_path / "bad.rtr3"
+        write_trace_v3(ListSource(events), path)
+        code = main(["simulate", str(path), "--allocator", "firstfit"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_trace_cache_counts_the_entry_corrupt(self, case, tmp_path):
+        events, _ = MALFORMED[case]
+        cache = TraceCache(tmp_path / "cache", metrics=Metrics())
+        path = cache.entry_path("bad", "test", 1.0)
+        path.parent.mkdir(parents=True)
+        write_trace_v3(ListSource(events), path)
+        assert cache.load("bad", "test", 1.0) is None
+        assert cache.metrics.counter("trace_cache.corrupt") == 1
+        assert not path.exists()
