@@ -9,7 +9,8 @@ object-lifetime arenas:
   per-object header.
 * At each allocation the site database (a trained
   :class:`~repro.core.predictor.LifetimePredictor`) is consulted through
-  the memoized lookup its ``bind()`` returns: one hash probe per
+  the memo its ``bind()`` returns, keyed on ``(chain id, size)`` once
+  replay has bound the trace's chain table: one hash probe per
   allocation, as in the paper's runtime.
   Predicted-short-lived objects are bump-allocated into the current arena.
   When the current arena is full, every arena is scanned for one whose
@@ -36,10 +37,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.alloc.base import Allocator, AllocatorError
+from repro.alloc.base import Allocator, AllocatorError, ChainKey
 from repro.alloc.firstfit import FirstFitAllocator
 from repro.core.predictor import LifetimePredictor
-from repro.core.sites import CallChain
+from repro.core.sites import ChainTable
 
 __all__ = [
     "Arena",
@@ -143,11 +144,9 @@ class ArenaAllocator(Allocator):
         if arena_size < ARENA_ALIGNMENT:
             raise AllocatorError(f"arena size too small: {arena_size}")
         self.predictor = predictor
-        # Bound once per allocator, so the verdict memo lives exactly as
-        # long as this replay.
-        self._predicts_short = (
-            predictor.bind() if predictor is not None else None
-        )
+        # Bound per allocator, so the verdict memo lives exactly as long
+        # as this replay; rebound on ids by bind_chains().
+        self._verdicts = predictor.bind() if predictor is not None else None
         self.arena_size = arena_size
         self.arenas: List[Arena] = [
             Arena(base + i * arena_size, arena_size) for i in range(num_arenas)
@@ -170,28 +169,60 @@ class ArenaAllocator(Allocator):
         """Total bytes reserved for arenas (64 KB in the paper's setup)."""
         return self._arena_limit - self._arena_base
 
-    # ------------------------------------------------------------------
-    # Allocation
-    # ------------------------------------------------------------------
+    def bind_chains(self, chains: ChainTable) -> None:
+        if self.predictor is not None:
+            self._verdicts = self.predictor.bind(chains)
 
-    def malloc(self, size: int, chain: Optional[CallChain] = None) -> int:
+    # ------------------------------------------------------------------
+    # Allocation and deallocation
+    # ------------------------------------------------------------------
+    #
+    # Both operations are a single Python call on their common path: the
+    # memo probe, the fit test and the bump (Arena.fits/bump/release) are
+    # inlined, because replay runs them once per trace event.
+
+    def malloc(self, size: int, chain: Optional[ChainKey] = None) -> int:
         if size <= 0:
             raise AllocatorError(f"allocation size must be positive, got {size}")
-        self.ops.allocs += 1
-        self.ops.bytes_requested += size
+        ops = self.ops
+        ops.allocs += 1
+        ops.bytes_requested += size
         placement = "unpredicted"
-        if self._predicts_short is not None and chain is not None:
-            self.ops.predictions += 1
-            if self._predicts_short(chain, size):
-                self.ops.predicted_short += 1
-                addr = self._arena_malloc(size)
-                if addr is not None:
-                    self.ops.arena_allocs += 1
+        verdicts = self._verdicts
+        if verdicts is not None and chain is not None:
+            ops.predictions += 1
+            if verdicts[chain, size]:
+                ops.predicted_short += 1
+                # §5.1: bump in the current arena; when it is full, reset
+                # and use the first arena whose count fell to zero; when
+                # every arena still holds a live object, overflow.
+                need = (
+                    (size + ARENA_ALIGNMENT - 1) // ARENA_ALIGNMENT
+                ) * ARENA_ALIGNMENT
+                arena = self.arenas[self._current]
+                addr = arena.alloc
+                if need > arena.base + arena.size - addr:
+                    arena = None
+                    if need <= self.arena_size:  # else no arena could hold it
+                        for index, candidate in enumerate(self.arenas):
+                            ops.arenas_scanned += 1
+                            if candidate.count == 0:
+                                candidate.reset()
+                                ops.arena_resets += 1
+                                self._current = index
+                                arena = candidate
+                                addr = candidate.alloc
+                                break
+                if arena is not None:
+                    arena.alloc = addr + need
+                    arena.count += 1
+                    arena._live[addr] = size
+                    ops.arena_allocs += 1
                     self.arena_bytes += size
                     if self.probe is not None:
                         self.probe.on_alloc(addr, size, chain, "arena")
                     return addr
-                self.ops.arena_overflows += 1
+                ops.arena_overflows += 1
                 placement = "overflow"
             else:
                 placement = "general"
@@ -201,37 +232,15 @@ class ArenaAllocator(Allocator):
             self.probe.on_alloc(addr, size, chain, placement)
         return addr
 
-    def _arena_malloc(self, size: int) -> Optional[int]:
-        """Bump-allocate in the arenas; ``None`` when the object cannot fit.
-
-        Follows §5.1 exactly: try the current arena; on failure scan all
-        arenas for a zero count, reset and use the first one found; give up
-        (caller falls back to the general heap) when every arena still has
-        live objects.
-        """
-        if _aligned(size) > self.arena_size:
-            return None  # larger than any arena could ever hold
-        current = self.arenas[self._current]
-        if current.fits(size):
-            return current.bump(size)
-        for index, arena in enumerate(self.arenas):
-            self.ops.arenas_scanned += 1
-            if arena.count == 0:
-                arena.reset()
-                self.ops.arena_resets += 1
-                self._current = index
-                return arena.bump(size)
-        return None
-
-    # ------------------------------------------------------------------
-    # Deallocation
-    # ------------------------------------------------------------------
-
     def free(self, addr: int) -> None:
         self.ops.frees += 1
         if self._arena_base <= addr < self._arena_limit:
-            index = (addr - self._arena_base) // self.arena_size
-            self.arenas[index].release(addr)
+            arena = self.arenas[(addr - self._arena_base) // self.arena_size]
+            if arena._live.pop(addr, None) is None:
+                raise AllocatorError(f"free of unknown arena address {addr}")
+            if arena.count <= 0:
+                raise AllocatorError(f"arena at {arena.base}: count underflow")
+            arena.count -= 1
             self.ops.arena_frees += 1
         else:
             self._general.free(addr)

@@ -19,11 +19,15 @@ the test suite can assert heap integrity after every scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
-from repro.core.sites import CallChain
+from repro.core.sites import CallChain, ChainTable
 
-__all__ = ["Allocator", "AllocatorError", "OpCounts"]
+__all__ = ["Allocator", "AllocatorError", "ChainKey", "OpCounts"]
+
+#: What ``malloc`` receives for an allocation's call chain: the chain
+#: tuple, or its interned id once :meth:`Allocator.bind_chains` was called.
+ChainKey = Union[CallChain, int]
 
 
 class AllocatorError(Exception):
@@ -77,12 +81,18 @@ class Allocator:
 
     ``malloc`` takes the allocation's call chain so that predicting
     allocators can consult their site database; non-predicting allocators
-    ignore it.
+    ignore it.  The chain is a tuple until :meth:`bind_chains` hands the
+    allocator a :class:`~repro.core.sites.ChainTable`; from then on it is
+    an interned id of that table, as in the paper's simulator, which
+    consumed "an identifier corresponding to the complete call-chain and
+    size" (§5.2).  Replay binds the trace header's table before its first
+    event.
 
     **Probe interface.**  A telemetry recorder (see
     :mod:`repro.obs.telemetry`) may be attached with :meth:`attach_probe`;
     the simulator then reports every completed operation via
-    ``probe.on_alloc(addr, size, chain, placement)`` /
+    ``probe.on_alloc(addr, size, chain, placement)`` (``chain`` as
+    ``malloc`` received it) /
     ``probe.on_free(addr)`` and exposes its current gauges through
     :meth:`telemetry_snapshot`.  With no probe attached (the default) the
     only cost is one ``is None`` test per operation, so replays without
@@ -99,7 +109,15 @@ class Allocator:
         """Attach (or with ``None`` detach) a telemetry recorder."""
         self.probe = probe
 
-    def malloc(self, size: int, chain: Optional[CallChain] = None) -> int:
+    def bind_chains(self, chains: ChainTable) -> None:
+        """Take interned ids of ``chains`` as ``malloc``'s chain from now on.
+
+        The baseline simulators never read a chain, so this is a no-op
+        for them; predicting allocators rebind their prediction memo to
+        key on ids.
+        """
+
+    def malloc(self, size: int, chain: Optional[ChainKey] = None) -> int:
         """Allocate ``size`` bytes; returns the simulated address."""
         raise NotImplementedError
 

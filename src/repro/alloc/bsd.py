@@ -19,8 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.alloc.address_space import AddressSpace
-from repro.alloc.base import Allocator, AllocatorError
-from repro.core.sites import CallChain
+from repro.alloc.base import Allocator, AllocatorError, ChainKey
 
 __all__ = ["BsdAllocator", "BSD_HEADER_SIZE", "MIN_BUCKET", "PAGE_SIZE"]
 
@@ -36,11 +35,7 @@ def bucket_for(size: int) -> int:
     """Bucket index whose block size 2^index fits ``size`` plus header."""
     if size <= 0:
         raise AllocatorError(f"allocation size must be positive, got {size}")
-    need = size + BSD_HEADER_SIZE
-    bucket = MIN_BUCKET
-    while (1 << bucket) < need:
-        bucket += 1
-    return bucket
+    return max(MIN_BUCKET, (size + BSD_HEADER_SIZE - 1).bit_length())
 
 
 class BsdAllocator(Allocator):
@@ -61,13 +56,16 @@ class BsdAllocator(Allocator):
         self._free_blocks = 0
         self._block_bytes_live = 0
 
-    def malloc(self, size: int, chain: Optional[CallChain] = None) -> int:
+    def malloc(self, size: int, chain: Optional[ChainKey] = None) -> int:
         self.ops.allocs += 1
         self.ops.bytes_requested += size
-        bucket = bucket_for(size)
-        stack = self._free.setdefault(bucket, [])
+        # bucket_for(size), inlined: replay runs this once per allocation.
+        if size <= 0:
+            raise AllocatorError(f"allocation size must be positive, got {size}")
+        bucket = max(MIN_BUCKET, (size + BSD_HEADER_SIZE - 1).bit_length())
+        stack = self._free.get(bucket)
         if not stack:
-            self._refill(bucket)
+            stack = self._refill(bucket)
         addr = stack.pop()
         self._free_blocks -= 1
         self._block_bytes_live += 1 << bucket
@@ -92,16 +90,18 @@ class BsdAllocator(Allocator):
         if self.probe is not None:
             self.probe.on_free(addr)
 
-    def _refill(self, bucket: int) -> None:
-        """Carve a page (or one block, if larger) into bucket-size pieces."""
+    def _refill(self, bucket: int) -> List[int]:
+        """Carve a page (or one block, if larger) into bucket-size pieces;
+        returns the bucket's refilled free list."""
         self.ops.sbrks += 1
         block_size = 1 << bucket
         chunk = max(block_size, PAGE_SIZE)
         start = self.space.sbrk(chunk)
-        stack = self._free[bucket]
+        stack = self._free.setdefault(bucket, [])
         for addr in range(start, start + chunk, block_size):
             stack.append(addr)
             self._free_blocks += 1
+        return stack
 
     @property
     def max_heap_size(self) -> int:

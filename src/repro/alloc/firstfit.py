@@ -22,8 +22,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.alloc.address_space import DEFAULT_SBRK_INCREMENT, AddressSpace
-from repro.alloc.base import Allocator, AllocatorError
-from repro.core.sites import CallChain
+from repro.alloc.base import Allocator, AllocatorError, ChainKey
 
 __all__ = ["FirstFitAllocator", "HEADER_SIZE", "ALIGNMENT", "MIN_BLOCK_SIZE"]
 
@@ -33,10 +32,6 @@ HEADER_SIZE = 8
 ALIGNMENT = 8
 #: Smallest block worth splitting off (header + one aligned payload unit).
 MIN_BLOCK_SIZE = HEADER_SIZE + ALIGNMENT
-
-
-def _align(nbytes: int) -> int:
-    return ((nbytes + ALIGNMENT - 1) // ALIGNMENT) * ALIGNMENT
 
 
 class _Block:
@@ -88,17 +83,59 @@ class FirstFitAllocator(Allocator):
     # Public interface
     # ------------------------------------------------------------------
 
-    def malloc(self, size: int, chain: Optional[CallChain] = None) -> int:
+    def malloc(self, size: int, chain: Optional[ChainKey] = None) -> int:
         if size <= 0:
             raise AllocatorError(f"allocation size must be positive, got {size}")
-        self.ops.allocs += 1
-        self.ops.bytes_requested += size
-        need = _align(size) + HEADER_SIZE
+        ops = self.ops
+        ops.allocs += 1
+        ops.bytes_requested += size
+        need = ((size + ALIGNMENT - 1) // ALIGNMENT) * ALIGNMENT + HEADER_SIZE
 
-        block = self._search(need)
+        # First-fit scan from the roving pointer; counts blocks examined.
+        block = start = self._rover
+        if block is not None:
+            scanned = 1
+            while block.size < need:
+                block = block.next
+                if block is start:
+                    block = None
+                    break
+                scanned += 1
+            ops.blocks_scanned += scanned
         if block is None:
             block = self._grow(need)
-        self._allocate_from(block, need, size)
+
+        # Carve ``need`` bytes out of the free block, splitting if worthwhile.
+        if not block.free or block.size < need:
+            raise AllocatorError(f"internal: cannot allocate from {block!r}")
+        remainder = block.size - need
+        if remainder >= MIN_BLOCK_SIZE:
+            ops.splits += 1
+            ends = self._ends
+            tail = _Block(block.addr + need, remainder, free=True)
+            del ends[block.addr + block.size]
+            block.size = need
+            ends[block.addr + need] = block
+            self._blocks[tail.addr] = tail
+            ends[tail.addr + remainder] = tail
+            # The remainder takes the allocated block's place on the free
+            # list, so the roving pointer naturally continues from it.
+            if block.next is block:
+                tail.prev = tail.next = tail
+            else:
+                tail.prev = block.prev
+                tail.next = block.next
+                block.prev.next = tail
+                block.next.prev = tail
+            if self._rover is block:
+                self._rover = tail
+            block.prev = block.next = None
+        else:
+            self._freelist_remove(block)
+        block.free = False
+        block.req_size = size
+        self._used_blocks += 1
+        self._used_block_bytes += block.size
         self._live_bytes += size
         addr = block.addr + HEADER_SIZE
         if self.probe is not None:
@@ -117,8 +154,29 @@ class FirstFitAllocator(Allocator):
         self._used_block_bytes -= block.size
         block.free = True
         block.req_size = 0
-        block = self._coalesce(block)
-        if block.next is None:  # not already on the free list via a merge
+
+        # Coalesce with free neighbours through the boundary tags.
+        blocks = self._blocks
+        ends = self._ends
+        right = blocks.get(block.addr + block.size)
+        if right is not None and right.free:
+            self.ops.coalesces += 1
+            self._freelist_remove(right)
+            del blocks[right.addr]
+            del ends[block.addr + block.size]
+            del ends[right.addr + right.size]
+            block.size += right.size
+            ends[block.addr + block.size] = block
+        left = ends.get(block.addr)
+        if left is not None and left.free:
+            # The left neighbour absorbs the block; it is already listed.
+            self.ops.coalesces += 1
+            del blocks[block.addr]
+            del ends[left.addr + left.size]
+            del ends[block.addr + block.size]
+            left.size += block.size
+            ends[left.addr + left.size] = left
+        else:
             self._freelist_insert(block)
         if self.probe is not None:
             self.probe.on_free(addr)
@@ -160,22 +218,8 @@ class FirstFitAllocator(Allocator):
         }
 
     # ------------------------------------------------------------------
-    # Search and growth
+    # Growth
     # ------------------------------------------------------------------
-
-    def _search(self, need: int) -> Optional[_Block]:
-        """First-fit scan from the roving pointer; counts blocks examined."""
-        start = self._rover
-        if start is None:
-            return None
-        block = start
-        while True:
-            self.ops.blocks_scanned += 1
-            if block.size >= need:
-                return block
-            block = block.next
-            if block is start:
-                return None
 
     def _grow(self, need: int) -> _Block:
         """Extend the heap so a block of ``need`` bytes exists at the top."""
@@ -194,61 +238,6 @@ class FirstFitAllocator(Allocator):
         self._blocks[block.addr] = block
         self._ends[block.addr + block.size] = block
         self._freelist_insert(block)
-        return block
-
-    def _allocate_from(self, block: _Block, need: int, req_size: int) -> None:
-        """Carve ``need`` bytes out of free ``block``, splitting if worthwhile."""
-        if not block.free or block.size < need:
-            raise AllocatorError(f"internal: cannot allocate from {block!r}")
-        remainder = block.size - need
-        if remainder >= MIN_BLOCK_SIZE:
-            self.ops.splits += 1
-            tail = _Block(block.addr + need, remainder, free=True)
-            del self._ends[block.addr + block.size]
-            block.size = need
-            self._ends[block.addr + block.size] = block
-            self._blocks[tail.addr] = tail
-            self._ends[tail.addr + tail.size] = tail
-            # The remainder takes the allocated block's place on the free
-            # list, so the roving pointer naturally continues from it.
-            self._freelist_replace(block, tail)
-        else:
-            self._freelist_remove(block)
-        block.free = False
-        block.req_size = req_size
-        self._used_blocks += 1
-        self._used_block_bytes += block.size
-
-    # ------------------------------------------------------------------
-    # Coalescing (boundary tags)
-    # ------------------------------------------------------------------
-
-    def _coalesce(self, block: _Block) -> _Block:
-        """Merge ``block`` with free neighbours; returns the surviving block.
-
-        If the left neighbour absorbs ``block`` the survivor is already on
-        the free list; otherwise the survivor has no list links yet.
-        """
-        # Right neighbour.
-        right = self._blocks.get(block.addr + block.size)
-        if right is not None and right.free:
-            self.ops.coalesces += 1
-            self._freelist_remove(right)
-            del self._blocks[right.addr]
-            del self._ends[block.addr + block.size]
-            del self._ends[right.addr + right.size]
-            block.size += right.size
-            self._ends[block.addr + block.size] = block
-        # Left neighbour (found through the boundary-tag end map).
-        left = self._ends.get(block.addr)
-        if left is not None and left.free:
-            self.ops.coalesces += 1
-            del self._blocks[block.addr]
-            del self._ends[left.addr + left.size]
-            del self._ends[block.addr + block.size]
-            left.size += block.size
-            self._ends[left.addr + left.size] = left
-            return left
         return block
 
     # ------------------------------------------------------------------
@@ -277,18 +266,6 @@ class FirstFitAllocator(Allocator):
             if self._rover is block:
                 self._rover = block.next
         block.prev = block.next = None
-
-    def _freelist_replace(self, old: _Block, new: _Block) -> None:
-        if old.next is old:
-            new.prev = new.next = new
-        else:
-            new.prev = old.prev
-            new.next = old.next
-            old.prev.next = new
-            old.next.prev = new
-        if self._rover is old:
-            self._rover = new
-        old.prev = old.next = None
 
     # ------------------------------------------------------------------
     # Validation

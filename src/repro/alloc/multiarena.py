@@ -17,11 +17,11 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.alloc.arena import ARENA_ALIGNMENT, Arena
-from repro.alloc.base import Allocator, AllocatorError
+from repro.alloc.base import Allocator, AllocatorError, ChainKey
 from repro.alloc.firstfit import FirstFitAllocator
 from repro.core.multiclass import MultiClassPredictor
-from repro.core.predictor import memoize_by_site
-from repro.core.sites import CallChain
+from repro.core.predictor import SiteMemo
+from repro.core.sites import ChainTable
 
 __all__ = ["MultiArenaAllocator", "AreaStats"]
 
@@ -118,7 +118,7 @@ class MultiArenaAllocator(Allocator):
                 f"need at least one arena per area, got {arenas_per_area}"
             )
         self.predictor = predictor
-        self._class_of = memoize_by_site(predictor.class_of)
+        self._classes = SiteMemo(predictor.class_of)
         self.areas: List[_Area] = []
         self.area_stats: List[AreaStats] = []
         cursor = base
@@ -143,11 +143,14 @@ class MultiArenaAllocator(Allocator):
         """Bytes reserved for all class areas together."""
         return sum(area.size for area in self.areas)
 
+    def bind_chains(self, chains: ChainTable) -> None:
+        self._classes = SiteMemo(self.predictor.class_of, chains)
+
     # ------------------------------------------------------------------
     # Allocation and deallocation
     # ------------------------------------------------------------------
 
-    def malloc(self, size: int, chain: Optional[CallChain] = None) -> int:
+    def malloc(self, size: int, chain: Optional[ChainKey] = None) -> int:
         if size <= 0:
             raise AllocatorError(f"allocation size must be positive, got {size}")
         self.ops.allocs += 1
@@ -155,7 +158,7 @@ class MultiArenaAllocator(Allocator):
         placement = "unpredicted"
         if chain is not None:
             self.ops.predictions += 1
-            klass = self._class_of(chain, size)
+            klass = self._classes[chain, size]
             if klass is not None:
                 if klass == 0:
                     self.ops.predicted_short += 1

@@ -11,14 +11,18 @@ requiring no programmer annotations.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Optional
 
 from repro.alloc.arena import DEFAULT_ARENA_SIZE, DEFAULT_NUM_ARENAS
 from repro.alloc.spec import AllocatorSpec, build_allocator
 from repro.analysis.simulate import SimulationResult
 from repro.alloc.costs import DEFAULT_COST_MODEL, CostModel, arena_cost
-from repro.core.predictor import DEFAULT_THRESHOLD, LifetimePredictor
-from repro.core.sites import CallChain
+from repro.core.predictor import (
+    DEFAULT_THRESHOLD,
+    LifetimePredictor,
+    SiteLookup,
+)
+from repro.core.sites import CallChain, ChainTable
 from repro.runtime.events import Trace
 
 __all__ = ["simulate_arena_oracle"]
@@ -38,9 +42,9 @@ class _OracleAnswer(LifetimePredictor):
     def predicts_short_lived(self, chain: CallChain, size: int) -> bool:
         return self.answer
 
-    def bind(self) -> Callable[[CallChain, int], bool]:
+    def bind(self, chains: Optional[ChainTable] = None) -> SiteLookup:
         # The answer changes per object, not per (chain, size): never memoize.
-        return self.predicts_short_lived
+        return SiteLookup(self.predicts_short_lived, chains)
 
     @property
     def site_count(self) -> int:
@@ -67,8 +71,12 @@ def simulate_arena_oracle(
         num_arenas=num_arenas, arena_size=arena_size, threshold=threshold
     )
     allocator = build_allocator(spec, oracle)
+    allocator.bind_chains(trace.chains)
+    arrays = trace.raw_arrays()
+    sizes = arrays["sizes"]
+    chain_ids = arrays["chain_ids"]
     addresses = {}
-    for code in trace.raw_arrays()["events"]:
+    for code in arrays["events"]:
         tag = code & 3
         if tag == 2:
             continue
@@ -78,7 +86,7 @@ def simulate_arena_oracle(
         else:
             oracle.answer = trace.lifetime_of(obj_id) < threshold
             addresses[obj_id] = allocator.malloc(
-                trace.size_of(obj_id), trace.chain_of(obj_id)
+                sizes[obj_id], chain_ids[obj_id]
             )
     cost = arena_cost(
         allocator.ops,

@@ -43,12 +43,11 @@ from repro.runtime.events import Trace
 from repro.runtime.stream.protocol import (
     EV_ALLOC,
     EV_FREE,
-    EV_TOUCH,
     EventSource,
+    TraceEventSource,
     as_event_source,
-    event_error,
+    first_malformed,
 )
-from repro.runtime.tracefile import TraceFormatError
 
 if TYPE_CHECKING:
     from repro.obs.telemetry import Telemetry
@@ -115,80 +114,127 @@ def replay(trace: Union[Trace, EventSource], allocator: Allocator,
     :class:`~repro.runtime.stream.protocol.EventSource` (e.g. a v3 trace
     file opened with :func:`~repro.runtime.tracefile.open_trace_stream`);
     replay memory is the source's — for a streamed file, the live
-    address map plus one chunk.  Alloc events carry their own size and
-    chain id, so the loop never consults an object table.
+    address map plus one chunk.
+
+    The allocator is driven on ``(chain id, size)``, as the paper's
+    simulator was (§5.2): replay binds it to the header's chain table
+    (:meth:`~repro.alloc.base.Allocator.bind_chains`) before the first
+    event.  An in-memory trace replays straight from its packed arrays,
+    indexing sizes and chain ids by object id; any other source is
+    replayed from its ``events()`` tuples.
 
     With ``check_invariants`` the allocator is audited after every 4096
-    events — slow, used by the integration tests.
+    operations — slow, used by the integration tests.
 
-    A stream that frees an object that is not live, or allocates under a
-    chain id its header never interned, raises
+    A malformed stream raises
     :class:`~repro.runtime.tracefile.TraceFormatError` naming the file,
-    the event offset, and the object id.
+    the event offset, and the object id (see
+    :func:`~repro.runtime.stream.protocol.first_malformed`): a free of an
+    object that is not live, an alloc under a chain id the header never
+    interned, or, on a stream, an alloc out of dense id order.
 
     ``telemetry`` attaches a :class:`~repro.obs.telemetry.Telemetry`
     recorder for the duration of the replay: the allocator reports every
     operation through its probe and the recorder samples the heap gauges
     every ``telemetry.interval`` allocations.  The replay loop itself is
-    untouched — with ``telemetry=None`` (the default) this function is
-    byte-for-byte the uninstrumented hot path.
+    untouched — with ``telemetry=None`` (the default) the allocators pay
+    one ``is None`` test per operation.
     """
     source = as_event_source(trace)
     header = source.header
+    allocator.bind_chains(header.chains)
     if telemetry is not None:
         telemetry.attach(
-            allocator, program=header.program, dataset=header.dataset
+            allocator, program=header.program, dataset=header.dataset,
+            chains=header.chains,
         )
     with TRACER.span("simulate.replay", cat="simulate",
                      allocator=allocator.name, program=header.program,
                      dataset=header.dataset):
-        chain_of = header.chains.chain
-        addresses = {}
-        step = 0
-        offset, ev = -1, ()
-        try:
-            for offset, ev in enumerate(source.events()):
-                tag = ev[0]
-                if tag == EV_TOUCH:  # touch events carry no allocator work
-                    continue
-                if tag == EV_FREE:
-                    allocator.free(addresses.pop(ev[1]))
-                else:
-                    addresses[ev[1]] = allocator.malloc(
-                        ev[3], chain_of(ev[2])
-                    )
-                step += 1
-                if check_invariants and step % 4096 == 0:
-                    allocator.check_invariants()
-        except (KeyError, IndexError) as exc:
-            error = _stream_error(source, offset, ev, exc)
-            if error is None:
-                raise
-            raise error from exc
+        malloc, free = allocator.malloc, allocator.free
+        if check_invariants:
+            malloc, free = _audited(allocator)
+        if isinstance(source, TraceEventSource):
+            _replay_arrays(source, malloc, free)
+        else:
+            _replay_events(source, malloc, free)
         if check_invariants:
             allocator.check_invariants()
     if telemetry is not None:
         telemetry.finish()
 
 
-def _stream_error(
-    source: EventSource, offset: int, ev: tuple, exc: Exception
-) -> Optional[TraceFormatError]:
-    """The format error behind a lookup failure at event ``offset``.
+def _replay_arrays(source: TraceEventSource, malloc, free) -> None:
+    """Replay an in-memory trace from its packed event codes.
 
-    ``None`` when ``exc`` did not come from the event itself (a free of
-    an object that is not live, an alloc naming a chain the header never
-    interned), so the caller re-raises it untouched.
+    Chain ids are range-checked once, over the whole chain-id array.
     """
-    if not ev:
-        return None
-    if ev[0] == EV_FREE and isinstance(exc, KeyError) and exc.args == (ev[1],):
-        return event_error(source, offset, ev)
-    if ev[0] == EV_ALLOC and isinstance(exc, IndexError) and not (
-        0 <= ev[2] < len(source.header.chains)
+    arrays = source.trace.raw_arrays()
+    sizes = arrays["sizes"]
+    chain_ids = arrays["chain_ids"]
+    if chain_ids and not (
+        min(chain_ids) >= 0 and max(chain_ids) < len(source.header.chains)
     ):
-        return event_error(source, offset, ev)
-    return None
+        raise first_malformed(source)
+    addresses = {}
+    for code in arrays["events"]:
+        tag = code & 3
+        if tag == EV_ALLOC:
+            obj_id = code >> 2
+            addresses[obj_id] = malloc(sizes[obj_id], chain_ids[obj_id])
+        elif tag == EV_FREE:
+            try:
+                addr = addresses.pop(code >> 2)
+            except KeyError as exc:
+                raise first_malformed(source) from exc
+            free(addr)
+
+
+def _replay_events(source: EventSource, malloc, free) -> None:
+    """Replay any event source from its ``events()`` tuples.
+
+    Each alloc is checked for dense id order and an interned chain id.
+    """
+    chain_count = len(source.header.chains)
+    addresses = {}
+    next_id = 0
+    for ev in source.events():
+        tag = ev[0]
+        if tag == EV_ALLOC:
+            obj_id = ev[1]
+            chain_id = ev[2]
+            if obj_id != next_id or not 0 <= chain_id < chain_count:
+                raise first_malformed(source)
+            next_id += 1
+            addresses[obj_id] = malloc(ev[3], chain_id)
+        elif tag == EV_FREE:
+            try:
+                addr = addresses.pop(ev[1])
+            except KeyError as exc:
+                raise first_malformed(source) from exc
+            free(addr)
+
+
+def _audited(allocator: Allocator):
+    """``malloc`` and ``free`` that audit ``allocator`` every 4096 calls."""
+    step = 0
+
+    def tick() -> None:
+        nonlocal step
+        step += 1
+        if step % 4096 == 0:
+            allocator.check_invariants()
+
+    def malloc(size, chain):
+        addr = allocator.malloc(size, chain)
+        tick()
+        return addr
+
+    def free(addr):
+        allocator.free(addr)
+        tick()
+
+    return malloc, free
 
 
 def _result_name(spec: AllocatorSpec) -> str:

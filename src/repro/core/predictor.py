@@ -34,7 +34,7 @@ New Ref column).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Optional, Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple, Union
 
 from repro.core.profile import SiteKey, SiteProfile
 from repro.core.sites import (
@@ -60,8 +60,8 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "TRUE_PREDICTION_ROUNDING",
     "LifetimePredictor",
-    "ChainVerdicts",
-    "memoize_by_site",
+    "SiteLookup",
+    "SiteMemo",
     "SitePredictor",
     "SizeOnlyPredictor",
     "StaticEscapePredictor",
@@ -82,30 +82,56 @@ DEFAULT_THRESHOLD = 32 * 1024
 #: corresponding sites were more likely to map correctly").
 TRUE_PREDICTION_ROUNDING = 4
 
-_T = TypeVar("_T")
-_MISSING = object()
 
+class SiteLookup(dict):
+    """``lookup(chain, size)`` behind a dict, asked again on every access.
 
-def memoize_by_site(
-    lookup: Callable[[CallChain, int], _T]
-) -> Callable[[CallChain, int], _T]:
-    """``lookup`` answered once per distinct ``(chain, size)`` pair.
-
-    The memo is a dict owned by the returned callable, so it lives
-    exactly as long as whoever holds the callable — one allocator, one
-    replay — and never outlives the chain tuples it keys on.
+    Index it with a ``(chain, size)`` key or call it.  With ``chains``,
+    a key's chain is an interned id of that table, resolved to its chain
+    tuple only when ``lookup`` is asked; without, it is the chain tuple.
+    This class stores nothing: it is what a predictor whose answer is
+    not a function of ``(chain, size)`` binds to (the oracle).
+    :class:`SiteMemo` is the storing form every other predictor binds to.
     """
-    memo: Dict[Tuple[CallChain, int], _T] = {}
-    get = memo.get
 
-    def bound(chain: CallChain, size: int) -> _T:
-        key = (chain, size)
-        value = get(key, _MISSING)
-        if value is _MISSING:
-            value = memo[key] = lookup(chain, size)
-        return value  # type: ignore[return-value]
+    __slots__ = ("lookup", "chains")
 
-    return bound
+    def __init__(
+        self,
+        lookup: Callable[[CallChain, int], Any],
+        chains: Optional[ChainTable] = None,
+    ):
+        super().__init__()
+        self.lookup = lookup
+        self.chains = chains
+
+    def ask(self, chain: Union[CallChain, int], size: int) -> Any:
+        """``lookup``'s answer for one key, never read from the dict."""
+        if self.chains is not None:
+            chain = self.chains.chain(chain)
+        return self.lookup(chain, size)
+
+    def __missing__(self, key: Tuple[Union[CallChain, int], int]) -> Any:
+        return self.ask(*key)
+
+    def __call__(self, chain: Union[CallChain, int], size: int) -> Any:
+        return self[chain, size]
+
+
+class SiteMemo(SiteLookup):
+    """A :class:`SiteLookup` that asks once per distinct key.
+
+    Each answer is stored under its key, so a repeat is one dict probe
+    and no Python call: the allocators index the memo straight from
+    their ``malloc``.  The memo lives exactly as long as its owner (one
+    allocator, one fold, one replay) and pickles with it.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: Tuple[Union[CallChain, int], int]) -> Any:
+        value = self[key] = self.ask(*key)
+        return value
 
 
 class LifetimePredictor:
@@ -127,45 +153,22 @@ class LifetimePredictor:
         """Whether an object born at ``(chain, size)`` is predicted short-lived."""
         raise NotImplementedError
 
-    def bind(self) -> Callable[[CallChain, int], bool]:
-        """A memoized :meth:`predicts_short_lived` for one replay.
+    def bind(self, chains: Optional[ChainTable] = None) -> SiteLookup:
+        """A memoized :meth:`predicts_short_lived` for one replay or fold.
 
-        The memo belongs to the returned callable, not to the predictor,
-        so a predictor reused across many replays keeps no chains alive
+        With ``chains``, the memo keys on ``(chain id, size)`` and turns
+        an id into its chain only on a miss; without, it keys on chain
+        tuples.  The memo belongs to the caller, not to the predictor, so
+        a predictor reused across many replays keeps no chains alive
         between them.  A predictor whose answer is not a function of
-        ``(chain, size)`` overrides this to return the raw method.
+        ``(chain, size)`` overrides this to return a :class:`SiteLookup`.
         """
-        return memoize_by_site(self.predicts_short_lived)
+        return SiteMemo(self.predicts_short_lived, chains)
 
     @property
     def site_count(self) -> int:
         """Number of predictor database entries (Sites Used)."""
         raise NotImplementedError
-
-
-class ChainVerdicts:
-    """A fold's ``(chain id, size) → verdict`` memo over one chain table.
-
-    Folds see interned chain ids, so they key on the id pair and turn
-    an id back into its chain only on a miss.  Plain data (no closure),
-    so it pickles with the fold it belongs to.
-    """
-
-    __slots__ = ("predictor", "chains", "_memo")
-
-    def __init__(self, predictor: LifetimePredictor, chains: ChainTable):
-        self.predictor = predictor
-        self.chains = chains
-        self._memo: Dict[Tuple[int, int], bool] = {}
-
-    def __call__(self, chain_id: int, size: int) -> bool:
-        key = (chain_id, size)
-        verdict = self._memo.get(key)
-        if verdict is None:
-            verdict = self._memo[key] = self.predictor.predicts_short_lived(
-                self.chains.chain(chain_id), size
-            )
-        return verdict
 
 
 class SitePredictor(LifetimePredictor):

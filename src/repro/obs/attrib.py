@@ -58,8 +58,8 @@ from repro.alloc.costs import DEFAULT_COST_MODEL, CostModel
 from repro.alloc.firstfit import ALIGNMENT, HEADER_SIZE
 from repro.core.predictor import (
     DEFAULT_THRESHOLD,
-    ChainVerdicts,
     LifetimePredictor,
+    SiteMemo,
 )
 from repro.core.sites import CallChain, ChainTable
 from repro.runtime.shard.folds import LifetimeFold
@@ -199,7 +199,8 @@ class AttributionFold(LifetimeFold):
         self.profile = profile
         self.predictor = predictor
         self._verdict = (
-            ChainVerdicts(predictor, chains) if predictor is not None else None
+            SiteMemo(predictor.predicts_short_lived, chains)
+            if predictor is not None else None
         )
         if threshold is None:
             threshold = getattr(predictor, "threshold", DEFAULT_THRESHOLD)
@@ -231,8 +232,8 @@ class AttributionFold(LifetimeFold):
             free = model.ff_free_base
             frag = _firstfit_padding(size)
         else:  # arena: the predictor decides placement per object
-            predicted = self._verdict is not None and self._verdict(
-                chain_id, size
+            predicted = (
+                self._verdict is not None and self._verdict[chain_id, size]
             )
             if predicted:
                 site.predicted_objects += 1

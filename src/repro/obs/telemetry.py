@@ -43,8 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.alloc.base import ChainKey
 from repro.core.predictor import DEFAULT_THRESHOLD
-from repro.core.sites import CallChain
+from repro.core.sites import CallChain, ChainTable
 from repro.obs.metrics import METRICS, Metrics, record_peak_rss
 
 __all__ = [
@@ -89,12 +90,13 @@ class NullTelemetry:
     attach a :class:`Telemetry` or nothing at all.
     """
 
-    def attach(self, allocator, program: str = "?", dataset: str = "?") -> None:
+    def attach(self, allocator, program: str = "?", dataset: str = "?",
+               chains: Optional[ChainTable] = None) -> None:
         allocator.attach_probe(self)
         self._allocator = allocator
 
     def on_alloc(self, addr: int, size: int,
-                 chain: Optional[CallChain], placement: str) -> None:
+                 chain: Optional[ChainKey], placement: str) -> None:
         pass
 
     def on_free(self, addr: int) -> None:
@@ -134,6 +136,7 @@ class Telemetry:
         self.samples: List[Dict[str, Any]] = []
         self.sites: Dict[CallChain, SiteCounters] = {}
         self._allocator = None
+        self._chains: Optional[ChainTable] = None
         self._clock = 0  # byte-time: cumulative bytes requested
         self._allocs = 0
         self._frees = 0
@@ -149,9 +152,16 @@ class Telemetry:
     # Probe interface (called by the allocator)
     # ------------------------------------------------------------------
 
-    def attach(self, allocator, program: str = "?", dataset: str = "?") -> None:
-        """Start recording ``allocator``; called once, before the replay."""
+    def attach(self, allocator, program: str = "?", dataset: str = "?",
+               chains: Optional[ChainTable] = None) -> None:
+        """Start recording ``allocator``; called once, before the replay.
+
+        With ``chains``, the allocator reports interned chain ids of that
+        table (replay binds it to them), and the recorder resolves each
+        id to its chain, so :attr:`sites` keys on chains either way.
+        """
         self._allocator = allocator
+        self._chains = chains
         self.allocator_name = allocator.name
         self.program = program
         self.dataset = dataset
@@ -163,14 +173,17 @@ class Telemetry:
         allocator.attach_probe(self)
 
     def on_alloc(self, addr: int, size: int,
-                 chain: Optional[CallChain], placement: str) -> None:
+                 chain: Optional[ChainKey], placement: str) -> None:
         """One object born at ``addr``; ``placement`` is where it went.
 
-        ``placement`` is ``"arena"`` (predicted short, bump-allocated),
-        ``"overflow"`` (predicted short, arenas full → general heap),
-        ``"general"`` (predicted long-lived), or ``"unpredicted"`` (no
-        predictor consulted — baseline allocators).
+        ``chain`` is the chain tuple, or its id in the table given to
+        :meth:`attach`.  ``placement`` is ``"arena"`` (predicted short,
+        bump-allocated), ``"overflow"`` (predicted short, arenas full →
+        general heap), ``"general"`` (predicted long-lived), or
+        ``"unpredicted"`` (no predictor consulted — baseline allocators).
         """
+        if chain is not None and self._chains is not None:
+            chain = self._chains.chain(chain)
         self._clock += size
         self._allocs += 1
         self._allocs_by_placement[placement] = (

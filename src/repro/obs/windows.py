@@ -52,8 +52,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.alloc.bsd import bucket_for
 from repro.core.predictor import (
     DEFAULT_THRESHOLD,
-    ChainVerdicts,
     LifetimePredictor,
+    SiteMemo,
 )
 from repro.core.sites import CallChain, ChainTable
 from repro.runtime.shard.folds import LifetimeFold
@@ -245,7 +245,8 @@ class WindowFold(LifetimeFold):
         self.chains = chains
         self.predictor = predictor
         self._verdict = (
-            ChainVerdicts(predictor, chains) if predictor is not None else None
+            SiteMemo(predictor.predicts_short_lived, chains)
+            if predictor is not None else None
         )
         if threshold is None:
             threshold = getattr(predictor, "threshold", DEFAULT_THRESHOLD)
@@ -281,8 +282,8 @@ class WindowFold(LifetimeFold):
         death_w = spec.index(death)
         lifetime = death - birth
         short = lifetime < self.threshold
-        predicted = self._verdict is not None and self._verdict(
-            chain_id, size
+        predicted = (
+            self._verdict is not None and self._verdict[chain_id, size]
         )
         self.allocs[birth_w] += 1
         self.alloc_bytes[birth_w] += size

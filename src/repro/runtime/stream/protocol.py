@@ -63,6 +63,7 @@ __all__ = [
     "as_event_source",
     "build_trace",
     "event_error",
+    "first_malformed",
     "iter_object_lifetimes",
     "iter_object_records",
     "source_identity",
@@ -240,9 +241,6 @@ def event_error(
     dense allocation order.
     """
     header = source.header
-    where = getattr(source, "path", None) or (
-        f"{header.program}/{header.dataset}"
-    )
     obj_id = ev[1]
     if ev[0] == EV_FREE:
         problem = f"free of object {obj_id}, which is not live"
@@ -256,7 +254,46 @@ def event_error(
             f"alloc of object {obj_id} out of order: object ids are dense "
             f"in allocation order, so the next is {next_id}"
         )
-    return TraceFormatError(f"{where}: event {offset}: {problem}")
+    return TraceFormatError(f"{_where(source)}: event {offset}: {problem}")
+
+
+def _where(source: EventSource) -> str:
+    """The file ``source`` reads, or ``program/dataset`` for an in-memory
+    stream."""
+    header = source.header
+    return getattr(source, "path", None) or (
+        f"{header.program}/{header.dataset}"
+    )
+
+
+def first_malformed(source: EventSource) -> TraceFormatError:
+    """The error for the first malformed event of ``source``.
+
+    Consumers check each event the way :func:`build_trace` does but keep
+    no event counter; once a check fails they call this, which walks a
+    fresh ``events()`` pass to name the offending event's offset through
+    :func:`event_error`.  So the offset costs nothing unless the stream
+    is malformed.  A source whose second pass finds nothing malformed
+    changed between the two passes, which is itself a format error.
+    """
+    chain_count = len(source.header.chains)
+    live = set()
+    next_id = 0
+    for offset, ev in enumerate(source.events()):
+        tag = ev[0]
+        if tag == EV_ALLOC:
+            if ev[1] != next_id or not 0 <= ev[2] < chain_count:
+                return event_error(source, offset, ev, next_id)
+            live.add(next_id)
+            next_id += 1
+        elif tag == EV_FREE:
+            if ev[1] not in live:
+                return event_error(source, offset, ev)
+            live.remove(ev[1])
+    return TraceFormatError(
+        f"{_where(source)}: a check failed on an event that a second pass "
+        f"over the stream finds well formed"
+    )
 
 
 def build_trace(source: EventSource) -> Trace:
@@ -341,7 +378,9 @@ def iter_object_lifetimes(
     Freed objects are yielded at their free event (lifetime =
     ``death - birth``); objects never freed are yielded after the stream
     ends, in object-id order, with the trace convention lifetime
-    ``end_time - birth``.  The working set is the live-object dict.
+    ``end_time - birth``.  The working set is the live-object dict, and
+    a malformed stream raises as in :func:`iter_object_records`, whose
+    records this collapses.
 
     Every per-object accumulation in the pipeline that is
     order-independent — the all-short-lived site folds behind each
@@ -349,20 +388,10 @@ def iter_object_lifetimes(
     from this iterator, which is why the streaming and materialized
     paths produce identical predictor databases and tables.
     """
-    live = {}
-    for ev in source.events():
-        tag = ev[0]
-        if tag == EV_ALLOC:
-            live[ev[1]] = (ev[2], ev[3], ev[4])
-        elif tag == EV_FREE:
-            chain_id, size, birth = live.pop(ev[1])
-            yield (chain_id, size, ev[2] - birth, ev[3])
-    summary = source.summary
-    end_time = summary.end_time
-    unfreed_touches = dict(summary.unfreed_touches)
-    for obj_id in sorted(live):
-        chain_id, size, birth = live[obj_id]
-        yield (chain_id, size, end_time - birth, unfreed_touches.get(obj_id, 0))
+    for _, chain_id, size, birth, death, touches in iter_object_records(
+        source
+    ):
+        yield (chain_id, size, death - birth, touches)
 
 
 def iter_object_records(
@@ -370,22 +399,33 @@ def iter_object_records(
 ) -> Iterator[Tuple[int, int, int, int, int, int]]:
     """``(obj_id, chain_id, size, birth, death, touches)`` per object.
 
-    The positional sibling of :func:`iter_object_lifetimes`: same single
-    stream pass, same live-object working set, same never-freed tail
-    convention (death at ``summary.end_time``, object-id order) — but the
-    absolute birth/death byte-times and the dense object id survive
-    instead of being collapsed into a lifetime.  Folds that partition the
-    run into windows key on exactly these positions, which is why the
+    One stream pass with a live-object working set.  Freed objects are
+    yielded at their free event; objects never freed are yielded after
+    the stream ends, in object-id order, dying at ``summary.end_time``.
+    Folds that partition the run into windows key on the absolute
+    birth/death byte-times and the dense object id, which is why the
     shard engine feeds its folds through the same tuple shape (see
     :meth:`~repro.runtime.shard.folds.LifetimeFold.add_object`).
+
+    A malformed stream raises the
+    :class:`~repro.runtime.tracefile.TraceFormatError` that
+    :func:`build_trace` raises for it (see :func:`first_malformed`).
     """
+    chain_count = len(source.header.chains)
     live = {}
+    next_id = 0
     for ev in source.events():
         tag = ev[0]
         if tag == EV_ALLOC:
+            if ev[1] != next_id or not 0 <= ev[2] < chain_count:
+                raise first_malformed(source)
+            next_id += 1
             live[ev[1]] = (ev[2], ev[3], ev[4])
         elif tag == EV_FREE:
-            chain_id, size, birth = live.pop(ev[1])
+            try:
+                chain_id, size, birth = live.pop(ev[1])
+            except KeyError as exc:
+                raise first_malformed(source) from exc
             yield (ev[1], chain_id, size, birth, ev[2], ev[3])
     summary = source.summary
     end_time = summary.end_time
@@ -402,21 +442,29 @@ def stream_live_stats(source: EventSource) -> LiveStats:
     """High-water marks of live bytes/objects from one stream pass.
 
     Same accumulation as :meth:`Trace.live_stats`; a wrapped in-memory
-    trace delegates to it so the per-trace cache keeps working.
+    trace delegates to it so the per-trace cache keeps working.  A
+    malformed stream raises as in :func:`iter_object_records`.
     """
     if isinstance(source, TraceEventSource):
         return source.trace.live_stats()
+    chain_count = len(source.header.chains)
     live_sizes = {}
-    live_bytes = live_objects = 0
+    live_bytes = live_objects = next_id = 0
     max_bytes = max_objects = 0
     for ev in source.events():
         tag = ev[0]
         if tag == EV_TOUCH:
             continue
         if tag == EV_FREE:
-            live_bytes -= live_sizes.pop(ev[1])
+            try:
+                live_bytes -= live_sizes.pop(ev[1])
+            except KeyError as exc:
+                raise first_malformed(source) from exc
             live_objects -= 1
         else:
+            if ev[1] != next_id or not 0 <= ev[2] < chain_count:
+                raise first_malformed(source)
+            next_id += 1
             live_sizes[ev[1]] = ev[3]
             live_bytes += ev[3]
             live_objects += 1

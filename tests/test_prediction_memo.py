@@ -9,7 +9,8 @@ ones do:
   recursion cycles, for every predictor family and abstraction level;
 * the fold-based trainer against the profile-based selection rule, serial
   and sharded, on the five workloads, down to the saved database bytes;
-* memoized evaluation and arena replay against direct reference loops;
+* memoized evaluation and arena replay against direct reference loops,
+  and an allocator fed chain tuples against the replay that feeds ids;
 * the oracle, whose answer changes per object and so is never memoized;
 * the replay loop's error contract for streams naming unknown ids.
 """
@@ -17,31 +18,38 @@ ones do:
 from __future__ import annotations
 
 import dataclasses
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.alloc.multiarena import MultiArenaAllocator
-from repro.alloc.spec import PAPER_DEFAULT_SPEC, build_allocator
+from repro.alloc.spec import (
+    BSD_SPEC,
+    FIRSTFIT_SPEC,
+    PAPER_DEFAULT_SPEC,
+    build_allocator,
+)
 from repro.analysis.oracle import _OracleAnswer, simulate_arena_oracle
-from repro.analysis.simulate import replay, simulate_spec
+from repro.analysis.simulate import replay, replay_spec, simulate_spec
 from repro.cli import main
 from repro.core.cce import CCEPredictor, encrypt_chain, train_cce_predictor
 from repro.core.database import save_predictor
 from repro.core.multiclass import MultiClassPredictor, train_multiclass_predictor
 from repro.core.predictor import (
-    ChainVerdicts,
     LifetimePredictor,
+    SiteLookup,
+    SiteMemo,
     SitePredictor,
     SizeOnlyPredictor,
     StaticEscapePredictor,
     evaluate,
-    memoize_by_site,
     train_site_predictor,
 )
 from repro.core.profile import build_profile
 from repro.core.sites import FULL_CHAIN, ChainTable, prune_recursive_cycles, round_size, site_key
+from repro.runtime.events import Trace
 from repro.runtime.shard import ShardedTraceSource
 from repro.runtime.stream.protocol import (
     EV_ALLOC,
@@ -112,7 +120,7 @@ class TestBindMatchesDirect:
                 site_classes, (4096, 65536), length, 4
             )
             _assert_bind_agrees(predictor, pairs)
-            class_of = memoize_by_site(predictor.class_of)
+            class_of = SiteMemo(predictor.class_of)
             for chain, size in pairs + pairs:
                 assert class_of(chain, size) == predictor.class_of(chain, size)
 
@@ -136,7 +144,7 @@ class TestBindMatchesDirect:
             frozenset(site_key(c, s, size_rounding=4) for c, s in selected),
             32768, FULL_CHAIN, 4,
         )
-        verdicts = ChainVerdicts(predictor, table)
+        verdicts = predictor.bind(table)
         for (chain_id, size), (chain, _) in zip(ids + ids, pairs + pairs):
             assert verdicts(chain_id, size) == predictor.predicts_short_lived(
                 chain, size
@@ -276,8 +284,16 @@ class _Unmemoized(LifetimePredictor):
     def predicts_short_lived(self, chain, size):
         return self.inner.predicts_short_lived(chain, size)
 
-    def bind(self):
-        return self.predicts_short_lived
+    def bind(self, chains=None):
+        return SiteLookup(self.predicts_short_lived, chains)
+
+
+#: The three allocators the pipeline benchmark's probe drives with tuples.
+TUPLE_FED_SPECS = {
+    "arena": PAPER_DEFAULT_SPEC,
+    "bsd": BSD_SPEC,
+    "firstfit": FIRSTFIT_SPEC,
+}
 
 
 class TestEvaluationAndReplay:
@@ -306,6 +322,31 @@ class TestEvaluationAndReplay:
         direct = simulate_spec(trace, PAPER_DEFAULT_SPEC,
                                _Unmemoized(predictor))
         assert dataclasses.asdict(memoized) == dataclasses.asdict(direct)
+
+    @pytest.mark.parametrize("label", sorted(TUPLE_FED_SPECS))
+    @pytest.mark.parametrize("program", PROGRAM_ORDER)
+    def test_tuple_fed_allocator_matches_id_replay(self, train_traces,
+                                                   program, label):
+        # Built the way the pipeline benchmark's allocator-only probe
+        # builds it: no chain table, so malloc gets decoded chain tuples.
+        trace = train_traces[program]
+        spec = TUPLE_FED_SPECS[label]
+        predictor = (
+            train_site_predictor(trace, threshold=4096)
+            if spec.kind == "arena" else None
+        )
+        chain_of = trace.chains.chain
+        allocator = build_allocator(spec, predictor)
+        addresses = {}
+        for ev in TraceEventSource(trace).events():
+            if ev[0] == EV_ALLOC:
+                addresses[ev[1]] = allocator.malloc(ev[3], chain_of(ev[2]))
+            elif ev[0] == EV_FREE:
+                allocator.free(addresses.pop(ev[1]))
+        counts = replay_spec(trace, spec, predictor)
+        assert allocator.ops == counts.ops
+        assert allocator.max_heap_size == counts.max_heap_size
+        assert allocator.live_bytes == counts.final_live_bytes
 
     def test_multiarena_replay_matches_direct_classes(self, train_traces):
         trace = train_traces["espresso"]
@@ -384,7 +425,54 @@ BAD_STREAMS = {
 }
 
 
+def _packed_trace(events) -> Trace:
+    """A :class:`Trace` holding ``events`` as given, unchecked.
+
+    Its arrays cover every id an event names, so only replay's own
+    checks can reject it.
+    """
+    ids = [ev[1] for ev in events]
+    count = max(ids + [-1]) + 1
+    chain_ids = array("i", [0] * count)
+    sizes = array("q", [16] * count)
+    codes = array("q")
+    for ev in events:
+        if ev[0] == EV_ALLOC:
+            chain_ids[ev[1]] = ev[2]
+            sizes[ev[1]] = ev[3]
+        codes.append((ev[1] << 2) | ev[0])
+    zeros = array("q", [0] * count)
+    return Trace("bad", "test", ChainTable.from_list([("main", "f")]),
+                 chain_ids, sizes, zeros, array("q", [-1] * count), zeros,
+                 codes, total_calls=0, heap_refs=0, non_heap_refs=0)
+
+
+class _ChangesBetweenPasses(ListSource):
+    """Malformed on its first pass, well formed on every later one."""
+
+    def __init__(self, first, later):
+        super().__init__(later)
+        self._first = list(first)
+        self._passes = 0
+
+    def events(self):
+        self._passes += 1
+        return iter(self._first if self._passes == 1 else self._events)
+
+
 class TestReplayErrorContract:
+    @pytest.mark.parametrize("case", sorted(BAD_STREAMS))
+    def test_packed_trace_names_program(self, case):
+        events, message = BAD_STREAMS[case]
+        with pytest.raises(TraceFormatError, match=f"bad/test: {message}"):
+            replay(_packed_trace(events), build_allocator(PAPER_DEFAULT_SPEC))
+
+    def test_source_that_changes_between_passes(self):
+        bad, _ = BAD_STREAMS["unknown-free"]
+        with pytest.raises(TraceFormatError, match="second pass"):
+            replay(_ChangesBetweenPasses(bad, bad[:1]),
+                   build_allocator(PAPER_DEFAULT_SPEC))
+
     @pytest.mark.parametrize("case", sorted(BAD_STREAMS))
     def test_replay_raises_trace_format_error(self, case, tmp_path):
         events, message = BAD_STREAMS[case]

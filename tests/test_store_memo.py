@@ -9,7 +9,9 @@
 * Multi-class training streams: a streaming store resolves a multiarena
   spec without materializing its training trace.
 * ``build_trace`` raises ``TraceFormatError`` for every malformed
-  stream, so the trace cache counts such an entry as corrupt.
+  stream, so the trace cache counts such an entry as corrupt; the
+  streaming consumers (training, live stats, ``simulate --stream``)
+  raise the same error for the same stream.
 """
 
 from __future__ import annotations
@@ -31,11 +33,17 @@ from repro.analysis.experiments import TraceStore
 from repro.analysis.simulate import simulate_spec
 from repro.analysis.trace_cache import TraceCache
 from repro.cli import main
+from repro.core.predictor import train_site_predictor
 from repro.obs.attrib import attribute_sites
 from repro.obs.metrics import Metrics
 from repro.obs.spans import TRACER
-from repro.runtime.stream.protocol import EV_ALLOC, EV_FREE, build_trace
-from repro.runtime.stream.v3 import write_trace_v3
+from repro.runtime.stream.protocol import (
+    EV_ALLOC,
+    EV_FREE,
+    build_trace,
+    stream_live_stats,
+)
+from repro.runtime.stream.v3 import TraceFileSource, write_trace_v3
 from repro.runtime.tracefile import TraceFormatError, load_trace
 from repro.search import DEFAULT_SPACE, run_search
 from tests.conftest import ListSource
@@ -265,3 +273,35 @@ class TestBuildTraceErrorContract:
         assert cache.load("bad", "test", 1.0) is None
         assert cache.metrics.counter("trace_cache.corrupt") == 1
         assert not path.exists()
+
+
+#: Consumers that walk a stream without materializing it.
+STREAM_CONSUMERS = {
+    "train_site_predictor": train_site_predictor,
+    "stream_live_stats": stream_live_stats,
+}
+
+
+class TestStreamConsumersErrorContract:
+    @pytest.mark.parametrize("consumer", sorted(STREAM_CONSUMERS))
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_file_source_names_path(self, case, consumer, tmp_path):
+        events, message = MALFORMED[case]
+        path = tmp_path / "bad.rtr3"
+        write_trace_v3(ListSource(events), path)
+        with pytest.raises(TraceFormatError) as info:
+            STREAM_CONSUMERS[consumer](TraceFileSource(path))
+        assert str(info.value).startswith(f"{path}: {message}")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_cli_stream_exits_one_with_error_line(self, case, tmp_path,
+                                                  capsys):
+        events, message = MALFORMED[case]
+        path = tmp_path / "bad.rtr3"
+        write_trace_v3(ListSource(events), path)
+        code = main(["simulate", str(path), "--stream",
+                     "--allocator", "firstfit"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
