@@ -2,18 +2,13 @@
 """Prove the streaming replay's O(live objects) memory claim under ulimit.
 
 The CI streaming job runs this script.  It manufactures one large cfrac
-trace, measures the address-space peak of three child processes — one
+trace, measures the address-space peak of two child processes — one
 replaying the v3 file through :func:`repro.runtime.tracefile.
-open_trace_stream`, one replaying through the sharded
-:class:`~repro.runtime.shard.ShardedTraceSource` (``jobs=2``), and one
-materializing with :func:`load_trace` first — and then derives a hard
-``RLIMIT_AS`` cap *between* the streamed and materialized peaks
-(midpoint above the larger streamed figure).  Under that cap both
-streamed replays must succeed and the materialized replay must die: the
-cap is sized below the materialized footprint, so only replays that
-never hold the whole trace can fit.  This is the sharded path's memory
-proof — its O(live objects + jobs chunks) model must stay on the
-streaming side of the cap, not drift toward materializing.
+open_trace_stream`, one materializing with :func:`load_trace` first —
+and then derives a hard ``RLIMIT_AS`` cap halfway between the two peaks.
+Under that cap the streamed replay must succeed and the materialized
+replay must die: the cap is sized below the materialized footprint, so
+only a replay that never holds the whole trace can fit.
 
 The cap is self-calibrated rather than hard-coded because the
 interpreter's baseline address space varies across Python builds; the
@@ -51,13 +46,9 @@ DEFAULT_MARGIN_KB = 8 * 1024
 DEFAULT_SCALE = 20.0
 
 #: Chunk size for the smoke trace.  Smaller than the writer's default so
-#: the sharded reader's in-flight window (``jobs + 1`` chunks) stays far
-#: below the midpoint cap — the proof should bound the *model*, not be
-#: won or lost on one chunk-size constant.
+#: one decoded chunk stays far below the midpoint cap — the proof should
+#: bound the *model*, not be won or lost on one chunk-size constant.
 SMOKE_CHUNK_EVENTS = 8192
-
-#: Worker count for the sharded replay child.
-SHARD_JOBS = 2
 
 
 def vm_peak_kb() -> int:
@@ -84,11 +75,6 @@ def child(mode: str, trace_path: str, limit_bytes: int) -> int:
     if mode == "stream":
         source = open_trace_stream(trace_path)
         replay(source, FirstFitAllocator())
-    elif mode == "shard":
-        from repro.runtime.shard import ShardedTraceSource
-
-        replay(ShardedTraceSource(trace_path, jobs=SHARD_JOBS),
-               FirstFitAllocator())
     else:
         replay(load_trace(trace_path), FirstFitAllocator())
     print(json.dumps(
@@ -98,22 +84,13 @@ def child(mode: str, trace_path: str, limit_bytes: int) -> int:
 
 
 def run_child(mode: str, trace_path: Path, limit_bytes: int = 0):
-    """Run one measured replay child; returns (exit code, peaks or None).
-
-    ``MALLOC_ARENA_MAX=1`` pins glibc to one malloc arena in every
-    child: the process pool's helper threads would otherwise trigger
-    ~64 MB virtual arena *reservations* per thread, which RLIMIT_AS
-    counts even though no page is ever touched — drowning the data
-    footprint the proof is about.  Applied uniformly so all three
-    modes calibrate on the same allocator configuration.
-    """
+    """Run one measured replay child; returns (exit code, peaks or None)."""
     proc = subprocess.run(
         [sys.executable, __file__, "--child", mode,
          "--trace", str(trace_path), "--limit-bytes", str(limit_bytes)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC),
-             "MALLOC_ARENA_MAX": "1"},
+        env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     peaks = None
     if proc.returncode == 0:
@@ -132,7 +109,7 @@ def main() -> int:
     parser.add_argument("--artifact", default=None, metavar="PATH",
                         help="write the measured peaks here as JSON")
     # Internal: re-exec modes for the measured children.
-    parser.add_argument("--child", choices=["stream", "shard", "load"],
+    parser.add_argument("--child", choices=["stream", "load"],
                         default=None)
     parser.add_argument("--trace", default=None)
     parser.add_argument("--limit-bytes", type=int, default=0)
@@ -161,36 +138,29 @@ def main() -> int:
         print(f"  {trace.total_objects} objects, {trace.event_count} "
               f"events -> {trace_path.name} ({size_kb} KB)")
 
-        # Calibration: the three replays' uncapped address-space peaks.
+        # Calibration: both replays' uncapped address-space peaks.
         code, stream_peaks, err = run_child("stream", trace_path)
         if code != 0:
             print(f"streaming replay failed uncapped:\n{err}")
-            return 1
-        code, shard_peaks, err = run_child("shard", trace_path)
-        if code != 0:
-            print(f"sharded replay failed uncapped:\n{err}")
             return 1
         code, load_peaks, err = run_child("load", trace_path)
         if code != 0:
             print(f"materialized replay failed uncapped:\n{err}")
             return 1
         stream_vm = stream_peaks["vm_peak_kb"]
-        shard_vm = shard_peaks["vm_peak_kb"]
         load_vm = load_peaks["vm_peak_kb"]
-        base_vm = max(stream_vm, shard_vm)
-        delta = load_vm - base_vm
-        print(f"  VmPeak streaming {stream_vm} KB, sharded (jobs="
-              f"{SHARD_JOBS}) {shard_vm} KB, materialized {load_vm} KB "
-              f"(delta {delta} KB)")
+        delta = load_vm - stream_vm
+        print(f"  VmPeak streaming {stream_vm} KB, materialized {load_vm} "
+              f"KB (delta {delta} KB)")
         if delta < args.margin_kb:
             print(f"FAIL: separation {delta} KB < required "
-                  f"{args.margin_kb} KB — the streamed paths are not "
+                  f"{args.margin_kb} KB — the streamed path is not "
                   f"meaningfully smaller than materializing")
             return 1
 
         # The proof: a cap halfway between the peaks admits exactly the
-        # streamed replays (serial and sharded), not the materialized one.
-        cap_kb = base_vm + delta // 2
+        # streamed replay, not the materialized one.
+        cap_kb = stream_vm + delta // 2
         print(f"  capping RLIMIT_AS at {cap_kb} KB (midpoint)")
         stream_code, capped_peaks, err = run_child(
             "stream", trace_path, cap_kb * 1024
@@ -198,20 +168,13 @@ def main() -> int:
         if stream_code != 0:
             print(f"FAIL: streaming replay died under the cap:\n{err}")
             return 1
-        shard_code, capped_shard_peaks, err = run_child(
-            "shard", trace_path, cap_kb * 1024
-        )
-        if shard_code != 0:
-            print(f"FAIL: sharded replay died under the cap:\n{err}")
-            return 1
         load_code, _, _ = run_child("load", trace_path, cap_kb * 1024)
         if load_code == 0:
             print("FAIL: materialized replay fit under a cap sized below "
                   "its own measured footprint")
             return 1
         print(f"  under cap: streaming OK "
-              f"(VmPeak {capped_peaks['vm_peak_kb']} KB), sharded OK "
-              f"(VmPeak {capped_shard_peaks['vm_peak_kb']} KB), "
+              f"(VmPeak {capped_peaks['vm_peak_kb']} KB), "
               f"materialized load died as expected (exit {load_code})")
 
         if args.artifact:
@@ -224,16 +187,11 @@ def main() -> int:
                 "event_count": trace.event_count,
                 "stream_vm_peak_kb": stream_vm,
                 "stream_peak_rss_kb": stream_peaks["peak_rss_kb"],
-                "shard_jobs": SHARD_JOBS,
-                "shard_vm_peak_kb": shard_vm,
-                "shard_peak_rss_kb": shard_peaks["peak_rss_kb"],
                 "load_vm_peak_kb": load_vm,
                 "load_peak_rss_kb": load_peaks["peak_rss_kb"],
                 "separation_kb": delta,
                 "rlimit_as_cap_kb": cap_kb,
                 "capped_stream_vm_peak_kb": capped_peaks["vm_peak_kb"],
-                "capped_shard_vm_peak_kb":
-                    capped_shard_peaks["vm_peak_kb"],
                 "capped_load_exit_code": load_code,
             }
             out = Path(args.artifact)

@@ -16,8 +16,8 @@ Each row reports prediction *coverage* (correctly-predicted short bytes
 as a fraction of all bytes), *accuracy* (correct short predictions as a
 fraction of all short predictions — the soundness-facing number), and
 the arena simulation's maximum heap size under each predictor.  The
-rendering is deterministic: byte-identical across the materialized,
-``--stream`` and ``--jobs N`` replay modes, which CI gates.
+rendering is deterministic: byte-identical across the materialized
+and ``--stream`` replay modes.
 """
 
 from __future__ import annotations

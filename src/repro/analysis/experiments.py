@@ -17,8 +17,8 @@ Two layers back the store:
 
 :meth:`TraceStore.warm` fans the 5 programs × 2 datasets out across
 worker processes (``jobs > 1``); workers publish traces through the disk
-cache, which is also how ``repro-alloc table --jobs N`` shares one set of
-executions between table worker processes.
+cache.  It is the store's only process pool: every replay and fold runs
+serially in the calling process (DESIGN.md §11).
 
 Following the paper's methodology note — "the performance results
 presented apply to the largest of the input sets in all cases" — every
@@ -32,7 +32,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.alloc.costs import DEFAULT_COST_MODEL, CostModel
 from repro.obs.attrib import (
@@ -59,7 +59,7 @@ from repro.core.predictor import (
 )
 from repro.core.sites import FULL_CHAIN
 from repro.runtime.events import Trace
-from repro.runtime.shard.folds import SiteSelectFold
+from repro.runtime.folds import SiteSelectFold
 from repro.runtime.stream.protocol import EventSource, TraceEventSource
 from repro.workloads.registry import PROGRAM_ORDER, run_workload
 
@@ -86,29 +86,40 @@ class WarmResult:
 
 
 def _warm_worker(
-    program: str, dataset: str, scale: float, cache_dir: str
-) -> Tuple[WarmResult, dict]:
+    program: str,
+    dataset: str,
+    scale: float,
+    cache_dir: str,
+    trace_spans: bool = False,
+) -> Tuple[WarmResult, dict, List[Dict[str, Any]]]:
     """Child-process body of a parallel warm: trace via the disk cache.
 
-    Returns the warm outcome *and* a :meth:`Metrics.to_dict` snapshot of
-    everything the worker measured (cache loads/stores, workload runs) so
-    the parent can :meth:`Metrics.merge` it — process-pool workers get
-    their own ``METRICS`` registry, and without the snapshot their
-    timings would silently vanish from the session report.
+    Returns the warm outcome, a :meth:`Metrics.to_dict` snapshot of
+    everything the worker measured (cache loads/stores, workload runs)
+    and, with ``trace_spans``, a :meth:`SpanTracer.state` snapshot of the
+    spans serial :meth:`TraceStore.warm` would record for the same
+    execution.  Process-pool workers get their own ``METRICS`` registry
+    and tracer; the parent merges and absorbs the snapshots, or the
+    worker's timings would silently vanish from the session report.
     """
+    mark = 0
+    if trace_spans:
+        TRACER.enable()
+        mark = len(TRACER.spans)
     metrics = Metrics()
     cache = TraceCache(cache_dir, metrics=metrics)
     start = time.perf_counter()
-    if cache.load(program, dataset, scale) is not None:
-        result = WarmResult(
-            program, dataset, "disk", time.perf_counter() - start
-        )
-        return result, metrics.to_dict()
-    with metrics.stage("workload.run"):
-        trace = run_workload(program, dataset, scale=scale)
-    cache.store(trace, scale)
-    result = WarmResult(program, dataset, "run", time.perf_counter() - start)
-    return result, metrics.to_dict()
+    source = "disk"
+    if cache.load(program, dataset, scale) is None:
+        source = "run"
+        with TRACER.span("workload.run", cat="workload", program=program,
+                         dataset=dataset, scale=scale), \
+                metrics.stage("workload.run"):
+            trace = run_workload(program, dataset, scale=scale)
+        cache.store(trace, scale)
+    result = WarmResult(program, dataset, source, time.perf_counter() - start)
+    spans = TRACER.state(mark) if trace_spans else []
+    return result, metrics.to_dict(), spans
 
 
 class TraceStore:
@@ -128,12 +139,6 @@ class TraceStore:
     materializes on demand for the few consumers that need random access
     (e.g. the oracle simulation).
 
-    ``jobs > 1`` (streaming mode only) upgrades every file-backed source
-    to a :class:`~repro.runtime.shard.ShardedTraceSource`, which decodes
-    chunks in a process pool and unlocks the map/reduce fold path in
-    predictor training and evaluation — byte-identical results, less
-    wall clock.
-
     The store also computes each distinct derived result once (DESIGN.md
     §17): one replay per allocator placement (:meth:`simulate`), one
     site-maxima fold per execution that every site and multi-class
@@ -151,11 +156,8 @@ class TraceStore:
         use_cache: bool = True,
         metrics: Optional[Metrics] = None,
         streaming: bool = False,
-        jobs: int = 1,
         predictor_mode: str = "trained",
     ):
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         if predictor_mode not in ("trained", "static"):
             raise ValueError(
                 f"predictor_mode must be 'trained' or 'static', "
@@ -163,7 +165,6 @@ class TraceStore:
             )
         self.scale = scale
         self.streaming = streaming
-        self.jobs = jobs
         self.predictor_mode = predictor_mode
         self._metrics = metrics if metrics is not None else METRICS
         if cache is not None:
@@ -234,7 +235,7 @@ class TraceStore:
         if self._cache is not None:
             source = self._cache.open_stream(program, dataset, self.scale)
             if source is not None:
-                return self._shard(source)
+                return source
         with TRACER.span("workload.run", cat="workload", program=program,
                          dataset=dataset, scale=self.scale), \
                 self._metrics.stage("workload.run"):
@@ -243,25 +244,8 @@ class TraceStore:
             self._cache.store(trace, self.scale)
             source = self._cache.open_stream(program, dataset, self.scale)
             if source is not None:
-                return self._shard(source)
+                return source
         return TraceEventSource(trace)
-
-    def _shard(self, source: EventSource) -> EventSource:
-        """Upgrade a v3 file source to sharded replay when ``jobs > 1``.
-
-        Only chunked file streams can shard; anything else (an in-memory
-        wrap) passes through untouched, so ``jobs`` never changes what a
-        consumer sees — only how fast it sees it.
-        """
-        if self.jobs <= 1:
-            return source
-        from repro.runtime.stream.v3 import TraceFileSource
-
-        if not isinstance(source, TraceFileSource):
-            return source
-        from repro.runtime.shard import ShardedTraceSource
-
-        return ShardedTraceSource(source.path, jobs=self.jobs)
 
     def predictor(
         self,
@@ -459,11 +443,12 @@ class TraceStore:
         With ``jobs > 1`` and the disk cache enabled, executions fan out
         across a :class:`~concurrent.futures.ProcessPoolExecutor`; workers
         publish traces through the cache (memory in this process stays
-        lazy — the next :meth:`trace` call is a disk hit).  Without a
-        cache there is nowhere for workers to hand traces back, so the
-        warm runs serially in-process — with an explicit stderr notice,
-        so ``jobs > 1`` is never a silent no-op.  Returns one
-        :class:`WarmResult` per execution.
+        lazy — the next :meth:`trace` call is a disk hit), and their
+        metrics and spans join this process's, each worker's spans on a
+        lane of their own.  Without a cache there is nowhere for workers
+        to hand traces back, so the warm runs serially in-process — with
+        an explicit stderr notice, so ``jobs > 1`` is never a silent
+        no-op.  Returns one :class:`WarmResult` per execution.
         """
         pairs = self.warm_pairs()
         results: List[WarmResult] = []
@@ -472,19 +457,21 @@ class TraceStore:
             if jobs and jobs > 1 and self._cache is not None:
                 self._cache.directory.mkdir(parents=True, exist_ok=True)
                 with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    futures = [
+                    futures = {
                         pool.submit(
                             _warm_worker,
                             program,
                             dataset,
                             self.scale,
                             str(self._cache.directory),
-                        )
-                        for program, dataset in pairs
-                    ]
+                            TRACER.enabled,
+                        ): index
+                        for index, (program, dataset) in enumerate(pairs)
+                    }
                     for future in as_completed(futures):
-                        result, worker_metrics = future.result()
+                        result, worker_metrics, spans = future.result()
                         self._metrics.merge(worker_metrics)
+                        TRACER.absorb(spans, tid=2 + futures[future] % jobs)
                         self._metrics.incr(f"warm.{result.source}")
                         results.append(result)
                 order = {pair: i for i, pair in enumerate(pairs)}

@@ -55,19 +55,6 @@ DEFAULT_REPEATS = 3
 _DATASET = "test"
 
 
-def _resolve_trace(store, program: str):
-    """The replay input: a streamed source when the store streams.
-
-    A streaming store (``bench run --jobs N``) hands back its
-    file-backed — possibly sharded — :meth:`source` view so the timed
-    region measures the streamed replay; any other store (including the
-    minimal fakes in tests) keeps the materialized :meth:`trace` path.
-    """
-    if getattr(store, "streaming", False):
-        return store.source(program, _DATASET)
-    return store.trace(program, _DATASET)
-
-
 def _resolve_predictor(store, program: str, spec: AllocatorSpec):
     """The spec's predictor through the store's resolution surface.
 
@@ -87,7 +74,7 @@ def _resolve_predictor(store, program: str, spec: AllocatorSpec):
 def _replay_once(
     store, program: str, allocator: str, telemetry: Telemetry
 ) -> SimulationResult:
-    trace = _resolve_trace(store, program)
+    trace = store.trace(program, _DATASET)
     spec = BENCH_SPECS.get(allocator)
     if spec is None:
         raise ValueError(f"unknown allocator {allocator!r}")
@@ -118,7 +105,7 @@ def run_suite(
     records: List[BenchRecord] = []
     for program in programs:
         # Resolve the trace and predictor outside the timed replays.
-        _resolve_trace(store, program)
+        store.trace(program, _DATASET)
         if "arena" in allocators:
             _resolve_predictor(store, program, BENCH_SPECS["arena"])
         for allocator in allocators:

@@ -14,7 +14,7 @@ Mirrors the paper's workflow as subcommands::
     repro-alloc stats --program gawk
     repro-alloc stats --program gawk --json --diff old-summary.json
     repro-alloc timeline --program gawk --allocator arena
-    repro-alloc profile-sites --program gawk --stream --jobs 2
+    repro-alloc profile-sites --program gawk --stream
     repro-alloc windows --program gawk --windows 16 --by bytes --json
     repro-alloc report --program gawk --html gawk-report.html
     repro-alloc diff-sessions old.attrib.json new.attrib.json
@@ -111,7 +111,7 @@ from repro.cli import searchcmd as _searchcmd
 from repro.cli import staticcheck as _staticcheck
 from repro.cli import tables as _tables
 from repro.cli import traces as _traces
-from repro.cli.tables import _TABLES, _table_worker  # noqa: F401
+from repro.cli.tables import _TABLES  # noqa: F401
 from repro.obs import render_folded
 from repro.obs.spans import TRACER, write_chrome_trace
 from repro.runtime.heap import HeapError

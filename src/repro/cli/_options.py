@@ -2,11 +2,11 @@
 
 Every store-backed subcommand composes the same option groups; keeping
 them here (and only here) is what makes ``--scale``/``--cache-dir``/
-``--no-cache``/``--jobs`` spell and behave identically across the CLI.
-``--jobs`` is validated at parse time by :func:`jobs_count`, so every
-subcommand rejects a non-integer or non-positive worker count with the
-same usage error before any work starts; :func:`tolerance` does the
-same for ``--rel-threshold``/``--wall-tol``.
+``--no-cache`` spell and behave identically across the CLI.  Option
+values are validated at parse time — ``warm --jobs`` by
+:func:`jobs_count`, ``--rel-threshold``/``--wall-tol`` by
+:func:`tolerance` — so a bad value is the same usage error before any
+work starts.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ __all__ = [
 
 
 def jobs_count(value: str) -> int:
-    """argparse ``type=`` for every ``--jobs`` flag: an integer >= 1.
+    """argparse ``type=`` for ``warm --jobs``: an integer >= 1.
 
     Raising :class:`argparse.ArgumentTypeError` here turns a bad worker
-    count into the standard usage error (exit 2) uniformly, instead of
-    each handler inventing its own check downstream.
+    count into the standard usage error (exit 2) instead of a check
+    downstream.
     """
     try:
         jobs = int(value)
@@ -66,15 +66,8 @@ def tolerance(value: str) -> float:
     return number
 
 
-def _add_store_options(
-    sub: argparse.ArgumentParser, jobs: bool = False
-) -> None:
-    """The trace-store flags every store-backed subcommand shares.
-
-    ``warm``/``table`` fan work out across processes and also take
-    ``--jobs``; ``stats``/``timeline`` replay a single execution and
-    only need the scale and cache knobs.
-    """
+def _add_store_options(sub: argparse.ArgumentParser) -> None:
+    """The trace-store flags every store-backed subcommand shares."""
     sub.add_argument("--scale", type=float, default=1.0,
                      help="workload scale factor (default 1.0)")
     sub.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -82,9 +75,6 @@ def _add_store_options(
                           "or ~/.cache/repro-alloc)")
     sub.add_argument("--no-cache", action="store_true",
                      help="bypass the persistent trace cache")
-    if jobs:
-        sub.add_argument("--jobs", type=jobs_count, default=1, metavar="N",
-                         help="worker processes (default 1: serial)")
 
 
 def _add_predictor_option(sub: argparse.ArgumentParser) -> None:
@@ -132,15 +122,11 @@ def _add_telemetry_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _make_store(args: argparse.Namespace) -> TraceStore:
-    streaming = getattr(args, "stream", False)
     return TraceStore(
         scale=args.scale,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        streaming=streaming,
-        # Sharded decode only exists for file-backed streams; a
-        # materialized store ignores jobs, so don't pass it through.
-        jobs=getattr(args, "jobs", 1) if streaming else 1,
+        streaming=getattr(args, "stream", False),
         predictor_mode=getattr(args, "predictor", "trained"),
     )
 
@@ -148,12 +134,10 @@ def _make_store(args: argparse.Namespace) -> TraceStore:
 def _report_peak_rss() -> None:
     """Record and print peak RSS (stderr, so stdout stays byte-identical).
 
-    Prints the registry's gauge rather than the fresh sample so the
-    figure covers merged worker snapshots too — the max across every
-    process that contributed, not just the parent.  The registry is
-    resolved through the package attribute so tests substituting
-    ``repro.cli.METRICS`` observe the same instance the handlers merged
-    into.
+    Prints the registry's gauge rather than the fresh sample.  The
+    registry is resolved through the package attribute so tests
+    substituting ``repro.cli.METRICS`` observe the same instance the
+    handlers record into.
     """
     record_peak_rss()
     print(f"peak rss: {_cli.METRICS.counter('peak_rss_kb')} KB",

@@ -18,7 +18,7 @@ from repro.bench import (
     BenchStore,
     run_session,
 )
-from repro.cli._options import _add_predictor_option, jobs_count, tolerance
+from repro.cli._options import _add_predictor_option, tolerance
 from repro.obs.attrib import attribute_sites
 from repro.obs.diff import (
     DEFAULT_WALL_TOLERANCE,
@@ -62,11 +62,6 @@ def register(sub) -> None:
                            choices=list(BENCH_ALLOCATORS),
                            default=list(BENCH_ALLOCATORS), metavar="ALLOC",
                            help="restrict to these allocators (default: all)")
-    bench_run.add_argument("--jobs", type=jobs_count, default=1, metavar="N",
-                           help="replay through the sharded streaming "
-                                "path with N workers (records the same "
-                                "deterministic metrics; wall time is "
-                                "what changes)")
     _add_predictor_option(bench_run)
     bench_run.set_defaults(handler=_cmd_bench_run)
 
@@ -124,7 +119,6 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
     scale = _bench_scale(args)
     store = TraceStore(
         scale=scale, cache_dir=args.cache_dir, use_cache=not args.no_cache,
-        streaming=args.jobs > 1, jobs=args.jobs,
         predictor_mode=args.predictor,
     )
     bench_store = BenchStore(args.bench_dir)
@@ -134,8 +128,7 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
         programs=args.programs,
         allocators=args.allocators,
         repeats=args.repeats,
-        extra_provenance={"replay_jobs": args.jobs,
-                          "predictor": args.predictor},
+        extra_provenance={"predictor": args.predictor},
     )
     # Attach the top-K site attribution per program so a regressed
     # session explains *which sites* paid.  Deterministic but ungated:
@@ -163,10 +156,9 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
             )
         print(line)
     sha = session.provenance.get("git_sha", "unknown")[:10]
-    jobs_note = f", jobs {args.jobs}" if args.jobs > 1 else ""
     print(
-        f"bench session {session.seq:04d} (sha {sha}, scale {scale}"
-        f"{jobs_note}, {len(session.records)} benchmarks, "
+        f"bench session {session.seq:04d} (sha {sha}, scale {scale}, "
+        f"{len(session.records)} benchmarks, "
         f"min of {args.repeats}) -> {path}"
     )
     return 0

@@ -29,7 +29,6 @@ from repro.cli._options import (
     _add_telemetry_options,
     _make_store,
     _report_peak_rss,
-    jobs_count,
     tolerance,
 )
 from repro.core.database import load_predictor
@@ -87,10 +86,6 @@ def register(sub) -> None:
                        help="print the machine-readable summary instead "
                             "of the table")
     _add_stream_option(stats)
-    stats.add_argument("--jobs", type=jobs_count, default=1, metavar="N",
-                       help="decode trace chunks with N worker processes "
-                            "(needs --stream; output stays "
-                            "byte-identical)")
     stats.add_argument("--diff", metavar="SUMMARY", default=None,
                        help="diff this recorded telemetry summary JSON "
                             "(old) against the current replay (new); "
@@ -136,11 +131,6 @@ def register(sub) -> None:
     _add_store_options(profile_sites)
     _add_stream_option(profile_sites)
     _add_predictor_option(profile_sites)
-    profile_sites.add_argument("--jobs", type=jobs_count, default=1,
-                               metavar="N",
-                               help="shard the attribution fold over N "
-                                    "worker processes (needs --stream; "
-                                    "output stays byte-identical)")
     profile_sites.set_defaults(handler=_cmd_profile_sites)
 
     windows = sub.add_parser(
@@ -195,10 +185,6 @@ def register(sub) -> None:
                               f"(default {DEFAULT_FLIP_FRACTION})")
     _add_store_options(windows)
     _add_stream_option(windows)
-    windows.add_argument("--jobs", type=jobs_count, default=1, metavar="N",
-                         help="shard the window fold over N worker "
-                              "processes (needs --stream; output stays "
-                              "byte-identical)")
     windows.set_defaults(handler=_cmd_windows)
 
     report = sub.add_parser(
@@ -299,10 +285,6 @@ def _replay_with_telemetry(args: argparse.Namespace) -> Telemetry:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    if args.jobs > 1 and not args.stream:
-        raise ValueError(
-            "stats: --jobs shards the streamed replay; add --stream"
-        )
     telemetry = _replay_with_telemetry(args)
     summary = telemetry_summary(telemetry, top=args.top)
     if args.json:
@@ -323,10 +305,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile_sites(args: argparse.Namespace) -> int:
-    if args.jobs > 1 and not args.stream:
-        raise ValueError(
-            "profile-sites: --jobs shards the streamed fold; add --stream"
-        )
     store = _make_store(args)
     source = store.source(args.program, args.dataset)
     predictor = None
@@ -346,8 +324,8 @@ def _cmd_profile_sites(args: argparse.Namespace) -> int:
     else:
         print(render_attrib(profile, top=args.top))
     # Artifact notices go to stderr so stdout stays byte-identical
-    # across the materialized / --stream / --jobs replay modes (gated
-    # in CI and tests/test_stream_parity.py).
+    # across the materialized and --stream replay modes (gated in CI
+    # and tests/test_stream_parity.py).
     paths = export_attribution(profile, Path(args.out_dir))
     for kind in sorted(paths):
         print(f"attribution {kind}: {paths[kind]}", file=sys.stderr)
@@ -368,10 +346,6 @@ def _window_basename(profile) -> str:
 
 
 def _cmd_windows(args: argparse.Namespace) -> int:
-    if args.jobs > 1 and not args.stream:
-        raise ValueError(
-            "windows: --jobs shards the streamed fold; add --stream"
-        )
     store = _make_store(args)
     source = store.source(args.program, args.dataset)
     predictor = (
@@ -399,8 +373,8 @@ def _cmd_windows(args: argparse.Namespace) -> int:
         print()
         print(render_drift(drift, top=args.top))
     # Artifact notices go to stderr so stdout stays byte-identical
-    # across the materialized / --stream / --jobs replay modes (gated
-    # in CI and tests/test_stream_parity.py).
+    # across the materialized and --stream replay modes (gated in CI
+    # and tests/test_stream_parity.py).
     out_dir = Path(args.out_dir)
     basename = _window_basename(profile)
     paths = export_windows(profile, out_dir, basename=basename)

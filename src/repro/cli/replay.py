@@ -24,13 +24,10 @@ from repro.cli._options import (
     _add_stream_option,
     _make_store,
     _report_peak_rss,
-    jobs_count,
 )
 from repro.core.database import load_predictor
 from repro.core.predictor import DEFAULT_THRESHOLD
 from repro.obs import DEFAULT_SAMPLE_INTERVAL, Telemetry, export_timeline
-from repro.runtime.shard import ShardedTraceSource
-from repro.runtime.stream.v3 import TraceFileSource
 from repro.runtime.tracefile import load_trace, open_trace_stream
 from repro.static.escape import build_escape_db
 from repro.workloads.registry import PROGRAM_ORDER
@@ -64,10 +61,6 @@ def register_simulate(sub) -> None:
                           help="telemetry sample interval in allocations "
                                f"(default {DEFAULT_SAMPLE_INTERVAL})")
     _add_stream_option(simulate)
-    simulate.add_argument("--jobs", type=jobs_count, default=1, metavar="N",
-                          help="decode trace chunks with N worker "
-                               "processes (needs --stream and a v3 "
-                               "trace; output stays byte-identical)")
     simulate.set_defaults(handler=_cmd_simulate)
 
 
@@ -93,30 +86,12 @@ def register_escape_eval(sub) -> None:
                                  "instead of the table")
     _add_store_options(escape_cmd)
     _add_stream_option(escape_cmd)
-    escape_cmd.add_argument("--jobs", type=jobs_count, default=1,
-                            metavar="N",
-                            help="decode trace chunks with N worker "
-                                 "processes (needs --stream; output "
-                                 "stays byte-identical)")
     escape_cmd.set_defaults(handler=_cmd_escape_eval)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.jobs > 1 and not args.stream:
-        raise ValueError(
-            "simulate: --jobs shards the streamed replay; add --stream"
-        )
     trace = open_trace_stream(args.trace) if args.stream \
         else load_trace(args.trace)
-    if args.jobs > 1:
-        if isinstance(trace, TraceFileSource):
-            trace = ShardedTraceSource(args.trace, jobs=args.jobs)
-        else:
-            print(
-                "simulate: --jobs needs a v3 (.rtr3) trace to shard; "
-                "replaying serially",
-                file=sys.stderr,
-            )
     telemetry = (
         Telemetry(interval=args.interval)
         if args.telemetry_out is not None else None
@@ -162,10 +137,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_escape_eval(args: argparse.Namespace) -> int:
-    if args.jobs > 1 and not args.stream:
-        raise ValueError(
-            "escape-eval: --jobs shards the streamed replay; add --stream"
-        )
     store = _make_store(args)
     result = escape_eval(
         store,

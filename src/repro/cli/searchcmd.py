@@ -18,7 +18,6 @@ from repro.cli._options import (
     _add_store_options,
     _add_stream_option,
     _make_store,
-    jobs_count,
 )
 from repro.search import (
     DEFAULT_GENERATIONS,
@@ -94,10 +93,6 @@ def register(sub) -> None:
     _add_search_dir_option(run)
     _add_store_options(run)
     _add_stream_option(run)
-    run.add_argument("--jobs", type=jobs_count, default=1, metavar="N",
-                     help="shard the streamed replay over N workers "
-                          "(needs --stream; the recorded session is "
-                          "byte-identical to a serial run)")
     run.set_defaults(handler=_cmd_search_run)
 
     show = search_sub.add_parser(
@@ -132,8 +127,6 @@ def register(sub) -> None:
 
 
 def _cmd_search_run(args: argparse.Namespace) -> int:
-    if args.jobs > 1 and not args.stream:
-        raise ValueError("--jobs shards the streamed replay; add --stream")
     if args.space is not None:
         space = SearchSpace.from_json(
             Path(args.space).read_text(encoding="utf-8")

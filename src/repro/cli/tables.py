@@ -1,26 +1,20 @@
 """Cache and table command family: ``warm`` and ``table``.
 
-``warm`` populates the persistent trace cache (optionally in parallel);
-``table`` regenerates the paper's tables, serially or with one worker
-process per table.
+``warm`` populates the persistent trace cache (optionally in parallel,
+``--jobs N``); ``table`` regenerates the paper's tables in one process.
 
 ``_TABLES`` and the metrics registry are resolved through the package
 attribute (``repro.cli._TABLES`` / ``repro.cli.METRICS``) at call time,
-so tests substituting them on the package observe the swap — including
-inside the pickled ``--jobs`` worker.
+so tests substituting them on the package observe the swap.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from pathlib import Path
-from typing import Optional
 
 from repro import cli as _cli
-from repro.analysis import TraceStore
 from repro.analysis import report as report_mod
 from repro.analysis import tables as tables_mod
 from repro.cli._options import (
@@ -29,11 +23,11 @@ from repro.cli._options import (
     _add_stream_option,
     _make_store,
     _report_peak_rss,
+    jobs_count,
 )
-from repro.obs.metrics import Metrics, record_peak_rss
 from repro.obs.spans import TRACER
 
-__all__ = ["register", "_TABLES", "_table_worker"]
+__all__ = ["register", "_TABLES"]
 
 
 _TABLES = {
@@ -53,7 +47,9 @@ def register(sub) -> None:
     warm = sub.add_parser(
         "warm", help="populate the persistent trace cache"
     )
-    _add_store_options(warm, jobs=True)
+    _add_store_options(warm)
+    warm.add_argument("--jobs", type=jobs_count, default=1, metavar="N",
+                      help="worker processes (default 1: serial)")
     warm.add_argument("-v", "--verbose", action="store_true",
                       help="print per-stage wall times and cache counters")
     warm.add_argument("--metrics-json", metavar="PATH", default=None,
@@ -63,7 +59,7 @@ def register(sub) -> None:
 
     table = sub.add_parser("table", help="regenerate the paper's tables")
     table.add_argument("which", help="table number 1-9, or 'all'")
-    _add_store_options(table, jobs=True)
+    _add_store_options(table)
     _add_stream_option(table)
     _add_predictor_option(table)
     table.set_defaults(handler=_cmd_table)
@@ -100,28 +96,6 @@ def _cmd_warm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_worker(
-    key: str, scale: float, cache_dir: Optional[str], use_cache: bool,
-    streaming: bool = False,
-) -> tuple:
-    """Child-process body of ``table --jobs N``: render one table.
-
-    Returns the rendered text plus a :meth:`Metrics.to_dict` snapshot —
-    workload runs, cache hits, and this worker's peak RSS — so the
-    parent can merge it; without the snapshot ``--stream``'s peak-RSS
-    note would report the parent process only and span/cache counters
-    would under-count (exactly the bug ``warm(jobs=N)`` fixed in its
-    own worker).
-    """
-    metrics = Metrics()
-    store = TraceStore(scale=scale, cache_dir=cache_dir, use_cache=use_cache,
-                       streaming=streaming, metrics=metrics)
-    compute, render = _cli._TABLES[key]
-    text = render(compute(store))
-    record_peak_rss(metrics)
-    return text, metrics.to_dict()
-
-
 def _cmd_table(args: argparse.Namespace) -> int:
     tables = _cli._TABLES
     which = list(tables) if args.which == "all" else [args.which]
@@ -129,48 +103,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
         if key not in tables:
             raise ValueError(f"no table {key!r} (have 1-9 or 'all')")
     store = _make_store(args)
-    parallel = args.jobs > 1 and len(which) > 1
-    if parallel and store.cache is None:
-        # Without the disk cache there is nowhere for the warm step to
-        # publish traces, so every worker would re-execute all five
-        # workloads per table — N x the serial work for no speedup.
-        print(
-            "table: --jobs needs the persistent trace cache to share "
-            "workload executions across workers; cache disabled, "
-            "rendering serially with one in-process store",
-            file=sys.stderr,
-        )
-        parallel = False
-    if parallel:
-        # Publish the traces once through the disk cache, then render the
-        # tables in parallel workers (each loads from the cache).  Output
-        # order stays deterministic regardless of completion order.
-        store.warm(jobs=args.jobs)
-        worker = partial(
-            _table_worker,
-            scale=args.scale,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-            streaming=args.stream,
-        )
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for text, worker_metrics in pool.map(worker, which):
-                _cli.METRICS.merge(worker_metrics)
-                print(text)
-                print()
-    else:
-        if args.jobs > 1 and len(which) == 1 and not args.stream:
-            print(
-                "table: --jobs on a single table parallelizes within the "
-                "trace, which needs the streamed path; add --stream",
-                file=sys.stderr,
-            )
-        for key in which:
-            compute, render = tables[key]
-            with TRACER.span("table.render", cat="table", table=key):
-                text = render(compute(store))
-            print(text)
-            print()
+    for key in which:
+        compute, render = tables[key]
+        with TRACER.span("table.render", cat="table", table=key):
+            text = render(compute(store))
+        print(text)
+        print()
     if args.stream:
         _report_peak_rss()
     return 0

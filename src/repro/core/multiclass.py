@@ -34,7 +34,7 @@ from repro.core.sites import FULL_CHAIN, CallChain, site_key
 
 if TYPE_CHECKING:
     from repro.runtime.events import Trace
-    from repro.runtime.shard.folds import SiteSelectFold
+    from repro.runtime.folds import SiteSelectFold
     from repro.runtime.stream.protocol import EventSource
 
 __all__ = [

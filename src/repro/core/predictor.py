@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.runtime.events import Trace
-    from repro.runtime.shard.folds import SiteSelectFold
+    from repro.runtime.folds import SiteSelectFold
     from repro.runtime.stream.protocol import EventSource
 
 #: Consumers here take either an in-memory trace or an event stream; all
@@ -281,10 +281,8 @@ class StaticEscapePredictor(LifetimePredictor):
     ``"unknown"`` are both conservative "no" answers, so an unknown
     escape can never be predicted short.
 
-    This class is pure data (plain dicts of strings) so predictors cross
-    process boundaries in sharded evaluation, and it lives in
-    :mod:`repro.core` so the allocators and tables need no dependency on
-    the static layer.
+    It lives in :mod:`repro.core` so the allocators and tables need no
+    dependency on the static layer.
     """
 
     def __init__(
@@ -352,22 +350,20 @@ def site_maxima(trace: TraceLike) -> "SiteSelectFold":
     abstraction level and threshold reads only this fold, so one pass
     per execution serves them all (:meth:`SitePredictor.from_maxima`,
     :meth:`~repro.core.multiclass.MultiClassPredictor.from_maxima`).
-    Max is an order-independent fold, so a sharded source computes the
-    identical maxima in parallel.
+    Max is an order-independent fold, so a stream and an in-memory
+    trace give identical maxima.
     """
     # Imported lazily: repro.obs.telemetry imports this module for
     # DEFAULT_THRESHOLD, so a top-level obs import would be circular.
     from repro.obs.spans import TRACER
-    from repro.runtime.shard import SiteSelectFold, fold_object_lifetimes
+    from repro.runtime.folds import SiteSelectFold, fold_object_lifetimes
     from repro.runtime.stream.protocol import as_event_source
 
     source = as_event_source(trace)
     header = source.header
     with TRACER.span("profile.train_sites", cat="core",
                      program=header.program, dataset=header.dataset):
-        return fold_object_lifetimes(
-            source, lambda: SiteSelectFold(header.chains)
-        )
+        return fold_object_lifetimes(source, SiteSelectFold(header.chains))
 
 
 def train_site_predictor(
@@ -403,11 +399,11 @@ def train_size_only_predictor(
     trace: TraceLike, threshold: int = DEFAULT_THRESHOLD
 ) -> SizeOnlyPredictor:
     """Train a :class:`SizeOnlyPredictor`: sizes whose objects all died young."""
-    from repro.runtime.shard import SizeOnlyFold, fold_object_lifetimes
+    from repro.runtime.folds import SizeOnlyFold, fold_object_lifetimes
     from repro.runtime.stream.protocol import as_event_source
 
     source = as_event_source(trace)
-    fold = fold_object_lifetimes(source, lambda: SizeOnlyFold(threshold))
+    fold = fold_object_lifetimes(source, SizeOnlyFold(threshold))
     return SizeOnlyPredictor(
         fold.short_lived_sizes(), threshold=threshold,
         program=source.header.program,
@@ -420,11 +416,11 @@ def actual_short_lived_bytes(trace: TraceLike, threshold: int) -> int:
     This is the per-object ground truth behind the Actual Short-lived Bytes
     column: the most any site-based predictor could correctly capture.
     """
-    from repro.runtime.shard import ShortBytesFold, fold_object_lifetimes
+    from repro.runtime.folds import ShortBytesFold, fold_object_lifetimes
     from repro.runtime.stream.protocol import as_event_source
 
     return fold_object_lifetimes(
-        as_event_source(trace), lambda: ShortBytesFold(threshold)
+        as_event_source(trace), ShortBytesFold(threshold)
     ).total
 
 
@@ -511,12 +507,12 @@ def _evaluate(
     count_matched_sites: bool,
 ) -> PredictionEvaluation:
     # Scoring is sums and set unions over objects, so one fold serves
-    # serial and sharded sources alike.
-    from repro.runtime.shard import EvaluateFold, fold_object_lifetimes
+    # streams and in-memory traces alike.
+    from repro.runtime.folds import EvaluateFold, fold_object_lifetimes
 
     header = source.header
     fold = fold_object_lifetimes(
-        source, lambda: EvaluateFold(predictor, header.chains)
+        source, EvaluateFold(predictor, header.chains)
     )
     return fold.result(
         header, source.summary, count_matched_sites=count_matched_sites

@@ -19,9 +19,8 @@ halves that share one counter backend:
 :mod:`repro.obs.export` writes JSONL/JSON/CSV artifacts,
 :mod:`repro.obs.attrib` attributes simulated cost / occupancy /
 fragmentation / misprediction penalties per allocation site (an
-order-independent fold, so it shards), :mod:`repro.obs.windows`
-partitions a run into N windows of per-window heap series (another
-shardable fold), :mod:`repro.obs.drift` scores per-site temporal drift
+order-independent fold), :mod:`repro.obs.windows` partitions a run
+into N windows of per-window heap series (a position-aware fold), :mod:`repro.obs.drift` scores per-site temporal drift
 against the global classification, :mod:`repro.obs.diff` diffs two
 recorded sessions into per-site regression verdicts,
 :mod:`repro.obs.html` renders the self-contained HTML run report, and

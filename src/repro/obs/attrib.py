@@ -25,11 +25,10 @@ chain:
   ``missed_short`` (sent to the general heap, actually died under the
   threshold — capture left on the table).
 
-The fold obeys the :class:`~repro.runtime.shard.folds.LifetimeFold`
-contract — ``add`` is order-independent, ``merge`` commutative — so it
-runs identically materialized, streamed, and sharded over the v3 chunk
-index (``--jobs N``), and the exports are byte-identical across all
-three paths (gated in CI and ``tests/test_stream_parity.py``).
+The fold obeys the :class:`~repro.runtime.folds.LifetimeFold` contract
+— ``add`` is order-independent — so it runs identically materialized
+and streamed, and the exports are byte-identical across both paths
+(gated in CI and ``tests/test_stream_parity.py``).
 
 Deliberate exclusions, documented rather than approximated:
 
@@ -62,7 +61,9 @@ from repro.core.predictor import (
     SiteMemo,
 )
 from repro.core.sites import CallChain, ChainTable
-from repro.runtime.shard.folds import LifetimeFold
+from repro.obs.spans import TRACER
+from repro.runtime.folds import LifetimeFold, fold_object_lifetimes
+from repro.runtime.stream.protocol import as_event_source
 
 __all__ = [
     "ATTRIB_PROFILES",
@@ -172,14 +173,12 @@ def _bsd_padding(size: int) -> int:
 
 
 class AttributionFold(LifetimeFold):
-    """The per-site attribution accumulators as a shardable fold.
+    """The per-site attribution accumulators as a lifetime fold.
 
     ``add`` prices each object from its ``(chain, size, lifetime)``
-    alone — no heap state — so it is order-independent; ``merge`` sums
-    per-chain records, which is commutative and associative.  The fold
+    alone — no heap state — so it is order-independent.  The fold
     carries the chain table (to resolve chains for the predictor) and
-    the predictor itself; both are picklable, so instances cross the
-    process-pool boundary exactly like the training folds do.
+    the predictor itself.
     """
 
     def __init__(
@@ -256,15 +255,6 @@ class AttributionFold(LifetimeFold):
         site.free_instr += free
         site.frag_bytes += frag
         site.frag_byte_time += frag * lifetime
-
-    def merge(self, other: "AttributionFold") -> None:
-        mine = self.sites
-        for chain_id, site in other.sites.items():
-            current = mine.get(chain_id)
-            if current is None:
-                mine[chain_id] = site
-            else:
-                current.merge(site)
 
 
 @dataclass
@@ -372,12 +362,9 @@ def attribute_sites(
     """Attribute one execution's costs per call chain.
 
     ``trace`` is anything :func:`~repro.runtime.stream.protocol.
-    as_event_source` accepts.  The fold dispatches through
-    :func:`~repro.runtime.shard.engine.fold_object_lifetimes`, which
-    shards over the chunk index when the source advertises
-    ``shard_jobs > 1`` and otherwise folds the serial lifetime stream —
-    so materialized, streamed, and ``--jobs N`` inputs produce the same
-    profile field for field.
+    as_event_source` accepts.  The fold runs through
+    :func:`~repro.runtime.folds.fold_object_lifetimes`, so materialized
+    and streamed inputs produce the same profile field for field.
 
     With ``spec`` (an :class:`~repro.alloc.AllocatorSpec`) the profile
     and threshold come from the spec — the declarative path the search
@@ -388,20 +375,13 @@ def attribute_sites(
         profile = profile_for_spec(spec)
         if threshold is None:
             threshold = spec.threshold
-    # Imported lazily, mirroring repro.core.predictor: the shard engine
-    # imports repro.obs.spans, so a top-level import would tie the two
-    # packages' initialization orders together.
-    from repro.obs.spans import TRACER
-    from repro.runtime.shard.engine import fold_object_lifetimes
-    from repro.runtime.stream.protocol import as_event_source
-
     source = as_event_source(trace)
     header = source.header
     with TRACER.span("attrib.fold", cat="obs", program=header.program,
                      dataset=header.dataset, profile=profile):
         fold = fold_object_lifetimes(
             source,
-            lambda: AttributionFold(
+            AttributionFold(
                 header.chains, profile,
                 predictor=predictor, threshold=threshold, model=model,
             ),

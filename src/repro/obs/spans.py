@@ -68,7 +68,7 @@ class Span:
     args: Dict[str, Any] = field(default_factory=dict)
     #: Logical thread lane for export.  Spans recorded in this process
     #: are lane 1; spans absorbed from pool workers keep their worker's
-    #: lane so Perfetto shows parallel chunk decodes side by side.
+    #: lane so Perfetto shows parallel warm workers side by side.
     tid: int = 1
 
     @property
@@ -221,8 +221,11 @@ class SpanTracer:
         A pool worker tracing its own work calls this on exit and returns
         the snapshot with its result; the parent folds it back in with
         :meth:`absorb`.  ``start`` lets a reused pool process snapshot
-        only the spans of the current task.
+        only the spans of the current task.  Paths and depths are taken
+        relative to the spans still open here: a forked worker inherits
+        its parent's open stack, which :meth:`absorb` prefixes again.
         """
+        base = len(self._stack)
         spans = sorted(self.spans[start:], key=lambda s: s.seq)
         return [
             {
@@ -230,8 +233,8 @@ class SpanTracer:
                 "cat": s.cat,
                 "ts_us": s.ts_us,
                 "dur_us": s.dur_us,
-                "depth": s.depth,
-                "path": list(s.path),
+                "depth": s.depth - base,
+                "path": list(s.path[base:]),
                 "args": dict(s.args),
             }
             for s in spans

@@ -20,8 +20,8 @@ window:
   profile of :mod:`repro.obs.attrib`) of objects born in the window;
 * **lifetime quantiles of deaths** — p50/p90/p99 of the lifetimes of
   objects dying in the window, read from a log2-bucketed histogram
-  (exact ranks over bucket upper bounds: deterministic, mergeable, O(1)
-  memory per window — the order-*dependent* P² estimator cannot shard);
+  (exact ranks over bucket upper bounds: deterministic, order-independent,
+  O(1) memory per window — unlike the order-*dependent* P² estimator);
 * **per-site short-lived fractions** — objects, short-lived objects, and
   predictor verdicts per call chain, keyed by the *birth* window (the
   predictor acts at allocation time), which is what
@@ -35,10 +35,10 @@ order, so the i-th boundary is the birth byte-time of object
 and the fold then runs on byte-time positions exactly like the ``bytes``
 axis.  Either way the per-object window keys are functions of the
 object's intrinsic ``(obj_id, birth, death)`` record alone, so
-:class:`WindowFold` obeys the :class:`~repro.runtime.shard.folds.
-LifetimeFold` contract (order-independent ``add_object``, commutative
-``merge``) and runs byte-identically materialized, streamed, and sharded
-through :func:`~repro.runtime.shard.engine.fold_object_lifetimes`.
+:class:`WindowFold` obeys the :class:`~repro.runtime.folds.LifetimeFold`
+contract (order-independent ``add_object``) and runs byte-identically
+materialized and streamed through
+:func:`~repro.runtime.folds.fold_object_lifetimes`.
 """
 
 from __future__ import annotations
@@ -56,8 +56,13 @@ from repro.core.predictor import (
     SiteMemo,
 )
 from repro.core.sites import CallChain, ChainTable
-from repro.runtime.shard.folds import LifetimeFold
-from repro.runtime.stream.protocol import EV_ALLOC, EventSource
+from repro.obs.spans import TRACER
+from repro.runtime.folds import LifetimeFold, fold_object_lifetimes
+from repro.runtime.stream.protocol import (
+    EV_ALLOC,
+    EventSource,
+    as_event_source,
+)
 
 __all__ = [
     "WINDOW_AXES",
@@ -122,9 +127,8 @@ class WindowSpec:
     ``starts`` has one entry per window (``starts[0] == 0``), sorted
     non-decreasing; window ``w`` spans ``[starts[w], starts[w+1])`` in
     byte-time, the last window closing at ``end_time`` inclusive.  The
-    spec is a frozen value object — it travels to shard workers inside
-    the fold by pickling, and two folds built from the same spec key
-    every object identically regardless of event order.
+    spec is a frozen value object, so two folds built from the same
+    spec key every object identically regardless of event order.
     """
 
     axis: str
@@ -206,12 +210,6 @@ class SiteWindow:
     short_objects: int = 0
     predicted_objects: int = 0
 
-    def merge(self, other: "SiteWindow") -> None:
-        self.objects += other.objects
-        self.bytes += other.bytes
-        self.short_objects += other.short_objects
-        self.predicted_objects += other.predicted_objects
-
     def to_dict(self) -> Dict[str, int]:
         return {
             "objects": self.objects,
@@ -222,16 +220,13 @@ class SiteWindow:
 
 
 class WindowFold(LifetimeFold):
-    """The per-window accumulators as a shardable fold.
+    """The per-window accumulators as a position-aware lifetime fold.
 
     ``add_object`` keys every tally on the object's intrinsic positions
     (birth window for allocation-side metrics and site scoring, death
     window for death-side metrics, the overlapped range for occupancy
-    and boundary liveness), so it is order-independent; ``merge`` sums
-    per-window arrays and per-site records, which is commutative and
-    associative.  The fold carries the window spec, the chain table, and
-    the predictor — all picklable, so instances cross the process-pool
-    boundary exactly like the training folds do.
+    and boundary liveness), so it is order-independent.  The fold
+    carries the window spec, the chain table, and the predictor.
     """
 
     def __init__(
@@ -326,33 +321,6 @@ class WindowFold(LifetimeFold):
         if predicted:
             record.predicted_objects += 1
 
-    def merge(self, other: "WindowFold") -> None:
-        for name in (
-            "allocs", "alloc_bytes", "frees", "free_bytes", "frag_bytes",
-            "short_allocs", "short_alloc_bytes", "predicted_allocs",
-            "late_free", "missed_short",
-            "live_bytes_end", "live_objects_end", "occupancy",
-        ):
-            mine = getattr(self, name)
-            theirs = getattr(other, name)
-            for window, value in enumerate(theirs):
-                mine[window] += value
-        for window, hist in enumerate(other.death_hist):
-            mine_hist = self.death_hist[window]
-            for bucket, count in hist.items():
-                mine_hist[bucket] = mine_hist.get(bucket, 0) + count
-        for chain_id, per_site in other.sites.items():
-            mine_site = self.sites.get(chain_id)
-            if mine_site is None:
-                self.sites[chain_id] = per_site
-                continue
-            for window, record in per_site.items():
-                current = mine_site.get(window)
-                if current is None:
-                    mine_site[window] = record
-                else:
-                    current.merge(record)
-
 
 def _hist_quantile(hist: Dict[int, int], total: int, q: float) -> int:
     """The q-quantile's bucket upper bound (0 when nothing died).
@@ -360,7 +328,7 @@ def _hist_quantile(hist: Dict[int, int], total: int, q: float) -> int:
     Rank ``ceil(q * total)`` over the sorted buckets; bucket ``k`` holds
     lifetimes in ``[2^(k-1), 2^k)`` (bucket 0 holds exactly 0), so the
     reported value is the inclusive upper bound ``2^k - 1`` — an exact,
-    deterministic rank over a lossy but mergeable binning.
+    deterministic rank over a lossy but order-independent binning.
     """
     if total == 0:
         return 0
@@ -495,19 +463,10 @@ def window_profile(
     """Compute one execution's windowed time series.
 
     ``trace`` is anything :func:`~repro.runtime.stream.protocol.
-    as_event_source` accepts.  The fold dispatches through
-    :func:`~repro.runtime.shard.engine.fold_object_lifetimes`, which
-    shards over the chunk index when the source advertises
-    ``shard_jobs > 1`` — so materialized, streamed, and ``--jobs N``
-    inputs produce the same profile field for field.
+    as_event_source` accepts.  The fold runs through
+    :func:`~repro.runtime.folds.fold_object_lifetimes`, so materialized
+    and streamed inputs produce the same profile field for field.
     """
-    # Lazy imports mirror repro.obs.attrib: the shard engine imports
-    # repro.obs.spans, so a top-level import would tie initialization
-    # orders together.
-    from repro.obs.spans import TRACER
-    from repro.runtime.shard.engine import fold_object_lifetimes
-    from repro.runtime.stream.protocol import as_event_source
-
     source = as_event_source(trace)
     header = source.header
     spec = window_spec_for(source, windows=windows, by=by)
@@ -515,7 +474,7 @@ def window_profile(
                      dataset=header.dataset, windows=windows, axis=by):
         fold = fold_object_lifetimes(
             source,
-            lambda: WindowFold(
+            WindowFold(
                 spec, header.chains,
                 predictor=predictor, threshold=threshold,
             ),

@@ -403,9 +403,10 @@ def iter_object_records(
     yielded at their free event; objects never freed are yielded after
     the stream ends, in object-id order, dying at ``summary.end_time``.
     Folds that partition the run into windows key on the absolute
-    birth/death byte-times and the dense object id, which is why the
-    shard engine feeds its folds through the same tuple shape (see
-    :meth:`~repro.runtime.shard.folds.LifetimeFold.add_object`).
+    birth/death byte-times and the dense object id, which is why
+    :func:`~repro.runtime.folds.fold_object_lifetimes` feeds its folds
+    this tuple shape (see
+    :meth:`~repro.runtime.folds.LifetimeFold.add_object`).
 
     A malformed stream raises the
     :class:`~repro.runtime.tracefile.TraceFormatError` that

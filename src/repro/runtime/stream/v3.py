@@ -18,7 +18,7 @@ seek, so a reader exposes the :class:`~repro.runtime.stream.protocol.
 StreamSummary` *at open time* without touching the event frames; events
 then stream one chunk at a time, giving O(live objects + one chunk)
 replay memory.  The chunk index in the footer records every E frame's
-offset and event count for future sharded/partial readers.
+offset and event count.
 
 Writes go through :func:`repro.runtime.tracefile.atomic_output` — the
 same temp-file + ``os.replace`` path as the v2 writer — and gzip with
@@ -54,7 +54,6 @@ from repro.runtime import tracefile
 __all__ = [
     "DEFAULT_CHUNK_EVENTS",
     "TraceFileSource",
-    "read_chunk_events",
     "write_trace_v3",
 ]
 
@@ -235,17 +234,6 @@ class TraceFileSource(EventSource):
     def summary(self) -> StreamSummary:
         return self._summary
 
-    @property
-    def data_end(self) -> int:
-        """First offset past the event region (the footer frame offset).
-
-        Together with :attr:`chunk_index` this is everything a sharded
-        reader needs to hand a worker one chunk: the index supplies the
-        frame offset and expected event count, ``data_end`` bounds the
-        frame so a corrupt length field cannot read into the footer.
-        """
-        return self._data_end
-
     def events(self) -> Iterator[Event]:
         yielded = 0
         with open(self.path, "rb") as fh:
@@ -275,52 +263,6 @@ class TraceFileSource(EventSource):
                 f"{self.path}: event stream ended after {yielded} events, "
                 f"footer declares {self._summary.event_count}"
             )
-
-
-def read_chunk_events(
-    path: "tracefile.PathLike", offset: int, count: int, data_end: int
-) -> Tuple[Event, ...]:
-    """Decode one E frame named by a footer chunk-index entry.
-
-    ``offset`` and ``count`` come straight from a
-    :attr:`TraceFileSource.chunk_index` entry and ``data_end`` from
-    :attr:`TraceFileSource.data_end`; validation matches the serial
-    reader's (frame kind, per-event tuple shapes) plus the index's own
-    declared event count, so a corrupted index entry raises
-    :class:`~repro.runtime.tracefile.TraceFormatError` instead of
-    silently mis-partitioning a sharded replay.  This is the worker-side
-    primitive of :mod:`repro.runtime.shard`: it needs no state beyond
-    the four integers/strings, so process-pool workers can decode
-    chunks independently.
-    """
-    name = os.fspath(path)
-    with open(name, "rb") as fh:
-        fh.seek(offset)
-        kind, doc = _read_frame(fh, name, data_end)
-    if kind != _KIND_EVENTS:
-        raise tracefile.TraceFormatError(
-            f"{name}: chunk index points at a {kind!r} frame at "
-            f"offset {offset}, expected an event frame"
-        )
-    events = doc.get("events")
-    if not isinstance(events, list):
-        raise tracefile.TraceFormatError(
-            f"{name}: event chunk without an event list"
-        )
-    if len(events) != count:
-        raise tracefile.TraceFormatError(
-            f"{name}: chunk at offset {offset} holds {len(events)} "
-            f"events, index declares {count}"
-        )
-    out = []
-    for ev in events:
-        if (not isinstance(ev, list) or not ev
-                or _EVENT_LENGTHS.get(ev[0]) != len(ev)):
-            raise tracefile.TraceFormatError(
-                f"{name}: malformed event {ev!r}"
-            )
-        out.append(tuple(ev))
-    return tuple(out)
 
 
 def _read_frame(

@@ -6,12 +6,12 @@ could not afford to: *which* configuration wins on a given workload?
 A :class:`~repro.search.space.SearchSpace` declares the candidate
 axes, the grid enumerator or the seeded evolutionary driver generates
 validated :class:`~repro.alloc.spec.AllocatorSpec` candidates, each is
-replayed and attributed through the store's (optionally sharded)
+replayed and attributed through the store's (optionally streamed)
 event pipeline, and the :class:`~repro.search.objective.Objective`
 scores it against the paper-default baseline.  Ranked sessions land in
 ``results/search/SEARCH_<seq>.json`` with full provenance and no
 wall-clock noise, so the same search replays byte-identically —
-serial or ``--jobs N`` — and ``diff-sessions`` can gate one run
+materialized or ``--stream`` — and ``diff-sessions`` can gate one run
 against another.
 
 Exposed on the CLI as ``repro-alloc search run/show/best``.

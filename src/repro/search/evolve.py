@@ -10,7 +10,7 @@ revalidated by the spec schema.
 Everything random flows through one ``random.Random(seed)`` instance
 and every ranking tie-breaks on the canonical spec hash, so a given
 (seed, space, workload) triple replays to the identical candidate set
-and ranking — byte-identical sessions, serial or sharded.
+and ranking — byte-identical sessions, materialized or streamed.
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ the baseline spec's measurements — plus every evaluated candidate
 ranked by score (ties broken by canonical spec hash).
 
 Unlike bench sessions, search sessions carry **no wall-clock stamp and
-no worker count**: the same (space, workload, scale, seed, objective)
-must produce a byte-identical file whether the replay ran serially or
-sharded over ``--jobs N`` workers, and CI compares the files with
-``cmp`` to prove it.  The store mirrors :class:`~repro.bench.BenchStore`
+no replay mode**: the same (space, workload, scale, seed, objective)
+must produce a byte-identical file whether the replay ran materialized
+or streamed (``--stream``), and CI compares the files with ``cmp`` to
+prove it.  The store mirrors :class:`~repro.bench.BenchStore`
 (append-only numbered files, atomic writes, ``latest``/``prev``/seq/path
 references) so ``diff-sessions`` can gate one ranked session against
 another.
@@ -65,9 +65,9 @@ def default_search_dir() -> Path:
 def search_provenance() -> Dict[str, Any]:
     """The provenance block for a search session.
 
-    Deliberately excludes wall-clock time and the worker count: two runs
+    Deliberately excludes wall-clock time and the replay mode: two runs
     of the same search must produce byte-identical sessions regardless
-    of when they ran or how the replay was sharded.
+    of when they ran or whether the replay streamed.
     """
     return {
         "git_sha": git_sha(),

@@ -10,9 +10,8 @@ One candidate evaluation reads two results from the store:
 The store computes each distinct replay and attribution once: the grid's
 arena geometries share one attribution per predictor, and the grid's
 paper-default spec shares the baseline's replay.  A streaming store
-built with ``jobs > 1`` shards both passes over the v3 chunk index, so
-``--jobs`` parallelism comes from the existing pool rather than a second
-scheduler, and the recorded numbers cannot depend on the worker count.
+replays both passes from the cached v3 file, and the recorded numbers
+are the materialized store's byte for byte.
 
 Grid mode scores every spec the space enumerates; evolve mode walks the
 space with the seeded driver in :mod:`repro.search.evolve`.  Either

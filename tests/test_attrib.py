@@ -2,8 +2,8 @@
 
 Covers ISSUE 7: cost conservation against the trace totals, the exact
 per-profile pricing arithmetic, arena misprediction classification, the
-commutative add/merge contract (so the fold shards), byte-determinism of
-the exports, the collapsed-stack format, and the diff layer's verdict
+order-independent add contract (so streams and in-memory traces agree),
+byte-determinism of the exports, the collapsed-stack format, and the diff layer's verdict
 contract across all three session kinds (attribution, telemetry, bench)
 including the CLI exit codes.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import random
 
 import pytest
 
@@ -34,7 +35,6 @@ from repro.obs.diff import (
     diff_paths,
     render_diff_report,
 )
-from repro.runtime.shard import ShardedTraceSource
 from repro.runtime.stream.protocol import (
     TraceEventSource,
     as_event_source,
@@ -146,9 +146,7 @@ class TestAttributionFold:
         with pytest.raises(ValueError, match="unknown attribution profile"):
             attribute_sites(trace, profile="slab")
 
-    def test_merge_is_commutative_and_matches_serial(
-        self, trace, lifetimes
-    ):
+    def test_add_is_order_independent(self, trace, lifetimes):
         header = as_event_source(trace).header
 
         def fold_of(items):
@@ -156,35 +154,27 @@ class TestAttributionFold:
                                    threshold=THRESHOLD)
             for chain_id, size, life, touches in items:
                 fold.add(chain_id, size, life, touches)
-            return fold
+            return {cid: site.to_dict() for cid, site in fold.sites.items()}
 
-        serial = fold_of(lifetimes)
-        half = len(lifetimes) // 2
-        ab = fold_of(lifetimes[:half])
-        ab.merge(fold_of(lifetimes[half:]))
-        ba = fold_of(lifetimes[half:])
-        ba.merge(fold_of(lifetimes[:half]))
-        as_dict = lambda fold: {  # noqa: E731 - tiny local projection
-            cid: site.to_dict() for cid, site in fold.sites.items()
-        }
-        assert as_dict(ab) == as_dict(serial)
-        assert as_dict(ba) == as_dict(serial)
+        shuffled = list(lifetimes)
+        random.Random(7).shuffle(shuffled)
+        assert shuffled != list(lifetimes)
+        assert fold_of(shuffled) == fold_of(lifetimes)
+        assert fold_of(reversed(lifetimes)) == fold_of(lifetimes)
 
 
 class TestReplayModeParity:
-    def test_materialized_stream_sharded_identical(self, trace, tmp_path):
+    def test_materialized_stream_identical(self, trace, tmp_path):
         path = tmp_path / "churn.rtr3"
         write_trace_v3(TraceEventSource(trace), path, chunk_events=16)
         docs = [
-            attribute_sites(source, profile="bsd").to_dict()
-            for source in (
-                TraceEventSource(trace),
-                TraceFileSource(path),
-                ShardedTraceSource(path, jobs=2),
+            json.dumps(
+                attribute_sites(source, profile="bsd").to_dict(),
+                sort_keys=True,
             )
+            for source in (TraceEventSource(trace), TraceFileSource(path))
         ]
-        serialized = [json.dumps(doc, sort_keys=True) for doc in docs]
-        assert serialized[0] == serialized[1] == serialized[2]
+        assert docs[0] == docs[1]
 
 
 class TestExports:

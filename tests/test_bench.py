@@ -380,22 +380,12 @@ class TestCommittedPairs:
 
     # (old, new): {command: (exit code, regressions)}
     TABLE = {
-        ("parallel/BENCH_0001", "parallel/BENCH_0002"): {
-            "bench compare": (1, 2),
-            "bench compare --no-wall": (0, 0),
-            "diff-sessions": (0, 0),
-        },
         ("escape/BENCH_0001", "escape/BENCH_0002"): {
             "bench compare": (1, 22),
             "bench compare --no-wall": (1, 21),
             "diff-sessions": (1, 21),
         },
         ("baseline/BENCH_0001", "baseline/BENCH_0001"): {
-            "bench compare": (0, 0),
-            "bench compare --no-wall": (0, 0),
-            "diff-sessions": (0, 0),
-        },
-        ("baseline/BENCH_0001", "parallel/BENCH_0001"): {
             "bench compare": (0, 0),
             "bench compare --no-wall": (0, 0),
             "diff-sessions": (0, 0),

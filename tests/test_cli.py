@@ -341,3 +341,23 @@ class TestStreamingCli:
         assert streamed.out == materialized.out
         assert "peak rss:" in streamed.err
         assert "peak rss:" not in materialized.err
+
+
+class TestJobsOption:
+    """Replay and folds are serial; only ``warm`` runs worker processes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "t.rtr3"],
+        ["stats", "--program", "gawk"],
+        ["profile-sites", "--program", "gawk"],
+        ["windows", "--program", "gawk"],
+        ["escape-eval"],
+        ["search", "run", "--program", "cfrac"],
+        ["bench", "run"],
+        ["table", "1"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_only_warm_takes_jobs(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err

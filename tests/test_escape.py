@@ -356,8 +356,7 @@ class TestEscapeEvalCLI:
         cache = tmp_path / "cache"
         materialized = self._run([], cache, capsys)
         streamed = self._run(["--stream"], cache, capsys)
-        sharded = self._run(["--stream", "--jobs", "2"], cache, capsys)
-        assert materialized == streamed == sharded
+        assert materialized == streamed
         assert "cfrac" in materialized
 
     def test_json_reports_all_three_predictors(self, tmp_path, capsys):
@@ -369,10 +368,3 @@ class TestEscapeEvalCLI:
         assert row["program"] == "cfrac"
         assert set(row["arena_max_heap"]) == {"oracle", "static", "trained"}
         assert 0.0 <= row["static"]["accuracy"] <= 1.0
-
-    def test_jobs_without_stream_rejected(self, tmp_path, capsys):
-        assert main([
-            "escape-eval", "--programs", "cfrac", "--scale", "0.02",
-            "--cache-dir", str(tmp_path / "cache"), "--jobs", "2",
-        ]) == 1
-        assert "add --stream" in capsys.readouterr().err

@@ -7,8 +7,9 @@ ones do:
 
 * ``bind()`` against ``predicts_short_lived`` over generated chains with
   recursion cycles, for every predictor family and abstraction level;
-* the fold-based trainer against the profile-based selection rule, serial
-  and sharded, on the five workloads, down to the saved database bytes;
+* the fold-based trainer against the profile-based selection rule,
+  materialized and streamed, on the five workloads, down to the saved
+  database bytes;
 * memoized evaluation and arena replay against direct reference loops,
   and an allocator fed chain tuples against the replay that feeds ids;
 * the oracle, whose answer changes per object and so is never memoized;
@@ -50,7 +51,6 @@ from repro.core.predictor import (
 from repro.core.profile import build_profile
 from repro.core.sites import FULL_CHAIN, ChainTable, prune_recursive_cycles, round_size, site_key
 from repro.runtime.events import Trace
-from repro.runtime.shard import ShardedTraceSource
 from repro.runtime.stream.protocol import (
     EV_ALLOC,
     EV_FREE,
@@ -198,12 +198,6 @@ class TestTrainingMatchesProfileRule:
                 source, chain_length=length, size_rounding=rounding
             )
             assert trained.sites == expected
-
-    @pytest.mark.parametrize("program", PROGRAM_ORDER)
-    def test_sharded_training(self, train_traces, train_files, program):
-        expected = _profile_rule(train_traces[program], 32768, FULL_CHAIN, 4)
-        sharded = ShardedTraceSource(train_files[program], jobs=2)
-        assert train_site_predictor(sharded).sites == expected
 
     @pytest.mark.parametrize("program", PROGRAM_ORDER)
     def test_saved_database_bytes(self, train_traces, program, tmp_path):

@@ -2,8 +2,8 @@
 
 Unit layers (space, objective, evolution) run over a fake store on the
 synthetic churn trace; the end-to-end determinism test drives the real
-CLI on a tiny cfrac run and byte-compares the serial session against a
-``--jobs 2`` sharded one — the property the recorded trajectory leans
+CLI on a tiny cfrac run and byte-compares the materialized session
+against a ``--stream`` one — the property the recorded trajectory leans
 on.
 """
 
@@ -333,7 +333,8 @@ class TestSearchStore:
 
 
 class TestSearchCli:
-    def test_run_serial_vs_jobs2_byte_identical(self, tmp_path, capsys):
+    def test_run_materialized_vs_stream_byte_identical(self, tmp_path,
+                                                       capsys):
         cache = str(tmp_path / "cache")
         space = tmp_path / "space.json"
         space.write_text(
@@ -342,21 +343,20 @@ class TestSearchCli:
             ).to_json(),
             encoding="utf-8",
         )
-        serial_dir = tmp_path / "serial"
-        sharded_dir = tmp_path / "sharded"
+        materialized_dir = tmp_path / "materialized"
+        streamed_dir = tmp_path / "streamed"
         base = [
             "search", "run", "--program", "cfrac", "--scale", "0.02",
             "--cache-dir", cache, "--space", str(space),
         ]
-        assert main(base + ["--search-dir", str(serial_dir)]) == 0
+        assert main(base + ["--search-dir", str(materialized_dir)]) == 0
         assert main(
-            base + ["--search-dir", str(sharded_dir),
-                    "--stream", "--jobs", "2"]
+            base + ["--search-dir", str(streamed_dir), "--stream"]
         ) == 0
         capsys.readouterr()
-        serial = (serial_dir / "SEARCH_0001.json").read_bytes()
-        sharded = (sharded_dir / "SEARCH_0001.json").read_bytes()
-        assert serial == sharded
+        materialized = (materialized_dir / "SEARCH_0001.json").read_bytes()
+        streamed = (streamed_dir / "SEARCH_0001.json").read_bytes()
+        assert materialized == streamed
 
     def test_show_and_best_read_the_session(self, tmp_path, capsys,
                                             fake_store):
@@ -374,18 +374,6 @@ class TestSearchCli:
         ) == 0
         best = json.loads(capsys.readouterr().out)
         assert best["rank"] == 1
-
-    def test_jobs_without_stream_is_an_error(self, capsys):
-        assert main([
-            "search", "run", "--program", "cfrac", "--jobs", "2",
-        ]) == 1
-        assert "add --stream" in capsys.readouterr().err
-
-    def test_bad_jobs_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["search", "run", "--program", "cfrac", "--jobs", "0"])
-        assert excinfo.value.code == 2
-        assert "must be >= 1" in capsys.readouterr().err
 
     def test_missing_session_is_a_clean_error(self, tmp_path, capsys):
         assert main(

@@ -10,10 +10,6 @@ trained predictor databases must serialize to identical bytes.
 One module-scoped fixture runs the five workloads (train + test datasets)
 at scale 0.05; everything downstream reuses those runs via the shared
 cache directory.
-
-The sharded tests replay the same cache through a ``jobs=2`` store
-(DESIGN.md §11): chunk-parallel decode plus the map/reduce lifetime
-folds must hold the same byte-identity bar the serial stream does.
 """
 
 from __future__ import annotations
@@ -56,18 +52,6 @@ def stores(tmp_path_factory):
     return materialized, streaming
 
 
-@pytest.fixture(scope="module")
-def sharded_store(stores):
-    """A jobs=2 streaming store over the same converted v3 cache."""
-    _, streaming = stores
-    return TraceStore(
-        scale=SCALE,
-        cache_dir=streaming.cache.directory,
-        streaming=True,
-        jobs=2,
-    )
-
-
 def test_streaming_store_replays_files_not_memory(stores):
     _, streaming = stores
     assert isinstance(streaming.source("gawk"), TraceFileSource)
@@ -103,51 +87,16 @@ def test_cce_predictors_agree(stores):
         ), program
 
 
-def test_sharded_store_hands_out_sharded_sources(stores, sharded_store):
-    from repro.runtime.shard import ShardedTraceSource
-
-    source = sharded_store.source("gawk")
-    assert isinstance(source, ShardedTraceSource)
-    assert source.shard_jobs == 2
-
-
-def test_sharded_tables_4_7_8_are_byte_identical(stores, sharded_store):
-    """The five-workload sharded parity gate (ISSUE 6 acceptance)."""
-    materialized, _ = stores
-    renderers = (
-        (table4, report.render_table4),
-        (table7, report.render_table7),
-        (table8, report.render_table8),
-    )
-    for build, render in renderers:
-        assert render(build(sharded_store)) == render(build(materialized))
-
-
-def test_sharded_predictor_databases_are_byte_identical(
-    stores, sharded_store, tmp_path
-):
-    materialized, _ = stores
-    for program in PROGRAM_ORDER:
-        mat_path = tmp_path / f"{program}-materialized.db"
-        shard_path = tmp_path / f"{program}-sharded.db"
-        save_predictor(materialized.predictor(program), mat_path)
-        save_predictor(sharded_store.predictor(program), shard_path)
-        assert shard_path.read_bytes() == mat_path.read_bytes(), program
-
-
-def test_windows_and_drift_are_byte_identical_across_replay_modes(
-    stores, sharded_store
-):
+def test_windows_and_drift_are_byte_identical_across_replay_modes(stores):
     """The five-workload ``windows`` parity gate (ISSUE 8 acceptance).
 
     The windowed time-series document and the drift report derived from
     it — serialized exactly as their JSON exports write them — must be
-    byte-identical whether the fold consumed the materialized trace, the
-    serial v3 stream, or the jobs=2 sharded replay.  Window boundaries
-    come from the trace header (bytes axis) so the partition is
-    identical by construction; what this gate proves is that the
-    per-window tallies and per-site scores survive out-of-order,
-    merge-reduced delivery.
+    byte-identical whether the fold consumed the materialized trace or
+    the v3 stream.  Window boundaries come from the trace header (bytes
+    axis) so the partition is identical by construction; what this gate
+    proves is that the per-window tallies and per-site scores survive
+    the stream's free-order delivery.
     """
     import json
 
@@ -158,7 +107,7 @@ def test_windows_and_drift_are_byte_identical_across_replay_modes(
     for program in PROGRAM_ORDER:
         predictor = materialized.predictor(program)
         docs = []
-        for store in (materialized, streaming, sharded_store):
+        for store in (materialized, streaming):
             profile = window_profile(
                 store.source(program, "test"),
                 windows=8,
@@ -172,10 +121,10 @@ def test_windows_and_drift_are_byte_identical_across_replay_modes(
                 indent=2,
                 sort_keys=True,
             ))
-        assert docs[0] == docs[1] == docs[2], program
+        assert docs[0] == docs[1], program
 
 
-def test_events_axis_windows_are_byte_identical(stores, sharded_store):
+def test_events_axis_windows_are_byte_identical(stores):
     """The events axis needs a prepass over the stream to place window
     boundaries, so it exercises re-iterability of every source kind; the
     resulting document must still be mode-independent.  One workload
@@ -194,21 +143,19 @@ def test_events_axis_windows_are_byte_identical(stores, sharded_store):
             indent=2,
             sort_keys=True,
         )
-        for store in (materialized, streaming, sharded_store)
+        for store in (materialized, streaming)
     ]
-    assert docs[0] == docs[1] == docs[2]
+    assert docs[0] == docs[1]
 
 
-def test_attribution_is_byte_identical_across_replay_modes(
-    stores, sharded_store
-):
+def test_attribution_is_byte_identical_across_replay_modes(stores):
     """The five-workload ``profile-sites`` parity gate (ISSUE 7).
 
     The attribution document — serialized exactly as the JSON export
     writes it — must be byte-identical whether the fold consumed the
-    materialized trace, the serial v3 stream, or the jobs=2 sharded
-    replay.  The predictor comes from the materialized store on all
-    three paths so the only variable is the event pipeline.
+    materialized trace or the v3 stream.  The predictor comes from the
+    materialized store on both paths so the only variable is the event
+    pipeline.
     """
     import json
 
@@ -227,6 +174,6 @@ def test_attribution_is_byte_identical_across_replay_modes(
                 indent=2,
                 sort_keys=True,
             )
-            for store in (materialized, streaming, sharded_store)
+            for store in (materialized, streaming)
         ]
-        assert docs[0] == docs[1] == docs[2], program
+        assert docs[0] == docs[1], program

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import threading
+from collections import Counter
 
 import pytest
 
 from repro.analysis.experiments import TraceStore
+from repro.cli import main
 from repro.obs.metrics import Metrics
+from repro.obs.spans import TRACER
 from repro.analysis import trace_cache as trace_cache_mod
 from repro.analysis.trace_cache import TraceCache, default_cache_dir
 from repro.runtime import tracefile
@@ -168,7 +172,10 @@ class TestWarm:
 
     def test_parallel_warm_populates_cache(self, tmp_path):
         store = TraceStore(scale=0.02, cache_dir=str(tmp_path))
+        before = len(TRACER.spans)
         results = store.warm(jobs=2)
+        # With tracing off, workers ship no spans back.
+        assert not TRACER.enabled and len(TRACER.spans) == before
         assert len(results) == 10
         assert {r.source for r in results} == {"run"}
         assert [(r.program, r.dataset) for r in results] == store.warm_pairs()
@@ -204,6 +211,59 @@ class TestWarm:
         assert no_cache.trace("cfrac", "train") is no_cache.trace(
             "cfrac", "train"
         )
+
+
+class TestWarmCli:
+    def test_warm_no_cache_jobs_warns(self, capsys):
+        assert main([
+            "warm", "--no-cache", "--jobs", "2", "--scale", "0.02",
+        ]) == 0
+        err = capsys.readouterr().err
+        assert "warming serially" in err
+
+    def test_bad_jobs_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["warm", "--jobs", "0"])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    def test_parallel_warm_records_serial_spans(self, tmp_path, capsys):
+        # Regression: pool workers traced nothing, so a parallel warm's
+        # span export held only the cli.warm and warm spans.
+        def spans(name, *jobs):
+            out = tmp_path / f"{name}.json"
+            folded = tmp_path / f"{name}.folded"
+            assert main([
+                "--spans-out", str(out), "--spans-folded", str(folded),
+                "warm", "--scale", "0.02",
+                "--cache-dir", str(tmp_path / name), *jobs,
+            ]) == 0
+            events = [
+                event for event in json.loads(out.read_text())["traceEvents"]
+                if event["ph"] == "X"
+            ]
+            names = Counter(event["name"] for event in events)
+            lanes = {
+                event["tid"] for event in events
+                if event["name"] == "workload.run"
+            }
+            paths = {
+                line.rsplit(" ", 1)[0]
+                for line in folded.read_text().splitlines()
+            }
+            return names, lanes, paths
+
+        serial_names, serial_lanes, serial_paths = spans("serial")
+        parallel_names, parallel_lanes, parallel_paths = spans(
+            "parallel", "--jobs", "2"
+        )
+        capsys.readouterr()
+        assert serial_names["workload.run"] == 10
+        assert parallel_names == serial_names
+        assert parallel_paths == serial_paths
+        # Worker spans land on lanes of their own beside the parent's.
+        assert serial_lanes == {1}
+        assert parallel_lanes and min(parallel_lanes) >= 2
 
 
 class TestMetrics:
