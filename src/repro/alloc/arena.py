@@ -154,6 +154,12 @@ class ArenaAllocator(Allocator):
         self._arena_base = base
         self._arena_limit = base + num_arenas * arena_size
         self._current = 0
+        # Set on the reset path only: 1 + the highest arena index made
+        # current, and whether a scan ever found every arena live.  A
+        # replay that never exhausted its arenas counts the same with
+        # any count >= arenas_used (DESIGN.md §17).
+        self.arenas_used = 1
+        self.arenas_exhausted = False
         self._general = FirstFitAllocator(base=self._arena_limit)
         # Table 7 accounting.
         self.arena_bytes = 0
@@ -210,9 +216,13 @@ class ArenaAllocator(Allocator):
                                 candidate.reset()
                                 ops.arena_resets += 1
                                 self._current = index
+                                if index >= self.arenas_used:
+                                    self.arenas_used = index + 1
                                 arena = candidate
                                 addr = candidate.alloc
                                 break
+                        else:
+                            self.arenas_exhausted = True
                 if arena is not None:
                     arena.alloc = addr + need
                     arena.count += 1

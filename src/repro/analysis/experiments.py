@@ -31,9 +31,10 @@ from __future__ import annotations
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.alloc.arena import DEFAULT_NUM_ARENAS
 from repro.alloc.costs import DEFAULT_COST_MODEL, CostModel
 from repro.obs.attrib import (
     AttributionProfile,
@@ -45,6 +46,7 @@ from repro.obs.spans import TRACER
 from repro.analysis.simulate import (
     ReplayCounts,
     SimulationResult,
+    counts_for,
     price,
     replay_spec,
 )
@@ -140,11 +142,12 @@ class TraceStore:
     (e.g. the oracle simulation).
 
     The store also computes each distinct derived result once (DESIGN.md
-    §17): one replay per allocator placement (:meth:`simulate`), one
-    site-maxima fold per execution that every site and multi-class
-    predictor selects from, and one attribution per distinct prediction
-    (:meth:`attribution`).  These memos hold results only — counters,
-    max-lifetime dicts, profiles — and live exactly as long as the store.
+    §17): one replay per allocator placement, shared by the arena counts
+    it never outgrew (:meth:`simulate`), one site-maxima fold per
+    execution that every site and multi-class predictor selects from,
+    and one attribution per distinct prediction (:meth:`attribution`).
+    These memos hold results only — counters, max-lifetime dicts,
+    profiles — and live exactly as long as the store.
     """
 
     def __init__(
@@ -181,7 +184,7 @@ class TraceStore:
         # Derived-result memos (DESIGN.md §17): results only, never an
         # allocator or a source.
         self._site_folds: Dict[Tuple[str, str], SiteSelectFold] = {}
-        self._replays: Dict[tuple, ReplayCounts] = {}
+        self._replays: Dict[tuple, List[ReplayCounts]] = {}
         self._attributions: Dict[tuple, AttributionProfile] = {}
 
     @property
@@ -381,22 +384,32 @@ class TraceStore:
     ) -> SimulationResult:
         """``spec`` replayed on one execution, once per placement.
 
-        Memoized per ``(program, dataset, spec.placement())``, so specs
-        that differ only in the costing ``strategy`` share a replay.
-        Every call prices the stored counters under its own strategy and
-        ``model`` with :func:`~repro.analysis.simulate.price`, the
-        function :func:`~repro.analysis.simulate.simulate_spec` prices
-        with, so the result equals a fresh ``simulate_spec`` field for
-        field.  Telemetry and timed replays call ``simulate_spec``
-        directly, because they must run.
+        Memoized per ``(program, dataset, spec.placement())`` with
+        ``num_arenas`` aside, so specs that differ only in the costing
+        ``strategy`` share a replay, and an arena spec is answered by
+        any stored replay that never outgrew its arena count
+        (:func:`~repro.analysis.simulate.counts_for`).  Every call
+        prices the counters under its own strategy and ``model`` with
+        :func:`~repro.analysis.simulate.price`, the function
+        :func:`~repro.analysis.simulate.simulate_spec` prices with, so
+        the result equals a fresh ``simulate_spec`` field for field.
+        Telemetry and timed replays call ``simulate_spec`` directly,
+        because they must run.
         """
-        key = (program, dataset, spec.placement())
-        counts = self._replays.get(key)
-        if counts is None:
-            counts = self._replays[key] = replay_spec(
+        placement = spec.placement()
+        key = (program, dataset,
+               replace(placement, num_arenas=DEFAULT_NUM_ARENAS))
+        replays = self._replays.setdefault(key, [])
+        for stored in replays:
+            counts = counts_for(stored, placement)
+            if counts is not None:
+                break
+        else:
+            counts = replay_spec(
                 self.source(program, dataset), spec,
                 self.predictor_for(program, spec),
             )
+            replays.append(counts)
         return price(counts, spec, model)
 
     def attribution(

@@ -13,12 +13,13 @@ A simulation is two steps: :func:`replay_spec` drives the allocator
 and keeps its counters (:class:`ReplayCounts`), and :func:`price` turns
 counters into instruction costs.  Pricing never touches the trace, so
 :meth:`~repro.analysis.experiments.TraceStore.simulate` replays each
-distinct placement once and prices it per caller.
+distinct placement once and prices it per caller; :func:`counts_for`
+lets one arena replay answer every arena count it never outgrew.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.alloc.arena import DEFAULT_ARENA_SIZE, DEFAULT_NUM_ARENAS
@@ -57,6 +58,7 @@ __all__ = [
     "ReplayCounts",
     "replay",
     "replay_spec",
+    "counts_for",
     "price",
     "simulate_spec",
     "simulate_firstfit",
@@ -271,6 +273,10 @@ class ReplayCounts:
     general_bytes: int = 0
     arena_area_size: int = 0
     total_calls: int = 0
+    #: Kind ``arena`` only: 1 + the highest arena index the replay made
+    #: current, and whether a scan ever found every arena live.
+    arenas_used: int = 0
+    arenas_exhausted: bool = False
 
 
 def replay_spec(
@@ -293,16 +299,49 @@ def replay_spec(
     )
     if spec.kind in ("firstfit", "bsd"):
         return ReplayCounts(**common)
+    if spec.kind == "multiarena":
+        area = dict(arena_area_size=allocator.total_area_size)
+    else:
+        area = dict(
+            arena_area_size=allocator.arena_area_size,
+            arenas_used=allocator.arenas_used,
+            arenas_exhausted=allocator.arenas_exhausted,
+        )
     return ReplayCounts(
         general_ops=allocator.general.ops,
         arena_bytes=allocator.arena_bytes,
         general_bytes=allocator.general_bytes,
-        arena_area_size=(
-            allocator.total_area_size if spec.kind == "multiarena"
-            else allocator.arena_area_size
-        ),
         total_calls=source.summary.total_calls,
+        **area,
         **common,
+    )
+
+
+def counts_for(
+    counts: ReplayCounts, spec: AllocatorSpec
+) -> Optional[ReplayCounts]:
+    """What a replay of ``spec`` counts, read off ``counts``; or None.
+
+    ``counts`` is a replay of ``spec``'s placement with ``num_arenas``
+    aside.  Arenas past ``arenas_used`` never changed a counter, and the
+    general heap's counters do not depend on where it starts, so a
+    replay that never found all its arenas live counts the same with
+    any count from ``arenas_used`` up (DESIGN.md §17).  Only the arena
+    area, and the max heap that includes it, are rewritten.  None when
+    ``counts`` cannot tell: it exhausted its arenas, or reached more
+    than ``spec`` has.
+    """
+    if spec.kind != "arena":
+        return counts
+    area = spec.num_arenas * spec.arena_size
+    if area == counts.arena_area_size:
+        return counts
+    if counts.arenas_exhausted or counts.arenas_used > spec.num_arenas:
+        return None
+    return replace(
+        counts,
+        arena_area_size=area,
+        max_heap_size=counts.max_heap_size - counts.arena_area_size + area,
     )
 
 

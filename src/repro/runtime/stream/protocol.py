@@ -62,6 +62,7 @@ __all__ = [
     "TraceEventSource",
     "as_event_source",
     "build_trace",
+    "check_footer",
     "event_error",
     "first_malformed",
     "iter_object_lifetimes",
@@ -296,6 +297,40 @@ def first_malformed(source: EventSource) -> TraceFormatError:
     )
 
 
+def check_footer(source: EventSource, objects: int, allocated: int,
+                 still_live) -> None:
+    """Raise unless ``source``'s footer agrees with its events.
+
+    ``objects`` and ``allocated`` are the objects and bytes the events
+    allocated, and ``still_live(obj_id)`` tells whether an object was
+    never freed.  The footer's ``total_objects`` must count the objects,
+    its ``end_time`` (the byte-time clock at exit) must equal the bytes,
+    and every ``unfreed_touches`` id must name an object still live at
+    the end.  :func:`build_trace` and :func:`iter_object_records` call
+    this once their single pass ends, so both raise the same
+    :class:`~repro.runtime.tracefile.TraceFormatError`, naming the file
+    and the footer field.
+    """
+    where = _where(source)
+    summary = source.summary
+    if summary.total_objects != objects:
+        raise TraceFormatError(
+            f"{where}: footer total_objects is {summary.total_objects}, "
+            f"but the events allocate {objects} objects"
+        )
+    if summary.end_time != allocated:
+        raise TraceFormatError(
+            f"{where}: footer end_time is {summary.end_time}, but the "
+            f"events allocate {allocated} bytes"
+        )
+    for obj_id, _ in summary.unfreed_touches:
+        if not still_live(obj_id):
+            raise TraceFormatError(
+                f"{where}: footer unfreed_touches names object {obj_id}, "
+                f"which is not live at the end of the stream"
+            )
+
+
 def build_trace(source: EventSource) -> Trace:
     """Materialize an event stream back into an in-memory :class:`Trace`.
 
@@ -310,7 +345,9 @@ def build_trace(source: EventSource) -> Trace:
     chain id the header never interned, or a free of an object that is
     not live — never allocated, negative, or already freed.  An event's
     offset is the length of the event array before it, so the checks
-    cost a comparison or two per event and keep no counter.
+    cost a comparison or two per event and keep no counter.  A footer
+    that disagrees with the events raises too (see
+    :func:`check_footer`).
     """
     header = source.header
     chain_count = len(header.chains)
@@ -350,6 +387,11 @@ def build_trace(source: EventSource) -> Trace:
         if ev and ev[0] == EV_FREE and ev[1] >= len(sizes):
             raise event_error(source, len(events), ev) from exc
         raise
+    objects = len(sizes)
+    check_footer(
+        source, objects, sum(sizes),
+        lambda obj_id: 0 <= obj_id < objects and deaths[obj_id] == never,
+    )
     summary = source.summary
     for obj_id, count in summary.unfreed_touches:
         touches[obj_id] = count
@@ -408,19 +450,22 @@ def iter_object_records(
     this tuple shape (see
     :meth:`~repro.runtime.folds.LifetimeFold.add_object`).
 
-    A malformed stream raises the
+    A malformed stream, or a footer that disagrees with it, raises the
     :class:`~repro.runtime.tracefile.TraceFormatError` that
-    :func:`build_trace` raises for it (see :func:`first_malformed`).
+    :func:`build_trace` raises for it (see :func:`first_malformed` and
+    :func:`check_footer`).
     """
     chain_count = len(source.header.chains)
     live = {}
     next_id = 0
+    allocated = 0
     for ev in source.events():
         tag = ev[0]
         if tag == EV_ALLOC:
             if ev[1] != next_id or not 0 <= ev[2] < chain_count:
                 raise first_malformed(source)
             next_id += 1
+            allocated += ev[3]
             live[ev[1]] = (ev[2], ev[3], ev[4])
         elif tag == EV_FREE:
             try:
@@ -428,6 +473,7 @@ def iter_object_records(
             except KeyError as exc:
                 raise first_malformed(source) from exc
             yield (ev[1], chain_id, size, birth, ev[2], ev[3])
+    check_footer(source, next_id, allocated, live.__contains__)
     summary = source.summary
     end_time = summary.end_time
     unfreed_touches = dict(summary.unfreed_touches)

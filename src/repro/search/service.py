@@ -8,10 +8,13 @@ One candidate evaluation reads two results from the store:
   per-site attribution fold, for fragmentation byte-time.
 
 The store computes each distinct replay and attribution once: the grid's
-arena geometries share one attribution per predictor, and the grid's
-paper-default spec shares the baseline's replay.  A streaming store
-replays both passes from the cached v3 file, and the recorded numbers
-are the materialized store's byte for byte.
+arena geometries share one attribution per predictor, and specs that
+differ only in ``num_arenas`` share one replay whenever it never
+outgrew their arena count.  On every program at scales 0.1 and 1.0
+the default grid runs one replay per (arena size, threshold): 6 for
+its 18 specs and the baseline.  A streaming store replays both passes
+from the cached v3 file, and the recorded numbers are the materialized
+store's byte for byte.
 
 Grid mode scores every spec the space enumerates; evolve mode walks the
 space with the seeded driver in :mod:`repro.search.evolve`.  Either
@@ -67,8 +70,9 @@ def evaluate_spec(
     total and the max heap, and its attribution
     (:meth:`TraceStore.attribution`) gives fragmentation byte-time.
     Each pass runs only when no earlier spec on this store needed the
-    same replay or fold, so a candidate costs at most one replay and one
-    attribution fold, and usually just the replay.
+    same fold or, for the replay, the same placement with an arena
+    count that replay never outgrew.  So a candidate costs at most one
+    replay and one attribution fold, and often neither.
     """
     with TRACER.span(
         "search.simulate", cat="search", spec=spec.spec_hash()

@@ -7,7 +7,8 @@ and mutates *within the same axes*, so every candidate either mode
 produces is a validated :class:`~repro.alloc.spec.AllocatorSpec` drawn
 from the declared space.  Combinations the spec schema rejects (for
 example a ``firstfit`` kind paired with a trained predictor) are
-skipped rather than repaired, keeping the space declaration honest.
+skipped rather than repaired, keeping the space declaration honest;
+a space whose every combination is rejected is itself an error.
 
 The space serializes to JSON (``--space FILE``) and hashes canonically,
 so a search session records exactly which design space produced it.
@@ -79,7 +80,8 @@ class SearchSpace:
         self.validate()
 
     def validate(self) -> None:
-        """Raise :class:`SearchSpaceError` unless every axis is usable."""
+        """Raise :class:`SearchSpaceError` unless every axis is usable
+        and the axes combine into at least one valid spec."""
         for space_field, _ in _AXES:
             values = getattr(self, space_field)
             if not values:
@@ -92,6 +94,11 @@ class SearchSpace:
                     f"search space {space_field} repeats a value: "
                     f"{list(values)}"
                 )
+        if next(self.specs(), None) is None:
+            raise SearchSpaceError(
+                "search space has no valid spec: the allocator spec "
+                "schema rejects every combination of its values"
+            )
 
     # ------------------------------------------------------------------
     # Enumeration and sampling

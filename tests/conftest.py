@@ -6,6 +6,8 @@ traces are session-scoped; tests must treat them as read-only.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.sites import ChainTable
@@ -24,10 +26,11 @@ class ListSource(EventSource):
 
     The events are taken as given, malformed or not, so error-contract
     tests can feed any consumer (or ``write_trace_v3``) a stream the
-    traced runtime would never record.
+    traced runtime would never record.  The summary is the one the
+    events imply, with any ``summary`` field overrides applied.
     """
 
-    def __init__(self, events, chains=(("main", "f"),)):
+    def __init__(self, events, chains=(("main", "f"),), summary=None):
         self._events = list(events)
         self._header = StreamHeader("bad", "test", ChainTable.from_list(chains),
                                     has_touch_events=False)
@@ -37,6 +40,8 @@ class ListSource(EventSource):
             end_time=sum(ev[3] for ev in allocs), total_objects=len(allocs),
             event_count=len(self._events),
         )
+        if summary:
+            self._summary = dataclasses.replace(self._summary, **summary)
 
     @property
     def header(self):

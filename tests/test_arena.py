@@ -137,6 +137,23 @@ class TestArenaAllocator:
         assert alloc.ops.arena_overflows == 1
         alloc.check_invariants()
 
+    def test_records_arenas_reached_and_exhaustion(self):
+        # 64-byte arenas of 48-byte objects: each allocation fills one.
+        alloc = ArenaAllocator(AlwaysShort(), num_arenas=3, arena_size=64)
+        first = alloc.malloc(48, CHAIN)
+        assert (alloc.arenas_used, alloc.arenas_exhausted) == (1, False)
+        alloc.malloc(48, CHAIN)  # arena 0 is full and live: use arena 1
+        assert (alloc.arenas_used, alloc.arenas_exhausted) == (2, False)
+        alloc.free(first)
+        alloc.malloc(48, CHAIN)  # arena 0 emptied first: reset it
+        alloc.malloc(4096, CHAIN)  # oversized: never scans
+        assert (alloc.arenas_used, alloc.arenas_exhausted) == (2, False)
+        alloc.malloc(48, CHAIN)
+        assert (alloc.arenas_used, alloc.arenas_exhausted) == (3, False)
+        alloc.malloc(48, CHAIN)  # all three live: overflow
+        assert (alloc.arenas_used, alloc.arenas_exhausted) == (3, True)
+        assert alloc.ops.arena_overflows == 2
+
     def test_free_dispatch_by_address(self):
         alloc = ArenaAllocator(AlwaysShort(), num_arenas=2, arena_size=128)
         arena_addr = alloc.malloc(16, CHAIN)

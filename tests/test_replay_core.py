@@ -126,15 +126,20 @@ def _reference(events, chains, spec, predictor, telemetry=None):
     )
     if spec.kind in ("firstfit", "bsd"):
         return ReplayCounts(**common)
+    if spec.kind == "multiarena":
+        area = dict(arena_area_size=allocator.total_area_size)
+    else:
+        area = dict(
+            arena_area_size=allocator.arena_area_size,
+            arenas_used=allocator.arenas_used,
+            arenas_exhausted=allocator.arenas_exhausted,
+        )
     return ReplayCounts(
         general_ops=allocator.general.ops,
         arena_bytes=allocator.arena_bytes,
         general_bytes=allocator.general_bytes,
-        arena_area_size=(
-            allocator.total_area_size if spec.kind == "multiarena"
-            else allocator.arena_area_size
-        ),
         total_calls=0,
+        **area,
         **common,
     )
 

@@ -104,6 +104,12 @@ class TestSearchSpace:
         with pytest.raises(SearchSpaceError, match="repeats a value"):
             SearchSpace(num_arenas=(8, 8))
 
+    def test_space_without_a_valid_spec_rejected(self):
+        with pytest.raises(SearchSpaceError, match="no valid spec"):
+            SearchSpace(num_arenas=(0, -3))
+        with pytest.raises(SearchSpaceError, match="no valid spec"):
+            SearchSpace(kinds=("firstfit",), predictors=("trained",))
+
     def test_grid_enumeration_is_deterministic(self):
         first = [spec.spec_hash() for spec in SMALL_SPACE.specs()]
         second = [spec.spec_hash() for spec in SMALL_SPACE.specs()]
@@ -374,6 +380,22 @@ class TestSearchCli:
         ) == 0
         best = json.loads(capsys.readouterr().out)
         assert best["rank"] == 1
+
+    @pytest.mark.parametrize("mode", ("grid", "evolve"))
+    def test_space_without_a_valid_spec_is_an_error(self, tmp_path, capsys,
+                                                    mode):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"num_arenas": [0, -3]}),
+                         encoding="utf-8")
+        search_dir = tmp_path / "search"
+        assert main([
+            "search", "run", "--program", "cfrac", "--scale", "0.02",
+            "--no-cache", "--space", str(space), "--mode", mode,
+            "--search-dir", str(search_dir),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no valid spec" in err
+        assert not search_dir.exists()
 
     def test_missing_session_is_a_clean_error(self, tmp_path, capsys):
         assert main(

@@ -1,0 +1,184 @@
+"""One arena replay serves every arena count the trace never outgrows.
+
+``TraceStore.simulate`` answers an arena spec from any stored replay of
+the same placement, ``num_arenas`` aside, that reached no more arenas
+than the spec has and never found all of its own live
+(:func:`~repro.analysis.simulate.counts_for`).  Differentially, over
+the generated streams of ``test_replay_core`` and one real program:
+visiting arena counts 1-64 in ascending, descending and shuffled order,
+every answer equals a fresh ``simulate_spec`` field for field.  The
+geometries include arenas small enough for every arena to be found
+live, and objects larger than an arena.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.alloc.spec import AllocatorSpec
+from repro.analysis.experiments import EVAL_DATASET, TraceStore
+from repro.analysis.simulate import replay_spec, simulate_spec
+from repro.core.predictor import SitePredictor
+from repro.core.sites import FULL_CHAIN, site_key
+from repro.obs.spans import TRACER
+from repro.runtime.stream.protocol import (
+    EV_ALLOC,
+    EV_FREE,
+    TraceEventSource,
+    build_trace,
+)
+from tests.conftest import ListSource
+from tests.test_replay_core import _site_predictor, streams
+
+COUNTS = range(1, 65)
+ORDERS = ("ascending", "descending", "shuffled")
+
+
+def _ordered(order: str, rng: random.Random) -> list:
+    counts = list(COUNTS)
+    if order == "descending":
+        counts.reverse()
+    elif order == "shuffled":
+        rng.shuffle(counts)
+    return counts
+
+
+class GeneratedStore(TraceStore):
+    """A store over one generated stream and one given predictor.
+
+    ``simulate`` asks for the source only when it replays, so
+    ``replays`` counts the replays the store ran.
+    """
+
+    def __init__(self, source, predictor):
+        super().__init__(use_cache=False)
+        self._generated = source
+        self._given = predictor
+        self.replays = 0
+
+    def source(self, program, dataset=EVAL_DATASET):
+        self.replays += 1
+        return self._generated
+
+    def predictor_for(self, program, spec):
+        return self._given
+
+
+def _fresh(source, predictor, geometry):
+    """Per arena count: the fresh result, and whether its replay found
+    every arena live."""
+    results, exhausted = {}, set()
+    for count in COUNTS:
+        spec = AllocatorSpec(num_arenas=count, **geometry)
+        results[count] = dataclasses.asdict(
+            simulate_spec(source, spec, predictor)
+        )
+        if replay_spec(source, spec, predictor).arenas_exhausted:
+            exhausted.add(count)
+    return results, exhausted
+
+
+def _check_orders(source, predictor, geometry, rng):
+    fresh, exhausted = _fresh(source, predictor, geometry)
+    for order in ORDERS:
+        store = GeneratedStore(source, predictor)
+        previous = None
+        for count in _ordered(order, rng):
+            replays = store.replays
+            memo = store.simulate(
+                "bad", AllocatorSpec(num_arenas=count, **geometry)
+            )
+            assert dataclasses.asdict(memo) == fresh[count], (order, count)
+            if order == "ascending" and previous in exhausted:
+                # Every stored replay found all its arenas live.
+                assert store.replays == replays + 1, count
+            previous = count
+    return exhausted
+
+
+class TestSharedArenaReplays:
+    @settings(max_examples=40, deadline=None)
+    @given(stream=streams(), data=st.data())
+    def test_generated_streams(self, stream, data):
+        events, chains = stream
+        source = TraceEventSource(
+            build_trace(ListSource(events, chains=chains))
+        )
+        geometry = dict(
+            arena_size=data.draw(st.sampled_from([64, 256, 1024])),
+        )
+        rng = data.draw(st.randoms(use_true_random=False))
+        _check_orders(source, _site_predictor(data, events, chains),
+                      geometry, rng)
+
+    def test_exhausted_replay_is_not_reused(self):
+        # Every 20th object survives and pins the 256-byte arena it
+        # lands in: ten survivors find up to ten arenas all live.
+        events = []
+        clock = 0
+        for obj_id in range(200):
+            events.append((EV_ALLOC, obj_id, 0, 48, clock))
+            clock += 48
+            if obj_id % 20:
+                events.append((EV_FREE, obj_id, clock, 0))
+        chains = [("main", "hot")]
+        predictor = SitePredictor(
+            frozenset({site_key(chains[0], 48, FULL_CHAIN, 4)}), 32768,
+            FULL_CHAIN, 4,
+        )
+        source = TraceEventSource(
+            build_trace(ListSource(events, chains=chains))
+        )
+        exhausted = _check_orders(source, predictor, dict(arena_size=256),
+                                  random.Random(5))
+        assert exhausted == set(range(1, 11))
+
+
+@pytest.fixture(scope="module")
+def cache_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("shared-replays") / "cache"
+
+
+@pytest.fixture
+def spans():
+    TRACER.reset()
+    TRACER.enable()
+    yield TRACER
+    TRACER.disable()
+    TRACER.reset()
+
+
+@pytest.mark.parametrize("mode", ("materialized", "streaming"))
+@pytest.mark.parametrize("arena_size, ascending_replays", [(256, 8),
+                                                           (4096, 3)])
+def test_real_program(cache_dir, spans, mode, arena_size,
+                      ascending_replays):
+    # gawk at scale 0.02 finds all its 256-byte arenas live with up to 7
+    # of them, and all its 4 KB arenas with up to 2, so the ascending
+    # visit replays each of those counts and the next one.
+    program = "gawk"
+    fresh_store = TraceStore(scale=0.02, cache_dir=cache_dir)
+    fresh = {}
+    for count in COUNTS:
+        spec = AllocatorSpec(num_arenas=count, arena_size=arena_size)
+        fresh[count] = dataclasses.asdict(simulate_spec(
+            fresh_store.source(program), spec,
+            fresh_store.predictor_for(program, spec),
+        ))
+    rng = random.Random(arena_size)
+    for order in ORDERS:
+        store = TraceStore(scale=0.02, cache_dir=cache_dir,
+                           streaming=mode == "streaming")
+        before = len(spans.find("simulate.replay"))
+        for count in _ordered(order, rng):
+            spec = AllocatorSpec(num_arenas=count, arena_size=arena_size)
+            memo = store.simulate(program, spec)
+            assert dataclasses.asdict(memo) == fresh[count], (order, count)
+        if order == "ascending":
+            replays = len(spans.find("simulate.replay")) - before
+            assert replays == ascending_replays

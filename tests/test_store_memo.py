@@ -9,9 +9,11 @@
 * Multi-class training streams: a streaming store resolves a multiarena
   spec without materializing its training trace.
 * ``build_trace`` raises ``TraceFormatError`` for every malformed
-  stream, so the trace cache counts such an entry as corrupt; the
-  streaming consumers (training, live stats, ``simulate --stream``)
-  raise the same error for the same stream.
+  stream and every footer that disagrees with its events, so the trace
+  cache counts such an entry as corrupt; the streaming consumers
+  (training, live stats, ``simulate --stream``) raise the same error
+  for the same malformed stream, and the streamed object records (and
+  training on them) for the same footer.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from repro.runtime.stream.protocol import (
     EV_ALLOC,
     EV_FREE,
     build_trace,
+    iter_object_records,
     stream_live_stats,
 )
 from repro.runtime.stream.v3 import TraceFileSource, write_trace_v3
@@ -171,7 +174,9 @@ class TestPassCounts:
         store = _store(cache_dir, mode)
         run_search(store, PROGRAM, DEFAULT_SPACE)
         assert len(list(DEFAULT_SPACE.specs())) == 18
-        assert len(spans.find("simulate.replay")) == 18
+        # One replay per (arena size, threshold): gawk never outgrows 8
+        # arenas, so the 16- and 32-arena specs read the 8-arena counts.
+        assert len(spans.find("simulate.replay")) == 6
         assert len(spans.find("attrib.fold")) == 2
         assert len(spans.find("profile.train_sites")) == 1
 
@@ -234,45 +239,95 @@ MALFORMED = {
     ),
 }
 
+#: Footers that disagree with a well-formed stream of two 16-byte
+#: objects, object 0 freed after 5 touches: (summary overrides, error).
+_FOOTER_EVENTS = [_A0, _A1, (EV_FREE, 0, 32, 5)]
+BAD_FOOTERS = {
+    "footer-total-objects": (
+        {"total_objects": 7},
+        "footer total_objects is 7, but the events allocate 2 objects",
+    ),
+    "footer-end-time": (
+        {"end_time": 1000},
+        "footer end_time is 1000, but the events allocate 32 bytes",
+    ),
+    "footer-objects-and-end-time": (
+        {"total_objects": 7, "end_time": 1000},
+        "footer total_objects is 7",
+    ),
+    "footer-unfreed-freed-object": (
+        {"unfreed_touches": ((0, 99),)},
+        "footer unfreed_touches names object 0, which is not live at "
+        "the end of the stream",
+    ),
+    "footer-unfreed-negative-id": (
+        {"unfreed_touches": ((-1, 99),)},
+        "footer unfreed_touches names object -1, which is not live",
+    ),
+    "footer-unfreed-unknown-id": (
+        {"unfreed_touches": ((1, 3), (5, 99))},
+        "footer unfreed_touches names object 5, which is not live",
+    ),
+}
+
+#: Every stream ``build_trace`` rejects: (events, summary overrides,
+#: error).
+REJECTED = {
+    **{case: (events, None, message)
+       for case, (events, message) in MALFORMED.items()},
+    **{case: (_FOOTER_EVENTS, summary, message)
+       for case, (summary, message) in BAD_FOOTERS.items()},
+}
+
+
+def _rejected(case: str):
+    """``case``'s stream and the error it must raise."""
+    events, summary, message = REJECTED[case]
+    return ListSource(events, summary=summary), message
+
 
 class TestBuildTraceErrorContract:
-    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("case", sorted(REJECTED))
     def test_in_memory_source_names_program(self, case):
-        events, message = MALFORMED[case]
+        source, message = _rejected(case)
         with pytest.raises(TraceFormatError) as info:
-            build_trace(ListSource(events))
+            build_trace(source)
         assert str(info.value).startswith(f"bad/test: {message}")
 
-    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("case", sorted(REJECTED))
     def test_file_source_names_path(self, case, tmp_path):
-        events, message = MALFORMED[case]
+        source, message = _rejected(case)
         path = tmp_path / "bad.rtr3"
-        write_trace_v3(ListSource(events), path)
+        write_trace_v3(source, path)
         with pytest.raises(TraceFormatError) as info:
             load_trace(path)
         assert str(info.value).startswith(f"{path}: {message}")
 
-    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("case", sorted(REJECTED))
     def test_cli_exits_one_with_error_line(self, case, tmp_path, capsys):
-        events, message = MALFORMED[case]
+        source, message = _rejected(case)
         path = tmp_path / "bad.rtr3"
-        write_trace_v3(ListSource(events), path)
+        write_trace_v3(source, path)
         code = main(["simulate", str(path), "--allocator", "firstfit"])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("case", sorted(REJECTED))
     def test_trace_cache_counts_the_entry_corrupt(self, case, tmp_path):
-        events, _ = MALFORMED[case]
+        source, _ = _rejected(case)
         cache = TraceCache(tmp_path / "cache", metrics=Metrics())
         path = cache.entry_path("bad", "test", 1.0)
         path.parent.mkdir(parents=True)
-        write_trace_v3(ListSource(events), path)
+        write_trace_v3(source, path)
         assert cache.load("bad", "test", 1.0) is None
         assert cache.metrics.counter("trace_cache.corrupt") == 1
         assert not path.exists()
+
+
+def _all_records(source):
+    return list(iter_object_records(source))
 
 
 #: Consumers that walk a stream without materializing it.
@@ -292,6 +347,24 @@ class TestStreamConsumersErrorContract:
         with pytest.raises(TraceFormatError) as info:
             STREAM_CONSUMERS[consumer](TraceFileSource(path))
         assert str(info.value).startswith(f"{path}: {message}")
+
+    @pytest.mark.parametrize("case", sorted(BAD_FOOTERS))
+    def test_records_and_trace_agree_on_the_footer(self, case, tmp_path):
+        # The streamed records read the footer that build_trace checks,
+        # so both reject it with one message, in memory and on file.
+        source, message = _rejected(case)
+        path = tmp_path / "bad.rtr3"
+        write_trace_v3(source, path)
+        for stream, where in ((source, "bad/test"),
+                              (TraceFileSource(path), str(path))):
+            errors = set()
+            for consumer in (build_trace, _all_records,
+                             train_site_predictor):
+                with pytest.raises(TraceFormatError) as info:
+                    consumer(stream)
+                errors.add(str(info.value))
+            assert len(errors) == 1
+            assert errors.pop().startswith(f"{where}: {message}")
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_cli_stream_exits_one_with_error_line(self, case, tmp_path,

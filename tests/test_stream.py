@@ -179,6 +179,8 @@ class TestProtocol:
     def test_unfreed_touches_survive_a_summary_round_trip(self):
         trace = make_churn_trace(objects=30)
         source = TraceEventSource(trace)
+        keeper = next(obj_id for obj_id in range(trace.total_objects)
+                      if not trace.freed(obj_id))
         doctored = StreamSummary(
             total_calls=source.summary.total_calls,
             heap_refs=source.summary.heap_refs,
@@ -186,7 +188,7 @@ class TestProtocol:
             end_time=source.summary.end_time,
             total_objects=source.summary.total_objects,
             event_count=source.summary.event_count,
-            unfreed_touches=((trace.total_objects - 1, 7),),
+            unfreed_touches=((keeper, 7),),
         )
 
         class Doctored(EventSource):
@@ -197,7 +199,7 @@ class TestProtocol:
                 return source.events()
 
         rebuilt = build_trace(Doctored())
-        assert rebuilt.touches_of(trace.total_objects - 1) == 7
+        assert rebuilt.touches_of(keeper) == 7
 
 
 class TestV3File:
