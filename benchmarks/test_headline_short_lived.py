@@ -13,16 +13,11 @@ from repro.core.predictor import DEFAULT_THRESHOLD
 from conftest import write_result
 
 
-def test_headline(benchmark, store, results_dir):
-    def compute():
-        return {
-            program: short_lived_fraction(
-                store.trace(program), DEFAULT_THRESHOLD
-            )
-            for program in store.programs
-        }
-
-    fractions = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_headline(store, results_dir):
+    fractions = {
+        program: short_lived_fraction(store.trace(program), DEFAULT_THRESHOLD)
+        for program in store.programs
+    }
     lines = ["Short-lived bytes at the 32 KB threshold (paper: >90% everywhere)"]
     for program, fraction in fractions.items():
         lines.append(f"  {program:10s} {100 * fraction:5.1f}%")

@@ -18,8 +18,8 @@ from repro.analysis.report import render_table4
 from conftest import write_result
 
 
-def test_table4(benchmark, store, results_dir):
-    rows = benchmark.pedantic(table4, args=(store,), rounds=1, iterations=1)
+def test_table4(store, results_dir):
+    rows = table4(store)
     write_result(results_dir, "table4.txt", render_table4(rows))
 
     by_program = {row.program: row for row in rows}

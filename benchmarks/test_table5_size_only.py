@@ -15,8 +15,8 @@ from repro.analysis.report import render_table5
 from conftest import write_result
 
 
-def test_table5(benchmark, store, results_dir):
-    rows = benchmark.pedantic(table5, args=(store,), rounds=1, iterations=1)
+def test_table5(store, results_dir):
+    rows = table5(store)
     write_result(results_dir, "table5.txt", render_table5(rows))
 
     site_rows = {row.program: row for row in table4(store)}

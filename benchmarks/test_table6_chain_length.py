@@ -15,8 +15,8 @@ from repro.analysis.report import render_table6
 from conftest import write_result
 
 
-def test_table6(benchmark, store, results_dir):
-    rows = benchmark.pedantic(table6, args=(store,), rounds=1, iterations=1)
+def test_table6(store, results_dir):
+    rows = table6(store)
     write_result(results_dir, "table6.txt", render_table6(rows))
 
     for row in rows:

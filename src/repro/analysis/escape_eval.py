@@ -29,11 +29,7 @@ from repro.alloc.arena import DEFAULT_ARENA_SIZE, DEFAULT_NUM_ARENAS
 from repro.alloc.spec import AllocatorSpec
 from repro.analysis.oracle import simulate_arena_oracle
 from repro.analysis.simulate import simulate_spec
-from repro.core.predictor import (
-    DEFAULT_THRESHOLD,
-    PredictionEvaluation,
-    evaluate,
-)
+from repro.core.predictor import DEFAULT_THRESHOLD, PredictionEvaluation
 from repro.obs.spans import TRACER
 
 __all__ = ["EscapeEvalRow", "EscapeEvalResult", "escape_eval",
@@ -144,10 +140,8 @@ def escape_eval(
             counts = {"short": 0, "escaping": 0, "unknown": 0}
             for cls in static_pred.classes.values():
                 counts[cls] += 1
-            static_eval = evaluate(
-                static_pred, store.source(program, "test"))
-            trained_eval = evaluate(
-                trained_pred, store.source(program, "test"))
+            static_eval = store.evaluate(program, static_pred, "test")
+            trained_eval = store.evaluate(program, trained_pred, "test")
             static_spec = AllocatorSpec(
                 num_arenas=num_arenas, arena_size=arena_size,
                 threshold=threshold, predictor="static")

@@ -38,7 +38,7 @@ from repro.alloc.arena import DEFAULT_NUM_ARENAS
 from repro.alloc.costs import DEFAULT_COST_MODEL, CostModel
 from repro.obs.attrib import (
     AttributionProfile,
-    attribute_sites,
+    attribute_table,
     profile_for_spec,
 )
 from repro.obs.metrics import METRICS, Metrics
@@ -56,12 +56,15 @@ from repro.core.multiclass import MultiClassPredictor
 from repro.core.predictor import (
     DEFAULT_THRESHOLD,
     TRUE_PREDICTION_ROUNDING,
+    LifetimePredictor,
+    PredictionEvaluation,
     SitePredictor,
-    site_maxima,
+    evaluate_table,
+    pair_table,
 )
 from repro.core.sites import FULL_CHAIN
 from repro.runtime.events import Trace
-from repro.runtime.folds import SiteSelectFold
+from repro.runtime.folds import PairTable
 from repro.runtime.stream.protocol import EventSource, TraceEventSource
 from repro.workloads.registry import PROGRAM_ORDER, run_workload
 
@@ -143,11 +146,12 @@ class TraceStore:
 
     The store also computes each distinct derived result once (DESIGN.md
     §17): one replay per allocator placement, shared by the arena counts
-    it never outgrew (:meth:`simulate`), one site-maxima fold per
-    execution that every site and multi-class predictor selects from,
-    and one attribution per distinct prediction (:meth:`attribution`).
-    These memos hold results only — counters, max-lifetime dicts,
-    profiles — and live exactly as long as the store.
+    it never outgrew (:meth:`simulate`), one pair table per execution
+    and threshold (:meth:`pair_table`) that every predictor selects from
+    and every evaluation and attribution prices, and one attribution per
+    distinct prediction (:meth:`attribution`).  These memos hold results
+    only — counters, pair tables, profiles — and live exactly as long as
+    the store.
     """
 
     def __init__(
@@ -183,7 +187,7 @@ class TraceStore:
         self._multiclass_predictors: Dict[tuple, MultiClassPredictor] = {}
         # Derived-result memos (DESIGN.md §17): results only, never an
         # allocator or a source.
-        self._site_folds: Dict[Tuple[str, str], SiteSelectFold] = {}
+        self._pair_tables: Dict[Tuple[str, str], Dict[int, PairTable]] = {}
         self._replays: Dict[tuple, List[ReplayCounts]] = {}
         self._attributions: Dict[tuple, AttributionProfile] = {}
 
@@ -269,26 +273,52 @@ class TraceStore:
             return self.static_predictor(program, threshold=threshold)
         key = (program, train_dataset, threshold, chain_length, size_rounding)
         if key not in self._site_predictors:
-            maxima = self._site_maxima(program, train_dataset)
+            table = self._training_table(program, train_dataset, threshold)
             with TRACER.span("predictor.train", cat="core",
                              program=program, dataset=train_dataset):
-                self._site_predictors[key] = SitePredictor.from_maxima(
-                    maxima, threshold, chain_length, size_rounding,
+                self._site_predictors[key] = SitePredictor.from_table(
+                    table, threshold, chain_length, size_rounding,
                     program=program,
                 )
         return self._site_predictors[key]
 
-    def _site_maxima(self, program: str, dataset: str) -> SiteSelectFold:
-        """One execution's per-pair maximum lifetimes, folded once.
+    def pair_table(
+        self,
+        program: str,
+        dataset: str = EVAL_DATASET,
+        threshold: int = DEFAULT_THRESHOLD,
+    ) -> PairTable:
+        """One execution's :class:`~repro.runtime.folds.PairTable` at
+        ``threshold``, folded once."""
+        tables = self._pair_tables.setdefault((program, dataset), {})
+        if threshold not in tables:
+            tables[threshold] = pair_table(
+                self.source(program, dataset), threshold
+            )
+        return tables[threshold]
 
-        Every site and multi-class predictor this store trains on the
-        execution selects from this fold, whatever its level or
-        threshold.
-        """
-        key = (program, dataset)
-        if key not in self._site_folds:
-            self._site_folds[key] = site_maxima(self.source(program, dataset))
-        return self._site_folds[key]
+    def _training_table(
+        self, program: str, dataset: str, threshold: int
+    ) -> PairTable:
+        """A pair table to select predictors from: any stored table of
+        the execution, since selection reads only the max lifetimes,
+        which no threshold changes; else a new one at ``threshold``."""
+        tables = self._pair_tables.get((program, dataset))
+        if tables:
+            return next(iter(tables.values()))
+        return self.pair_table(program, dataset, threshold)
+
+    def evaluate(
+        self,
+        program: str,
+        predictor: LifetimePredictor,
+        dataset: str = EVAL_DATASET,
+    ) -> PredictionEvaluation:
+        """``predictor`` scored on one execution's stored pair table at
+        its threshold; equal to :func:`~repro.core.predictor.evaluate`."""
+        return evaluate_table(
+            predictor, self.pair_table(program, dataset, predictor.threshold)
+        )
 
     def cce_predictor(
         self,
@@ -349,12 +379,14 @@ class TraceStore:
             key = (program, train_dataset, spec.class_thresholds,
                    spec.chain_length, spec.size_rounding)
             if key not in self._multiclass_predictors:
-                maxima = self._site_maxima(program, train_dataset)
+                table = self._training_table(
+                    program, train_dataset, spec.class_thresholds[0]
+                )
                 with TRACER.span("predictor.train", cat="core",
                                  program=program, dataset=train_dataset):
                     self._multiclass_predictors[key] = (
-                        MultiClassPredictor.from_maxima(
-                            maxima, spec.class_thresholds,
+                        MultiClassPredictor.from_table(
+                            table, spec.class_thresholds,
                             spec.chain_length, spec.size_rounding,
                             program=program,
                         )
@@ -421,20 +453,22 @@ class TraceStore:
     ) -> AttributionProfile:
         """The per-site attribution ``spec`` prices on one execution.
 
-        Memoized on everything :func:`~repro.obs.attrib.attribute_sites`
-        reads — the profile, the resolved predictor, the threshold and
-        the cost model — so specs that differ only in arena geometry or
-        ``strategy`` share one fold.  Callers share the returned
-        profile, so treat it as read-only.
+        Prices the stored pair table at the spec's threshold with
+        :func:`~repro.obs.attrib.attribute_table`, and memoizes on
+        everything that reads — the profile, the resolved predictor, the
+        threshold and the cost model — so specs that differ only in
+        arena geometry or ``strategy`` share one pricing.  Equal to
+        :func:`~repro.obs.attrib.attribute_sites` with ``spec``.
+        Callers share the returned profile, so treat it as read-only.
         """
         predictor = self.predictor_for(program, spec)
         key = (program, dataset, profile_for_spec(spec), predictor,
                spec.threshold, model)
         profile = self._attributions.get(key)
         if profile is None:
-            profile = self._attributions[key] = attribute_sites(
-                self.source(program, dataset), predictor=predictor,
-                model=model, spec=spec,
+            profile = self._attributions[key] = attribute_table(
+                self.pair_table(program, dataset, spec.threshold),
+                profile_for_spec(spec), predictor=predictor, model=model,
             )
         return profile
 

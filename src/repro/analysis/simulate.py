@@ -47,6 +47,7 @@ from repro.runtime.stream.protocol import (
     EventSource,
     TraceEventSource,
     as_event_source,
+    check_footer,
     first_malformed,
 )
 
@@ -133,7 +134,9 @@ def replay(trace: Union[Trace, EventSource], allocator: Allocator,
     the event offset, and the object id (see
     :func:`~repro.runtime.stream.protocol.first_malformed`): a free of an
     object that is not live, an alloc under a chain id the header never
-    interned, or, on a stream, an alloc out of dense id order.
+    interned, or, on a stream, an alloc out of dense id order.  On a
+    stream, a footer that disagrees with the events raises too, once the
+    pass ends (see :func:`~repro.runtime.stream.protocol.check_footer`).
 
     ``telemetry`` attaches a :class:`~repro.obs.telemetry.Telemetry`
     recorder for the duration of the replay: the allocator reports every
@@ -195,11 +198,13 @@ def _replay_arrays(source: TraceEventSource, malloc, free) -> None:
 def _replay_events(source: EventSource, malloc, free) -> None:
     """Replay any event source from its ``events()`` tuples.
 
-    Each alloc is checked for dense id order and an interned chain id.
+    Each alloc is checked for dense id order and an interned chain id,
+    and the footer against the events once the pass ends.
     """
     chain_count = len(source.header.chains)
     addresses = {}
     next_id = 0
+    allocated = 0
     for ev in source.events():
         tag = ev[0]
         if tag == EV_ALLOC:
@@ -208,13 +213,16 @@ def _replay_events(source: EventSource, malloc, free) -> None:
             if obj_id != next_id or not 0 <= chain_id < chain_count:
                 raise first_malformed(source)
             next_id += 1
-            addresses[obj_id] = malloc(ev[3], chain_id)
+            size = ev[3]
+            allocated += size
+            addresses[obj_id] = malloc(size, chain_id)
         elif tag == EV_FREE:
             try:
                 addr = addresses.pop(ev[1])
             except KeyError as exc:
                 raise first_malformed(source) from exc
             free(addr)
+    check_footer(source, next_id, allocated, addresses.__contains__)
 
 
 def _audited(allocator: Allocator):

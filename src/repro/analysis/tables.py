@@ -9,7 +9,9 @@ largest of the input sets"); self prediction trains on that same
 execution, true prediction on ``train``.  See EXPERIMENTS.md for the
 side-by-side against the paper's numbers.
 
-Tables 7-9 ask the store for their replays
+Tables 4-6 ask the store for their evaluations
+(:meth:`~repro.analysis.experiments.TraceStore.evaluate`), which score
+one stored pair table per execution, and Tables 7-9 for their replays
 (:meth:`~repro.analysis.experiments.TraceStore.simulate`), so each
 distinct allocator placement replays once however many tables read it.
 """
@@ -24,18 +26,14 @@ from repro.obs.spans import traced
 from repro.core.predictor import (
     DEFAULT_THRESHOLD,
     TRUE_PREDICTION_ROUNDING,
+    SizeOnlyPredictor,
     actual_short_lived_bytes,
-    evaluate,
-    train_size_only_predictor,
 )
 from repro.core.quantile import P2Histogram
 from repro.core.sites import FULL_CHAIN
 from repro.runtime.events import Trace
-from repro.runtime.stream.protocol import (
-    EventSource,
-    iter_object_lifetimes,
-    stream_live_stats,
-)
+from repro.runtime.folds import LifetimeFold, fold_object_lifetimes
+from repro.runtime.stream.protocol import EventSource, stream_live_stats
 from repro.alloc.spec import (
     BSD_SPEC,
     FIRSTFIT_SPEC,
@@ -163,27 +161,47 @@ class Table3Row:
     p2_quantiles: Tuple[float, float, float, float, float]
 
 
+class _LifetimeRuns(LifetimeFold):
+    """Objects and bytes per distinct lifetime."""
+
+    def __init__(self):
+        self.runs: Dict[int, List[int]] = {}
+
+    def add(
+        self, chain_id: int, size: int, lifetime: int, touches: int
+    ) -> None:
+        run = self.runs.get(lifetime)
+        if run is None:
+            self.runs[lifetime] = [1, size]
+        else:
+            run[0] += 1
+            run[1] += size
+
+
 @traced("table.table3", cat="table")
 def table3(store: TraceStore) -> List[Table3Row]:
     """Lifetime quartiles for each program."""
     rows = []
     for program in store.programs:
         source = store.source(program, EVAL_DATASET)
-        # Sorting makes the collected pairs independent of event order, so
-        # the (order-sensitive) P^2 fold below sees the same sequence from
-        # a streamed trace as from a materialized one.
-        pairs = sorted(
-            (lifetime, size)
-            for _, size, lifetime, _ in iter_object_lifetimes(source)
+        # Walking the runs in lifetime order makes both passes below
+        # independent of fold order, so the (order-sensitive) P^2 fold
+        # sees the same sequence from a streamed trace as from a
+        # materialized one.  A byte quantile is the lifetime at which the
+        # running byte sum crosses its target, and every object of a run
+        # has the run's lifetime, so summing whole runs crosses at the
+        # same lifetimes as summing objects.
+        runs = sorted(
+            fold_object_lifetimes(source, _LifetimeRuns()).runs.items()
         )
-        total = sum(size for _, size in pairs)
+        total = sum(nbytes for _, (_, nbytes) in runs)
         targets = [0.0, 0.25, 0.50, 0.75, 1.0]
         byte_qs: List[int] = []
         cumulative = 0
         target_iter = iter(targets)
         target = next(target_iter)
-        for lifetime, size in pairs:
-            cumulative += size
+        for lifetime, (_, nbytes) in runs:
+            cumulative += nbytes
             while cumulative >= target * total:
                 byte_qs.append(lifetime)
                 nxt = next(target_iter, None)
@@ -192,11 +210,12 @@ def table3(store: TraceStore) -> List[Table3Row]:
                     break
                 target = nxt
         while len(byte_qs) < 5:
-            byte_qs.append(pairs[-1][0])
+            byte_qs.append(runs[-1][0])
 
         histogram = P2Histogram(cells=4)
-        for lifetime, _ in pairs:
-            histogram.add(lifetime)
+        for lifetime, (count, _) in runs:
+            for _ in range(count):
+                histogram.add(lifetime)
         rows.append(
             Table3Row(
                 program=program,
@@ -233,12 +252,11 @@ def table4(
     """Fraction of bytes predicted short-lived, self and true."""
     rows = []
     for program in store.programs:
-        eval_source = store.source(program, EVAL_DATASET)
-        self_eval = evaluate(
-            store.self_predictor(program, threshold=threshold), eval_source
+        self_eval = store.evaluate(
+            program, store.self_predictor(program, threshold=threshold)
         )
-        true_eval = evaluate(
-            store.predictor(program, threshold=threshold), eval_source
+        true_eval = store.evaluate(
+            program, store.predictor(program, threshold=threshold)
         )
         rows.append(
             Table4Row(
@@ -277,9 +295,11 @@ def table5(
     """Prediction from object size alone (self prediction)."""
     rows = []
     for program in store.programs:
-        source = store.source(program, EVAL_DATASET)
-        predictor = train_size_only_predictor(source, threshold=threshold)
-        result = evaluate(predictor, source)
+        predictor = SizeOnlyPredictor.from_table(
+            store.pair_table(program, EVAL_DATASET, threshold), threshold,
+            program=program,
+        )
+        result = store.evaluate(program, predictor)
         rows.append(
             Table5Row(
                 program=program,
@@ -328,13 +348,12 @@ def table6(
     """Effect of call-chain length on self prediction."""
     rows = []
     for program in store.programs:
-        source = store.source(program, EVAL_DATASET)
         by_length: Dict[Optional[int], Tuple[float, float]] = {}
         for length in TABLE6_LENGTHS:
             predictor = store.self_predictor(
                 program, threshold=threshold, chain_length=length
             )
-            result = evaluate(predictor, source)
+            result = store.evaluate(program, predictor)
             by_length[length] = (result.predicted_pct, result.new_ref_pct)
         rows.append(Table6Row(program=program, by_length=by_length))
     return rows

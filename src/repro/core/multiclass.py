@@ -27,14 +27,14 @@ from repro.core.predictor import (
     DEFAULT_THRESHOLD,
     TRUE_PREDICTION_ROUNDING,
     LifetimePredictor,
-    site_maxima,
+    pair_table,
 )
 from repro.core.profile import SiteKey
 from repro.core.sites import FULL_CHAIN, CallChain, site_key
 
 if TYPE_CHECKING:
     from repro.runtime.events import Trace
-    from repro.runtime.folds import SiteSelectFold
+    from repro.runtime.folds import PairTable
     from repro.runtime.stream.protocol import EventSource
 
 __all__ = [
@@ -111,9 +111,9 @@ class MultiClassPredictor(LifetimePredictor):
         return sum(1 for c in self.site_classes.values() if c == klass)
 
     @classmethod
-    def from_maxima(
+    def from_table(
         cls,
-        maxima: "SiteSelectFold",
+        table: "PairTable",
         thresholds: Sequence[int],
         chain_length: Optional[int],
         size_rounding: int,
@@ -121,10 +121,10 @@ class MultiClassPredictor(LifetimePredictor):
     ) -> "MultiClassPredictor":
         """Assign each site at one level to the smallest class whose
         threshold strictly bounds its maximum lifetime in a
-        :func:`~repro.core.predictor.site_maxima` fold."""
+        :func:`~repro.core.predictor.pair_table`."""
         ladder = tuple(thresholds)
         site_classes: Dict[SiteKey, int] = {}
-        for key, max_lifetime in maxima.site_max_lifetimes(
+        for key, max_lifetime in table.site_max_lifetimes(
             chain_length, size_rounding
         ).items():
             for klass, bound in enumerate(ladder):
@@ -153,11 +153,10 @@ def train_multiclass_predictor(
     lifetime.  With ``thresholds=(32768,)`` this is byte-for-byte the
     paper's predictor.  Like
     :func:`~repro.core.predictor.train_site_predictor`, this is one
-    :func:`~repro.core.predictor.site_maxima` fold, then a selection.
+    :func:`~repro.core.predictor.pair_table` fold, then a selection.
     """
-    from repro.runtime.stream.protocol import source_identity
-
-    return MultiClassPredictor.from_maxima(
-        site_maxima(trace), thresholds, chain_length, size_rounding,
-        program=source_identity(trace)[0],
+    table = pair_table(trace)
+    return MultiClassPredictor.from_table(
+        table, thresholds, chain_length, size_rounding,
+        program=table.program,
     )

@@ -34,7 +34,7 @@ New Ref column).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, Optional, Set, Tuple, Union
 
 from repro.core.profile import SiteKey, SiteProfile
 from repro.core.sites import (
@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.runtime.events import Trace
-    from repro.runtime.folds import SiteSelectFold
+    from repro.runtime.folds import PairTable
     from repro.runtime.stream.protocol import EventSource
 
 #: Consumers here take either an in-memory trace or an event stream; all
@@ -65,12 +65,13 @@ __all__ = [
     "SitePredictor",
     "SizeOnlyPredictor",
     "StaticEscapePredictor",
-    "site_maxima",
+    "pair_table",
     "train_site_predictor",
     "train_size_only_predictor",
     "actual_short_lived_bytes",
     "PredictionEvaluation",
     "evaluate",
+    "evaluate_table",
 ]
 
 #: The paper's definition of "short-lived": dead before 32 kilobytes of new
@@ -195,18 +196,19 @@ class SitePredictor(LifetimePredictor):
         self.program = program
 
     @classmethod
-    def from_maxima(
+    def from_table(
         cls,
-        maxima: "SiteSelectFold",
+        table: "PairTable",
         threshold: int,
         chain_length: Optional[int],
         size_rounding: int,
         program: str = "?",
     ) -> "SitePredictor":
         """Select the all-short-lived sites at one level from a
-        :func:`site_maxima` fold."""
+        :func:`pair_table` (at any threshold: selection reads only the
+        max lifetimes)."""
         return cls(
-            maxima.short_lived_sites(threshold, chain_length, size_rounding),
+            table.short_lived_sites(threshold, chain_length, size_rounding),
             threshold=threshold,
             chain_length=chain_length,
             size_rounding=size_rounding,
@@ -259,6 +261,17 @@ class SizeOnlyPredictor(LifetimePredictor):
         self.sizes = sizes
         self.threshold = threshold
         self.program = program
+
+    @classmethod
+    def from_table(
+        cls, table: "PairTable", threshold: int, program: str = "?"
+    ) -> "SizeOnlyPredictor":
+        """Select the sizes whose every object in a :func:`pair_table`
+        died under ``threshold``."""
+        return cls(
+            table.short_lived_sizes(threshold), threshold=threshold,
+            program=program,
+        )
 
     @property
     def site_count(self) -> int:
@@ -343,27 +356,34 @@ class StaticEscapePredictor(LifetimePredictor):
         return self.class_of(chain, size) == "short"
 
 
-def site_maxima(trace: TraceLike) -> "SiteSelectFold":
-    """Every ``(chain id, size)`` pair's maximum lifetime, in one pass.
+def pair_table(
+    trace: TraceLike, threshold: int = DEFAULT_THRESHOLD
+) -> "PairTable":
+    """One execution's :class:`~repro.runtime.folds.PairTable` at
+    ``threshold``, in one pass.
 
-    The training half of every site-keyed predictor: selection at any
-    abstraction level and threshold reads only this fold, so one pass
-    per execution serves them all (:meth:`SitePredictor.from_maxima`,
-    :meth:`~repro.core.multiclass.MultiClassPredictor.from_maxima`).
-    Max is an order-independent fold, so a stream and an in-memory
-    trace give identical maxima.
+    The per-object half of every order-independent consumer: site and
+    multi-class selection (:meth:`SitePredictor.from_table`,
+    :meth:`~repro.core.multiclass.MultiClassPredictor.from_table`) at
+    any level and threshold, size-only selection, :func:`evaluate_table`
+    and the per-site attribution all read its rows.  Every column is a
+    sum or a max, so a stream and an in-memory trace give identical
+    tables.
     """
     # Imported lazily: repro.obs.telemetry imports this module for
     # DEFAULT_THRESHOLD, so a top-level obs import would be circular.
     from repro.obs.spans import TRACER
-    from repro.runtime.folds import SiteSelectFold, fold_object_lifetimes
+    from repro.runtime.folds import PairTable, fold_object_lifetimes
     from repro.runtime.stream.protocol import as_event_source
 
     source = as_event_source(trace)
     header = source.header
     with TRACER.span("profile.train_sites", cat="core",
-                     program=header.program, dataset=header.dataset):
-        return fold_object_lifetimes(source, SiteSelectFold(header.chains))
+                     program=header.program, dataset=header.dataset,
+                     threshold=threshold):
+        return fold_object_lifetimes(
+            source, PairTable(header, source.summary, threshold)
+        )
 
 
 def train_site_predictor(
@@ -380,18 +400,17 @@ def train_site_predictor(
     long-lived objects pollute arenas (§4.1, §5.2).  Selection depends
     only on each site's maximum lifetime, so a streamed trace trains the
     identical database in O(live objects) memory.  This is
-    :func:`site_maxima` followed by :meth:`SitePredictor.from_maxima`;
+    :func:`pair_table` followed by :meth:`SitePredictor.from_table`;
     a :class:`~repro.analysis.experiments.TraceStore` keeps the first
     half per execution and repeats only the second.
     """
-    from repro.runtime.stream.protocol import source_identity
-
-    return SitePredictor.from_maxima(
-        site_maxima(trace),
+    table = pair_table(trace, threshold)
+    return SitePredictor.from_table(
+        table,
         threshold=threshold,
         chain_length=chain_length,
         size_rounding=size_rounding,
-        program=source_identity(trace)[0],
+        program=table.program,
     )
 
 
@@ -399,14 +418,9 @@ def train_size_only_predictor(
     trace: TraceLike, threshold: int = DEFAULT_THRESHOLD
 ) -> SizeOnlyPredictor:
     """Train a :class:`SizeOnlyPredictor`: sizes whose objects all died young."""
-    from repro.runtime.folds import SizeOnlyFold, fold_object_lifetimes
-    from repro.runtime.stream.protocol import as_event_source
-
-    source = as_event_source(trace)
-    fold = fold_object_lifetimes(source, SizeOnlyFold(threshold))
-    return SizeOnlyPredictor(
-        fold.short_lived_sizes(), threshold=threshold,
-        program=source.header.program,
+    table = pair_table(trace, threshold)
+    return SizeOnlyPredictor.from_table(
+        table, threshold, program=table.program
     )
 
 
@@ -416,12 +430,7 @@ def actual_short_lived_bytes(trace: TraceLike, threshold: int) -> int:
     This is the per-object ground truth behind the Actual Short-lived Bytes
     column: the most any site-based predictor could correctly capture.
     """
-    from repro.runtime.folds import ShortBytesFold, fold_object_lifetimes
-    from repro.runtime.stream.protocol import as_event_source
-
-    return fold_object_lifetimes(
-        as_event_source(trace), ShortBytesFold(threshold)
-    ).total
+    return pair_table(trace, threshold).short_bytes()
 
 
 @dataclass(frozen=True)
@@ -487,35 +496,84 @@ def evaluate(
     database entries that matched some test allocation, matching how the
     paper reports true prediction.
 
-    Scoring accumulates sums and sets over objects, so it is
-    order-independent: a streamed trace evaluates to exactly the numbers
-    the materialized one does, in one event pass.
+    This is :func:`pair_table` at the predictor's threshold followed by
+    :func:`evaluate_table`, so a streamed trace evaluates to exactly the
+    numbers the materialized one does, in one event pass.
     """
-    from repro.obs.spans import TRACER  # lazy: see train_site_predictor
-    from repro.runtime.stream.protocol import as_event_source
-
-    source = as_event_source(trace)
-    header = source.header
-    with TRACER.span("predict.evaluate", cat="core",
-                     program=header.program, dataset=header.dataset):
-        return _evaluate(predictor, source, count_matched_sites)
-
-
-def _evaluate(
-    predictor: LifetimePredictor,
-    source: "EventSource",
-    count_matched_sites: bool,
-) -> PredictionEvaluation:
-    # Scoring is sums and set unions over objects, so one fold serves
-    # streams and in-memory traces alike.
-    from repro.runtime.folds import EvaluateFold, fold_object_lifetimes
-
-    header = source.header
-    fold = fold_object_lifetimes(
-        source, EvaluateFold(predictor, header.chains)
+    return evaluate_table(
+        predictor, pair_table(trace, predictor.threshold),
+        count_matched_sites,
     )
-    return fold.result(
-        header, source.summary, count_matched_sites=count_matched_sites
+
+
+def evaluate_table(
+    predictor: LifetimePredictor,
+    table: "PairTable",
+    count_matched_sites: bool = True,
+) -> PredictionEvaluation:
+    """Score ``predictor`` on one execution's :func:`pair_table`.
+
+    The table must be at the predictor's threshold.  Every object of a
+    pair has the same keys and verdict, so each row is scored once and
+    its sums are weighted by the pair's size: the result equals scoring
+    the objects one by one, in any order.
+    """
+    from repro.obs.spans import TRACER  # lazy: see pair_table
+
+    if table.threshold != predictor.threshold:
+        raise ValueError(
+            f"a table at threshold {table.threshold} cannot score a "
+            f"predictor at threshold {predictor.threshold}"
+        )
+    chain_of = table.chains.chain
+    test_keys: Set = set()
+    matched_keys: Set = set()
+    total = actual = predicted = error = objects = refs = 0
+    with TRACER.span("predict.evaluate", cat="core",
+                     program=table.program, dataset=table.dataset):
+        for (chain_id, size), row in table.rows.items():
+            chain = chain_of(chain_id)
+            if isinstance(predictor, SitePredictor):
+                key = predictor.key_for(chain, size)
+                matched: Tuple = (key,) if key in predictor.sites else ()
+            elif isinstance(predictor, StaticEscapePredictor):
+                key = predictor.key_for(chain, size)
+                matched = (
+                    predictor.matching_keys(chain, size)
+                    if predictor.predicts_short_lived(chain, size) else ()
+                )
+            else:
+                key = size
+                matched = (
+                    (size,) if predictor.predicts_short_lived(chain, size)
+                    else ()
+                )
+            test_keys.add(key)
+            count, short, touches = row[:3]
+            total += size * count
+            actual += size * short
+            if matched:
+                matched_keys.update(matched)
+                objects += count
+                refs += touches
+                predicted += size * short
+                error += size * (count - short)
+    return PredictionEvaluation(
+        program=table.program,
+        dataset=table.dataset,
+        threshold=predictor.threshold,
+        total_sites=len(test_keys),
+        sites_used=(
+            len(matched_keys) if count_matched_sites
+            else predictor.site_count
+        ),
+        total_bytes=total,
+        actual_short_bytes=actual,
+        predicted_short_bytes=predicted,
+        error_bytes=error,
+        predicted_objects=objects,
+        total_heap_refs=table.heap_refs,
+        predicted_heap_refs=refs,
     )
 
 

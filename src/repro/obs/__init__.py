@@ -46,10 +46,10 @@ from repro.obs.spans import (
 )
 from repro.obs.export import export_timeline, telemetry_summary, write_jsonl
 from repro.obs.attrib import (
-    AttributionFold,
     AttributionProfile,
     SiteAttribution,
     attribute_sites,
+    attribute_table,
     export_attribution,
     render_attrib,
 )
@@ -96,10 +96,10 @@ __all__ = [
     "export_timeline",
     "telemetry_summary",
     "write_jsonl",
-    "AttributionFold",
     "AttributionProfile",
     "SiteAttribution",
     "attribute_sites",
+    "attribute_table",
     "export_attribution",
     "render_attrib",
     "DiffResult",

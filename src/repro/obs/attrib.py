@@ -1,11 +1,12 @@
-"""Per-site cost attribution: an order-independent fold over the event IR.
+"""Per-site cost attribution, priced from one execution's pair table.
 
 The paper's whole argument is that the allocation *site* (the predictor
 call chain) is the right unit for memory decisions, yet telemetry stops
 at whole-run totals — a run got slower or more fragmented, but nothing
-says *which sites paid for it*.  This module closes that gap: an
-:class:`AttributionFold` consumes the same ``(chain_id, size, lifetime,
-touches)`` tuples every predictor trainer folds and attributes, per call
+says *which sites paid for it*.  This module closes that gap:
+:func:`attribute_table` prices the rows of a
+:class:`~repro.runtime.folds.PairTable` — the per-``(chain id, size)``
+lifetime sums every predictor trainer reads — and attributes, per call
 chain:
 
 * **simulated instruction cost** — each object is priced one alloc/free
@@ -25,10 +26,13 @@ chain:
   ``missed_short`` (sent to the general heap, actually died under the
   threshold — capture left on the table).
 
-The fold obeys the :class:`~repro.runtime.folds.LifetimeFold` contract
-— ``add`` is order-independent — so it runs identically materialized
-and streamed, and the exports are byte-identical across both paths
-(gated in CI and ``tests/test_stream_parity.py``).
+Each object's price depends on its pair, its lifetime and whether the
+lifetime is under the threshold, so every per-site sum is a pair
+column times a factor fixed by the pair: its size, its verdict, its
+padding or a cost constant.  The table is an order-independent fold,
+so the attribution is identical materialized and streamed, and the
+exports are byte-identical across both paths (gated in CI and
+``tests/test_stream_parity.py``).
 
 Deliberate exclusions, documented rather than approximated:
 
@@ -58,20 +62,19 @@ from repro.alloc.firstfit import ALIGNMENT, HEADER_SIZE
 from repro.core.predictor import (
     DEFAULT_THRESHOLD,
     LifetimePredictor,
-    SiteMemo,
+    pair_table,
 )
-from repro.core.sites import CallChain, ChainTable
+from repro.core.sites import CallChain
 from repro.obs.spans import TRACER
-from repro.runtime.folds import LifetimeFold, fold_object_lifetimes
-from repro.runtime.stream.protocol import as_event_source
+from repro.runtime.folds import PairTable
 
 __all__ = [
     "ATTRIB_PROFILES",
     "ATTRIB_SCHEMA_VERSION",
     "SiteAttribution",
-    "AttributionFold",
     "AttributionProfile",
     "attribute_sites",
+    "attribute_table",
     "profile_for_spec",
     "render_attrib",
     "export_attribution",
@@ -170,91 +173,6 @@ def _firstfit_padding(size: int) -> int:
 def _bsd_padding(size: int) -> int:
     """Bytes of bucket rounding + header overhead a BSD block carries."""
     return (1 << bucket_for(size)) - size
-
-
-class AttributionFold(LifetimeFold):
-    """The per-site attribution accumulators as a lifetime fold.
-
-    ``add`` prices each object from its ``(chain, size, lifetime)``
-    alone — no heap state — so it is order-independent.  The fold
-    carries the chain table (to resolve chains for the predictor) and
-    the predictor itself.
-    """
-
-    def __init__(
-        self,
-        chains: ChainTable,
-        profile: str,
-        predictor: Optional[LifetimePredictor] = None,
-        threshold: Optional[int] = None,
-        model: CostModel = DEFAULT_COST_MODEL,
-    ):
-        if profile not in ATTRIB_PROFILES:
-            raise ValueError(
-                f"unknown attribution profile {profile!r} "
-                f"(have {', '.join(ATTRIB_PROFILES)})"
-            )
-        self.chains = chains
-        self.profile = profile
-        self.predictor = predictor
-        self._verdict = (
-            SiteMemo(predictor.predicts_short_lived, chains)
-            if predictor is not None else None
-        )
-        if threshold is None:
-            threshold = getattr(predictor, "threshold", DEFAULT_THRESHOLD)
-        self.threshold = threshold
-        self.model = model
-        self.sites: Dict[int, SiteAttribution] = {}
-
-    def add(
-        self, chain_id: int, size: int, lifetime: int, touches: int
-    ) -> None:
-        site = self.sites.get(chain_id)
-        if site is None:
-            site = self.sites[chain_id] = SiteAttribution()
-        short = lifetime < self.threshold
-        site.objects += 1
-        site.bytes += size
-        site.touches += touches
-        site.occupancy_byte_time += size * lifetime
-        if short:
-            site.short_objects += 1
-            site.short_bytes += size
-        model = self.model
-        if self.profile == "bsd":
-            alloc = model.bsd_alloc_base
-            free = model.bsd_free
-            frag = _bsd_padding(size)
-        elif self.profile == "firstfit":
-            alloc = model.ff_alloc_base
-            free = model.ff_free_base
-            frag = _firstfit_padding(size)
-        else:  # arena: the predictor decides placement per object
-            predicted = (
-                self._verdict is not None and self._verdict[chain_id, size]
-            )
-            if predicted:
-                site.predicted_objects += 1
-                alloc = model.predict + model.arena_bump
-                free = model.arena_free
-                frag = 0
-                if not short:
-                    site.late_free += 1
-                    site.late_free_byte_time += size * (
-                        lifetime - self.threshold
-                    )
-            else:
-                alloc = model.predict + model.ff_alloc_base
-                free = model.ff_free_base
-                frag = _firstfit_padding(size)
-                if short:
-                    site.missed_short += 1
-                    site.missed_short_bytes += size
-        site.alloc_instr += alloc
-        site.free_instr += free
-        site.frag_bytes += frag
-        site.frag_byte_time += frag * lifetime
 
 
 @dataclass
@@ -362,39 +280,100 @@ def attribute_sites(
     """Attribute one execution's costs per call chain.
 
     ``trace`` is anything :func:`~repro.runtime.stream.protocol.
-    as_event_source` accepts.  The fold runs through
-    :func:`~repro.runtime.folds.fold_object_lifetimes`, so materialized
-    and streamed inputs produce the same profile field for field.
+    as_event_source` accepts.  This is
+    :func:`~repro.core.predictor.pair_table` at the threshold followed
+    by :func:`attribute_table`, so materialized and streamed inputs
+    produce the same profile field for field.
 
     With ``spec`` (an :class:`~repro.alloc.AllocatorSpec`) the profile
     and threshold come from the spec — the declarative path the search
     service and spec-driven CLI commands use; explicit ``threshold``
-    still wins when both are given.
+    still wins when both are given.  Otherwise the threshold is the
+    predictor's, or the paper's 32 KB without one.
     """
     if spec is not None:
         profile = profile_for_spec(spec)
         if threshold is None:
             threshold = spec.threshold
-    source = as_event_source(trace)
-    header = source.header
-    with TRACER.span("attrib.fold", cat="obs", program=header.program,
-                     dataset=header.dataset, profile=profile):
-        fold = fold_object_lifetimes(
-            source,
-            AttributionFold(
-                header.chains, profile,
-                predictor=predictor, threshold=threshold, model=model,
-            ),
+    if threshold is None:
+        threshold = getattr(predictor, "threshold", DEFAULT_THRESHOLD)
+    return attribute_table(
+        pair_table(trace, threshold), profile, predictor=predictor,
+        model=model,
+    )
+
+
+def attribute_table(
+    table: PairTable,
+    profile: str = "arena",
+    predictor: Optional[LifetimePredictor] = None,
+    model: CostModel = DEFAULT_COST_MODEL,
+) -> AttributionProfile:
+    """Price one execution's pair table per call chain.
+
+    Short and late-free mean under and at-or-over the table's
+    threshold.  An object is priced from its pair, its lifetime and its
+    shortness alone — no heap state — so each row is priced once: its
+    columns times the pair's constant price, and ``late_free_byte_time``
+    as ``size × (long lifetime sum − threshold × long objects)``.
+    """
+    if profile not in ATTRIB_PROFILES:
+        raise ValueError(
+            f"unknown attribution profile {profile!r} "
+            f"(have {', '.join(ATTRIB_PROFILES)})"
         )
+    chain_of = table.chains.chain
+    threshold = table.threshold
+    sites: Dict[int, SiteAttribution] = {}
+    with TRACER.span("attrib.fold", cat="obs", program=table.program,
+                     dataset=table.dataset, profile=profile):
+        for (chain_id, size), row in table.rows.items():
+            count, short, touches, lifetime, long_lifetime, _ = row
+            site = sites.get(chain_id)
+            if site is None:
+                site = sites[chain_id] = SiteAttribution()
+            site.objects += count
+            site.bytes += size * count
+            site.touches += touches
+            site.occupancy_byte_time += size * lifetime
+            site.short_objects += short
+            site.short_bytes += size * short
+            if profile == "bsd":
+                alloc = model.bsd_alloc_base
+                free = model.bsd_free
+                frag = _bsd_padding(size)
+            elif profile == "firstfit":
+                alloc = model.ff_alloc_base
+                free = model.ff_free_base
+                frag = _firstfit_padding(size)
+            elif predictor is not None and predictor.predicts_short_lived(
+                chain_of(chain_id), size
+            ):
+                # arena, predicted short: bump-allocated in an arena
+                site.predicted_objects += count
+                alloc = model.predict + model.arena_bump
+                free = model.arena_free
+                frag = 0
+                site.late_free += count - short
+                site.late_free_byte_time += size * (
+                    long_lifetime - threshold * (count - short)
+                )
+            else:  # arena, not predicted: the general heap
+                alloc = model.predict + model.ff_alloc_base
+                free = model.ff_free_base
+                frag = _firstfit_padding(size)
+                site.missed_short += short
+                site.missed_short_bytes += size * short
+            site.alloc_instr += alloc * count
+            site.free_instr += free * count
+            site.frag_bytes += frag * count
+            site.frag_byte_time += frag * lifetime
     return AttributionProfile(
-        program=header.program,
-        dataset=header.dataset,
+        program=table.program,
+        dataset=table.dataset,
         profile=profile,
-        threshold=fold.threshold,
-        sites={
-            header.chains.chain(chain_id): site
-            for chain_id, site in fold.sites.items()
-        },
+        threshold=threshold,
+        sites={chain_of(chain_id): site for chain_id, site in sites.items()},
     )
 
 

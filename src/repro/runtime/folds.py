@@ -16,29 +16,22 @@ while position-aware folds (the windowed time series of
 byte-time positions directly — all three values are intrinsic to the
 object, so order-independence is preserved.
 
-The concrete folds mirror the pipeline's per-object accumulations:
-:class:`EvaluateFold` is :func:`repro.core.predictor.evaluate`'s body
-(integer sums plus key-set unions); :class:`SiteSelectFold` keeps only
-each interned pair's maximum lifetime, which is all the paper's
-all-short-lived selection rule reads at any abstraction level;
-:class:`SizeOnlyFold` AND-folds per-size shortness; :class:`ShortBytesFold`
-is the oracle byte sum.  The order-*dependent* accumulations (P^2
-quantiles, live-byte high-water marks, allocator state) are deliberately
-absent — those replay the event stream in order.
+:class:`PairTable` is the one concrete lifetime fold of the pipeline:
+each interned ``(chain id, size)`` pair's object count, short count,
+touches, lifetime sums and max lifetime at one threshold.  Evaluation,
+site, multi-class and size-only selection, the oracle byte sum and the
+per-site attribution read its rows, never the objects (DESIGN.md §16).
+The order-*dependent* accumulations (P^2 quantiles, live-byte
+high-water marks, allocator state) are deliberately absent — those
+replay the event stream in order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, TypeVar
 
-from repro.core.predictor import (
-    LifetimePredictor,
-    PredictionEvaluation,
-    SitePredictor,
-    StaticEscapePredictor,
-)
 from repro.core.profile import SiteKey
-from repro.core.sites import ChainTable, site_key
+from repro.core.sites import site_key
 from repro.runtime.events import _NEVER_FREED, Trace
 from repro.runtime.stream.protocol import (
     EventSource,
@@ -48,12 +41,11 @@ from repro.runtime.stream.protocol import (
     iter_object_records,
 )
 
+K = TypeVar("K")
+
 __all__ = [
     "LifetimeFold",
-    "EvaluateFold",
-    "SiteSelectFold",
-    "SizeOnlyFold",
-    "ShortBytesFold",
+    "PairTable",
     "fold_object_lifetimes",
 ]
 
@@ -88,136 +80,79 @@ class LifetimeFold:
         self.add(chain_id, size, death - birth, touches)
 
 
-class EvaluateFold(LifetimeFold):
-    """The accumulators of :func:`repro.core.predictor.evaluate`.
+#: Column indexes of a :class:`PairTable` row.
+OBJECTS, SHORT, TOUCHES, LIFETIME, LONG_LIFETIME, MAX_LIFETIME = range(6)
 
-    Integer sums plus matched/test key-set unions.  Every object with
-    the same ``(chain id, size)`` has the same keys and verdict, so the
-    key sets grow only on the first object of each pair and later ones
-    cost one memo lookup.
+
+class PairTable(LifetimeFold):
+    """One execution's lifetime totals per interned ``(chain id, size)``.
+
+    Each row of :attr:`rows` holds, over the pair's objects at
+    :attr:`threshold`: the objects, the objects with lifetime under the
+    threshold (short), the touches, the lifetime sum, the lifetime sum of
+    the objects at or over the threshold, and the max lifetime (indexed
+    by :data:`OBJECTS` ... :data:`MAX_LIFETIME`).  Every column is an
+    integer sum or a max, so ``add`` is order-independent, and every
+    consumer that scored objects one by one — evaluation, attribution,
+    the oracle byte sum — is one of these sums times a factor fixed by
+    the pair.  Selection reads only the max, which no threshold changes,
+    so one table serves every abstraction level and threshold.  A table
+    is O(distinct pairs), never O(objects).
     """
 
-    def __init__(self, predictor: LifetimePredictor, chains: ChainTable):
-        self.predictor = predictor
-        self.chains = chains
-        self.total_bytes = 0
-        self.actual_short = 0
-        self.predicted_short = 0
-        self.error_bytes = 0
-        self.predicted_objects = 0
-        self.predicted_refs = 0
-        self.matched_keys: Set = set()
-        self.test_keys: Set = set()
-        self._hits: Dict[Tuple[int, int], bool] = {}
-
-    def _score(self, chain_id: int, size: int) -> bool:
-        """Record a new pair's test and matched keys; return its verdict."""
-        predictor = self.predictor
-        chain = self.chains.chain(chain_id)
-        if isinstance(predictor, SitePredictor):
-            key = predictor.key_for(chain, size)
-            matched: Tuple = (key,) if key in predictor.sites else ()
-        elif isinstance(predictor, StaticEscapePredictor):
-            key = predictor.key_for(chain, size)
-            matched = (
-                predictor.matching_keys(chain, size)
-                if predictor.predicts_short_lived(chain, size) else ()
-            )
-        else:
-            key = size
-            matched = (
-                (size,) if predictor.predicts_short_lived(chain, size) else ()
-            )
-        self.test_keys.add(key)
-        self.matched_keys.update(matched)
-        hit = self._hits[(chain_id, size)] = bool(matched)
-        return hit
+    def __init__(
+        self, header: StreamHeader, summary: StreamSummary, threshold: int
+    ):
+        self.program = header.program
+        self.dataset = header.dataset
+        self.chains = header.chains
+        self.heap_refs = summary.heap_refs
+        self.threshold = threshold
+        self.rows: Dict[Tuple[int, int], List[int]] = {}
 
     def add(
         self, chain_id: int, size: int, lifetime: int, touches: int
     ) -> None:
-        self.total_bytes += size
-        short = lifetime < self.predictor.threshold
-        if short:
-            self.actual_short += size
-        hit = self._hits.get((chain_id, size))
-        if hit is None:
-            hit = self._score(chain_id, size)
-        if hit:
-            self.predicted_objects += 1
-            self.predicted_refs += touches
-            if short:
-                self.predicted_short += size
+        row = self.rows.get((chain_id, size))
+        if row is None:
+            if lifetime < self.threshold:
+                row = [1, 1, touches, lifetime, 0, lifetime]
             else:
-                self.error_bytes += size
+                row = [1, 0, touches, lifetime, lifetime, lifetime]
+            self.rows[chain_id, size] = row
+            return
+        row[OBJECTS] += 1
+        row[TOUCHES] += touches
+        row[LIFETIME] += lifetime
+        if lifetime < self.threshold:
+            row[SHORT] += 1
+        else:
+            row[LONG_LIFETIME] += lifetime
+        if lifetime > row[MAX_LIFETIME]:
+            row[MAX_LIFETIME] = lifetime
 
-    def result(
-        self,
-        header: StreamHeader,
-        summary: StreamSummary,
-        count_matched_sites: bool = True,
-    ) -> PredictionEvaluation:
-        """The finished evaluation."""
-        sites_used = (
-            len(self.matched_keys) if count_matched_sites
-            else self.predictor.site_count
-        )
-        return PredictionEvaluation(
-            program=header.program,
-            dataset=header.dataset,
-            threshold=self.predictor.threshold,
-            total_sites=len(self.test_keys),
-            sites_used=sites_used,
-            total_bytes=self.total_bytes,
-            actual_short_bytes=self.actual_short,
-            predicted_short_bytes=self.predicted_short,
-            error_bytes=self.error_bytes,
-            predicted_objects=self.predicted_objects,
-            total_heap_refs=summary.heap_refs,
-            predicted_heap_refs=self.predicted_refs,
-        )
-
-
-class SiteSelectFold(LifetimeFold):
-    """Maximum lifetime per interned ``(chain id, size)`` pair.
-
-    The all-short-lived rule reads nothing else ("all objects lived
-    less than 32 kilobytes" is ``max_lifetime < threshold``), and max
-    is order-independent — so a stream and an in-memory trace select
-    the same frozenset, which is why the saved databases stay
-    byte-identical (the writer sorts its site list).  The fold keys on
-    the interned pair, so one pass serves every abstraction level and
-    threshold: :meth:`site_max_lifetimes` abstracts each distinct pair
-    to the requested level's site key when a selection reads it.
-    """
-
-    def __init__(self, chains: ChainTable):
-        self.chains = chains
-        self.max_lifetime: Dict[Tuple[int, int], int] = {}
-
-    def add(
-        self, chain_id: int, size: int, lifetime: int, touches: int
-    ) -> None:
-        key = (chain_id, size)
-        current = self.max_lifetime.get(key)
-        if current is None or lifetime > current:
-            self.max_lifetime[key] = lifetime
+    def max_lifetimes(self, key_of: Callable[[int, int], K]) -> Dict[K, int]:
+        """The maximum lifetime under each ``key_of(chain id, size)``."""
+        per_key: Dict[K, int] = {}
+        for (chain_id, size), row in self.rows.items():
+            key = key_of(chain_id, size)
+            lifetime = row[MAX_LIFETIME]
+            current = per_key.get(key)
+            if current is None or lifetime > current:
+                per_key[key] = lifetime
+        return per_key
 
     def site_max_lifetimes(
         self, chain_length: Optional[int], size_rounding: int
     ) -> Dict[SiteKey, int]:
         """Each site key's maximum lifetime at one abstraction level."""
         chain_of = self.chains.chain
-        per_site: Dict[SiteKey, int] = {}
-        for (chain_id, size), lifetime in self.max_lifetime.items():
-            key = site_key(
+        return self.max_lifetimes(
+            lambda chain_id, size: site_key(
                 chain_of(chain_id), size,
                 length=chain_length, size_rounding=size_rounding,
             )
-            current = per_site.get(key)
-            if current is None or lifetime > current:
-                per_site[key] = lifetime
-        return per_site
+        )
 
     def short_lived_sites(
         self,
@@ -226,7 +161,8 @@ class SiteSelectFold(LifetimeFold):
         size_rounding: int,
     ) -> FrozenSet[SiteKey]:
         """Site keys at one level whose every object died under
-        ``threshold``."""
+        ``threshold`` ("all objects lived less than 32 kilobytes" is
+        ``max_lifetime < threshold``)."""
         return frozenset(
             key for key, lifetime in self.site_max_lifetimes(
                 chain_length, size_rounding
@@ -234,39 +170,20 @@ class SiteSelectFold(LifetimeFold):
             if lifetime < threshold
         )
 
-
-class SizeOnlyFold(LifetimeFold):
-    """Per-size all-short-lived AND fold (the Table 5 ablation)."""
-
-    def __init__(self, threshold: int):
-        self.threshold = threshold
-        self.per_size: Dict[int, bool] = {}
-
-    def add(
-        self, chain_id: int, size: int, lifetime: int, touches: int
-    ) -> None:
-        short = lifetime < self.threshold
-        self.per_size[size] = self.per_size.get(size, True) and short
-
-    def short_lived_sizes(self) -> FrozenSet[int]:
-        """Sizes whose every object died under the threshold."""
+    def short_lived_sizes(self, threshold: int) -> FrozenSet[int]:
+        """Sizes whose every object died under ``threshold``."""
         return frozenset(
-            size for size, short in self.per_size.items() if short
+            size for size, lifetime in self.max_lifetimes(
+                lambda chain_id, size: size
+            ).items()
+            if lifetime < threshold
         )
 
-
-class ShortBytesFold(LifetimeFold):
-    """Oracle sum: bytes of objects that truly died under threshold."""
-
-    def __init__(self, threshold: int):
-        self.threshold = threshold
-        self.total = 0
-
-    def add(
-        self, chain_id: int, size: int, lifetime: int, touches: int
-    ) -> None:
-        if lifetime < self.threshold:
-            self.total += size
+    def short_bytes(self) -> int:
+        """Bytes of the objects that died under the table's threshold."""
+        return sum(
+            size * row[SHORT] for (_, size), row in self.rows.items()
+        )
 
 
 def _fold_trace(trace: Trace, fold: LifetimeFold) -> None:

@@ -28,7 +28,6 @@ from repro.runtime.stream.protocol import (
     as_event_source,
     build_trace,
     iter_object_lifetimes,
-    source_identity,
     stream_live_stats,
 )
 from repro.runtime.stream.v3 import (
@@ -48,7 +47,6 @@ __all__ = [
     "as_event_source",
     "build_trace",
     "iter_object_lifetimes",
-    "source_identity",
     "stream_live_stats",
     "DEFAULT_CHUNK_EVENTS",
     "TraceFileSource",

@@ -67,7 +67,6 @@ __all__ = [
     "first_malformed",
     "iter_object_lifetimes",
     "iter_object_records",
-    "source_identity",
     "stream_live_stats",
 ]
 
@@ -221,14 +220,6 @@ def as_event_source(trace: Union[Trace, EventSource]) -> EventSource:
     )
 
 
-def source_identity(trace: Union[Trace, EventSource]) -> Tuple[str, str]:
-    """``(program, dataset)`` of a trace or source, without wrapping it."""
-    header = getattr(trace, "header", None)
-    if header is not None:
-        return header.program, header.dataset
-    return trace.program, trace.dataset
-
-
 def event_error(
     source: EventSource, offset: int, ev: Event, next_id: int = -1
 ) -> TraceFormatError:
@@ -306,8 +297,9 @@ def check_footer(source: EventSource, objects: int, allocated: int,
     never freed.  The footer's ``total_objects`` must count the objects,
     its ``end_time`` (the byte-time clock at exit) must equal the bytes,
     and every ``unfreed_touches`` id must name an object still live at
-    the end.  :func:`build_trace` and :func:`iter_object_records` call
-    this once their single pass ends, so both raise the same
+    the end.  :func:`build_trace`, :func:`iter_object_records`,
+    :func:`stream_live_stats` and a streamed replay call this once their
+    single pass ends, so all raise the same
     :class:`~repro.runtime.tracefile.TraceFormatError`, naming the file
     and the footer field.
     """
@@ -490,13 +482,14 @@ def stream_live_stats(source: EventSource) -> LiveStats:
 
     Same accumulation as :meth:`Trace.live_stats`; a wrapped in-memory
     trace delegates to it so the per-trace cache keeps working.  A
-    malformed stream raises as in :func:`iter_object_records`.
+    malformed stream, or a footer that disagrees with it, raises as in
+    :func:`iter_object_records`.
     """
     if isinstance(source, TraceEventSource):
         return source.trace.live_stats()
     chain_count = len(source.header.chains)
     live_sizes = {}
-    live_bytes = live_objects = next_id = 0
+    live_bytes = live_objects = next_id = allocated = 0
     max_bytes = max_objects = 0
     for ev in source.events():
         tag = ev[0]
@@ -512,11 +505,14 @@ def stream_live_stats(source: EventSource) -> LiveStats:
             if ev[1] != next_id or not 0 <= ev[2] < chain_count:
                 raise first_malformed(source)
             next_id += 1
-            live_sizes[ev[1]] = ev[3]
-            live_bytes += ev[3]
+            size = ev[3]
+            allocated += size
+            live_sizes[ev[1]] = size
+            live_bytes += size
             live_objects += 1
             if live_bytes > max_bytes:
                 max_bytes = live_bytes
             if live_objects > max_objects:
                 max_objects = live_objects
+    check_footer(source, next_id, allocated, live_sizes.__contains__)
     return LiveStats(max_bytes, max_objects)

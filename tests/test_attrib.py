@@ -1,4 +1,4 @@
-"""Per-site attribution fold and differential session diffing.
+"""Per-site attribution and differential session diffing.
 
 Covers ISSUE 7: cost conservation against the trace totals, the exact
 per-profile pricing arithmetic, arena misprediction classification, the
@@ -21,8 +21,8 @@ from repro.alloc.costs import DEFAULT_COST_MODEL
 from repro.cli import main
 from repro.core.predictor import train_site_predictor
 from repro.obs.attrib import (
-    AttributionFold,
     attribute_sites,
+    attribute_table,
     export_attribution,
     render_attrib,
     write_attrib_json,
@@ -35,6 +35,7 @@ from repro.obs.diff import (
     diff_paths,
     render_diff_report,
 )
+from repro.runtime.folds import PairTable
 from repro.runtime.stream.protocol import (
     TraceEventSource,
     as_event_source,
@@ -146,15 +147,20 @@ class TestAttributionFold:
         with pytest.raises(ValueError, match="unknown attribution profile"):
             attribute_sites(trace, profile="slab")
 
-    def test_add_is_order_independent(self, trace, lifetimes):
-        header = as_event_source(trace).header
+    def test_add_is_order_independent(self, trace, lifetimes, predictor):
+        # Attribution prices a pair table, whose add is order-independent:
+        # the rows, and every profile priced from them, match in any order.
+        source = as_event_source(trace)
 
         def fold_of(items):
-            fold = AttributionFold(header.chains, "bsd",
-                                   threshold=THRESHOLD)
+            table = PairTable(source.header, source.summary, THRESHOLD)
             for chain_id, size, life, touches in items:
-                fold.add(chain_id, size, life, touches)
-            return {cid: site.to_dict() for cid, site in fold.sites.items()}
+                table.add(chain_id, size, life, touches)
+            profiles = [
+                attribute_table(table, profile, predictor=predictor)
+                for profile in ("bsd", "firstfit", "arena")
+            ]
+            return table.rows, [profile.to_dict() for profile in profiles]
 
         shuffled = list(lifetimes)
         random.Random(7).shuffle(shuffled)

@@ -5,15 +5,15 @@
   ``attribute_sites`` call field for field, on materialized and
   streaming stores, including answers re-priced from a shared replay.
 * Counts: span counts on one store pin how many passes ``table all``
-  and ``run_search`` make.
+  and ``run_search`` make, and a count of every per-object lifetime
+  pass pins that Tables 4-6 read one pair table per execution.
 * Multi-class training streams: a streaming store resolves a multiarena
   spec without materializing its training trace.
 * ``build_trace`` raises ``TraceFormatError`` for every malformed
   stream and every footer that disagrees with its events, so the trace
   cache counts such an entry as corrupt; the streaming consumers
   (training, live stats, ``simulate --stream``) raise the same error
-  for the same malformed stream, and the streamed object records (and
-  training on them) for the same footer.
+  for the same malformed stream or footer.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from repro.analysis.simulate import simulate_spec
 from repro.analysis.trace_cache import TraceCache
 from repro.cli import main
 from repro.core.predictor import train_site_predictor
+from repro.runtime import folds
+from repro.runtime.stream import protocol
 from repro.obs.attrib import attribute_sites
 from repro.obs.metrics import Metrics
 from repro.obs.spans import TRACER
@@ -96,6 +98,27 @@ def spans():
     yield TRACER
     TRACER.disable()
     TRACER.reset()
+
+
+@pytest.fixture
+def object_passes(monkeypatch):
+    """One entry per per-object lifetime pass: an in-memory trace's
+    array fold, or a stream's object-record pass."""
+    passes = []
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args):
+            passes.append(name)
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(folds, "_fold_trace")
+    count(folds, "iter_object_records")
+    count(protocol, "iter_object_records")
+    return passes
 
 
 class TestMemoMatchesFresh:
@@ -159,15 +182,22 @@ class TestMemoMatchesFresh:
 
 class TestPassCounts:
     @pytest.mark.parametrize("mode", MODES)
-    def test_table_all(self, cache_dir, mode, spans):
+    def test_table_all(self, cache_dir, mode, spans, object_passes):
         store = _store(cache_dir, mode)
+        passes = []
         for number in range(1, 10):
+            start = len(object_passes)
             getattr(tables, f"table{number}")(store)
+            passes.append(len(object_passes) - start)
         assert len(spans.find("simulate.replay")) == 20
         assert len(spans.find("profile.train_sites")) == 10
         # Tables 4 and 6 select nine predictors per program; Tables 7-9
         # reuse them.
         assert len(spans.find("predictor.train")) == 45
+        # Table 3 collects each program's lifetimes once.  Tables 4-6
+        # fold one pair table per execution, the 10 folds above, and
+        # score, train and select from those alone.
+        assert passes == [0, 0, 5, 10, 0, 0, 0, 0, 0]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_run_search(self, cache_dir, mode, spans):
@@ -178,7 +208,9 @@ class TestPassCounts:
         # arenas, so the 16- and 32-arena specs read the 8-arena counts.
         assert len(spans.find("simulate.replay")) == 6
         assert len(spans.find("attrib.fold")) == 2
-        assert len(spans.find("profile.train_sites")) == 1
+        # One pair table trains every predictor; the attributions price
+        # the test execution's tables at 16 KB and 32 KB.
+        assert len(spans.find("profile.train_sites")) == 3
 
 
 class TestMulticlassStreams:
@@ -330,6 +362,10 @@ def _all_records(source):
     return list(iter_object_records(source))
 
 
+def _simulate_firstfit(source):
+    return simulate_spec(source, FIRSTFIT_SPEC)
+
+
 #: Consumers that walk a stream without materializing it.
 STREAM_CONSUMERS = {
     "train_site_predictor": train_site_predictor,
@@ -350,8 +386,9 @@ class TestStreamConsumersErrorContract:
 
     @pytest.mark.parametrize("case", sorted(BAD_FOOTERS))
     def test_records_and_trace_agree_on_the_footer(self, case, tmp_path):
-        # The streamed records read the footer that build_trace checks,
-        # so both reject it with one message, in memory and on file.
+        # Every streaming consumer checks the footer that build_trace
+        # checks, so all reject it with one message, in memory and on
+        # file.
         source, message = _rejected(case)
         path = tmp_path / "bad.rtr3"
         write_trace_v3(source, path)
@@ -359,19 +396,20 @@ class TestStreamConsumersErrorContract:
                               (TraceFileSource(path), str(path))):
             errors = set()
             for consumer in (build_trace, _all_records,
-                             train_site_predictor):
+                             train_site_predictor, stream_live_stats,
+                             _simulate_firstfit):
                 with pytest.raises(TraceFormatError) as info:
                     consumer(stream)
                 errors.add(str(info.value))
             assert len(errors) == 1
             assert errors.pop().startswith(f"{where}: {message}")
 
-    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("case", sorted(REJECTED))
     def test_cli_stream_exits_one_with_error_line(self, case, tmp_path,
                                                   capsys):
-        events, message = MALFORMED[case]
+        source, message = _rejected(case)
         path = tmp_path / "bad.rtr3"
-        write_trace_v3(ListSource(events), path)
+        write_trace_v3(source, path)
         code = main(["simulate", str(path), "--stream",
                      "--allocator", "firstfit"])
         err = capsys.readouterr().err
