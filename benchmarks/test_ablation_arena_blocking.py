@@ -16,10 +16,10 @@ Two design choices the paper discusses but does not tabulate:
 
 from __future__ import annotations
 
-from repro.analysis.simulate import simulate_arena, simulate_firstfit
-from repro.core.predictor import SitePredictor, train_site_predictor
-from repro.core.sites import FULL_CHAIN
-from repro.workloads.ghost import GhostWorkload
+from repro.alloc.spec import FIRSTFIT_SPEC, AllocatorSpec
+from repro.analysis import TraceStore
+from repro.analysis.simulate import simulate_spec
+from repro.core.predictor import SitePredictor
 
 from conftest import write_result
 
@@ -42,8 +42,8 @@ class PollutedPredictor(SitePredictor):
 
 def _polluted(store, program: str) -> SitePredictor:
     """The self predictor plus the sites of some long-lived objects."""
-    trace = store.trace(store.programs[0] if program is None else program)
-    base = train_site_predictor(trace)
+    trace = store.trace(program)
+    base = store.self_predictor(program)
     long_sites = set()
     for obj_id in range(trace.total_objects):
         if trace.lifetime_of(obj_id) >= base.threshold:
@@ -54,18 +54,15 @@ def _polluted(store, program: str) -> SitePredictor:
     return PollutedPredictor(base, long_sites)
 
 
-def test_blocking_sweep(benchmark, store, results_dir):
+def test_blocking_sweep(store, results_dir):
     program = "espresso"
-    trace = store.trace(program)
     predictor = _polluted(store, program)
-
-    def compute():
-        return [
-            simulate_arena(trace, predictor, num_arenas=n, arena_size=size)
-            for n, size in BLOCKINGS
-        ]
-
-    results = benchmark.pedantic(compute, rounds=1, iterations=1)
+    # No spec mode names a polluted predictor, so these replays are fresh.
+    results = [
+        simulate_spec(store.source(program),
+                      AllocatorSpec(num_arenas=n, arena_size=size), predictor)
+        for n, size in BLOCKINGS
+    ]
 
     lines = [f"Arena blocking sweep ({program}, polluted predictor, "
              "fixed 64 KB area)"]
@@ -86,22 +83,16 @@ def test_blocking_sweep(benchmark, store, results_dir):
     assert captures[3] <= captures[2] + 10
 
 
-def test_ghost_scale_trend(benchmark, store, results_dir):
-    def compute():
-        ratios = []
-        for scale in (0.5, 1.0, 2.0, 4.0):
-            trace = GhostWorkload.trace("test", scale=scale)
-            firstfit = simulate_firstfit(trace)
-            arena = simulate_arena(
-                trace, train_site_predictor(trace)
-            )
-            ratios.append(
-                (scale, trace.total_bytes,
-                 arena.max_heap_size / firstfit.max_heap_size)
-            )
-        return ratios
-
-    ratios = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_ghost_scale_trend(results_dir):
+    ratios = []
+    for scale in (0.5, 1.0, 2.0, 4.0):
+        scaled = TraceStore(scale=scale)
+        firstfit = scaled.simulate("ghost", FIRSTFIT_SPEC)
+        arena = scaled.simulate("ghost", AllocatorSpec(predictor="self"))
+        ratios.append(
+            (scale, scaled.trace("ghost").total_bytes,
+             arena.max_heap_size / firstfit.max_heap_size)
+        )
 
     lines = ["Ghost arena/first-fit max-heap ratio vs document scale",
              "  scale   total-bytes   arena/ff"]

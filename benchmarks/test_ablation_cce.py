@@ -10,34 +10,29 @@ space-speed trade-off.
 
 from __future__ import annotations
 
-from repro.core.cce import collision_report, train_cce_predictor
-from repro.core.predictor import evaluate, train_site_predictor
+from repro.analysis import EVAL_DATASET
+from repro.core.cce import collision_report
 
 from conftest import write_result
 
 KEY_WIDTHS = [4, 8, 12, 16]
 
 
-def test_cce_fidelity(benchmark, store, results_dir):
-    def compute():
-        per_program = {}
-        for program in store.programs:
-            trace = store.trace(program)
-            chains = trace.chains.to_list()
-            collisions = {
-                bits: collision_report(chains, bits=bits).collision_rate
-                for bits in KEY_WIDTHS
-            }
-            site_pct = evaluate(
-                train_site_predictor(trace), trace
-            ).predicted_pct
-            cce_pct = evaluate(
-                train_cce_predictor(trace), trace
-            ).predicted_pct
-            per_program[program] = (collisions, site_pct, cce_pct)
-        return per_program
-
-    per_program = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_cce_fidelity(store, results_dir):
+    per_program = {}
+    for program in store.programs:
+        chains = store.trace(program).chains.to_list()
+        collisions = {
+            bits: collision_report(chains, bits=bits).collision_rate
+            for bits in KEY_WIDTHS
+        }
+        site_pct = store.evaluate(
+            program, store.self_predictor(program)
+        ).predicted_pct
+        cce_pct = store.evaluate(
+            program, store.cce_predictor(program, train_dataset=EVAL_DATASET)
+        ).predicted_pct
+        per_program[program] = (collisions, site_pct, cce_pct)
 
     lines = ["CCE key collisions and prediction fidelity (self prediction)"]
     lines.append(

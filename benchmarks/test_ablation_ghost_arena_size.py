@@ -11,8 +11,7 @@ match its predicted fraction — the fix the paper's footnote implies.
 
 from __future__ import annotations
 
-from repro.analysis.simulate import simulate_arena
-from repro.core.predictor import evaluate, train_site_predictor
+from repro.alloc.spec import AllocatorSpec
 from repro.workloads.ghost.graphics import PAGE_WIDTH, SPAN_BYTES_PER_COLUMN
 
 from conftest import write_result
@@ -23,21 +22,13 @@ SPLITS = [(32, 2048), (16, 4096), (8, 8192), (4, 16384)]
 SPAN_SIZE = PAGE_WIDTH * SPAN_BYTES_PER_COLUMN  # 6144
 
 
-def test_ghost_arena_size_sweep(benchmark, store, results_dir):
-    trace = store.trace("ghost")
-    predictor = train_site_predictor(store.trace("ghost", "train"))
-    predicted_pct = (
-        evaluate(predictor, trace).predicted_pct
-        + evaluate(predictor, trace).error_pct
-    )
-
-    def compute():
-        return [
-            simulate_arena(trace, predictor, num_arenas=n, arena_size=size)
-            for n, size in SPLITS
-        ]
-
-    results = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_ghost_arena_size_sweep(store, results_dir):
+    evaluation = store.evaluate("ghost", store.predictor("ghost"))
+    predicted_pct = evaluation.predicted_pct + evaluation.error_pct
+    results = [
+        store.simulate("ghost", AllocatorSpec(num_arenas=n, arena_size=size))
+        for n, size in SPLITS
+    ]
 
     lines = [
         f"Ghost arena-size sweep (fixed 64 KB area; span buffers are "

@@ -14,8 +14,9 @@ degradation curve behind the paper's CFRAC anecdote.
 
 from __future__ import annotations
 
-from repro.analysis.simulate import simulate_arena
-from repro.core.predictor import SitePredictor, evaluate, train_site_predictor
+from repro.alloc.spec import PAPER_DEFAULT_SPEC
+from repro.analysis.simulate import simulate_spec
+from repro.core.predictor import SitePredictor
 
 from conftest import write_result
 
@@ -46,21 +47,18 @@ def _with_injected_error(base: SitePredictor, trace, count: int) -> SitePredicto
     )
 
 
-def test_pollution_degrades_arena(benchmark, store, results_dir):
+def test_pollution_degrades_arena(store, results_dir):
     program = "cfrac"
     trace = store.trace(program)
-    base = train_site_predictor(trace)
-
-    def compute():
-        rows = []
-        for count in INJECTIONS:
-            predictor = _with_injected_error(base, trace, count)
-            error_pct = evaluate(predictor, trace).error_pct
-            sim = simulate_arena(trace, predictor)
-            rows.append((count, error_pct, sim))
-        return rows
-
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
+    base = store.self_predictor(program)
+    rows = []
+    for count in INJECTIONS:
+        predictor = _with_injected_error(base, trace, count)
+        error_pct = store.evaluate(program, predictor).error_pct
+        # No spec mode names a polluted predictor, so this replay is fresh.
+        sim = simulate_spec(store.source(program), PAPER_DEFAULT_SPEC,
+                            predictor)
+        rows.append((count, error_pct, sim))
 
     lines = [f"Arena degradation under injected misprediction ({program})",
              "  sites  error-bytes%  arena-allocs%  overflows  instr/alloc"]

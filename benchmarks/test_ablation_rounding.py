@@ -9,28 +9,21 @@ prediction at roundings 1..32 for every program.
 
 from __future__ import annotations
 
-from repro.core.predictor import evaluate, train_site_predictor
-
 from conftest import write_result
 
 ROUNDINGS = [1, 2, 4, 8, 16, 32]
 
 
-def test_rounding_sweep(benchmark, store, results_dir):
-    def compute():
-        sweep = {}
-        for program in store.programs:
-            train = store.trace(program, "train")
-            test = store.trace(program, "test")
-            row = []
-            for rounding in ROUNDINGS:
-                predictor = train_site_predictor(train, size_rounding=rounding)
-                result = evaluate(predictor, test)
-                row.append((result.predicted_pct, result.error_pct))
-            sweep[program] = row
-        return sweep
-
-    sweep = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_rounding_sweep(store, results_dir):
+    sweep = {}
+    for program in store.programs:
+        row = []
+        for rounding in ROUNDINGS:
+            result = store.evaluate(
+                program, store.predictor(program, size_rounding=rounding)
+            )
+            row.append((result.predicted_pct, result.error_pct))
+        sweep[program] = row
 
     lines = ["True-predicted short-lived bytes (%) vs size rounding"]
     lines.append("  program   " + "".join(f"{r:>8d}" for r in ROUNDINGS))

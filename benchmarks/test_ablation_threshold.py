@@ -9,26 +9,21 @@ regenerates that trade-off curve for every program.
 
 from __future__ import annotations
 
-from repro.core.predictor import evaluate, train_site_predictor
-
 from conftest import write_result
 
 THRESHOLDS = [4 * 1024, 8 * 1024, 16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024]
 
 
-def test_threshold_sweep(benchmark, store, results_dir):
-    def compute():
-        sweep = {}
-        for program in store.programs:
-            trace = store.trace(program)
-            row = []
-            for threshold in THRESHOLDS:
-                predictor = train_site_predictor(trace, threshold=threshold)
-                row.append(evaluate(predictor, trace).predicted_pct)
-            sweep[program] = row
-        return sweep
-
-    sweep = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_threshold_sweep(store, results_dir):
+    sweep = {
+        program: [
+            store.evaluate(
+                program, store.self_predictor(program, threshold=threshold)
+            ).predicted_pct
+            for threshold in THRESHOLDS
+        ]
+        for program in store.programs
+    }
 
     lines = ["Self-predicted short-lived bytes (%) vs threshold"]
     header = "  program   " + "".join(f"{t // 1024:>7d}K" for t in THRESHOLDS)

@@ -14,33 +14,23 @@ space-for-capture trade the paper makes once, made twice.
 
 from __future__ import annotations
 
-from repro.alloc.arena import ArenaAllocator
-from repro.alloc.multiarena import MultiArenaAllocator
-from repro.analysis.simulate import replay
-from repro.core.multiclass import train_multiclass_predictor
-from repro.core.predictor import train_site_predictor
+from repro.alloc.spec import PAPER_DEFAULT_SPEC, AllocatorSpec
 
 from conftest import write_result
 
 LADDER = (32 * 1024, 256 * 1024)
 
 
-def test_multiclass_capture(benchmark, store, results_dir):
-    def compute():
-        rows = {}
-        for program in store.programs:
-            test = store.trace(program)
-            train = store.trace(program, "train")
-            single = ArenaAllocator(train_site_predictor(train))
-            replay(test, single)
-            multi = MultiArenaAllocator(
-                train_multiclass_predictor(train, thresholds=LADDER)
-            )
-            replay(test, multi)
-            rows[program] = (test.total_bytes, single, multi)
-        return rows
-
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_multiclass_capture(store, results_dir):
+    multi_spec = AllocatorSpec(kind="multiarena", class_thresholds=LADDER)
+    rows = {
+        program: (
+            store.trace(program).total_bytes,
+            store.simulate(program, PAPER_DEFAULT_SPEC),
+            store.simulate(program, multi_spec),
+        )
+        for program in store.programs
+    }
 
     lines = [
         "Multi-class arenas (ladder 32K / 256K) vs the paper's single class "

@@ -40,25 +40,19 @@ DIRECT = CacheConfig(size=64 * 1024, line_size=32, ways=1)
 TWO_WAY = CacheConfig(size=64 * 1024, line_size=32, ways=2)
 
 
-def test_locality(benchmark, store, results_dir):
-    def compute():
-        rows = {}
-        for program in PROGRAMS:
-            workload = get_workload(program)
-            trace = workload.trace("test", scale=SCALE, record_touches=True)
-            predictor = train_site_predictor(
-                workload.trace("train", scale=SCALE)
-            )
-            predicted_newref = evaluate(predictor, trace).new_ref_pct
-            direct = compare_locality(trace, predictor, config=DIRECT)
-            two_way = compare_locality(trace, predictor, config=TWO_WAY)
-            fragmented = compare_locality(
-                trace, predictor, config=TWO_WAY, prefragment_holes=512
-            )
-            rows[program] = (predicted_newref, direct, two_way, fragmented)
-        return rows
-
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_locality(results_dir):
+    rows = {}
+    for program in PROGRAMS:
+        workload = get_workload(program)
+        trace = workload.trace("test", scale=SCALE, record_touches=True)
+        predictor = train_site_predictor(workload.trace("train", scale=SCALE))
+        predicted_newref = evaluate(predictor, trace).new_ref_pct
+        direct = compare_locality(trace, predictor, config=DIRECT)
+        two_way = compare_locality(trace, predictor, config=TWO_WAY)
+        fragmented = compare_locality(
+            trace, predictor, config=TWO_WAY, prefragment_holes=512
+        )
+        rows[program] = (predicted_newref, direct, two_way, fragmented)
 
     lines = [
         f"Cache locality (64 KB, 32 B lines; scale {SCALE})",

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import random
 
-from repro.alloc.arena import ArenaAllocator
-from repro.alloc.bsd import BsdAllocator
-from repro.alloc.firstfit import FirstFitAllocator
+from repro.alloc.spec import (
+    BSD_SPEC,
+    FIRSTFIT_SPEC,
+    PAPER_DEFAULT_SPEC,
+    build_allocator,
+)
 from repro.analysis.simulate import replay
 from repro.core.predictor import train_site_predictor
 from repro.core.quantile import P2Histogram
@@ -64,7 +67,7 @@ def test_predictor_lookup(benchmark):
 
 
 def test_firstfit_malloc_free_cycle(benchmark):
-    allocator = FirstFitAllocator()
+    allocator = build_allocator(FIRSTFIT_SPEC)
     # Warm the heap so the cycle reuses a hole (steady state).
     warm = allocator.malloc(64)
     allocator.free(warm)
@@ -78,7 +81,7 @@ def test_firstfit_malloc_free_cycle(benchmark):
 
 
 def test_bsd_malloc_free_cycle(benchmark):
-    allocator = BsdAllocator()
+    allocator = build_allocator(BSD_SPEC)
     warm = allocator.malloc(64)
     allocator.free(warm)
 
@@ -92,7 +95,9 @@ def test_bsd_malloc_free_cycle(benchmark):
 
 def test_arena_bump_free_cycle(benchmark):
     trace = make_churn_trace(objects=400)
-    allocator = ArenaAllocator(train_site_predictor(trace, threshold=4096))
+    allocator = build_allocator(
+        PAPER_DEFAULT_SPEC, train_site_predictor(trace, threshold=4096)
+    )
     chain = ("main", "work", "helper")
 
     def cycle():
@@ -116,7 +121,7 @@ def test_replay_uninstrumented(benchmark):
     predictor = train_site_predictor(trace, threshold=4096)
 
     def run():
-        replay(trace, ArenaAllocator(predictor))
+        replay(trace, build_allocator(PAPER_DEFAULT_SPEC, predictor))
 
     benchmark(run)
 
@@ -126,7 +131,8 @@ def test_replay_null_probe(benchmark):
     predictor = train_site_predictor(trace, threshold=4096)
 
     def run():
-        replay(trace, ArenaAllocator(predictor), telemetry=NullTelemetry())
+        replay(trace, build_allocator(PAPER_DEFAULT_SPEC, predictor),
+               telemetry=NullTelemetry())
 
     benchmark(run)
 
@@ -137,7 +143,8 @@ def test_replay_full_telemetry(benchmark):
 
     def run():
         telemetry = Telemetry(interval=64, metrics=Metrics())
-        replay(trace, ArenaAllocator(predictor), telemetry=telemetry)
+        replay(trace, build_allocator(PAPER_DEFAULT_SPEC, predictor),
+               telemetry=telemetry)
         return telemetry
 
     telemetry = benchmark(run)

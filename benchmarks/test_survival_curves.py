@@ -15,14 +15,11 @@ from repro.core.predictor import DEFAULT_THRESHOLD, actual_short_lived_bytes
 from conftest import write_result
 
 
-def test_survival_curves(benchmark, store, results_dir):
-    def compute():
-        return {
-            program: survival_curve(store.trace(program))
-            for program in store.programs
-        }
-
-    curves = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_survival_curves(store, results_dir):
+    curves = {
+        program: survival_curve(store.trace(program))
+        for program in store.programs
+    }
 
     text = "\n\n".join(curve.render() for curve in curves.values())
     write_result(results_dir, "survival_curves.txt", text)

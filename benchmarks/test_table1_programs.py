@@ -14,8 +14,8 @@ from repro.analysis.report import render_table1
 from conftest import write_result
 
 
-def test_table1(benchmark, store, results_dir):
-    rows = benchmark.pedantic(table1, args=(store,), rounds=1, iterations=1)
+def test_table1(store, results_dir):
+    rows = table1(store)
     write_result(results_dir, "table1.txt", render_table1(rows))
 
     assert [row.program for row in rows] == store.programs

@@ -13,8 +13,8 @@ from repro.analysis.report import render_table2
 from conftest import write_result
 
 
-def test_table2(benchmark, store, results_dir):
-    rows = benchmark.pedantic(table2, args=(store,), rounds=1, iterations=1)
+def test_table2(store, results_dir):
+    rows = table2(store)
     write_result(results_dir, "table2.txt", render_table2(rows))
 
     by_program = {row.program: row for row in rows}

@@ -14,8 +14,8 @@ from repro.analysis.report import render_table3
 from conftest import write_result
 
 
-def test_table3(benchmark, store, results_dir):
-    rows = benchmark.pedantic(table3, args=(store,), rounds=1, iterations=1)
+def test_table3(store, results_dir):
+    rows = table3(store)
     write_result(results_dir, "table3.txt", render_table3(rows))
 
     for row in rows:

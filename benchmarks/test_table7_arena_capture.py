@@ -17,8 +17,8 @@ from repro.analysis.report import render_table7
 from conftest import write_result
 
 
-def test_table7(benchmark, store, results_dir):
-    rows = benchmark.pedantic(table7, args=(store,), rounds=1, iterations=1)
+def test_table7(store, results_dir):
+    rows = table7(store)
     write_result(results_dir, "table7.txt", render_table7(rows))
 
     prediction = {row.program: row for row in table4(store)}

@@ -21,8 +21,8 @@ from repro.analysis.report import render_table8
 from conftest import write_result
 
 
-def test_table8(benchmark, store, results_dir):
-    rows = benchmark.pedantic(table8, args=(store,), rounds=1, iterations=1)
+def test_table8(store, results_dir):
+    rows = table8(store)
     write_result(results_dir, "table8.txt", render_table8(rows))
 
     by_program = {row.program: row for row in rows}

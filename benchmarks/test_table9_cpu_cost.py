@@ -21,8 +21,8 @@ from repro.analysis.report import render_table9
 from conftest import write_result
 
 
-def test_table9(benchmark, store, results_dir):
-    rows = benchmark.pedantic(table9, args=(store,), rounds=1, iterations=1)
+def test_table9(store, results_dir):
+    rows = table9(store)
     write_result(results_dir, "table9.txt", render_table9(rows))
 
     by_program = {row.program: row for row in rows}

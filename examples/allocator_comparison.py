@@ -11,9 +11,10 @@ Run:  python examples/allocator_comparison.py [workload]
 import sys
 
 from repro import (
-    simulate_arena,
-    simulate_bsd,
-    simulate_firstfit,
+    BSD_SPEC,
+    FIRSTFIT_SPEC,
+    AllocatorSpec,
+    simulate_spec,
     train_site_predictor,
 )
 from repro.workloads.registry import PROGRAM_ORDER, run_workload
@@ -32,10 +33,10 @@ def main() -> None:
           f"{test.total_objects} allocations\n")
 
     results = [
-        simulate_bsd(test),
-        simulate_firstfit(test),
-        simulate_arena(test, predictor, strategy="len4"),
-        simulate_arena(test, predictor, strategy="cce"),
+        simulate_spec(test, BSD_SPEC),
+        simulate_spec(test, FIRSTFIT_SPEC),
+        simulate_spec(test, AllocatorSpec(strategy="len4"), predictor),
+        simulate_spec(test, AllocatorSpec(strategy="cce"), predictor),
     ]
 
     header = (

@@ -21,7 +21,13 @@ Run:  python examples/custom_workload.py
 
 import random
 
-from repro import TracedHeap, evaluate, simulate_arena, train_site_predictor
+from repro import (
+    AllocatorSpec,
+    TracedHeap,
+    evaluate,
+    simulate_spec,
+    train_site_predictor,
+)
 from repro.runtime.heap import traced
 
 
@@ -127,7 +133,9 @@ def main():
     print(f"true prediction on tuesday: {score.predicted_pct:.1f}% of bytes "
           f"(oracle: {score.actual_pct:.1f}%), error {score.error_pct:.2f}%")
 
-    sim = simulate_arena(tuesday, predictor)
+    sim = simulate_spec(
+        tuesday, AllocatorSpec(threshold=predictor.threshold), predictor
+    )
     print(f"arena allocator: {sim.arena_alloc_pct:.1f}% of allocations in "
           f"arenas, {sim.cost.per_pair:.0f} instructions per alloc+free")
 

@@ -17,8 +17,8 @@ Run:  python examples/future_work.py [workload]
 
 import sys
 
-from repro.alloc import ArenaAllocator, MultiArenaAllocator
-from repro.analysis import replay, simulate_arena, simulate_arena_oracle
+from repro.alloc import PAPER_DEFAULT_SPEC, AllocatorSpec
+from repro.analysis import simulate_arena_oracle, simulate_spec
 from repro.core import train_multiclass_predictor, train_site_predictor
 from repro.workloads.registry import PROGRAM_ORDER, run_workload
 
@@ -34,14 +34,16 @@ def main() -> None:
     total = test.total_bytes
 
     # The paper's configuration, true prediction.
-    paper = simulate_arena(test, train_site_predictor(train))
+    paper = simulate_spec(test, PAPER_DEFAULT_SPEC,
+                          train_site_predictor(train))
     # The same arenas with perfect knowledge.
     oracle = simulate_arena_oracle(test)
     # The future-work ladder: 32 KB and 256 KB classes.
-    multi = MultiArenaAllocator(
-        train_multiclass_predictor(train, thresholds=(32 * 1024, 256 * 1024))
+    ladder = (32 * 1024, 256 * 1024)
+    multi = simulate_spec(
+        test, AllocatorSpec(kind="multiarena", class_thresholds=ladder),
+        train_multiclass_predictor(train, thresholds=ladder),
     )
-    replay(test, multi)
 
     print(f"\n{program}: {test.total_objects} allocations, "
           f"{total} bytes\n")

@@ -8,7 +8,13 @@ allocator.
 Run:  python examples/quickstart.py
 """
 
-from repro import evaluate, simulate_arena, simulate_firstfit, train_site_predictor
+from repro import (
+    FIRSTFIT_SPEC,
+    PAPER_DEFAULT_SPEC,
+    evaluate,
+    simulate_spec,
+    train_site_predictor,
+)
 from repro.workloads.registry import run_workload
 
 
@@ -32,8 +38,8 @@ def main() -> None:
 
     # 4. Replay the test run through the arena allocator and the first-fit
     #    baseline.
-    arena = simulate_arena(test, predictor)
-    firstfit = simulate_firstfit(test)
+    arena = simulate_spec(test, PAPER_DEFAULT_SPEC, predictor)
+    firstfit = simulate_spec(test, FIRSTFIT_SPEC)
     print(f"arena allocator: {arena.arena_alloc_pct:.1f}% of allocations "
           f"served by bump-pointer arenas")
     print(f"instructions per alloc+free: "

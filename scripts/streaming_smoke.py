@@ -67,16 +67,16 @@ def child(mode: str, trace_path: str, limit_bytes: int) -> int:
     if limit_bytes:
         resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
 
-    from repro.alloc.firstfit import FirstFitAllocator
-    from repro.analysis.simulate import replay
+    from repro.alloc.spec import FIRSTFIT_SPEC
+    from repro.analysis.simulate import simulate_spec
     from repro.obs.metrics import peak_rss_kb
     from repro.runtime.tracefile import load_trace, open_trace_stream
 
     if mode == "stream":
         source = open_trace_stream(trace_path)
-        replay(source, FirstFitAllocator())
+        simulate_spec(source, FIRSTFIT_SPEC)
     else:
-        replay(load_trace(trace_path), FirstFitAllocator())
+        simulate_spec(load_trace(trace_path), FIRSTFIT_SPEC)
     print(json.dumps(
         {"vm_peak_kb": vm_peak_kb(), "peak_rss_kb": peak_rss_kb()}
     ))

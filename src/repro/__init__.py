@@ -9,7 +9,7 @@ heap.
 Quick tour::
 
     from repro import (
-        TracedHeap, train_site_predictor, evaluate, simulate_arena,
+        PAPER_DEFAULT_SPEC, evaluate, simulate_spec, train_site_predictor,
     )
     from repro.workloads.registry import run_workload
 
@@ -17,7 +17,7 @@ Quick tour::
     predictor = train_site_predictor(train)     # learn short-lived sites
     test = run_workload("gawk", "test")         # a different input
     print(evaluate(predictor, test).predicted_pct)  # Table 4's number
-    result = simulate_arena(test, predictor)    # Table 7/8/9's simulator
+    result = simulate_spec(test, PAPER_DEFAULT_SPEC, predictor)  # Tables 7-9
     print(result.arena_byte_pct, result.max_heap_size)
 
 Packages:
@@ -32,6 +32,10 @@ Packages:
 """
 
 from repro.alloc import (
+    BSD_SPEC,
+    FIRSTFIT_SPEC,
+    PAPER_DEFAULT_SPEC,
+    AllocatorSpec,
     ArenaAllocator,
     BsdAllocator,
     FirstFitAllocator,
@@ -39,12 +43,7 @@ from repro.alloc import (
     bsd_cost,
     firstfit_cost,
 )
-from repro.analysis import (
-    TraceStore,
-    simulate_arena,
-    simulate_bsd,
-    simulate_firstfit,
-)
+from repro.analysis import TraceStore, simulate_spec
 from repro.core import (
     DEFAULT_THRESHOLD,
     AllocationSite,
@@ -66,6 +65,10 @@ from repro.runtime import HeapObject, Trace, TracedHeap, load_trace, save_trace
 __version__ = "1.0.0"
 
 __all__ = [
+    "BSD_SPEC",
+    "FIRSTFIT_SPEC",
+    "PAPER_DEFAULT_SPEC",
+    "AllocatorSpec",
     "ArenaAllocator",
     "BsdAllocator",
     "FirstFitAllocator",
@@ -73,9 +76,7 @@ __all__ = [
     "bsd_cost",
     "firstfit_cost",
     "TraceStore",
-    "simulate_arena",
-    "simulate_bsd",
-    "simulate_firstfit",
+    "simulate_spec",
     "DEFAULT_THRESHOLD",
     "AllocationSite",
     "CCEPredictor",

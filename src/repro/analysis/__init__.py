@@ -17,9 +17,6 @@ from repro.analysis.locality import (
 from repro.analysis.simulate import (
     SimulationResult,
     replay,
-    simulate_arena,
-    simulate_bsd,
-    simulate_firstfit,
     simulate_spec,
 )
 from repro.analysis.compare import ProfileDiff, diff_traces, render_diff
@@ -63,9 +60,6 @@ __all__ = [
     "prefragment",
     "SimulationResult",
     "replay",
-    "simulate_arena",
-    "simulate_bsd",
-    "simulate_firstfit",
     "simulate_spec",
     "ProfileDiff",
     "diff_traces",

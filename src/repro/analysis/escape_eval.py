@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.alloc.arena import DEFAULT_ARENA_SIZE, DEFAULT_NUM_ARENAS
 from repro.alloc.spec import AllocatorSpec
 from repro.analysis.oracle import simulate_arena_oracle
-from repro.analysis.simulate import simulate_spec
 from repro.core.predictor import DEFAULT_THRESHOLD, PredictionEvaluation
 from repro.obs.spans import TRACER
 
@@ -148,10 +147,8 @@ def escape_eval(
             trained_spec = AllocatorSpec(
                 num_arenas=num_arenas, arena_size=arena_size,
                 threshold=threshold)
-            static_sim = simulate_spec(
-                store.source(program, "test"), static_spec, static_pred)
-            trained_sim = simulate_spec(
-                store.source(program, "test"), trained_spec, trained_pred)
+            static_sim = store.simulate(program, static_spec)
+            trained_sim = store.simulate(program, trained_spec)
             oracle_sim = simulate_arena_oracle(
                 store.trace(program, "test"), threshold=threshold,
                 num_arenas=num_arenas, arena_size=arena_size)

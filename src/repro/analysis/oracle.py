@@ -11,40 +11,58 @@ requiring no programmer annotations.
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import replace
+from typing import Iterable, Optional
 
 from repro.alloc.arena import DEFAULT_ARENA_SIZE, DEFAULT_NUM_ARENAS
-from repro.alloc.spec import AllocatorSpec, build_allocator
-from repro.analysis.simulate import SimulationResult
-from repro.alloc.costs import DEFAULT_COST_MODEL, CostModel, arena_cost
-from repro.core.predictor import (
-    DEFAULT_THRESHOLD,
-    LifetimePredictor,
-    SiteLookup,
-)
-from repro.core.sites import CallChain, ChainTable
+from repro.alloc.costs import DEFAULT_COST_MODEL, CostModel
+from repro.alloc.spec import AllocatorSpec
+from repro.analysis.simulate import SimulationResult, price, replay_spec
+from repro.core.predictor import DEFAULT_THRESHOLD, LifetimePredictor
+from repro.core.sites import ChainTable
 from repro.runtime.events import Trace
 
 __all__ = ["simulate_arena_oracle"]
 
 
-class _OracleAnswer(LifetimePredictor):
-    """A predictor whose next answer is injected per allocation.
+class _NextVerdict(dict):
+    """A verdict memo that answers every lookup with the next verdict.
 
-    Models Hanson's programmer: the decision arrives with the allocation
-    itself, not from a site database.
+    It stores nothing, so a repeated ``(chain, size)`` key is asked
+    again and gets the next object's answer, not the last one's.
     """
 
-    def __init__(self, threshold: int):
+    __slots__ = ("_next",)
+
+    def __init__(self, verdicts: Iterable[bool]):
+        super().__init__()
+        self._next = iter(verdicts).__next__
+
+    def __missing__(self, key) -> bool:
+        return self._next()
+
+
+class _OracleAnswer(LifetimePredictor):
+    """A predictor that answers each allocation with its object's fate.
+
+    Models Hanson's programmer: the decision arrives with the allocation
+    itself, not from a site database.  Replay allocates in dense id
+    order and the arena reads its verdict memo once per allocation, so
+    the memo :meth:`bind` returns yields object ``i``'s true verdict at
+    the ``i``-th allocation.
+    """
+
+    def __init__(self, trace: Trace, threshold: int):
+        self.trace = trace
         self.threshold = threshold
-        self.answer = False
 
-    def predicts_short_lived(self, chain: CallChain, size: int) -> bool:
-        return self.answer
-
-    def bind(self, chains: Optional[ChainTable] = None) -> SiteLookup:
-        # The answer changes per object, not per (chain, size): never memoize.
-        return SiteLookup(self.predicts_short_lived, chains)
+    def bind(self, chains: Optional[ChainTable] = None) -> _NextVerdict:
+        lifetime_of = self.trace.lifetime_of
+        threshold = self.threshold
+        return _NextVerdict(
+            lifetime_of(obj_id) < threshold
+            for obj_id in range(self.trace.total_objects)
+        )
 
     @property
     def site_count(self) -> int:
@@ -66,47 +84,8 @@ def simulate_arena_oracle(
     paper's, so the result is the ceiling that a perfect predictor — not a
     perfect allocator — could reach.
     """
-    oracle = _OracleAnswer(threshold)
     spec = AllocatorSpec(
         num_arenas=num_arenas, arena_size=arena_size, threshold=threshold
     )
-    allocator = build_allocator(spec, oracle)
-    allocator.bind_chains(trace.chains)
-    arrays = trace.raw_arrays()
-    sizes = arrays["sizes"]
-    chain_ids = arrays["chain_ids"]
-    addresses = {}
-    for code in arrays["events"]:
-        tag = code & 3
-        if tag == 2:
-            continue
-        obj_id = code >> 2
-        if tag == 1:
-            allocator.free(addresses.pop(obj_id))
-        else:
-            oracle.answer = trace.lifetime_of(obj_id) < threshold
-            addresses[obj_id] = allocator.malloc(
-                sizes[obj_id], chain_ids[obj_id]
-            )
-    cost = arena_cost(
-        allocator.ops,
-        allocator.general.ops,
-        strategy="len4",
-        total_calls=trace.total_calls,
-        model=model,
-    )
-    return SimulationResult(
-        allocator="arena (oracle)",
-        program=trace.program,
-        dataset=trace.dataset,
-        max_heap_size=allocator.max_heap_size,
-        final_live_bytes=allocator.live_bytes,
-        ops=allocator.ops.snapshot(),
-        cost=cost,
-        general_ops=allocator.general.ops.snapshot(),
-        arena_allocs=allocator.ops.arena_allocs,
-        arena_bytes=allocator.arena_bytes,
-        general_allocs=allocator.ops.allocs - allocator.ops.arena_allocs,
-        general_bytes=allocator.general_bytes,
-        arena_area_size=allocator.arena_area_size,
-    )
+    counts = replay_spec(trace, spec, _OracleAnswer(trace, threshold))
+    return replace(price(counts, spec, model), allocator="arena (oracle)")

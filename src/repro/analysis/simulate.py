@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.alloc.arena import DEFAULT_ARENA_SIZE, DEFAULT_NUM_ARENAS
 from repro.alloc.base import Allocator, OpCounts
 from repro.alloc.costs import (
     DEFAULT_COST_MODEL,
@@ -32,12 +31,7 @@ from repro.alloc.costs import (
     bsd_cost,
     firstfit_cost,
 )
-from repro.alloc.spec import (
-    BSD_SPEC,
-    FIRSTFIT_SPEC,
-    AllocatorSpec,
-    build_allocator,
-)
+from repro.alloc.spec import AllocatorSpec, build_allocator
 from repro.core.predictor import LifetimePredictor
 from repro.obs.spans import TRACER
 from repro.runtime.events import Trace
@@ -62,9 +56,6 @@ __all__ = [
     "counts_for",
     "price",
     "simulate_spec",
-    "simulate_firstfit",
-    "simulate_bsd",
-    "simulate_arena",
 ]
 
 
@@ -416,46 +407,6 @@ def simulate_spec(
     simulate` is the memoized form.
     """
     return price(replay_spec(trace, spec, predictor, telemetry), spec, model)
-
-
-def simulate_firstfit(
-    trace: Union[Trace, EventSource], model: CostModel = DEFAULT_COST_MODEL,
-    telemetry: Optional["Telemetry"] = None,
-) -> SimulationResult:
-    """Replay a trace against the Knuth first-fit baseline."""
-    return simulate_spec(trace, FIRSTFIT_SPEC, model=model,
-                         telemetry=telemetry)
-
-
-def simulate_bsd(
-    trace: Union[Trace, EventSource], model: CostModel = DEFAULT_COST_MODEL,
-    telemetry: Optional["Telemetry"] = None,
-) -> SimulationResult:
-    """Replay a trace against the BSD power-of-two baseline."""
-    return simulate_spec(trace, BSD_SPEC, model=model, telemetry=telemetry)
-
-
-def simulate_arena(
-    trace: Union[Trace, EventSource],
-    predictor: LifetimePredictor,
-    num_arenas: int = DEFAULT_NUM_ARENAS,
-    arena_size: int = DEFAULT_ARENA_SIZE,
-    strategy: str = "len4",
-    model: CostModel = DEFAULT_COST_MODEL,
-    telemetry: Optional["Telemetry"] = None,
-) -> SimulationResult:
-    """Replay a trace against the lifetime-predicting arena allocator.
-
-    ``strategy`` picks the chain-identification cost model (``"len4"`` or
-    ``"cce"``); it does not change placement, matching the paper, where
-    both Table 9 arena columns describe the same allocation behaviour.
-    """
-    spec = AllocatorSpec(
-        num_arenas=num_arenas, arena_size=arena_size, strategy=strategy,
-        threshold=getattr(predictor, "threshold", None) or 32 * 1024,
-    )
-    return simulate_spec(trace, spec, predictor=predictor, model=model,
-                         telemetry=telemetry)
 
 
 def _pct(numerator: int, denominator: int) -> float:

@@ -78,11 +78,7 @@ The implementation is a package with one module per command family
 :mod:`repro.cli.replay`, :mod:`repro.cli.tables`,
 :mod:`repro.cli.observe`, :mod:`repro.cli.benchmarks`,
 :mod:`repro.cli.staticcheck`, :mod:`repro.cli.searchcmd`), sharing the
-argparse option groups in
-:mod:`repro.cli._options`.  Names tests substitute on this package —
-``METRICS``, ``_TABLES``, the ``simulate_*`` entry points — are
-re-exported here and resolved through the package attribute at call
-time by the handlers.
+argparse option groups in :mod:`repro.cli._options`.
 """
 
 from __future__ import annotations
@@ -91,16 +87,6 @@ import argparse
 import sys
 from pathlib import Path
 from typing import List, Optional
-
-# Patch-sensitive shared names: handlers resolve these through the
-# package attribute at call time (repro.cli.simulate_arena, ...), so a
-# test substituting them here swaps them everywhere at once.
-from repro.analysis import (  # noqa: F401  (re-exported for handlers/tests)
-    simulate_arena,
-    simulate_bsd,
-    simulate_firstfit,
-)
-from repro.obs.metrics import METRICS  # noqa: F401  (re-exported)
 
 from repro.alloc.base import AllocatorError
 from repro.cli import benchmarks as _benchmarks
@@ -111,7 +97,6 @@ from repro.cli import searchcmd as _searchcmd
 from repro.cli import staticcheck as _staticcheck
 from repro.cli import tables as _tables
 from repro.cli import traces as _traces
-from repro.cli.tables import _TABLES  # noqa: F401
 from repro.obs import render_folded
 from repro.obs.spans import TRACER, write_chrome_trace
 from repro.runtime.heap import HeapError

@@ -16,10 +16,9 @@ import math
 import sys
 from pathlib import Path
 
-from repro import cli as _cli
 from repro.analysis import TraceStore
 from repro.obs import DEFAULT_SAMPLE_INTERVAL
-from repro.obs.metrics import record_peak_rss
+from repro.obs.metrics import METRICS, record_peak_rss
 from repro.workloads.registry import PROGRAM_ORDER
 
 __all__ = [
@@ -134,13 +133,10 @@ def _make_store(args: argparse.Namespace) -> TraceStore:
 def _report_peak_rss() -> None:
     """Record and print peak RSS (stderr, so stdout stays byte-identical).
 
-    Prints the registry's gauge rather than the fresh sample.  The
-    registry is resolved through the package attribute so tests
-    substituting ``repro.cli.METRICS`` observe the same instance the
-    handlers record into.
+    Prints the registry's gauge rather than the fresh sample.
     """
     record_peak_rss()
-    print(f"peak rss: {_cli.METRICS.counter('peak_rss_kb')} KB",
+    print(f"peak rss: {METRICS.counter('peak_rss_kb')} KB",
           file=sys.stderr)
 
 

@@ -6,10 +6,6 @@ allocation site; ``windows`` partitions a run into windows and reports
 heap series plus lifetime drift; ``report`` renders the self-contained
 HTML run report; ``diff-sessions`` compares two recorded sessions and
 exits nonzero on a regression.
-
-The simulation entry points are resolved through the package attribute
-(``repro.cli.simulate_arena`` …) at call time, so tests substituting
-them on the package observe the swap.
 """
 
 from __future__ import annotations
@@ -20,7 +16,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from repro import cli as _cli
+from repro.alloc.spec import BSD_SPEC, FIRSTFIT_SPEC, PAPER_DEFAULT_SPEC
+from repro.analysis.simulate import simulate_spec
 from repro.bench import BenchStore
 from repro.cli._options import (
     _add_predictor_option,
@@ -261,21 +258,22 @@ def _replay_with_telemetry(args: argparse.Namespace) -> Telemetry:
     The trace comes through the same :class:`TraceStore` the tables use
     (so warmed caches are reused); the arena predictor defaults to true
     prediction — trained on the program's ``train`` execution — unless a
-    saved site database is supplied.
+    saved site database is supplied.  The replay must run to be observed,
+    so it is a fresh :func:`simulate_spec`, never the store's memo.
     """
     store = _make_store(args)
     source = store.source(args.program, args.dataset)
     telemetry = Telemetry(interval=args.interval)
+    spec, predictor = PAPER_DEFAULT_SPEC, None
     if args.allocator == "firstfit":
-        _cli.simulate_firstfit(source, telemetry=telemetry)
+        spec = FIRSTFIT_SPEC
     elif args.allocator == "bsd":
-        _cli.simulate_bsd(source, telemetry=telemetry)
+        spec = BSD_SPEC
+    elif args.sites:
+        predictor = load_predictor(args.sites)
     else:
-        if args.sites:
-            predictor = load_predictor(args.sites)
-        else:
-            predictor = store.predictor(args.program)
-        _cli.simulate_arena(source, predictor, telemetry=telemetry)
+        predictor = store.predictor(args.program)
+    simulate_spec(source, spec, predictor, telemetry=telemetry)
     if not telemetry.samples:
         raise ValueError(
             f"telemetry recorded zero samples for "

@@ -4,10 +4,6 @@
 ``--stream``, through the constant-memory event pipeline);
 ``escape-eval`` scores the static escape predictor against trained
 predictors and the oracle over every workload.
-
-The simulation entry points are resolved through the package attribute
-(``repro.cli.simulate_arena`` …) at call time, so tests substituting
-them on the package observe the swap.
 """
 
 from __future__ import annotations
@@ -17,8 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-from repro import cli as _cli
+from repro.alloc.spec import BSD_SPEC, FIRSTFIT_SPEC, AllocatorSpec
 from repro.analysis.escape_eval import escape_eval, render_escape_eval
+from repro.analysis.simulate import simulate_spec
 from repro.cli._options import (
     _add_store_options,
     _add_stream_option,
@@ -96,10 +93,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         Telemetry(interval=args.interval)
         if args.telemetry_out is not None else None
     )
+    predictor = None
     if args.allocator == "firstfit":
-        result = _cli.simulate_firstfit(trace, telemetry=telemetry)
+        spec = FIRSTFIT_SPEC
     elif args.allocator == "bsd":
-        result = _cli.simulate_bsd(trace, telemetry=telemetry)
+        spec = BSD_SPEC
     else:
         if args.predictor == "static":
             program = (
@@ -113,11 +111,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
         else:
             predictor = load_predictor(args.sites)
-        result = _cli.simulate_arena(
-            trace, predictor,
-            num_arenas=args.arenas, arena_size=args.arena_size,
-            telemetry=telemetry,
-        )
+        spec = AllocatorSpec(num_arenas=args.arenas,
+                             arena_size=args.arena_size)
+    result = simulate_spec(trace, spec, predictor, telemetry=telemetry)
     print(f"allocator:      {result.allocator}")
     print(f"max heap size:  {result.max_heap_size} bytes")
     print(f"instr/alloc:    {result.cost.per_alloc:.1f}")

@@ -2,10 +2,6 @@
 
 ``warm`` populates the persistent trace cache (optionally in parallel,
 ``--jobs N``); ``table`` regenerates the paper's tables in one process.
-
-``_TABLES`` and the metrics registry are resolved through the package
-attribute (``repro.cli._TABLES`` / ``repro.cli.METRICS``) at call time,
-so tests substituting them on the package observe the swap.
 """
 
 from __future__ import annotations
@@ -14,7 +10,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro import cli as _cli
 from repro.analysis import report as report_mod
 from repro.analysis import tables as tables_mod
 from repro.cli._options import (
@@ -25,9 +20,10 @@ from repro.cli._options import (
     _report_peak_rss,
     jobs_count,
 )
+from repro.obs.metrics import METRICS
 from repro.obs.spans import TRACER
 
-__all__ = ["register", "_TABLES"]
+__all__ = ["register"]
 
 
 _TABLES = {
@@ -71,7 +67,7 @@ def _cmd_warm(args: argparse.Namespace) -> int:
     for result in results:
         label = f"{result.program}/{result.dataset}"
         print(f"{label:<18} {result.source:<6} {result.seconds:6.2f}s")
-    total = _cli.METRICS.timing("warm").seconds
+    total = METRICS.timing("warm").seconds
     by_source = {
         source: sum(1 for r in results if r.source == source)
         for source in ("memory", "disk", "run")
@@ -84,27 +80,26 @@ def _cmd_warm(args: argparse.Namespace) -> int:
     )
     if args.verbose:
         print()
-        print(_cli.METRICS.report("pipeline metrics:"))
+        print(METRICS.report("pipeline metrics:"))
         print()
-        print(_cli.METRICS.to_json())
+        print(METRICS.to_json())
     if args.metrics_json:
         path = Path(args.metrics_json)
         if path.parent != Path(""):
             path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(_cli.METRICS.to_json() + "\n", encoding="utf-8")
+        path.write_text(METRICS.to_json() + "\n", encoding="utf-8")
         print(f"metrics -> {path}", file=sys.stderr)
     return 0
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    tables = _cli._TABLES
-    which = list(tables) if args.which == "all" else [args.which]
+    which = list(_TABLES) if args.which == "all" else [args.which]
     for key in which:
-        if key not in tables:
+        if key not in _TABLES:
             raise ValueError(f"no table {key!r} (have 1-9 or 'all')")
     store = _make_store(args)
     for key in which:
-        compute, render = tables[key]
+        compute, render = _TABLES[key]
         with TRACER.span("table.render", cat="table", table=key):
             text = render(compute(store))
         print(text)

@@ -90,9 +90,9 @@ class SiteLookup(dict):
     Index it with a ``(chain, size)`` key or call it.  With ``chains``,
     a key's chain is an interned id of that table, resolved to its chain
     tuple only when ``lookup`` is asked; without, it is the chain tuple.
-    This class stores nothing: it is what a predictor whose answer is
-    not a function of ``(chain, size)`` binds to (the oracle).
-    :class:`SiteMemo` is the storing form every other predictor binds to.
+    This class stores nothing, so every access asks ``lookup`` again.
+    :class:`SiteMemo` is the storing form :meth:`LifetimePredictor.bind`
+    returns.
     """
 
     __slots__ = ("lookup", "chains")
@@ -162,7 +162,9 @@ class LifetimePredictor:
         tuples.  The memo belongs to the caller, not to the predictor, so
         a predictor reused across many replays keeps no chains alive
         between them.  A predictor whose answer is not a function of
-        ``(chain, size)`` overrides this to return a :class:`SiteLookup`.
+        ``(chain, size)`` overrides this to return a mapping that stores
+        nothing (the oracle's answers each lookup with the next object's
+        verdict).
         """
         return SiteMemo(self.predicts_short_lived, chains)
 

@@ -12,7 +12,8 @@ import pytest
 from repro.alloc.arena import ArenaAllocator
 from repro.alloc.bsd import BsdAllocator
 from repro.alloc.firstfit import FirstFitAllocator
-from repro.analysis.simulate import replay, simulate_arena
+from repro.alloc.spec import PAPER_DEFAULT_SPEC, AllocatorSpec
+from repro.analysis.simulate import replay, simulate_spec
 from repro.core.cce import train_cce_predictor
 from repro.core.predictor import evaluate, train_site_predictor
 from repro.core.profile import build_profile
@@ -73,7 +74,7 @@ class TestFullPipeline:
         result = evaluate(predictor, trace)
         assert result.error_pct == 0.0
 
-        sim = simulate_arena(trace, predictor)
+        sim = simulate_spec(trace, PAPER_DEFAULT_SPEC, predictor)
         assert sim.total_allocs == trace.total_objects
         # Arena capture cannot exceed what the predictor selects.
         assert sim.ops.arena_allocs <= result.predicted_objects
@@ -99,7 +100,7 @@ class TestFullPipeline:
         predictor = train_cce_predictor(trace, threshold=8192)
         result = evaluate(predictor, trace)
         assert 0 <= result.predicted_pct <= 100
-        sim = simulate_arena(trace, predictor, strategy="cce")
+        sim = simulate_spec(trace, AllocatorSpec(strategy="cce"), predictor)
         assert sim.cost.per_alloc > 0
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from repro.analysis.inspect import lifetime_report, sites_report
 from repro.analysis.oracle import simulate_arena_oracle
-from repro.analysis.simulate import simulate_arena
+from repro.alloc.spec import PAPER_DEFAULT_SPEC
+from repro.analysis.simulate import simulate_spec
 from repro.core.predictor import train_site_predictor
 from repro.runtime.heap import TracedHeap
 from tests.conftest import make_churn_trace
@@ -14,8 +15,9 @@ from tests.conftest import make_churn_trace
 
 class TestOracle:
     def test_oracle_is_a_ceiling(self, churn_trace):
-        predicted = simulate_arena(
-            churn_trace, train_site_predictor(churn_trace, threshold=4096)
+        predicted = simulate_spec(
+            churn_trace, PAPER_DEFAULT_SPEC,
+            train_site_predictor(churn_trace, threshold=4096),
         )
         oracle = simulate_arena_oracle(churn_trace, threshold=4096)
         assert oracle.arena_bytes >= predicted.arena_bytes

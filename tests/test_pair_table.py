@@ -26,6 +26,7 @@ from repro.alloc.costs import DEFAULT_COST_MODEL
 from repro.alloc.firstfit import ALIGNMENT, HEADER_SIZE
 from repro.alloc.spec import BSD_SPEC, PAPER_DEFAULT_SPEC, AllocatorSpec
 from repro.analysis.experiments import TraceStore
+from repro.core.cce import train_cce_predictor
 from repro.core.multiclass import train_multiclass_predictor
 from repro.core.predictor import (
     PredictionEvaluation,
@@ -351,6 +352,21 @@ class TestRealProgram:
                 assert store.evaluate(PROGRAM, predictor) == evaluate(
                     predictor, store.source(PROGRAM)
                 )
+        # The rounding sweep and the CCE ablation ask these.
+        for rounding in (1, 32):
+            predictor = store.predictor(PROGRAM, size_rounding=rounding)
+            fresh = train_site_predictor(store.source(PROGRAM, "train"),
+                                         size_rounding=rounding)
+            assert predictor.sites == fresh.sites
+            assert store.evaluate(PROGRAM, predictor) == evaluate(
+                fresh, store.source(PROGRAM)
+            )
+        cce = store.cce_predictor(PROGRAM, train_dataset="test")
+        fresh = train_cce_predictor(store.source(PROGRAM))
+        assert cce.keys == fresh.keys
+        assert store.evaluate(PROGRAM, cce) == evaluate(
+            fresh, store.source(PROGRAM)
+        )
         # One table per (dataset, threshold) asked for, never per call.
         assert {
             key: sorted(tables)

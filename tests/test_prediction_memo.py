@@ -51,6 +51,7 @@ from repro.core.predictor import (
 from repro.core.profile import build_profile
 from repro.core.sites import FULL_CHAIN, ChainTable, prune_recursive_cycles, round_size, site_key
 from repro.runtime.events import Trace
+from repro.runtime.heap import TracedHeap
 from repro.runtime.stream.protocol import (
     EV_ALLOC,
     EV_FREE,
@@ -382,19 +383,25 @@ class TestOracleIsNeverMemoized:
             result.ops.arena_overflows, result.ops.arena_resets,
         ) == self.EXPECTED[(program, threshold)]
 
-    def test_bound_oracle_follows_each_answer(self):
-        oracle = _OracleAnswer(4096)
-        bound = oracle.bind()
-        for answer in (True, False, True):
-            oracle.answer = answer
-            assert bound(("main",), 8) is answer
+    def test_bound_oracle_follows_each_answer(self, churn_trace):
+        verdicts = [churn_trace.lifetime_of(obj_id) < 4096
+                    for obj_id in range(churn_trace.total_objects)]
+        assert True in verdicts and False in verdicts
+        bound = _OracleAnswer(churn_trace, 4096).bind(churn_trace.chains)
+        # One key asked once per object: each ask gets the next object's
+        # answer, and nothing is stored under the key.
+        assert [bound[0, 16] for _ in verdicts] == verdicts
+        assert not bound
 
     def test_arena_places_repeated_site_per_answer(self):
-        oracle = _OracleAnswer(4096)
+        heap = TracedHeap("oracle", dataset="test")
+        with heap.frame("f"):
+            heap.free(heap.malloc(16))  # dies at once: short
+            heap.malloc(16)  # outlives the 8 KB below: long
+            heap.malloc(8192)
+        oracle = _OracleAnswer(heap.finish(), 4096)
         allocator = build_allocator(PAPER_DEFAULT_SPEC, oracle)
-        oracle.answer = True
         allocator.malloc(16, ("main", "f"))
-        oracle.answer = False
         allocator.malloc(16, ("main", "f"))
         assert allocator.ops.arena_allocs == 1
 

@@ -7,12 +7,13 @@ import pytest
 from repro.alloc.arena import ArenaAllocator
 from repro.alloc.bsd import BsdAllocator
 from repro.alloc.firstfit import FirstFitAllocator
-from repro.analysis.simulate import (
-    replay,
-    simulate_arena,
-    simulate_bsd,
-    simulate_firstfit,
+from repro.alloc.spec import (
+    BSD_SPEC,
+    FIRSTFIT_SPEC,
+    PAPER_DEFAULT_SPEC,
+    AllocatorSpec,
 )
+from repro.analysis.simulate import replay, simulate_spec
 from repro.core.predictor import evaluate, train_site_predictor
 from tests.conftest import make_churn_trace
 
@@ -53,7 +54,7 @@ class TestReplay:
 
 class TestSimulationResults:
     def test_firstfit_result(self, trace):
-        result = simulate_firstfit(trace)
+        result = simulate_spec(trace, FIRSTFIT_SPEC)
         assert result.allocator == "first-fit"
         assert result.program == trace.program
         assert result.max_heap_size > 0
@@ -62,13 +63,13 @@ class TestSimulationResults:
         assert result.cost.per_alloc > 0
 
     def test_bsd_result(self, trace):
-        result = simulate_bsd(trace)
+        result = simulate_spec(trace, BSD_SPEC)
         assert result.cost.per_free == pytest.approx(17, abs=1)
 
     def test_arena_capture_matches_prediction(self, trace):
         predictor = train_site_predictor(trace, threshold=4096)
         expected = evaluate(predictor, trace)
-        result = simulate_arena(trace, predictor)
+        result = simulate_spec(trace, PAPER_DEFAULT_SPEC, predictor)
         # Everything predicted short-lived fits the 4 KB arenas here, so
         # capture equals prediction (bytes may differ via arena overflow
         # in general, but not for this small trace).
@@ -77,26 +78,27 @@ class TestSimulationResults:
 
     def test_arena_strategy_changes_cost_not_placement(self, trace):
         predictor = train_site_predictor(trace, threshold=4096)
-        len4 = simulate_arena(trace, predictor, strategy="len4")
-        cce = simulate_arena(trace, predictor, strategy="cce")
+        len4 = simulate_spec(trace, AllocatorSpec(strategy="len4"), predictor)
+        cce = simulate_spec(trace, AllocatorSpec(strategy="cce"), predictor)
         assert len4.arena_bytes == cce.arena_bytes
         assert len4.max_heap_size == cce.max_heap_size
         assert len4.cost.per_alloc != cce.cost.per_alloc
 
     def test_arena_includes_area_in_heap(self, trace):
         predictor = train_site_predictor(trace, threshold=4096)
-        result = simulate_arena(trace, predictor, num_arenas=16,
-                                arena_size=4096)
+        result = simulate_spec(
+            trace, AllocatorSpec(num_arenas=16, arena_size=4096), predictor
+        )
         assert result.max_heap_size >= 16 * 4096
         assert result.arena_area_size == 16 * 4096
 
     def test_percent_properties(self, trace):
         predictor = train_site_predictor(trace, threshold=4096)
-        result = simulate_arena(trace, predictor)
+        result = simulate_spec(trace, PAPER_DEFAULT_SPEC, predictor)
         assert 0 <= result.arena_alloc_pct <= 100
         assert 0 <= result.arena_byte_pct <= 100
 
     def test_no_predictor_means_no_arena_traffic(self, trace):
-        result = simulate_arena(trace, predictor=None)
+        result = simulate_spec(trace, PAPER_DEFAULT_SPEC, predictor=None)
         assert result.arena_allocs == 0
         assert result.general_bytes == trace.total_bytes

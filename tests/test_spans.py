@@ -258,9 +258,10 @@ class TestPipelineInstrumentation:
 
     def test_simulate_replay_span_carries_allocator(self, global_tracer,
                                                     churn_trace):
-        from repro.analysis.simulate import simulate_firstfit
+        from repro.alloc.spec import FIRSTFIT_SPEC
+        from repro.analysis.simulate import simulate_spec
 
-        simulate_firstfit(churn_trace)
+        simulate_spec(churn_trace, FIRSTFIT_SPEC)
         (span,) = global_tracer.find("simulate.replay")
         assert span.cat == "simulate"
         assert span.args["allocator"] == "first-fit"

@@ -362,7 +362,7 @@ def _all_records(source):
     return list(iter_object_records(source))
 
 
-def _simulate_firstfit(source):
+def _replay_firstfit(source):
     return simulate_spec(source, FIRSTFIT_SPEC)
 
 
@@ -397,7 +397,7 @@ class TestStreamConsumersErrorContract:
             errors = set()
             for consumer in (build_trace, _all_records,
                              train_site_predictor, stream_live_stats,
-                             _simulate_firstfit):
+                             _replay_firstfit):
                 with pytest.raises(TraceFormatError) as info:
                     consumer(stream)
                 errors.add(str(info.value))

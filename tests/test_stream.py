@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.alloc.spec import BSD_SPEC, FIRSTFIT_SPEC, PAPER_DEFAULT_SPEC
 from repro.analysis.locality import compare_locality, measure_locality
-from repro.analysis.simulate import (
-    simulate_arena,
-    simulate_bsd,
-    simulate_firstfit,
-)
+from repro.analysis.simulate import simulate_spec
 from repro.analysis.survival import survival_curve
 from repro.analysis.trace_cache import TraceCache
 from repro.core.cce import train_cce_predictor
@@ -357,12 +354,12 @@ class TestStreamingParity:
 
     def test_simulations_match(self, streamed):
         trace, source = streamed
-        assert simulate_firstfit(source) == simulate_firstfit(trace)
-        assert simulate_bsd(source) == simulate_bsd(trace)
+        for spec in (FIRSTFIT_SPEC, BSD_SPEC):
+            assert simulate_spec(source, spec) == simulate_spec(trace, spec)
         predictor = train_site_predictor(trace, threshold=THRESHOLD)
-        assert simulate_arena(source, predictor) == simulate_arena(
-            trace, predictor
-        )
+        assert simulate_spec(
+            source, PAPER_DEFAULT_SPEC, predictor
+        ) == simulate_spec(trace, PAPER_DEFAULT_SPEC, predictor)
 
     def test_survival_curve_matches(self, streamed):
         trace, source = streamed

@@ -18,12 +18,13 @@ import pytest
 
 from repro.alloc.arena import ArenaAllocator
 from repro.alloc.firstfit import FirstFitAllocator
-from repro.analysis.simulate import (
-    replay,
-    simulate_arena,
-    simulate_bsd,
-    simulate_firstfit,
+from repro.alloc.spec import (
+    BSD_SPEC,
+    FIRSTFIT_SPEC,
+    PAPER_DEFAULT_SPEC,
+    AllocatorSpec,
 )
+from repro.analysis.simulate import replay, simulate_spec
 from repro.core.predictor import LifetimePredictor, train_site_predictor
 from repro.obs import (
     MISPREDICTION_KINDS,
@@ -72,19 +73,18 @@ def _telemetry(**kwargs) -> Telemetry:
 class TestZeroInterference:
     def test_arena_results_identical(self, churn_trace):
         predictor = train_site_predictor(churn_trace, threshold=4096)
-        bare = simulate_arena(churn_trace, predictor)
-        probed = simulate_arena(
-            churn_trace, predictor, telemetry=_telemetry(interval=64)
+        bare = simulate_spec(churn_trace, PAPER_DEFAULT_SPEC, predictor)
+        probed = simulate_spec(
+            churn_trace, PAPER_DEFAULT_SPEC, predictor,
+            telemetry=_telemetry(interval=64),
         )
         assert bare == probed
 
     def test_baseline_results_identical(self, churn_trace):
-        assert simulate_firstfit(churn_trace) == simulate_firstfit(
-            churn_trace, telemetry=_telemetry(interval=64)
-        )
-        assert simulate_bsd(churn_trace) == simulate_bsd(
-            churn_trace, telemetry=_telemetry(interval=64)
-        )
+        for spec in (FIRSTFIT_SPEC, BSD_SPEC):
+            assert simulate_spec(churn_trace, spec) == simulate_spec(
+                churn_trace, spec, telemetry=_telemetry(interval=64)
+            )
 
     def test_probe_detached_after_finish(self, churn_trace):
         predictor = train_site_predictor(churn_trace, threshold=4096)
@@ -102,7 +102,7 @@ class TestZeroInterference:
 class TestSampling:
     def test_interval_respected_plus_final_sample(self, churn_trace):
         telemetry = _telemetry(interval=100)
-        simulate_firstfit(churn_trace, telemetry=telemetry)
+        simulate_spec(churn_trace, FIRSTFIT_SPEC, telemetry=telemetry)
         total = telemetry.totals()["allocs"]
         events = [row["event"] for row in telemetry.samples]
         expected = list(range(100, total + 1, 100))
@@ -112,7 +112,7 @@ class TestSampling:
 
     def test_huge_interval_still_yields_final_sample(self, churn_trace):
         telemetry = _telemetry(interval=10**9)
-        simulate_firstfit(churn_trace, telemetry=telemetry)
+        simulate_spec(churn_trace, FIRSTFIT_SPEC, telemetry=telemetry)
         assert len(telemetry.samples) == 1
         assert telemetry.samples[0]["event"] == telemetry.totals()["allocs"]
 
@@ -122,14 +122,14 @@ class TestSampling:
 
     def test_byte_time_is_monotone(self, churn_trace):
         telemetry = _telemetry(interval=50)
-        simulate_firstfit(churn_trace, telemetry=telemetry)
+        simulate_spec(churn_trace, FIRSTFIT_SPEC, telemetry=telemetry)
         clocks = telemetry.series("byte_time")
         assert clocks == sorted(clocks)
         assert clocks[-1] == churn_trace.total_bytes
 
     def test_firstfit_gauges_present_and_sane(self, churn_trace):
         telemetry = _telemetry(interval=64)
-        simulate_firstfit(churn_trace, telemetry=telemetry)
+        simulate_spec(churn_trace, FIRSTFIT_SPEC, telemetry=telemetry)
         for row in telemetry.samples:
             assert row["heap_size"] >= row["live_bytes"] >= 0
             assert 0.0 <= row["external_frag"] <= 1.0
@@ -140,7 +140,8 @@ class TestSampling:
     def test_arena_gauges_present(self, churn_trace):
         predictor = train_site_predictor(churn_trace, threshold=4096)
         telemetry = _telemetry(interval=64)
-        simulate_arena(churn_trace, predictor, telemetry=telemetry)
+        simulate_spec(churn_trace, PAPER_DEFAULT_SPEC, predictor,
+                      telemetry=telemetry)
         final = telemetry.samples[-1]
         assert 0.0 <= final["arena_occupancy"] <= 1.0
         assert 0.0 <= final["capture_rate"] <= 1.0
@@ -149,7 +150,7 @@ class TestSampling:
     def test_metrics_mirror(self, churn_trace):
         metrics = Metrics()
         telemetry = Telemetry(interval=64, metrics=metrics)
-        simulate_firstfit(churn_trace, telemetry=telemetry)
+        simulate_spec(churn_trace, FIRSTFIT_SPEC, telemetry=telemetry)
         assert metrics.counter("telemetry.samples") == len(telemetry.samples)
 
 
@@ -161,8 +162,9 @@ class TestMispredictions:
         # freed late, the arena-polluting case.  (The keeper itself is
         # never freed, so no death event can charge it.)
         telemetry = _telemetry()
-        simulate_arena(
-            churn_trace, _AlwaysShort(threshold=512), telemetry=telemetry
+        simulate_spec(
+            churn_trace, PAPER_DEFAULT_SPEC, _AlwaysShort(threshold=512),
+            telemetry=telemetry,
         )
         totals = telemetry.totals()
         assert totals["late_free"] >= 1
@@ -174,7 +176,8 @@ class TestMispredictions:
 
     def test_missed_short_when_predictor_declines(self, churn_trace):
         telemetry = _telemetry()
-        simulate_arena(churn_trace, _NeverShort(), telemetry=telemetry)
+        simulate_spec(churn_trace, PAPER_DEFAULT_SPEC, _NeverShort(),
+                      telemetry=telemetry)
         totals = telemetry.totals()
         assert totals["arena_allocs"] == 0
         assert totals["missed_short"] > 0
@@ -183,15 +186,15 @@ class TestMispredictions:
 
     def test_overflow_when_arenas_are_tiny(self, churn_trace):
         telemetry = _telemetry()
-        simulate_arena(
-            churn_trace, _AlwaysShort(), num_arenas=1, arena_size=64,
-            telemetry=telemetry,
+        simulate_spec(
+            churn_trace, AllocatorSpec(num_arenas=1, arena_size=64),
+            _AlwaysShort(), telemetry=telemetry,
         )
         assert telemetry.totals()["overflow"] > 0
 
     def test_baselines_never_mispredict(self, churn_trace):
         telemetry = _telemetry()
-        simulate_firstfit(churn_trace, telemetry=telemetry)
+        simulate_spec(churn_trace, FIRSTFIT_SPEC, telemetry=telemetry)
         totals = telemetry.totals()
         for kind in MISPREDICTION_KINDS:
             assert totals[kind] == 0
@@ -199,7 +202,8 @@ class TestMispredictions:
 
     def test_top_sites_ranked_deterministically(self, churn_trace):
         telemetry = _telemetry()
-        simulate_arena(churn_trace, _NeverShort(), telemetry=telemetry)
+        simulate_spec(churn_trace, PAPER_DEFAULT_SPEC, _NeverShort(),
+                      telemetry=telemetry)
         ranked = telemetry.top_sites(top=10)
         counts = [site.mispredictions for _, site in ranked]
         assert counts == sorted(counts, reverse=True)
@@ -210,7 +214,8 @@ class TestExportDeterminism:
     def _export_once(self, trace, out_dir):
         predictor = train_site_predictor(trace, threshold=4096)
         telemetry = _telemetry(interval=64)
-        simulate_arena(trace, predictor, telemetry=telemetry)
+        simulate_spec(trace, PAPER_DEFAULT_SPEC, predictor,
+                      telemetry=telemetry)
         return export_timeline(telemetry, out_dir)
 
     def test_same_trace_same_interval_byte_identical(self, tmp_path):
@@ -264,7 +269,8 @@ class TestRendering:
     def test_render_timeline_mentions_series(self, churn_trace):
         predictor = train_site_predictor(churn_trace, threshold=4096)
         telemetry = _telemetry(interval=64)
-        simulate_arena(churn_trace, predictor, telemetry=telemetry)
+        simulate_spec(churn_trace, PAPER_DEFAULT_SPEC, predictor,
+                      telemetry=telemetry)
         text = render_timeline(telemetry)
         assert "heap size" in text
         assert "capture rate" in text
@@ -272,7 +278,8 @@ class TestRendering:
 
     def test_render_stats_lists_sites(self, churn_trace):
         telemetry = _telemetry()
-        simulate_arena(churn_trace, _NeverShort(), telemetry=telemetry)
+        simulate_spec(churn_trace, PAPER_DEFAULT_SPEC, _NeverShort(),
+                      telemetry=telemetry)
         text = render_stats(telemetry, top=5)
         assert "mispredictions" in text
         assert "missed-short" in text
@@ -280,5 +287,6 @@ class TestRendering:
 
     def test_summary_is_json_serializable(self, churn_trace):
         telemetry = _telemetry()
-        simulate_arena(churn_trace, _NeverShort(), telemetry=telemetry)
+        simulate_spec(churn_trace, PAPER_DEFAULT_SPEC, _NeverShort(),
+                      telemetry=telemetry)
         json.dumps(telemetry_summary(telemetry))

@@ -528,7 +528,7 @@ class TestWindowsCli:
         # The replay recording no samples is a hard error (exit 1 with a
         # diagnostic), not an empty export.
         monkeypatch.setattr(
-            "repro.cli.simulate_arena", lambda *args, **kwargs: None
+            "repro.cli.observe.simulate_spec", lambda *args, **kwargs: None
         )
         assert main([
             "timeline", "--program", "gawk", "--scale", "0.05",
