@@ -101,7 +101,7 @@ def write_metrics_json(path: pathlib.Path) -> None:
     """Dump the metrics registry plus provenance as ``metrics.json``.
 
     The provenance block (git SHA, scale, python and schema versions)
-    makes sessions comparable across machines and commits — a timings
+    makes sessions comparable across machines and commits — a metrics
     file that can't say what it measured is not evidence.
     """
     payload = {
@@ -123,14 +123,10 @@ def pytest_terminal_summary(terminalreporter) -> None:
     hits = METRICS.counter("trace_cache.hit")
     misses = METRICS.counter("trace_cache.miss")
     if hits or misses:
-        run = METRICS.timing("workload.run")
-        load = METRICS.timing("trace_cache.load")
         terminalreporter.write_line(
-            f"trace cache: {hits} hits, {misses} misses "
-            f"(workload runs {run.seconds:.2f}s, cache loads "
-            f"{load.seconds:.2f}s)"
+            f"trace cache: {hits} hits, {misses} misses"
         )
-    if METRICS.timings or METRICS.counters:
+    if METRICS.counters:
         RESULTS_DIR.mkdir(exist_ok=True)
         metrics_path = RESULTS_DIR / "metrics.json"
         write_metrics_json(metrics_path)
@@ -138,11 +134,7 @@ def pytest_terminal_summary(terminalreporter) -> None:
     if os.environ.get(RECORD_ENV) and _SESSION_STORE is not None:
         try:
             bench_store = BenchStore()
-            session = run_session(
-                _SESSION_STORE,
-                seq=bench_store.next_seq(),
-                repeats=int(os.environ.get("REPRO_BENCH_REPEATS", "1")),
-            )
+            session = run_session(_SESSION_STORE, seq=bench_store.next_seq())
             path = bench_store.write(session)
             terminalreporter.write_line(
                 f"bench record ({len(session.records)} benchmarks) -> {path}"

@@ -77,10 +77,15 @@ def test_blocking_sweep(store, results_dir):
     # Finer blocking confines pollution: 16 arenas capture at least as
     # much short-lived traffic as one monolithic arena, under pollution.
     captures = [result.arena_alloc_pct for result in results]
-    assert captures[2] >= captures[0] - 1e-9
+    assert captures[2] >= captures[0] - 1e-9, (
+        "§5.2: 16 arenas capture at least as many polluted allocations as "
+        "one"
+    )
     # Over-fine blocking (1 KB arenas) starts rejecting objects that no
     # longer fit, so capture stops improving.
-    assert captures[3] <= captures[2] + 10
+    assert captures[3] <= captures[2] + 10, (
+        "§5.2: 1 KB arenas capture at most 10 points more than 4 KB ones"
+    )
 
 
 def test_ghost_scale_trend(results_dir):
@@ -103,4 +108,7 @@ def test_ghost_scale_trend(results_dir):
     # The ratio does not deteriorate with scale: the largest run is never
     # the worst (the fixed 64 KB arena area amortizes as the heap grows,
     # trending toward the paper's <100% crossover at its 90 MB scale).
-    assert ratios[-1][2] <= max(r for _, _, r in ratios[:-1]) + 1e-9
+    assert ratios[-1][2] <= max(r for _, _, r in ratios[:-1]) + 1e-9, (
+        "§5.2, Table 8: ghost's arena/first-fit heap ratio is not worst at "
+        "the largest scale"
+    )

@@ -50,13 +50,21 @@ def test_cce_fidelity(store, results_dir):
     for program, (collisions, site_pct, cce_pct) in per_program.items():
         # Wider keys collide less (weakly monotone).
         rates = [collisions[b] for b in KEY_WIDTHS]
-        assert rates[-1] <= rates[0] + 1e-9
+        assert rates[-1] <= rates[0] + 1e-9, (
+            f"§5.1: {program}'s widest CCE key collides no more than the "
+            "narrowest"
+        )
         # The residual 16-bit collisions are *structural*: XOR ignores
         # frame order and cancels repeated frames, so chains over equal
         # function multisets share a key at any width.  They stay a
         # minority of chains...
-        assert collisions[16] < 0.5
+        assert collisions[16] < 0.5, (
+            f"§5.1: under half of {program}'s chains collide at 16 bits"
+        )
         # ...and, because colliding chains usually behave alike, the CCE
         # predictor still tracks the full site predictor closely — the
         # fidelity half of the paper's space-speed trade-off.
-        assert abs(cce_pct - site_pct) < 10.0, program
+        assert abs(cce_pct - site_pct) < 10.0, (
+            f"§5.1: {program}'s CCE prediction is within 10 points of site "
+            "prediction"
+        )

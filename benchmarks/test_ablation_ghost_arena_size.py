@@ -45,12 +45,21 @@ def test_ghost_arena_size_sweep(store, results_dir):
     by_size = {size: result for (_, size), result in zip(SPLITS, results)}
 
     # Below the span size, byte capture is marginal (the Table 7 anomaly).
-    assert by_size[4096].arena_byte_pct < 20
+    assert by_size[4096].arena_byte_pct < 20, (
+        "§5.2: 4 KB arenas capture under 20% of ghost's bytes"
+    )
     # The first size that fits the spans recovers most of the predicted
     # bytes: the capture cliff.
-    assert by_size[8192].arena_byte_pct > 3 * by_size[4096].arena_byte_pct
-    assert by_size[8192].arena_byte_pct > 0.6 * predicted_pct
+    assert by_size[8192].arena_byte_pct > 3 * by_size[4096].arena_byte_pct, (
+        "§5.2: 8 KB arenas capture over 3x the bytes 4 KB arenas do in ghost"
+    )
+    assert by_size[8192].arena_byte_pct > 0.6 * predicted_pct, (
+        "§5.2: 8 KB arenas capture over 60% of ghost's predicted bytes"
+    )
     # Object capture was already substantial at every size (small objects
     # always fit) - the anomaly is specifically about bytes.
     for result in results:
-        assert result.arena_alloc_pct > 30
+        assert result.arena_alloc_pct > 30, (
+            "§5.2: every arena size captures over 30% of ghost's "
+            "allocations"
+        )

@@ -48,19 +48,30 @@ def test_oracle_gap(store, results_dir):
 
     for program, (total, predicted, oracle) in rows.items():
         # The oracle is a ceiling: prediction never captures more bytes.
-        assert predicted.arena_bytes <= oracle.arena_bytes * 1.001, program
+        assert predicted.arena_bytes <= oracle.arena_bytes * 1.001, (
+            f"§1: trained prediction of {program} captures no more bytes "
+            "than the oracle"
+        )
         # Oracle placement never errs, so its arenas never hold an object
         # past the 2x-threshold area design; its heap is at most the
         # predicted configuration's.
-        assert oracle.max_heap_size <= predicted.max_heap_size * 1.05, program
+        assert oracle.max_heap_size <= predicted.max_heap_size * 1.05, (
+            f"§1: the oracle's heap for {program} is within 5% of the "
+            "trained one's"
+        )
 
     # The showcase: gawk's trained predictor is essentially the oracle.
     total, predicted, oracle = rows["gawk"]
-    assert predicted.arena_bytes > 0.98 * oracle.arena_bytes
+    assert predicted.arena_bytes > 0.98 * oracle.arena_bytes, (
+        "§1: gawk's trained prediction captures over 98% of the oracle's "
+        "bytes"
+    )
 
     # Somewhere the gap is real - prediction has a price.
     gaps = [
         oracle.arena_bytes - predicted.arena_bytes
         for _, predicted, oracle in rows.values()
     ]
-    assert any(gap > 0.1 * total for gap in gaps)
+    assert any(gap > 0.1 * total for gap in gaps), (
+        "§1: the oracle captures over 10% more of some program's bytes"
+    )

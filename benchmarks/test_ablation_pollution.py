@@ -74,15 +74,25 @@ def test_pollution_degrades_arena(store, results_dir):
 
     # Pollution strictly increases error bytes.
     errors = [error for _, error, _ in rows]
-    assert errors == sorted(errors)
-    assert errors[-1] > errors[0]
+    assert errors == sorted(errors), (
+        "§5.2: cfrac's error bytes never fall as pollution grows"
+    )
+    assert errors[-1] > errors[0], (
+        "§5.2: pollution raises cfrac's error bytes"
+    )
 
     # The paper's degradation: long-lived objects tie up arenas, so the
     # capture rate falls and predicted-short traffic overflows into the
     # general heap.
-    assert worst.arena_alloc_pct < clean.arena_alloc_pct
-    assert worst.ops.arena_overflows > clean.ops.arena_overflows
+    assert worst.arena_alloc_pct < clean.arena_alloc_pct, (
+        "§5.2: pollution lowers cfrac's arena capture"
+    )
+    assert worst.ops.arena_overflows > clean.ops.arena_overflows, (
+        "§5.2: pollution overflows more of cfrac's allocations"
+    )
 
     # CPU cost degrades toward (or past) the general allocator's as the
     # allocator degenerates (the paper's CFRAC row is the worst of Table 9).
-    assert worst.cost.per_alloc > clean.cost.per_alloc
+    assert worst.cost.per_alloc > clean.cost.per_alloc, (
+        "§5.2, Table 9: pollution raises cfrac's instructions per alloc"
+    )

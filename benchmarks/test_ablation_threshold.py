@@ -38,8 +38,14 @@ def test_threshold_sweep(store, results_dir):
         # Monotone: a looser threshold never predicts fewer bytes (the
         # paper's degenerate-case argument).
         for smaller, larger in zip(row, row[1:]):
-            assert larger >= smaller - 1e-9, program
+            assert larger >= smaller - 1e-9, (
+                f"§4.1: a looser threshold never predicts fewer of "
+                f"{program}'s bytes"
+            )
         # The curve genuinely moves across the sweep for at least the
         # programs with mid-range lifetimes.
     moved = sum(1 for row in sweep.values() if row[-1] - row[0] > 1.0)
-    assert moved >= 2
+    assert moved >= 2, (
+        "§4.1: the threshold moves prediction by over 1 point for at least "
+        "two programs"
+    )

@@ -50,10 +50,17 @@ def test_multiclass_capture(store, results_dir):
     for program, (total, single, multi) in rows.items():
         # The ladder never captures fewer bytes: its class 0 is the
         # paper's predictor and higher rungs only add capture.
-        assert multi.arena_bytes >= single.arena_bytes - 0.001 * total, program
+        assert multi.arena_bytes >= single.arena_bytes - 0.001 * total, (
+            f"§6: the ladder captures no fewer of {program}'s bytes"
+        )
         # The space cost is the extra areas plus bounded overhead.
-        assert multi.max_heap_size <= single.max_heap_size + 2 * 256 * 1024 + 64 * 1024
+        assert (
+            multi.max_heap_size
+            <= single.max_heap_size + 2 * 256 * 1024 + 64 * 1024
+        ), f"§6: the ladder adds at most its areas to {program}'s heap"
 
     # The motivating case: espresso's mid-range population is material.
     total, single, multi = rows["espresso"]
-    assert multi.arena_bytes > 1.3 * single.arena_bytes
+    assert multi.arena_bytes > 1.3 * single.arena_bytes, (
+        "§6: the ladder captures over 1.3x espresso's single-class bytes"
+    )

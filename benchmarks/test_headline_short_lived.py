@@ -27,6 +27,11 @@ def test_headline(store, results_dir):
     # buffer holds it to ~80% in this reproduction; everyone else clears
     # 90% as the paper reports.
     for program, fraction in fractions.items():
-        assert fraction > 0.75, (program, fraction)
+        assert fraction > 0.75, (
+            f"§4.1: over 75% of {program}'s bytes are short-lived "
+            f"(got {fraction:.4f})"
+        )
     above_90 = sum(1 for fraction in fractions.values() if fraction > 0.9)
-    assert above_90 >= 4
+    assert above_90 >= 4, (
+        "§4.1: at least four programs have over 90% of bytes short-lived"
+    )

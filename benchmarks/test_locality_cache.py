@@ -76,20 +76,29 @@ def test_locality(results_dir):
     for program, (predicted, direct, two_way, fragmented) in rows.items():
         # 1. The New Ref prediction is realized within a few points.
         measured = 100 * direct["arena"].in_region_fraction
-        assert abs(measured - predicted) < 8.0, (program, measured, predicted)
+        assert abs(measured - predicted) < 8.0, (
+            f"Table 6: {program}'s measured New Ref {measured:.1f}% is "
+            f"within 8 points of the predicted {predicted:.1f}%"
+        )
 
         # 2. With two ways, all three allocators' miss rates converge.
         rates = [two_way[k].miss_rate for k in ("first-fit", "bsd", "arena")]
-        assert max(rates) - min(rates) < 0.015, program
+        assert max(rates) - min(rates) < 0.015, (
+            f"§6: {program}'s two-way miss rates agree within 1.5 points"
+        )
 
         # 3. Direct mapping exposes arena/general-heap aliasing: the arena
         #    configuration misses at least as much direct-mapped as
         #    two-way, and the penalty stays bounded.
-        assert direct["arena"].miss_rate >= two_way["arena"].miss_rate - 1e-9
-        assert direct["arena"].miss_rate < 0.12, program
+        assert (
+            direct["arena"].miss_rate >= two_way["arena"].miss_rate - 1e-9
+        ), f"§6: {program}'s arena misses no less direct-mapped than two-way"
+        assert direct["arena"].miss_rate < 0.12, (
+            f"§6: {program}'s direct-mapped arena miss rate is under 12%"
+        )
 
         # 4. Fragmentation never improves first-fit's locality.
         assert (
             fragmented["first-fit"].miss_rate
             >= two_way["first-fit"].miss_rate - 0.005
-        ), program
+        ), f"§6: fragmentation does not improve {program}'s first-fit misses"

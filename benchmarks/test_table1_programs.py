@@ -18,14 +18,24 @@ def test_table1(store, results_dir):
     rows = table1(store)
     write_result(results_dir, "table1.txt", render_table1(rows))
 
-    assert [row.program for row in rows] == store.programs
+    assert [row.program for row in rows] == store.programs, (
+        "Table 1: one row per program, in the paper's order"
+    )
     for row in rows:
-        assert row.description
-        assert row.train_input != row.test_input
-        assert row.input_relation
+        assert row.description, f"Table 1: {row.program} has a description"
+        assert row.train_input != row.test_input, (
+            f"Table 1: {row.program} trains and tests on different inputs"
+        )
+        assert row.input_relation, (
+            f"Table 1: {row.program} says how its two inputs relate"
+        )
 
     by_program = {row.program: row for row in rows}
     # The paper's two signature input relationships are documented: gawk's
     # same-script pair and perl's different-program pair.
-    assert "same script" in by_program["gawk"].input_relation
-    assert "different program" in by_program["perl"].input_relation
+    assert "same script" in by_program["gawk"].input_relation, (
+        "Table 1: gawk's two inputs run the same script"
+    )
+    assert "different program" in by_program["perl"].input_relation, (
+        "Table 1: perl's two inputs are different programs"
+    )

@@ -24,17 +24,27 @@ def test_table2(store, results_dir):
     others_max = max(
         row.max_bytes for row in rows if row.program != "ghost"
     )
-    assert ghost.max_bytes > 3 * others_max
+    assert ghost.max_bytes > 3 * others_max, (
+        "Table 2: ghost's max live bytes exceed 3x every other program's"
+    )
     # ...and the fewest objects (big objects, few of them).
-    assert ghost.total_objects == min(row.total_objects for row in rows)
+    assert ghost.total_objects == min(row.total_objects for row in rows), (
+        "Table 2: ghost allocates the fewest objects"
+    )
 
     # Allocation-intensive: every program's heap takes a large share of
     # memory references (the paper's Heap Refs column is 47-80%).
     for row in rows:
-        assert row.heap_ref_pct > 25
+        assert row.heap_ref_pct > 25, (
+            f"Table 2: {row.program} sends over 25% of references to the heap"
+        )
 
     # Everybody allocates at least hundreds of kilobytes and thousands of
     # objects at full scale.
     for row in rows:
-        assert row.total_bytes > 100_000
-        assert row.total_objects > 1_000
+        assert row.total_bytes > 100_000, (
+            f"Table 2: {row.program} allocates over 100,000 bytes"
+        )
+        assert row.total_objects > 1_000, (
+            f"Table 2: {row.program} allocates over 1,000 objects"
+        )

@@ -20,20 +20,33 @@ def test_table3(store, results_dir):
 
     for row in rows:
         q_min, q25, q50, q75, q_max = row.byte_quantiles
-        assert q_min <= q25 <= q50 <= q75 <= q_max
+        assert q_min <= q25 <= q50 <= q75 <= q_max, (
+            f"Table 3: {row.program}'s byte quantiles are in order"
+        )
         # Minima are single small objects.
-        assert q_min < 200
+        assert q_min < 200, (
+            f"Table 3: {row.program}'s shortest lifetime is under 200 bytes"
+        )
         # The oldest objects live orders of magnitude longer than the
         # median (paper: 3-6 orders of magnitude).
-        assert q_max > 50 * max(q50, 1)
+        assert q_max > 50 * max(q50, 1), (
+            f"Table 3: {row.program}'s longest lifetime exceeds 50x its median"
+        )
         # The maximum lifetime is essentially the whole run: some object
         # survives from early on to program exit (each paper row's max is
         # within a small factor of the program's total allocation).
         trace = store.trace(row.program)
-        assert q_max > trace.total_bytes / 4
+        assert q_max > trace.total_bytes / 4, (
+            f"Table 3: {row.program}'s longest lifetime spans over a quarter "
+            "of the run"
+        )
 
     # The P^2 approximation brackets the exact extremes exactly (min and
     # max markers are exact in the algorithm).
     for row in rows:
-        assert row.p2_quantiles[0] >= 0
-        assert row.p2_quantiles == tuple(sorted(row.p2_quantiles))
+        assert row.p2_quantiles[0] >= 0, (
+            f"Table 3: {row.program}'s P^2 minimum is not negative"
+        )
+        assert row.p2_quantiles == tuple(sorted(row.p2_quantiles)), (
+            f"Table 3: {row.program}'s P^2 quantiles are in order"
+        )

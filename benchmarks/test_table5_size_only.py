@@ -24,13 +24,22 @@ def test_table5(store, results_dir):
     for row in rows:
         site = site_rows[row.program]
         # Size alone never beats site+size.
-        assert row.predicted_pct <= site.self_predicted_pct + 1e-9
+        assert row.predicted_pct <= site.self_predicted_pct + 1e-9, (
+            f"Table 5: size-only prediction of {row.program} never beats "
+            "site prediction"
+        )
         # And it misses most of what sites capture (paper: 0-36% by size
         # vs 42-99% by site).
-        assert row.predicted_pct < site.self_predicted_pct
+        assert row.predicted_pct < site.self_predicted_pct, (
+            f"Table 5: size-only prediction of {row.program} covers less "
+            "than site prediction"
+        )
 
     # In aggregate, size-only prediction captures well under half of the
     # actually short-lived bytes.
     total_actual = sum(row.actual_pct for row in rows)
     total_predicted = sum(row.predicted_pct for row in rows)
-    assert total_predicted < 0.6 * total_actual
+    assert total_predicted < 0.6 * total_actual, (
+        "Table 5: size-only prediction covers under 60% of the short-lived "
+        "bytes in aggregate"
+    )

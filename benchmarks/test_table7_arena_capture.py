@@ -31,16 +31,28 @@ def test_table7(store, results_dir):
         )
         # Arena bytes cannot exceed what the predictor selects, and they
         # track it closely except where objects outgrow the arenas.
-        assert row.arena_byte_pct <= predicted + 1.0
+        assert row.arena_byte_pct <= predicted + 1.0, (
+            f"Table 7: {row.program}'s arena bytes stay within the "
+            "predicted fraction"
+        )
 
     # GAWK: nearly everything lands in arenas (paper: 98.2% / 99.3%).
     gawk = by_program["gawk"]
-    assert gawk.arena_alloc_pct > 90
-    assert gawk.arena_byte_pct > 90
+    assert gawk.arena_alloc_pct > 90, (
+        "Table 7: over 90% of gawk's allocations land in arenas"
+    )
+    assert gawk.arena_byte_pct > 90, (
+        "Table 7: over 90% of gawk's bytes land in arenas"
+    )
 
     # GHOST: many objects, few bytes - the 6 KB span buffers fall through
     # (paper: 81.3% of objects but only 37.7% of bytes).
     ghost = by_program["ghost"]
-    assert ghost.arena_alloc_pct - ghost.arena_byte_pct > 30
+    assert ghost.arena_alloc_pct - ghost.arena_byte_pct > 30, (
+        "Table 7: ghost's arena share of objects beats its share of bytes "
+        "by over 30 points"
+    )
     predicted_ghost = prediction["ghost"].true_predicted_pct
-    assert ghost.arena_byte_pct < 0.6 * predicted_ghost
+    assert ghost.arena_byte_pct < 0.6 * predicted_ghost, (
+        "Table 7: ghost's arenas capture under 60% of its predicted bytes"
+    )

@@ -6,7 +6,6 @@ from repro.analysis.experiments import (
     TraceStore,
     WarmResult,
 )
-from repro.obs.metrics import METRICS, Metrics
 from repro.analysis.trace_cache import TraceCache, default_cache_dir
 from repro.analysis.locality import (
     LocalityResult,
@@ -50,8 +49,6 @@ __all__ = [
     "TRAIN_DATASET",
     "TraceStore",
     "WarmResult",
-    "METRICS",
-    "Metrics",
     "TraceCache",
     "default_cache_dir",
     "LocalityResult",

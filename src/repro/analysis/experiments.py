@@ -100,12 +100,13 @@ def _warm_worker(
     """Child-process body of a parallel warm: trace via the disk cache.
 
     Returns the warm outcome, a :meth:`Metrics.to_dict` snapshot of
-    everything the worker measured (cache loads/stores, workload runs)
-    and, with ``trace_spans``, a :meth:`SpanTracer.state` snapshot of the
+    everything the worker counted (cache hits, misses and stores) and,
+    with ``trace_spans``, a :meth:`SpanTracer.state` snapshot of the
     spans serial :meth:`TraceStore.warm` would record for the same
     execution.  Process-pool workers get their own ``METRICS`` registry
     and tracer; the parent merges and absorbs the snapshots, or the
-    worker's timings would silently vanish from the session report.
+    worker's counts and spans would silently vanish from the session
+    report.
     """
     mark = 0
     if trace_spans:
@@ -118,8 +119,7 @@ def _warm_worker(
     if cache.load(program, dataset, scale) is None:
         source = "run"
         with TRACER.span("workload.run", cat="workload", program=program,
-                         dataset=dataset, scale=scale), \
-                metrics.stage("workload.run"):
+                         dataset=dataset, scale=scale):
             trace = run_workload(program, dataset, scale=scale)
         cache.store(trace, scale)
     result = WarmResult(program, dataset, source, time.perf_counter() - start)
@@ -133,7 +133,7 @@ class TraceStore:
     ``cache`` injects a ready :class:`TraceCache`; otherwise one is built
     over ``cache_dir`` (default ``$REPRO_CACHE_DIR`` or
     ``~/.cache/repro-alloc``) unless ``use_cache=False`` or
-    ``REPRO_NO_CACHE`` is set.  Timings and hit/miss counts go to
+    ``REPRO_NO_CACHE`` is set.  Hit/miss/store counts go to
     ``metrics`` (the process-wide default when omitted).
 
     With ``streaming=True`` the store hands consumers
@@ -215,8 +215,7 @@ class TraceStore:
             if trace is None:
                 with TRACER.span("workload.run", cat="workload",
                                  program=program, dataset=dataset,
-                                 scale=self.scale), \
-                        self._metrics.stage("workload.run"):
+                                 scale=self.scale):
                     trace = run_workload(program, dataset, scale=self.scale)
                 if self._cache is not None:
                     self._cache.store(trace, self.scale)
@@ -244,8 +243,7 @@ class TraceStore:
             if source is not None:
                 return source
         with TRACER.span("workload.run", cat="workload", program=program,
-                         dataset=dataset, scale=self.scale), \
-                self._metrics.stage("workload.run"):
+                         dataset=dataset, scale=self.scale):
             trace = run_workload(program, dataset, scale=self.scale)
         if self._cache is not None:
             self._cache.store(trace, self.scale)
@@ -499,8 +497,7 @@ class TraceStore:
         """
         pairs = self.warm_pairs()
         results: List[WarmResult] = []
-        with TRACER.span("warm", cat="pipeline", scale=self.scale), \
-                self._metrics.stage("warm"):
+        with TRACER.span("warm", cat="pipeline", scale=self.scale):
             if jobs and jobs > 1 and self._cache is not None:
                 self._cache.directory.mkdir(parents=True, exist_ok=True)
                 with ProcessPoolExecutor(max_workers=jobs) as pool:

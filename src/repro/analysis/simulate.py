@@ -125,9 +125,10 @@ def replay(trace: Union[Trace, EventSource], allocator: Allocator,
     the event offset, and the object id (see
     :func:`~repro.runtime.stream.protocol.first_malformed`): a free of an
     object that is not live, an alloc under a chain id the header never
-    interned, or, on a stream, an alloc out of dense id order.  On a
-    stream, a footer that disagrees with the events raises too, once the
-    pass ends (see :func:`~repro.runtime.stream.protocol.check_footer`).
+    interned or of a size below 1, or, on a stream, an alloc out of
+    dense id order.  On a stream, a footer that disagrees with the
+    events raises too, once the pass ends (see
+    :func:`~repro.runtime.stream.protocol.check_footer`).
 
     ``telemetry`` attaches a :class:`~repro.obs.telemetry.Telemetry`
     recorder for the duration of the replay: the allocator reports every
@@ -163,13 +164,16 @@ def replay(trace: Union[Trace, EventSource], allocator: Allocator,
 def _replay_arrays(source: TraceEventSource, malloc, free) -> None:
     """Replay an in-memory trace from its packed event codes.
 
-    Chain ids are range-checked once, over the whole chain-id array.
+    Chain ids and sizes are range-checked once, over their whole arrays:
+    a v2 file loads without :func:`~repro.runtime.stream.protocol.
+    build_trace`'s per-event checks.
     """
     arrays = source.trace.raw_arrays()
     sizes = arrays["sizes"]
     chain_ids = arrays["chain_ids"]
     if chain_ids and not (
         min(chain_ids) >= 0 and max(chain_ids) < len(source.header.chains)
+        and min(sizes) >= 1
     ):
         raise first_malformed(source)
     addresses = {}
@@ -189,8 +193,9 @@ def _replay_arrays(source: TraceEventSource, malloc, free) -> None:
 def _replay_events(source: EventSource, malloc, free) -> None:
     """Replay any event source from its ``events()`` tuples.
 
-    Each alloc is checked for dense id order and an interned chain id,
-    and the footer against the events once the pass ends.
+    Each alloc is checked for dense id order, an interned chain id and
+    a size of at least 1, and the footer against the events once the
+    pass ends.
     """
     chain_count = len(source.header.chains)
     addresses = {}
@@ -201,10 +206,11 @@ def _replay_events(source: EventSource, malloc, free) -> None:
         if tag == EV_ALLOC:
             obj_id = ev[1]
             chain_id = ev[2]
-            if obj_id != next_id or not 0 <= chain_id < chain_count:
+            size = ev[3]
+            if (obj_id != next_id or not 0 <= chain_id < chain_count
+                    or size < 1):
                 raise first_malformed(source)
             next_id += 1
-            size = ev[3]
             allocated += size
             addresses[obj_id] = malloc(size, chain_id)
         elif tag == EV_FREE:

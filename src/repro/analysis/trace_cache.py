@@ -147,8 +147,7 @@ class TraceCache:
         path = self.entry_path(program, dataset, scale)
         try:
             with TRACER.span("trace_cache.load", cat="cache",
-                             program=program, dataset=dataset), \
-                    self.metrics.stage("trace_cache.load"):
+                             program=program, dataset=dataset):
                 trace = load_trace(path)
         except FileNotFoundError:
             self.metrics.incr("trace_cache.miss")
@@ -181,8 +180,7 @@ class TraceCache:
         path = self.entry_path(program, dataset, scale)
         try:
             with TRACER.span("trace_cache.open_stream", cat="cache",
-                             program=program, dataset=dataset), \
-                    self.metrics.stage("trace_cache.open_stream"):
+                             program=program, dataset=dataset):
                 source = open_trace_stream(path)
         except FileNotFoundError:
             self.metrics.incr("trace_cache.miss")
@@ -203,8 +201,7 @@ class TraceCache:
         path = self.entry_path(trace.program, trace.dataset, scale)
         self.directory.mkdir(parents=True, exist_ok=True)
         with TRACER.span("trace_cache.store", cat="cache",
-                         program=trace.program, dataset=trace.dataset), \
-                self.metrics.stage("trace_cache.store"):
+                         program=trace.program, dataset=trace.dataset):
             save_trace(trace, path)
         self.metrics.incr("trace_cache.store")
         return path

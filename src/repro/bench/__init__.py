@@ -1,9 +1,11 @@
-"""Benchmark trajectory: recorded perf history and the regression gate.
+"""Benchmark trajectory: recorded simulated cost and the regression gate.
 
-``repro.bench`` turns ad-hoc timings into a recorded, comparable history:
+``repro.bench`` records the simulated cost of every allocator replay as
+a comparable history:
 
-* :mod:`repro.bench.suite` runs the benchmark suite (timed,
-  telemetry-instrumented allocator replays over the shared trace store);
+* :mod:`repro.bench.suite` runs the benchmark suite (one
+  telemetry-instrumented allocator replay per benchmark over the shared
+  trace store);
 * :mod:`repro.bench.record` defines the schema-versioned per-benchmark
   records and sessions;
 * :mod:`repro.bench.store` appends sessions to the ``BENCH_<seq>.json``
@@ -21,21 +23,14 @@ from repro.bench.provenance import (
     collect_provenance,
     git_sha,
 )
-from repro.bench.record import TIMING_FIELDS, BenchRecord, BenchSession
+from repro.bench.record import BenchRecord, BenchSession
 from repro.bench.store import BENCH_DIR_ENV, BenchStore, default_bench_dir
-from repro.bench.suite import (
-    BENCH_ALLOCATORS,
-    DEFAULT_REPEATS,
-    run_session,
-    run_suite,
-)
+from repro.bench.suite import BENCH_ALLOCATORS, run_session, run_suite
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "BENCH_ALLOCATORS",
     "BENCH_DIR_ENV",
-    "DEFAULT_REPEATS",
-    "TIMING_FIELDS",
     "BenchRecord",
     "BenchSession",
     "BenchStore",

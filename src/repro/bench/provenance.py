@@ -20,7 +20,8 @@ __all__ = ["BENCH_SCHEMA_VERSION", "git_sha", "collect_provenance"]
 
 #: Version of the BENCH record schema.  Bump on any field change so the
 #: comparator can refuse to diff records it does not understand.
-BENCH_SCHEMA_VERSION = 1
+#: Version 2 dropped the wall-clock and RSS fields.
+BENCH_SCHEMA_VERSION = 2
 
 
 def git_sha(short: bool = False) -> str:

@@ -1,18 +1,17 @@
 """Schema-versioned benchmark records and sessions.
 
-One :class:`BenchRecord` captures everything the regression gate needs
-about one benchmark: the noisy part (min-of-k wall time) and the
-deterministic part (simulated instruction costs from
-:mod:`repro.alloc.costs`, arena capture rate, heap size, and the PR 2
-telemetry misprediction totals).  A :class:`BenchSession` is one suite
-run — the records plus full provenance — and serializes to the
-``BENCH_<seq>.json`` trajectory files.
+One :class:`BenchRecord` captures what the regression gate needs about
+one benchmark, all of it simulated cost: instruction costs from
+:mod:`repro.alloc.costs`, arena capture rate, heap size, and the
+telemetry misprediction totals.  Barrett & Zorn price allocator CPU
+cost the same way, as operation counts times instructions per
+operation, so a record carries no wall clock.  A :class:`BenchSession`
+is one suite run — the records plus full provenance — and serializes
+to the ``BENCH_<seq>.json`` trajectory files.
 
-The deterministic fields are exactly reproducible from the same traces:
-two suite runs on one commit produce identical records modulo the fields
-named in :data:`TIMING_FIELDS` (the test suite asserts this), which is
-what lets the comparator hold them to a zero-noise threshold while wall
-times get a generous one.
+Every field is exactly reproducible from the same traces: two suite
+runs on one commit write equal records (the test suite asserts this),
+which is what lets the comparator hold them to a zero-noise threshold.
 """
 
 from __future__ import annotations
@@ -22,28 +21,17 @@ from typing import Any, Dict, List
 
 from repro.bench.provenance import BENCH_SCHEMA_VERSION
 
-__all__ = ["TIMING_FIELDS", "BenchRecord", "BenchSession"]
-
-#: Record fields that vary run-to-run on the same commit (wall-clock
-#: noise, memory footprint).  Everything else must be bit-identical
-#: across runs.
-TIMING_FIELDS = ("wall_seconds", "wall_seconds_mean", "peak_rss_kb")
+__all__ = ["BenchRecord", "BenchSession"]
 
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One benchmark's measurements (one replay family in the suite)."""
+    """One benchmark's simulated cost (one replay family in the suite)."""
 
     name: str
     program: str
     dataset: str
     allocator: str
-    repeats: int
-    #: Min-of-k wall time of the replay, seconds.
-    wall_seconds: float
-    #: Mean wall time across the k repeats, seconds (context for noise).
-    wall_seconds_mean: float
-    # -- deterministic metrics ----------------------------------------
     allocs: int
     frees: int
     instr_per_alloc: float
@@ -53,11 +41,6 @@ class BenchRecord:
     arena_alloc_pct: float
     arena_byte_pct: float
     mispredictions: Dict[str, int] = field(default_factory=dict)
-    #: Peak process RSS in KB sampled after this benchmark's replays
-    #: (0 when the platform cannot report it; pre-existing sessions
-    #: without the field load as 0).  Environment-dependent, so it lives
-    #: in :data:`TIMING_FIELDS`, outside the deterministic gate.
-    peak_rss_kb: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready dict with stable key order and rounded floats."""
@@ -66,9 +49,6 @@ class BenchRecord:
             "program": self.program,
             "dataset": self.dataset,
             "allocator": self.allocator,
-            "repeats": self.repeats,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "wall_seconds_mean": round(self.wall_seconds_mean, 6),
             "allocs": self.allocs,
             "frees": self.frees,
             "instr_per_alloc": round(self.instr_per_alloc, 6),
@@ -78,7 +58,6 @@ class BenchRecord:
             "arena_alloc_pct": round(self.arena_alloc_pct, 6),
             "arena_byte_pct": round(self.arena_byte_pct, 6),
             "mispredictions": dict(sorted(self.mispredictions.items())),
-            "peak_rss_kb": self.peak_rss_kb,
         }
 
     @classmethod
@@ -89,9 +68,6 @@ class BenchRecord:
             program=data["program"],
             dataset=data["dataset"],
             allocator=data["allocator"],
-            repeats=int(data["repeats"]),
-            wall_seconds=float(data["wall_seconds"]),
-            wall_seconds_mean=float(data["wall_seconds_mean"]),
             allocs=int(data["allocs"]),
             frees=int(data["frees"]),
             instr_per_alloc=float(data["instr_per_alloc"]),
@@ -103,20 +79,19 @@ class BenchRecord:
             mispredictions={
                 k: int(v) for k, v in data.get("mispredictions", {}).items()
             },
-            peak_rss_kb=int(data.get("peak_rss_kb", 0)),
         )
-
-    def deterministic_dict(self) -> Dict[str, Any]:
-        """:meth:`to_dict` with the run-to-run noisy fields stripped."""
-        data = self.to_dict()
-        for key in TIMING_FIELDS:
-            data.pop(key, None)
-        return data
 
     @property
     def mispredictions_total(self) -> int:
         """All misprediction events across the three failure modes."""
         return sum(self.mispredictions.values())
+
+    @property
+    def total_instr(self) -> float:
+        """Simulated allocator instructions: allocs and frees, each
+        times its per-operation cost."""
+        return (self.allocs * self.instr_per_alloc
+                + self.frees * self.instr_per_free)
 
 
 @dataclass
@@ -138,6 +113,11 @@ class BenchSession:
     def scale(self) -> float:
         """The workload scale this session ran at."""
         return float(self.provenance.get("scale", 1.0))
+
+    @property
+    def total_instr(self) -> float:
+        """Simulated allocator instructions summed over every record."""
+        return sum(rec.total_instr for rec in self.records)
 
     def record(self, name: str) -> BenchRecord:
         """The record called ``name`` (KeyError if absent)."""

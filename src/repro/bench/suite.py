@@ -1,26 +1,19 @@
-"""The benchmark suite: timed, telemetry-instrumented allocator replays.
+"""The benchmark suite: telemetry-instrumented allocator replays.
 
 One benchmark per (program, allocator) pair over the evaluation dataset:
-the trace is resolved once through the shared
-:class:`~repro.analysis.TraceStore` (so cache state never leaks into the
-timed region), then replayed ``repeats`` times with a fresh
-:class:`~repro.obs.telemetry.Telemetry` recorder each time.  The minimum
-wall time across repeats is the recorded timing — the standard defence
-against scheduler noise — and the deterministic metrics (instruction
-costs, capture rate, heap size, mispredictions) come from the final
-replay, which is bit-identical to every other replay of the same trace.
-
-The telemetry probe is attached on *every* repeat so timings are
-internally consistent (its ~5% overhead is part of the measured quantity,
-identically in every session).  Each benchmark runs under a
-``bench.<name>`` span when tracing is enabled, so a session exports a
-Perfetto-readable picture of exactly what it measured.
+the trace and predictor are resolved through the shared
+:class:`~repro.analysis.TraceStore`, then the trace is replayed once
+with a fresh :class:`~repro.obs.telemetry.Telemetry` recorder.  The
+record holds the replay's simulated cost (instruction costs, capture
+rate, heap size) and the recorder's misprediction totals, all
+deterministic, so a replay of the same trace always writes the same
+record.  Each benchmark runs under a ``bench.<name>`` span when tracing
+is enabled, which is where its wall time shows.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.alloc.spec import (
     BSD_SPEC,
@@ -31,12 +24,11 @@ from repro.alloc.spec import (
 from repro.analysis.simulate import SimulationResult, simulate_spec
 from repro.bench.provenance import collect_provenance
 from repro.bench.record import BenchRecord, BenchSession
-from repro.obs.metrics import Metrics, peak_rss_kb
+from repro.obs.metrics import Metrics
 from repro.obs.spans import TRACER
 from repro.obs.telemetry import MISPREDICTION_KINDS, Telemetry
 
-__all__ = ["BENCH_ALLOCATORS", "BENCH_SPECS", "DEFAULT_REPEATS",
-           "run_suite", "run_session"]
+__all__ = ["BENCH_ALLOCATORS", "BENCH_SPECS", "run_suite", "run_session"]
 
 #: The allocators the suite replays, in record order.
 BENCH_ALLOCATORS = ("arena", "firstfit", "bsd")
@@ -47,9 +39,6 @@ BENCH_SPECS: Dict[str, AllocatorSpec] = {
     "firstfit": FIRSTFIT_SPEC,
     "bsd": BSD_SPEC,
 }
-
-#: Default min-of-k repeat count.
-DEFAULT_REPEATS = 3
 
 #: Evaluation dataset for every benchmark (the paper's "largest input").
 _DATASET = "test"
@@ -88,41 +77,23 @@ def run_suite(
     store,
     programs: Optional[Sequence[str]] = None,
     allocators: Sequence[str] = BENCH_ALLOCATORS,
-    repeats: int = DEFAULT_REPEATS,
-    clock: Callable[[], float] = time.perf_counter,
 ) -> List[BenchRecord]:
     """Run every benchmark and return one record per (program, allocator).
 
     ``store`` needs the :class:`~repro.analysis.TraceStore` surface
     (``programs``, ``trace``, ``predictor``) — tests substitute a fake
-    over synthetic traces.  Traces and predictors are resolved *before*
-    the timed region so a cold cache can never masquerade as an allocator
-    regression.
+    over synthetic traces.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
     programs = list(programs) if programs is not None else list(store.programs)
     records: List[BenchRecord] = []
     for program in programs:
-        # Resolve the trace and predictor outside the timed replays.
-        store.trace(program, _DATASET)
-        if "arena" in allocators:
-            _resolve_predictor(store, program, BENCH_SPECS["arena"])
         for allocator in allocators:
             name = f"replay/{program}/{allocator}"
-            with TRACER.span(f"bench.{name}", cat="bench",
-                             repeats=repeats):
-                walls: List[float] = []
-                result: Optional[SimulationResult] = None
-                telemetry: Optional[Telemetry] = None
-                for _ in range(repeats):
-                    # A private Metrics sink keeps the per-repeat
-                    # telemetry totals out of the process-wide registry.
-                    telemetry = Telemetry(metrics=Metrics())
-                    start = clock()
-                    result = _replay_once(store, program, allocator,
-                                          telemetry)
-                    walls.append(clock() - start)
+            with TRACER.span(f"bench.{name}", cat="bench"):
+                # A private Metrics sink keeps the replay's telemetry
+                # totals out of the process-wide registry.
+                telemetry = Telemetry(metrics=Metrics())
+                result = _replay_once(store, program, allocator, telemetry)
             totals = telemetry.totals()
             records.append(
                 BenchRecord(
@@ -130,9 +101,6 @@ def run_suite(
                     program=program,
                     dataset=_DATASET,
                     allocator=allocator,
-                    repeats=repeats,
-                    wall_seconds=min(walls),
-                    wall_seconds_mean=sum(walls) / len(walls),
                     allocs=result.ops.allocs,
                     frees=result.ops.frees,
                     instr_per_alloc=result.cost.per_alloc,
@@ -144,7 +112,6 @@ def run_suite(
                     mispredictions={
                         kind: totals[kind] for kind in MISPREDICTION_KINDS
                     },
-                    peak_rss_kb=peak_rss_kb(),
                 )
             )
     return records
@@ -155,14 +122,11 @@ def run_session(
     seq: int,
     programs: Optional[Sequence[str]] = None,
     allocators: Sequence[str] = BENCH_ALLOCATORS,
-    repeats: int = DEFAULT_REPEATS,
     extra_provenance: Optional[Dict] = None,
 ) -> BenchSession:
     """Run the suite and wrap it as a provenance-stamped session."""
     with TRACER.span("bench.session", cat="bench", seq=seq):
-        records = run_suite(
-            store, programs=programs, allocators=allocators, repeats=repeats
-        )
+        records = run_suite(store, programs=programs, allocators=allocators)
     return BenchSession(
         seq=seq,
         provenance=collect_provenance(

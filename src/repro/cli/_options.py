@@ -4,7 +4,7 @@ Every store-backed subcommand composes the same option groups; keeping
 them here (and only here) is what makes ``--scale``/``--cache-dir``/
 ``--no-cache`` spell and behave identically across the CLI.  Option
 values are validated at parse time — ``warm --jobs`` by
-:func:`jobs_count`, ``--rel-threshold``/``--wall-tol`` by
+:func:`jobs_count`, the ``--rel-threshold`` flags by
 :func:`tolerance` — so a bad value is the same usage error before any
 work starts.
 """

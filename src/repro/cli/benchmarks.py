@@ -12,20 +12,10 @@ import json
 import os
 
 from repro.analysis import TraceStore
-from repro.bench import (
-    BENCH_ALLOCATORS,
-    DEFAULT_REPEATS,
-    BenchStore,
-    run_session,
-)
-from repro.cli._options import _add_predictor_option, tolerance
+from repro.bench import BENCH_ALLOCATORS, BenchStore, run_session
+from repro.cli._options import _add_predictor_option
 from repro.obs.attrib import attribute_sites
-from repro.obs.diff import (
-    DEFAULT_WALL_TOLERANCE,
-    bench_gate,
-    load_session_doc,
-    render_diff_report,
-)
+from repro.obs.diff import bench_gate, load_session_doc, render_diff_report
 from repro.workloads.registry import PROGRAM_ORDER
 
 __all__ = ["register"]
@@ -52,9 +42,6 @@ def register(sub) -> None:
     bench_run.add_argument("--bench-dir", default=None, metavar="DIR",
                            help="trajectory directory (default "
                                 "$REPRO_BENCH_DIR or results/bench)")
-    bench_run.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
-                           help="replays per benchmark; the minimum wall "
-                                f"time is recorded (default {DEFAULT_REPEATS})")
     bench_run.add_argument("--programs", nargs="+", choices=PROGRAM_ORDER,
                            default=None, metavar="PROG",
                            help="restrict to these programs (default: all)")
@@ -78,14 +65,6 @@ def register(sub) -> None:
     bench_compare.add_argument("--bench-dir", default=None, metavar="DIR",
                                help="trajectory directory (default "
                                     "$REPRO_BENCH_DIR or results/bench)")
-    bench_compare.add_argument(
-        "--wall-tol", type=tolerance, default=DEFAULT_WALL_TOLERANCE,
-        help="relative wall-time noise threshold "
-             f"(default {DEFAULT_WALL_TOLERANCE})")
-    bench_compare.add_argument(
-        "--no-wall", action="store_true",
-        help="skip wall-time gating entirely (cross-machine compares: "
-             "only the deterministic metrics carry meaning)")
     bench_compare.set_defaults(handler=_cmd_bench_compare)
 
     bench_history = bench_sub.add_parser(
@@ -127,7 +106,6 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
         seq=bench_store.next_seq(),
         programs=args.programs,
         allocators=args.allocators,
-        repeats=args.repeats,
         extra_provenance={"predictor": args.predictor},
     )
     # Attach the top-K site attribution per program so a regressed
@@ -144,10 +122,8 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
     path = bench_store.write(session)
     for rec in session.records:
         line = (
-            f"{rec.name:<24} {rec.wall_seconds:8.3f}s"
-            f"  instr/alloc {rec.instr_per_alloc:7.1f}"
+            f"{rec.name:<24}  instr/alloc {rec.instr_per_alloc:7.1f}"
             f"  heap {rec.max_heap_size:>11,}"
-            f"  rss {rec.peak_rss_kb:>9,}KB"
         )
         if rec.allocator == "arena":
             line += (
@@ -158,8 +134,7 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
     sha = session.provenance.get("git_sha", "unknown")[:10]
     print(
         f"bench session {session.seq:04d} (sha {sha}, scale {scale}, "
-        f"{len(session.records)} benchmarks, "
-        f"min of {args.repeats}) -> {path}"
+        f"{len(session.records)} benchmarks) -> {path}"
     )
     return 0
 
@@ -168,11 +143,7 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     bench_store = BenchStore(args.bench_dir)
     old = bench_store.resolve(args.old if args.old is not None else "prev")
     new = bench_store.resolve(args.new if args.new is not None else "latest")
-    result = bench_gate(
-        load_session_doc(old), load_session_doc(new),
-        wall_tolerance=args.wall_tol,
-        include_wall=not args.no_wall,
-    )
+    result = bench_gate(load_session_doc(old), load_session_doc(new))
     print(render_diff_report(result))
     return 1 if result.regressed else 0
 
@@ -187,9 +158,7 @@ def _cmd_bench_history(args: argparse.Namespace) -> int:
                 "git_sha": session.provenance.get("git_sha", "unknown"),
                 "scale": session.scale,
                 "benchmarks": len(session.records),
-                "total_wall_seconds": sum(
-                    rec.wall_seconds for rec in session.records
-                ),
+                "total_instr": round(session.total_instr),
                 "created_at": session.provenance.get("created_at"),
             }
             for session in sessions
@@ -199,13 +168,13 @@ def _cmd_bench_history(args: argparse.Namespace) -> int:
     if not sessions:
         print(f"no bench sessions under {bench_store.directory}")
         return 0
-    print("seq   git sha     scale  benchmarks  total wall  recorded at")
+    print("seq   git sha     scale  benchmarks     total instr  recorded at")
     for session in sessions:
         prov = session.provenance
-        total_wall = sum(rec.wall_seconds for rec in session.records)
         print(
             f"{session.seq:04d}  {prov.get('git_sha', 'unknown')[:10]:<10}"
             f"  {session.scale:<5g}  {len(session.records):>10}"
-            f"  {total_wall:9.3f}s  {prov.get('created_at', '?')}"
+            f"  {round(session.total_instr):>14,}"
+            f"  {prov.get('created_at', '?')}"
         )
     return 0

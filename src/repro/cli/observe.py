@@ -407,9 +407,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         threshold=args.threshold,
     )
     telemetry = _replay_with_telemetry(args)
-    history = [
-        session.to_dict() for session in BenchStore(args.bench_dir).history()
-    ]
+    history = BenchStore(args.bench_dir).history()
     # The one wall-clock read in the report path lives here in the CLI,
     # outside the lint's deterministic scope — pass --timestamp for
     # byte-identical renders.

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from repro.analysis import report as report_mod
@@ -47,10 +48,11 @@ def register(sub) -> None:
     warm.add_argument("--jobs", type=jobs_count, default=1, metavar="N",
                       help="worker processes (default 1: serial)")
     warm.add_argument("-v", "--verbose", action="store_true",
-                      help="print per-stage wall times and cache counters")
+                      help="print the cache and warm counters (stage "
+                           "times: --spans-folded)")
     warm.add_argument("--metrics-json", metavar="PATH", default=None,
-                      help="write the session's pipeline metrics "
-                           "(timings + counters) to PATH as JSON")
+                      help="write the session's pipeline counters and "
+                           "gauges to PATH as JSON")
     warm.set_defaults(handler=_cmd_warm)
 
     table = sub.add_parser("table", help="regenerate the paper's tables")
@@ -63,11 +65,12 @@ def register(sub) -> None:
 
 def _cmd_warm(args: argparse.Namespace) -> int:
     store = _make_store(args)
+    start = time.perf_counter()
     results = store.warm(jobs=args.jobs)
+    total = time.perf_counter() - start
     for result in results:
         label = f"{result.program}/{result.dataset}"
         print(f"{label:<18} {result.source:<6} {result.seconds:6.2f}s")
-    total = METRICS.timing("warm").seconds
     by_source = {
         source: sum(1 for r in results if r.source == source)
         for source in ("memory", "disk", "run")

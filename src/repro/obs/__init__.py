@@ -3,10 +3,10 @@
 ``repro.obs`` is the cross-cutting instrumentation subsystem.  It has two
 halves that share one counter backend:
 
-* :mod:`repro.obs.metrics` — the named wall-time/counter registry
+* :mod:`repro.obs.metrics` — the named counter/gauge registry
   (:class:`Metrics`, process-wide :data:`METRICS`) used by the experiment
-  pipeline (trace cache, warm, table rendering) *and* by simulation
-  telemetry, so one report covers both.
+  pipeline (trace cache, warm) *and* by simulation telemetry, so one
+  report covers both.
 * :mod:`repro.obs.telemetry` — the :class:`Telemetry` recorder that rides
   along a trace replay through the probe interface on
   :class:`~repro.alloc.base.Allocator`, producing time-series heap
@@ -14,7 +14,7 @@ halves that share one counter backend:
 * :mod:`repro.obs.spans` — the :class:`SpanTracer` that records nested
   wall-time spans across the whole pipeline (workload runs, cache
   resolution, training, replay, table rendering) and exports them as
-  Chrome trace-event JSON for Perfetto.
+  Chrome trace-event JSON for Perfetto.  It is the one stage clock.
 
 :mod:`repro.obs.export` writes JSONL/JSON/CSV artifacts,
 :mod:`repro.obs.attrib` attributes simulated cost / occupancy /
@@ -28,7 +28,7 @@ recorded sessions into per-site regression verdicts,
 plus the folded-stack span view.
 """
 
-from repro.obs.metrics import METRICS, Metrics, StageTiming
+from repro.obs.metrics import METRICS, Metrics
 from repro.obs.telemetry import (
     DEFAULT_SAMPLE_INTERVAL,
     MISPREDICTION_KINDS,
@@ -80,7 +80,6 @@ from repro.obs.html import render_report, write_report
 __all__ = [
     "METRICS",
     "Metrics",
-    "StageTiming",
     "TRACER",
     "Span",
     "SpanTracer",

@@ -10,8 +10,8 @@ the same kind:
   misprediction metrics;
 * **telemetry** summaries (``stats --json`` / ``*.summary.json``) —
   whole-run totals plus the top misprediction sites;
-* **bench** sessions (``BENCH_<seq>.json``) — the deterministic
-  per-benchmark metrics, wall time informational;
+* **bench** sessions (``BENCH_<seq>.json``) — the per-benchmark
+  simulated costs, all deterministic;
 * **drift** reports (``windows`` / ``*.drift.json``) — per-site
   temporal-drift scores, so a site that *starts* drifting between two
   runs gates the diff;
@@ -23,9 +23,8 @@ The verdict contract: each metric has a *good direction* ("lower",
 "higher", "equal", or "info"), movements within the relative threshold
 are ``unchanged``, beyond it ``improved``/``regressed`` by direction,
 "equal" metrics regress on *any* move, and "info" metrics (occupancy,
-object counts, wall time, gauges like ``peak_rss_kb``) never gate.  A
-:class:`MetricRule` overrides one metric's direction, tolerance, and
-noise floor; ``bench compare`` is such a preset (:func:`bench_gate`).
+object counts, gauges like ``peak_rss_kb``) never gate.  ``bench
+compare`` is the bench preset at threshold 0 (:func:`bench_gate`).
 Incomparable documents raise ``ValueError`` rather than mis-report:
 mixed kinds, bench sessions at different schema versions or scales,
 and non-finite values (``json`` reads ``Infinity``/``NaN``).  The
@@ -39,13 +38,10 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 
 __all__ = [
     "DEFAULT_REL_THRESHOLD",
-    "DEFAULT_WALL_TOLERANCE",
-    "DEFAULT_WALL_FLOOR",
-    "MetricRule",
     "MetricDelta",
     "DiffResult",
     "load_session_doc",
@@ -59,29 +55,10 @@ __all__ = [
 #: Default relative threshold: movements within 1% are ``unchanged``.
 DEFAULT_REL_THRESHOLD = 0.01
 
-#: ``bench compare``'s default relative wall-time tolerance (0.5 = the
-#: new session may be up to 50% slower before it counts as a regression).
-DEFAULT_WALL_TOLERANCE = 0.5
-
-#: Wall times where both sides are under this many seconds count as
-#: unchanged — at that duration the measurement is all scheduler noise.
-DEFAULT_WALL_FLOOR = 0.05
-
 #: Relative slack absorbing float serialization rounding, nothing more.
 _FLOAT_EPS = 1e-9
 
 _VERDICT_ORDER = ("regressed", "improved", "unchanged", "info")
-
-
-@dataclass(frozen=True)
-class MetricRule:
-    """How one metric is judged: its *good* direction, a relative
-    tolerance replacing the diff's threshold (None keeps it), and an
-    absolute floor under which both sides count as unchanged."""
-
-    direction: str
-    rel_tolerance: Optional[float] = None
-    floor: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -118,7 +95,6 @@ class DiffResult:
     only_old: List[str] = field(default_factory=list)
     only_new: List[str] = field(default_factory=list)
     keys_compared: int = 0
-    rules: Dict[str, MetricRule] = field(default_factory=dict)
 
     @property
     def regressed(self) -> bool:
@@ -133,7 +109,7 @@ class DiffResult:
 
     def to_dict(self) -> Dict[str, Any]:
         counts = {v: len(self.by_verdict(v)) for v in _VERDICT_ORDER}
-        data = {
+        return {
             "kind": self.kind,
             "rel_threshold": self.rel_threshold,
             "old_identity": dict(self.old_identity),
@@ -145,11 +121,6 @@ class DiffResult:
             "only_old": list(self.only_old),
             "only_new": list(self.only_new),
         }
-        if self.rules:
-            data["rules"] = {
-                metric: asdict(rule) for metric, rule in self.rules.items()
-            }
-        return data
 
 
 def load_session_doc(path: Union[str, Path]) -> Dict[str, Any]:
@@ -218,8 +189,8 @@ _BENCH_DIRECTIONS = {
     "arena_alloc_pct": "higher",
     "arena_byte_pct": "higher",
     "mispredictions_total": "lower",
-    # wall_seconds/wall_seconds_mean/peak_rss_kb/final_live_bytes are
-    # noisy or ungated — informational (bench_gate rules wall_seconds).
+    # final_live_bytes describes the workload's exit state, not the
+    # allocator — informational.
 }
 
 _DRIFT_DIRECTIONS = {
@@ -298,7 +269,6 @@ def _normalize_bench(doc: Dict[str, Any]) -> Normalized:
             metrics["mispredictions_total"] = float(
                 sum(mispredictions.values())
             )
-        metrics.pop("repeats", None)
         entries[str(record.get("name"))] = metrics
     return identity, entries, _BENCH_DIRECTIONS
 
@@ -342,21 +312,16 @@ def _changed(old: float, new: float) -> bool:
 
 
 def _verdict(
-    old: float, new: float, rule: MetricRule, rel_threshold: float
+    old: float, new: float, direction: str, rel_threshold: float
 ) -> str:
-    if rule.direction == "info":
+    if direction == "info":
         return "info"
-    if max(abs(old), abs(new)) < rule.floor:
-        return "unchanged"
-    if rule.direction == "equal":
+    if direction == "equal":
         return "regressed"  # caller only asks about changed values
-    tolerance = (
-        rel_threshold if rule.rel_tolerance is None else rule.rel_tolerance
-    )
     rel = abs(new - old) / abs(old) if old != 0 else float("inf")
-    if rel <= tolerance:
+    if rel <= rel_threshold:
         return "unchanged"
-    worse = (rule.direction == "lower") == (new > old)
+    worse = (direction == "lower") == (new > old)
     return "regressed" if worse else "improved"
 
 
@@ -387,11 +352,9 @@ def diff_documents(
     old: Dict[str, Any],
     new: Dict[str, Any],
     rel_threshold: float = DEFAULT_REL_THRESHOLD,
-    rules: Optional[Mapping[str, MetricRule]] = None,
 ) -> DiffResult:
     """Diff two loaded session documents of the same kind.
 
-    ``rules`` overrides the kind's rule for each metric it names.
     Raises ValueError when the kinds differ — diffing an attribution
     export against a bench session is a category error, not a report —
     when bench sessions disagree on schema version or scale, and when
@@ -409,7 +372,6 @@ def diff_documents(
         _check_bench_identity(old_identity, new_identity)
     _check_finite("old", old_entries)
     _check_finite("new", new_entries)
-    overrides = dict(rules or {})
     result = DiffResult(
         kind=old_kind,
         rel_threshold=rel_threshold,
@@ -417,7 +379,6 @@ def diff_documents(
         new_identity=new_identity,
         only_old=sorted(set(old_entries) - set(new_entries)),
         only_new=sorted(set(new_entries) - set(old_entries)),
-        rules=overrides,
     )
     for key in sorted(set(old_entries) & set(new_entries)):
         old_metrics, new_metrics = old_entries[key], new_entries[key]
@@ -426,12 +387,10 @@ def diff_documents(
             old_value, new_value = old_metrics[metric], new_metrics[metric]
             if not _changed(old_value, new_value):
                 continue
-            rule = overrides.get(metric) or MetricRule(
-                directions.get(metric, "info")
-            )
-            verdict = _verdict(old_value, new_value, rule, rel_threshold)
+            direction = directions.get(metric, "info")
+            verdict = _verdict(old_value, new_value, direction, rel_threshold)
             result.deltas.append(MetricDelta(
-                key, metric, old_value, new_value, rule.direction, verdict
+                key, metric, old_value, new_value, direction, verdict
             ))
     order = {verdict: rank for rank, verdict in enumerate(_VERDICT_ORDER)}
     result.deltas.sort(key=lambda d: (order[d.verdict], d.key, d.metric))
@@ -451,31 +410,18 @@ def diff_paths(
     )
 
 
-def bench_gate(
-    old: Dict[str, Any],
-    new: Dict[str, Any],
-    wall_tolerance: float = DEFAULT_WALL_TOLERANCE,
-    include_wall: bool = True,
-) -> DiffResult:
+def bench_gate(old: Dict[str, Any], new: Dict[str, Any]) -> DiffResult:
     """``bench compare``: :func:`diff_documents` under the bench preset.
 
-    Deterministic metrics get threshold 0 (any bad move regresses); wall
-    time is held to ``wall_tolerance`` once either side reaches
-    :data:`DEFAULT_WALL_FLOOR`, or is informational with
-    ``include_wall=False`` (sessions from different machines).
+    Every bench metric is deterministic simulated cost, so the threshold
+    is 0: any move in the bad direction regresses.
     """
     if detect_kind(old) != "bench" or detect_kind(new) != "bench":
         raise ValueError(
             "bench compare gates bench sessions (BENCH_<seq>.json); use "
             "diff-sessions for other session documents"
         )
-    wall = (
-        MetricRule("lower", wall_tolerance, DEFAULT_WALL_FLOOR)
-        if include_wall else MetricRule("info")
-    )
-    return diff_documents(
-        old, new, rel_threshold=0.0, rules={"wall_seconds": wall}
-    )
+    return diff_documents(old, new, rel_threshold=0.0)
 
 
 def _fmt_value(value: float) -> str:
@@ -507,13 +453,6 @@ def render_diff_report(result: DiffResult) -> str:
         f"session diff ({result.kind}): {result.keys_compared} keys"
         f" compared, threshold ±{threshold_pct:g}%"
     ]
-    for metric, rule in sorted(result.rules.items()):
-        text = rule.direction
-        if rule.rel_tolerance is not None:
-            text += f", ±{100.0 * rule.rel_tolerance:g}%"
-        if rule.floor:
-            text += f", both under {rule.floor:g} unchanged"
-        lines.append(f"  rule {metric}: {text}")
     for key, value in sorted(result.old_identity.items()):
         new_value = result.new_identity.get(key)
         if new_value != value:

@@ -26,7 +26,10 @@ from __future__ import annotations
 
 from html import escape
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
+
+if TYPE_CHECKING:
+    from repro.bench.record import BenchSession
 
 __all__ = ["render_report", "write_report"]
 
@@ -506,31 +509,28 @@ def _telemetry_section(telemetry_doc: Optional[Dict[str, Any]]) -> str:
     )
 
 
-def _bench_section(bench_history: Optional[List[Dict[str, Any]]]) -> str:
+def _bench_section(bench_history: Optional[List["BenchSession"]]) -> str:
     if not bench_history:
         return ""
-    walls = [
-        sum(rec.get("wall_seconds", 0.0) for rec in session.get("records", []))
-        for session in bench_history
-    ]
+    totals = [session.total_instr for session in bench_history]
     rows = "".join(
         "<tr>"
-        f"<td>{int(session.get('seq', 0)):04d}</td>"
+        f"<td>{session.seq:04d}</td>"
         f'<td class="site">'
-        f'{escape(str(session.get("provenance", {}).get("git_sha", "?"))[:10])}'
+        f'{escape(str(session.provenance.get("git_sha", "?"))[:10])}'
         "</td>"
-        f"<td>{len(session.get('records', []))}</td>"
-        f"<td>{wall:.3f}s</td>"
+        f"<td>{len(session.records)}</td>"
+        f"<td>{_fmt_int(round(total))}</td>"
         "</tr>"
-        for session, wall in zip(bench_history, walls)
+        for session, total in zip(bench_history, totals)
     )
     return (
         '<section class="card" id="bench"><h2>Bench trajectory</h2>'
-        f'<p class="sub">{len(bench_history)} sessions · total wall time'
-        " per session (environment-dependent, informational)</p>"
-        f"{_sparkline(walls, 'total wall seconds per bench session')}"
+        f'<p class="sub">{len(bench_history)} sessions · total simulated'
+        " allocator instructions per session</p>"
+        f"{_sparkline(totals, 'total simulated instructions per session')}"
         '<table><thead><tr><th>seq</th><th class="site">git sha</th>'
-        "<th>benchmarks</th><th>wall</th></tr></thead>"
+        "<th>benchmarks</th><th>instructions</th></tr></thead>"
         f"<tbody>{rows}</tbody></table></section>"
     )
 
@@ -540,7 +540,7 @@ def render_report(
     drift_doc: Optional[Dict[str, Any]] = None,
     attribution_doc: Optional[Dict[str, Any]] = None,
     telemetry_doc: Optional[Dict[str, Any]] = None,
-    bench_history: Optional[List[Dict[str, Any]]] = None,
+    bench_history: Optional[List["BenchSession"]] = None,
     generated_at: str = "",
     top: int = 10,
 ) -> str:
@@ -549,7 +549,7 @@ def render_report(
     ``windows_doc`` is :meth:`~repro.obs.windows.WindowProfile.to_dict`'s
     output (or its JSON export re-read); the optional documents are the
     drift report, an attribution document or summary, a telemetry
-    summary, and the bench ``to_dict`` trajectory.  ``generated_at`` is
+    summary, and the bench trajectory's sessions.  ``generated_at`` is
     the one non-derived field — the caller stamps it, so two renders of
     the same inputs with the same stamp are byte-identical.
     """

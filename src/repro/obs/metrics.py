@@ -1,21 +1,22 @@
-"""Shared timing and counter registry for pipeline and simulation.
+"""Shared counter and gauge registry for pipeline and simulation.
 
-Every expensive stage of the experiment pipeline (workload execution,
-trace-cache loads and stores, table computation) records its wall time and
-event counts here, and the simulation telemetry layer
+The experiment pipeline (trace-cache hits, misses and stores, warm
+outcomes) counts its events here, and the simulation telemetry layer
 (:mod:`repro.obs.telemetry`) records its sample and misprediction totals
-into the same registry — one report covers the whole system.  The CLI's
-``warm -v`` prints the report, and the benchmarks import :data:`METRICS`
-to surface cache behaviour across sessions.
+into the same registry, so one report covers the whole system.  The
+CLI's ``warm -v`` prints the report, and the benchmarks import
+:data:`METRICS` to surface cache behaviour across sessions.
 
-The design is deliberately tiny: a :class:`Metrics` object holds named
-stage timings (call count + total seconds) and named counters.  A single
-process-wide instance, :data:`METRICS`, is the default sink; components
-accept a ``metrics`` argument so tests can isolate their measurements.
+The registry holds no clock: stage time is the span tracer's
+(:data:`repro.obs.spans.TRACER`; ``--spans-out`` and ``--spans-folded``
+export it).  A :class:`Metrics` object holds named counters, some of
+them high-water-mark gauges.  A single process-wide instance,
+:data:`METRICS`, is the default sink; components accept a ``metrics``
+argument so tests can isolate their measurements.
 
 Because worker processes get their own registry, :meth:`Metrics.merge`
-folds a worker's :meth:`Metrics.to_dict` snapshot back into the parent —
-this is how ``TraceStore.warm(jobs=N)`` keeps child-process timings in
+folds a worker's :meth:`Metrics.to_dict` snapshot back into the parent;
+this is how ``TraceStore.warm(jobs=N)`` keeps child-process counts in
 the session report.
 """
 
@@ -23,59 +24,26 @@ from __future__ import annotations
 
 import json
 import sys
-from contextlib import contextmanager
-import time
-from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Set, Union
+from typing import Dict, Optional, Set, Union
 
 __all__ = [
     "Metrics",
-    "StageTiming",
     "METRICS",
     "peak_rss_kb",
     "record_peak_rss",
 ]
 
 
-@dataclass
-class StageTiming:
-    """Aggregate wall time of one named pipeline stage."""
-
-    calls: int = 0
-    seconds: float = 0.0
-
-    @property
-    def mean(self) -> float:
-        """Mean seconds per call (0.0 before the first call)."""
-        return self.seconds / self.calls if self.calls else 0.0
-
-
 class Metrics:
-    """Named wall-time accumulators and event counters."""
+    """Named event counters and high-water-mark gauges."""
 
     def __init__(self) -> None:
-        self._timings: Dict[str, StageTiming] = {}
         self._counters: Dict[str, int] = {}
         self._gauges: Set[str] = set()
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time the enclosed block under ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_time(name, time.perf_counter() - start)
-
-    def add_time(self, name: str, seconds: float) -> None:
-        """Add one timed call of ``seconds`` to stage ``name``."""
-        timing = self._timings.setdefault(name, StageTiming())
-        timing.calls += 1
-        timing.seconds += seconds
 
     def incr(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` by ``amount``."""
@@ -97,18 +65,9 @@ class Metrics:
     # Reading
     # ------------------------------------------------------------------
 
-    def timing(self, name: str) -> StageTiming:
-        """The timing for stage ``name`` (zeros if never recorded)."""
-        return self._timings.get(name, StageTiming())
-
     def counter(self, name: str) -> int:
         """The value of counter ``name`` (0 if never incremented)."""
         return self._counters.get(name, 0)
-
-    @property
-    def timings(self) -> Dict[str, StageTiming]:
-        """Snapshot of all stage timings."""
-        return dict(self._timings)
 
     @property
     def counters(self) -> Dict[str, int]:
@@ -129,8 +88,7 @@ class Metrics:
         }
 
     def reset(self) -> None:
-        """Drop all recorded timings and counters."""
-        self._timings.clear()
+        """Drop all recorded counters and gauges."""
         self._counters.clear()
         self._gauges.clear()
 
@@ -138,13 +96,9 @@ class Metrics:
     # Aggregation and export
     # ------------------------------------------------------------------
 
-    def to_dict(self) -> Dict[str, dict]:
-        """A JSON-serializable snapshot of every timing and counter."""
+    def to_dict(self) -> Dict[str, object]:
+        """A JSON-serializable snapshot of every counter and gauge."""
         return {
-            "timings": {
-                name: {"calls": t.calls, "seconds": t.seconds}
-                for name, t in sorted(self._timings.items())
-            },
             "counters": dict(sorted(self._counters.items())),
             "gauges": sorted(self._gauges),
         }
@@ -153,23 +107,18 @@ class Metrics:
         """The :meth:`to_dict` snapshot as a JSON document."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
-    def merge(self, other: Union["Metrics", Dict[str, dict]]) -> None:
+    def merge(self, other: Union["Metrics", Dict[str, object]]) -> None:
         """Fold another registry (or its :meth:`to_dict` form) into this one.
 
-        Timings add call counts and seconds; counters add values — except
-        gauges (anything either side recorded via :meth:`set_max`), which
-        merge by maximum: a worker's peak RSS is a concurrent high, not a
-        disjoint contribution.  This is how per-worker measurements from a
+        Counters add values — except gauges (anything either side
+        recorded via :meth:`set_max`), which merge by maximum: a
+        worker's peak RSS is a concurrent high, not a disjoint
+        contribution.  This is how per-worker measurements from a
         process pool reach the parent's report instead of dying with the
-        child.  Snapshots from before gauges were tracked simply have no
-        ``"gauges"`` list and merge as pure counters.
+        child.
         """
         if isinstance(other, Metrics):
             other = other.to_dict()
-        for name, entry in other.get("timings", {}).items():
-            timing = self._timings.setdefault(name, StageTiming())
-            timing.calls += int(entry["calls"])
-            timing.seconds += float(entry["seconds"])
         gauges = set(other.get("gauges", ()))
         for name, value in other.get("counters", {}).items():
             if name in gauges or name in self._gauges:
@@ -178,23 +127,13 @@ class Metrics:
                 self.incr(name, int(value))
 
     def report(self, title: Optional[str] = None) -> str:
-        """A human-readable summary of every timing and counter."""
-        lines = []
-        if title:
-            lines.append(title)
-        if self._timings:
-            width = max(len(name) for name in self._timings)
-            for name in sorted(self._timings):
-                timing = self._timings[name]
-                lines.append(
-                    f"  {name:<{width}}  {timing.seconds:8.3f}s"
-                    f"  ({timing.calls} calls, {timing.mean:.3f}s/call)"
-                )
+        """A human-readable summary of every counter and gauge."""
+        lines = [title] if title else []
         if self._counters:
             width = max(len(name) for name in self._counters)
             for name in sorted(self._counters):
                 lines.append(f"  {name:<{width}}  {self._counters[name]}")
-        if len(lines) == (1 if title else 0):
+        else:
             lines.append("  (no measurements recorded)")
         return "\n".join(lines)
 

@@ -1,9 +1,10 @@
 """Pipeline span tracing: nested wall-time spans and a Chrome exporter.
 
-Where :mod:`repro.obs.metrics` answers "how much time did stage X take in
-total", a span trace answers "what did *this* run actually do, in what
-order, nested how" — one :class:`Span` per instrumented region, with its
-start offset, duration, and ancestry.  The whole experiment pipeline is
+Spans are the pipeline's one stage clock (:mod:`repro.obs.metrics` only
+counts).  A span trace answers "what did *this* run actually do, in what
+order, nested how, and how long did each stage take" — one
+:class:`Span` per instrumented region, with its start offset, duration,
+and ancestry; the folded view sums self time per stage path.  The whole experiment pipeline is
 instrumented: workload execution and trace-cache resolution
 (:mod:`repro.analysis.trace_cache`, :mod:`repro.analysis.experiments`),
 predictor training and evaluation (:mod:`repro.core.predictor`),

@@ -34,7 +34,7 @@ is unchanged — the hot path stays hot.
 
 Aggregate totals (samples taken, mispredictions by kind) are mirrored
 into a :class:`~repro.obs.metrics.Metrics` registry (the process-wide
-:data:`~repro.obs.metrics.METRICS` by default) so pipeline timings and
+:data:`~repro.obs.metrics.METRICS` by default) so pipeline counters and
 simulation telemetry read out of one report.
 """
 

@@ -230,7 +230,7 @@ def event_error(
     offset and the object id.  A free is malformed when its object is
     not live.  An alloc is malformed when it names a chain id the header
     never interned, or else when its id is not ``next_id``, the next in
-    dense allocation order.
+    dense allocation order, or else when its size is below 1.
     """
     header = source.header
     obj_id = ev[1]
@@ -241,11 +241,13 @@ def event_error(
             f"object {obj_id} names chain id {ev[2]}, but the header "
             f"interns {len(header.chains)} chains"
         )
-    else:
+    elif obj_id != next_id:
         problem = (
             f"alloc of object {obj_id} out of order: object ids are dense "
             f"in allocation order, so the next is {next_id}"
         )
+    else:
+        problem = f"object {obj_id} has size {ev[3]}; sizes are >= 1"
     return TraceFormatError(f"{_where(source)}: event {offset}: {problem}")
 
 
@@ -274,7 +276,8 @@ def first_malformed(source: EventSource) -> TraceFormatError:
     for offset, ev in enumerate(source.events()):
         tag = ev[0]
         if tag == EV_ALLOC:
-            if ev[1] != next_id or not 0 <= ev[2] < chain_count:
+            if (ev[1] != next_id or not 0 <= ev[2] < chain_count
+                    or ev[3] < 1):
                 return event_error(source, offset, ev, next_id)
             live.add(next_id)
             next_id += 1
@@ -333,12 +336,12 @@ def build_trace(source: EventSource) -> Trace:
 
     A malformed stream raises
     :class:`~repro.runtime.tracefile.TraceFormatError` (see
-    :func:`event_error`): an alloc out of dense id order or under a
-    chain id the header never interned, or a free of an object that is
-    not live — never allocated, negative, or already freed.  An event's
-    offset is the length of the event array before it, so the checks
-    cost a comparison or two per event and keep no counter.  A footer
-    that disagrees with the events raises too (see
+    :func:`event_error`): an alloc out of dense id order, under a chain
+    id the header never interned or of a size below 1, or a free of an
+    object that is not live — never allocated, negative, or already
+    freed.  An event's offset is the length of the event array before
+    it, so the checks cost a few comparisons per event and keep no
+    counter.  A footer that disagrees with the events raises too (see
     :func:`check_footer`).
     """
     header = source.header
@@ -357,7 +360,8 @@ def build_trace(source: EventSource) -> Trace:
             tag = ev[0]
             obj_id = ev[1]
             if tag == EV_ALLOC:
-                if obj_id != len(sizes) or not 0 <= ev[2] < chain_count:
+                if (obj_id != len(sizes) or not 0 <= ev[2] < chain_count
+                        or ev[3] < 1):
                     raise event_error(source, len(events), ev, len(sizes))
                 chain_ids.append(ev[2])
                 sizes.append(ev[3])
@@ -454,7 +458,8 @@ def iter_object_records(
     for ev in source.events():
         tag = ev[0]
         if tag == EV_ALLOC:
-            if ev[1] != next_id or not 0 <= ev[2] < chain_count:
+            if (ev[1] != next_id or not 0 <= ev[2] < chain_count
+                    or ev[3] < 1):
                 raise first_malformed(source)
             next_id += 1
             allocated += ev[3]
@@ -502,10 +507,10 @@ def stream_live_stats(source: EventSource) -> LiveStats:
                 raise first_malformed(source) from exc
             live_objects -= 1
         else:
-            if ev[1] != next_id or not 0 <= ev[2] < chain_count:
+            size = ev[3]
+            if ev[1] != next_id or not 0 <= ev[2] < chain_count or size < 1:
                 raise first_malformed(source)
             next_id += 1
-            size = ev[3]
             allocated += size
             live_sizes[ev[1]] = size
             live_bytes += size

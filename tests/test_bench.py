@@ -26,7 +26,7 @@ from repro.bench import (
 from repro.bench.provenance import collect_provenance
 from repro.cli import main
 from repro.cli._options import tolerance
-from repro.obs.diff import DEFAULT_WALL_FLOOR, bench_gate, render_diff_report
+from repro.obs.diff import bench_gate, render_diff_report
 from repro.core.predictor import train_site_predictor
 from repro.obs.telemetry import MISPREDICTION_KINDS
 from tests.conftest import make_churn_trace
@@ -62,8 +62,8 @@ def fake_store():
 def session_pair(fake_store):
     """Two suite runs over the same traces — same commit, minutes apart."""
     return (
-        run_session(fake_store, seq=1, repeats=1),
-        run_session(fake_store, seq=2, repeats=1),
+        run_session(fake_store, seq=1),
+        run_session(fake_store, seq=2),
     )
 
 
@@ -91,9 +91,11 @@ class TestSuite:
         ]
 
     def test_records_deterministic_modulo_timings(self, session_pair):
+        # Records hold no timings, so two runs write equal records.
         first, second = session_pair
-        for rec_a, rec_b in zip(first.records, second.records):
-            assert rec_a.deterministic_dict() == rec_b.deterministic_dict()
+        assert [rec.to_dict() for rec in first.records] == [
+            rec.to_dict() for rec in second.records
+        ]
 
     def test_record_carries_simulation_metrics(self, session_pair):
         arena = session_pair[0].record("replay/synthetic/arena")
@@ -108,22 +110,6 @@ class TestSuite:
         firstfit = session_pair[0].record("replay/synthetic/firstfit")
         assert firstfit.arena_alloc_pct == 0.0
         assert firstfit.arena_byte_pct == 0.0
-
-    def test_wall_times_recorded(self, session_pair):
-        for rec in session_pair[0].records:
-            assert rec.wall_seconds > 0
-            assert rec.wall_seconds_mean >= rec.wall_seconds
-
-    def test_min_of_k_uses_injected_clock(self, fake_store):
-        ticks = iter(range(0, 1000, 1))
-        records = run_suite(
-            fake_store, repeats=2, clock=lambda: next(ticks)
-        )
-        assert all(rec.wall_seconds >= 1 for rec in records)
-
-    def test_repeats_below_one_rejected(self, fake_store):
-        with pytest.raises(ValueError, match="repeats"):
-            run_suite(fake_store, repeats=0)
 
     def test_unknown_allocator_rejected(self, fake_store):
         with pytest.raises(ValueError, match="vax"):
@@ -146,12 +132,20 @@ class TestRecordSerialization:
         )
         assert rebuilt.to_dict() == session.to_dict()
 
-    def test_deterministic_dict_strips_only_timings(self, session_pair):
+    def test_record_holds_only_simulated_cost(self, session_pair):
         rec = session_pair[0].records[0]
-        full, det = rec.to_dict(), rec.deterministic_dict()
-        assert set(full) - set(det) == {
-            "wall_seconds", "wall_seconds_mean", "peak_rss_kb",
+        assert set(rec.to_dict()) == {
+            "name", "program", "dataset", "allocator", "allocs", "frees",
+            "instr_per_alloc", "instr_per_free", "max_heap_size",
+            "final_live_bytes", "arena_alloc_pct", "arena_byte_pct",
+            "mispredictions",
         }
+
+    def test_total_instr(self):
+        rec = _make_record("x")
+        assert rec.total_instr == 100 * 50.0 + 90 * 20.0
+        session = _make_session(1, [rec, _make_record("y", frees=0)])
+        assert session.total_instr == 6800.0 + 5000.0
 
     def test_mispredictions_total(self):
         rec = _make_record("x", mispredictions={"late_free": 2, "overflow": 1})
@@ -210,7 +204,6 @@ class TestBenchStore:
 def _make_record(name, **overrides):
     base = dict(
         name=name, program="p", dataset="test", allocator="arena",
-        repeats=3, wall_seconds=1.0, wall_seconds_mean=1.1,
         allocs=100, frees=90, instr_per_alloc=50.0, instr_per_free=20.0,
         max_heap_size=65536, final_live_bytes=1024,
         arena_alloc_pct=80.0, arena_byte_pct=75.0,
@@ -232,9 +225,9 @@ def _make_session(seq, records, scale=1.0, schema_version=None):
     return session
 
 
-def gate(old, new, **kwargs):
+def gate(old, new):
     """``bench compare``'s preset over two in-memory sessions."""
-    return bench_gate(old.to_dict(), new.to_dict(), **kwargs)
+    return bench_gate(old.to_dict(), new.to_dict())
 
 
 class TestCompare:
@@ -247,38 +240,6 @@ class TestCompare:
         assert not result.regressed
         assert result.keys_compared == 1
         assert "OK — no regressions" in render_diff_report(result)
-
-    def test_wall_slowdown_beyond_tolerance_fails(self):
-        old = _make_session(1, [_make_record("a", wall_seconds=1.0)])
-        new = _make_session(2, [_make_record("a", wall_seconds=1.6)])
-        result = gate(new=new, old=old, wall_tolerance=0.5)
-        assert result.regressed
-        (delta,) = result.by_verdict("regressed")
-        assert delta.key == "a" and delta.metric == "wall_seconds"
-        assert "REGRESSED a: wall_seconds" in render_diff_report(result)
-
-    def test_wall_slowdown_within_tolerance_ok(self):
-        old = _make_session(1, [_make_record("a", wall_seconds=1.0)])
-        new = _make_session(2, [_make_record("a", wall_seconds=1.4)])
-        result = gate(old, new, wall_tolerance=0.5)
-        assert not result.regressed
-        assert [d.verdict for d in result.deltas] == ["unchanged"]
-
-    def test_wall_floor_skips_millisecond_noise(self):
-        # 3x slower, but both sides under the floor: never gated.
-        old = _make_session(1, [_make_record("a", wall_seconds=0.010)])
-        new = _make_session(2, [_make_record("a", wall_seconds=0.030)])
-        assert 0.030 < DEFAULT_WALL_FLOOR
-        result = gate(old, new)
-        assert not result.regressed
-        assert [d.verdict for d in result.deltas] == ["unchanged"]
-
-    def test_include_wall_false_ignores_any_slowdown(self):
-        old = _make_session(1, [_make_record("a", wall_seconds=1.0)])
-        new = _make_session(2, [_make_record("a", wall_seconds=9.0)])
-        result = gate(old, new, include_wall=False)
-        assert not result.regressed
-        assert [d.verdict for d in result.deltas] == ["info"]
 
     def test_heap_growth_is_zero_tolerance(self):
         old = _make_session(1, [_make_record("a", max_heap_size=65536)])
@@ -345,9 +306,10 @@ class TestCompare:
             gate(old, new)
 
     def test_self_compare_of_real_sessions_is_clean(self, session_pair):
-        result = gate(*session_pair, include_wall=False)
+        result = gate(*session_pair)
         assert not result.regressed
         assert result.keys_compared == 3
+        assert "sessions are metric-identical" in render_diff_report(result)
 
     def test_non_bench_documents_refused(self):
         doc = {"kind": "drift", "totals": {}, "sites": []}
@@ -370,7 +332,6 @@ def _verdict(out):
 
 _COMMANDS = {
     "bench compare": ["bench", "compare"],
-    "bench compare --no-wall": ["bench", "compare", "--no-wall"],
     "diff-sessions": ["diff-sessions"],
 }
 
@@ -381,25 +342,30 @@ class TestCommittedPairs:
     # (old, new): {command: (exit code, regressions)}
     TABLE = {
         ("escape/BENCH_0001", "escape/BENCH_0002"): {
-            "bench compare": (1, 22),
-            "bench compare --no-wall": (1, 21),
+            "bench compare": (1, 21),
             "diff-sessions": (1, 21),
         },
         ("baseline/BENCH_0001", "baseline/BENCH_0001"): {
             "bench compare": (0, 0),
-            "bench compare --no-wall": (0, 0),
             "diff-sessions": (0, 0),
         },
         ("baseline/BENCH_0001", "baseline/regressed"): {
             "bench compare": (1, 1),
-            "bench compare --no-wall": (1, 1),
             "diff-sessions": (1, 1),
         },
     }
 
+    # Fixed case ids, in the order the cases are generated below: a case
+    # keeps its test name when a pair or a command joins or leaves the table.
+    CASE_IDS = [
+        "pair0-bench compare", "pair2-diff-sessions",
+        "pair3-bench compare", "pair5-diff-sessions",
+        "pair6-bench compare", "pair8-diff-sessions",
+    ]
+
     @pytest.mark.parametrize("pair,command", [
         (pair, command) for pair in TABLE for command in _COMMANDS
-    ])
+    ], ids=CASE_IDS)
     def test_verdict_table(self, pair, command, capsys):
         old, new = (str(BENCHMARKS / f"{name}.json") for name in pair)
         code = main(_COMMANDS[command] + [old, new])
@@ -408,7 +374,7 @@ class TestCommittedPairs:
 
     def test_seeded_regression_names_the_record(self, capsys):
         assert main([
-            "bench", "compare", "--no-wall",
+            "bench", "compare",
             str(BASELINE_0001),
             str(BENCHMARKS / "baseline" / "regressed.json"),
         ]) == 1
@@ -465,11 +431,11 @@ class TestRefusals:
 
 class TestToleranceOption:
     @pytest.mark.parametrize("value", ["-0.5", "nan", "inf", "x"])
+    # Fixed ids, as in TestCommittedPairs.
     @pytest.mark.parametrize("argv", [
-        ["bench", "compare", "--wall-tol"],
         ["diff-sessions", "a.json", "b.json", "--rel-threshold"],
         ["stats", "--program", "gawk", "--rel-threshold"],
-    ])
+    ], ids=["argv1", "argv2"])
     def test_bad_values_are_usage_errors(self, argv, value, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv + [value])
@@ -488,7 +454,7 @@ class TestBenchCli:
             "bench_dir": tmp_path / "bench",
             "run_args": [
                 "bench", "run", "--programs", "gawk",
-                "--scale", "0.02", "--repeats", "1",
+                "--scale", "0.02",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--bench-dir", str(tmp_path / "bench"),
             ],
@@ -503,7 +469,25 @@ class TestBenchCli:
         assert main([
             "bench", "compare", "--bench-dir", str(bench_env["bench_dir"]),
         ]) == 0
-        assert "OK — no regressions" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "sessions are metric-identical" in out
+        assert "OK — no regressions" in out
+        first, second = (
+            json.loads((bench_env["bench_dir"] / name).read_text())
+            for name in ("BENCH_0001.json", "BENCH_0002.json")
+        )
+        assert first["records"] == second["records"]
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "run", "--repeats", "3"],
+        ["bench", "compare", "--wall-tol", "0.5"],
+        ["bench", "compare", "--no-wall"],
+    ])
+    def test_wall_clock_options_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_tampered_record_fails_compare_naming_benchmark(
             self, bench_env, capsys):
@@ -538,6 +522,7 @@ class TestBenchCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "0001" in out and "scale" in out
+        assert "total instr" in out and "wall" not in out
 
     def test_history_json(self, bench_env, capsys):
         assert main(bench_env["run_args"]) == 0
@@ -551,11 +536,37 @@ class TestBenchCli:
         entry = doc[0]
         assert entry["scale"] == 0.02
         assert entry["benchmarks"] > 0
-        assert entry["total_wall_seconds"] > 0
+        session = BenchStore(bench_env["bench_dir"]).load(1)
+        assert entry["total_instr"] == round(session.total_instr) > 0
         assert set(entry) == {
-            "seq", "git_sha", "scale", "benchmarks",
-            "total_wall_seconds", "created_at",
+            "seq", "git_sha", "scale", "benchmarks", "total_instr",
+            "created_at",
         }
+
+    def test_html_report_charts_total_instructions(self, bench_env,
+                                                   tmp_path, capsys):
+        assert main(bench_env["run_args"]) == 0
+        assert main(bench_env["run_args"]) == 0
+        sessions = BenchStore(bench_env["bench_dir"]).history()
+        pages = []
+        for name in ("first.html", "second.html"):
+            path = tmp_path / name
+            assert main([
+                "report", "--program", "gawk", "--scale", "0.02",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--html", str(path), "--timestamp", "2026-01-01T00:00Z",
+                "--bench-dir", str(bench_env["bench_dir"]),
+            ]) == 0
+            pages.append(path.read_bytes())
+        capsys.readouterr()
+        assert pages[0] == pages[1]
+        html = pages[0].decode("utf-8")
+        section = html[html.index('id="bench"'):]
+        assert "2 sessions" in section
+        for session in sessions:
+            assert session.total_instr > 0
+            assert f"<td>{round(session.total_instr):,}</td>" in section
+        assert "wall" not in html
 
     def test_history_json_empty(self, tmp_path, capsys):
         assert main([
@@ -568,7 +579,7 @@ class TestBenchCli:
                                             monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE", "junk")
         assert main([
-            "bench", "run", "--programs", "gawk", "--repeats", "1",
+            "bench", "run", "--programs", "gawk",
             "--cache-dir", str(tmp_path / "cache"),
             "--bench-dir", str(tmp_path / "bench"),
         ]) == 1

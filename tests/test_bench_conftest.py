@@ -9,9 +9,11 @@ from __future__ import annotations
 import importlib.util
 import json
 import pathlib
+import re
 
 import pytest
 
+from repro.bench import BENCH_SCHEMA_VERSION
 from repro.obs.metrics import METRICS
 
 CONFTEST_PATH = (
@@ -79,11 +81,9 @@ class TestMetricsDump:
         payload = json.loads(path.read_text())
         prov = payload["provenance"]
         assert prov["scale"] == 0.25
-        assert prov["schema_version"] == 1
+        assert prov["schema_version"] == BENCH_SCHEMA_VERSION
         assert "git_sha" in prov and "python" in prov
-        assert set(payload) == {
-            "provenance", "timings", "counters", "gauges",
-        }
+        assert set(payload) == {"provenance", "counters", "gauges"}
 
     def test_terminal_summary_writes_metrics_json(self, bench_conftest,
                                                   monkeypatch, tmp_path):
@@ -93,12 +93,18 @@ class TestMetricsDump:
         # The registry is process-wide; make sure it is non-empty so the
         # dump branch runs regardless of test order.
         METRICS.incr("bench_conftest.test")
+        METRICS.incr("trace_cache.hit")
         reporter = DummyReporter()
         bench_conftest.pytest_terminal_summary(reporter)
         payload = json.loads((tmp_path / "metrics.json").read_text())
         assert "provenance" in payload
         assert payload["counters"]["bench_conftest.test"] >= 1
         assert any("pipeline metrics" in line for line in reporter.lines)
+        # The cache summary counts; stage time lives in the spans.
+        assert any(
+            re.fullmatch(r"trace cache: \d+ hits, \d+ misses", line)
+            for line in reporter.lines
+        )
 
     def test_bench_record_written_from_session_store(self, bench_conftest,
                                                      monkeypatch, tmp_path):
@@ -107,7 +113,6 @@ class TestMetricsDump:
         monkeypatch.setattr(bench_conftest, "RESULTS_DIR", tmp_path)
         monkeypatch.setattr(bench_conftest, "_SESSION_STORE", FakeStore())
         monkeypatch.setenv("REPRO_BENCH_RECORD", "1")
-        monkeypatch.setenv("REPRO_BENCH_REPEATS", "1")
         monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path / "bench"))
         reporter = DummyReporter()
         bench_conftest.pytest_terminal_summary(reporter)

@@ -119,7 +119,10 @@ class TestWarmCommand:
         ]) == 0
         out = capsys.readouterr().out
         assert "pipeline metrics:" in out
-        assert "workload.run" in out
+        # Ten misses, each run and stored; stage times live in the spans.
+        assert "trace_cache.store" in out
+        assert "warm.run" in out
+        assert "workload.run" not in out
 
     def test_no_cache_runs_everything(self, capsys):
         assert main(["warm", "--scale", "0.02", "--no-cache"]) == 0
@@ -132,7 +135,7 @@ class TestWarmCommand:
         # warm stores, so assert on the delta, not absolute counts.
         from repro.obs.metrics import METRICS
 
-        before_runs = METRICS.timing("workload.run").calls
+        before_stores = METRICS.counter("trace_cache.store")
         before_warm = METRICS.counter("warm.run")
         path = tmp_path / "out" / "metrics.json"
         assert main([
@@ -142,8 +145,9 @@ class TestWarmCommand:
         ]) == 0
         capsys.readouterr()
         snapshot = json.loads(path.read_text())
+        assert set(snapshot) == {"counters", "gauges"}
         assert (
-            snapshot["timings"]["workload.run"]["calls"] == before_runs + 10
+            snapshot["counters"]["trace_cache.store"] == before_stores + 10
         )
         assert snapshot["counters"]["warm.run"] == before_warm + 10
 

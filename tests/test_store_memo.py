@@ -49,7 +49,7 @@ from repro.runtime.stream.protocol import (
     stream_live_stats,
 )
 from repro.runtime.stream.v3 import TraceFileSource, write_trace_v3
-from repro.runtime.tracefile import TraceFormatError, load_trace
+from repro.runtime.tracefile import TraceFormatError, load_trace, save_trace
 from repro.search import DEFAULT_SPACE, run_search
 from tests.conftest import ListSource
 
@@ -269,7 +269,18 @@ MALFORMED = {
         [_A0, (EV_ALLOC, 2, 0, 16, 16)],
         "event 1: alloc of object 2 out of order",
     ),
+    "zero-size": (
+        [_A0, (EV_ALLOC, 1, 0, 0, 16)],
+        "event 1: object 1 has size 0; sizes are >= 1",
+    ),
+    "negative-size": (
+        [_A0, (EV_ALLOC, 1, 0, -8, 16)],
+        "event 1: object 1 has size -8; sizes are >= 1",
+    ),
 }
+
+#: The cases a replay must reject before the allocator sees the size.
+BAD_SIZES = ("negative-size", "zero-size")
 
 #: Footers that disagree with a well-formed stream of two 16-byte
 #: objects, object 0 freed after 5 touches: (summary overrides, error).
@@ -416,3 +427,36 @@ class TestStreamConsumersErrorContract:
         assert code == 1
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["materialized", "streamed"])
+    @pytest.mark.parametrize("spec", ["arena", "bsd", "firstfit"])
+    @pytest.mark.parametrize("case", BAD_SIZES)
+    def test_replay_rejects_sizes_below_one(self, case, spec, mode,
+                                            tmp_path):
+        # A v2 file loads without build_trace's checks, so the
+        # materialized replay meets the bad size in the packed arrays;
+        # the streamed one meets it in the v3 file's events.
+        events, message = MALFORMED[case]
+        size = events[1][3]
+        good = [_A0, _A1]
+        predictor = train_site_predictor(ListSource(good), threshold=4096)
+        if mode == "materialized":
+            path = tmp_path / "bad.json"
+            save_trace(build_trace(ListSource(good)), path)
+            doc = json.loads(path.read_text())
+            doc["sizes"][1] = size
+            path.write_text(json.dumps(doc))
+            source, where = load_trace(path), "bad/test"
+        else:
+            path = tmp_path / "bad.rtr3"
+            write_trace_v3(ListSource(events), path)
+            source, where = TraceFileSource(path), str(path)
+        replays = {
+            "arena": lambda: simulate_spec(source, PAPER_DEFAULT_SPEC,
+                                           predictor),
+            "bsd": lambda: simulate_spec(source, BSD_SPEC),
+            "firstfit": lambda: simulate_spec(source, FIRSTFIT_SPEC),
+        }
+        with pytest.raises(TraceFormatError) as info:
+            replays[spec]()
+        assert str(info.value) == f"{where}: {message}"
