@@ -12,7 +12,7 @@ test executions' site profiles at the predictor's abstraction level:
   long-lived objects in the test run: these are Table 4's *error bytes*,
   the arena pollution of §5.2.
 
-``repro-alloc diff train.json.gz test.json.gz`` renders the attribution.
+``repro-alloc diff train.rtr3 test.rtr3`` renders the attribution.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ Two layers back the store:
 * an in-process dictionary (as before), and
 * the persistent :class:`~repro.analysis.trace_cache.TraceCache`, enabled
   by default, so *other* processes — pytest workers, benchmark sessions,
-  repeated CLI invocations — load a gzipped trace in milliseconds instead
+  repeated CLI invocations — load a v3 trace file in milliseconds instead
   of re-running the workload.  Disable with ``use_cache=False`` or the
   ``REPRO_NO_CACHE`` environment variable.
 

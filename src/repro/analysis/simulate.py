@@ -165,8 +165,9 @@ def _replay_arrays(source: TraceEventSource, malloc, free) -> None:
     """Replay an in-memory trace from its packed event codes.
 
     Chain ids and sizes are range-checked once, over their whole arrays:
-    a v2 file loads without :func:`~repro.runtime.stream.protocol.
-    build_trace`'s per-event checks.
+    a :class:`Trace` built by hand rather than loaded skips
+    :func:`~repro.runtime.stream.protocol.build_trace`'s per-event
+    checks.
     """
     arrays = source.trace.raw_arrays()
     sizes = arrays["sizes"]

@@ -4,7 +4,7 @@ Running a workload is the dominant cost of every experiment, and every
 pytest worker, benchmark session, and CLI invocation needs the same
 ``(program, dataset)`` executions.  This module stores finished traces on
 disk in the versioned :mod:`repro.runtime.tracefile` format so a second
-process loads a gzipped trace in milliseconds instead of re-running the
+process loads a v3 trace file in milliseconds instead of re-running the
 workload.
 
 Cache layout — one chunked v3 trace file per execution under a single

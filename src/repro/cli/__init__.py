@@ -3,12 +3,12 @@
 Mirrors the paper's workflow as subcommands::
 
     repro-alloc trace gawk train -o gawk-train.rtr3
-    repro-alloc convert gawk-train.json.gz gawk-train.rtr3
+    repro-alloc convert old-gawk-train.json.gz gawk-train.rtr3
     repro-alloc profile gawk-train.rtr3 -o gawk.sites
     repro-alloc predict gawk.sites gawk-test.rtr3
     repro-alloc simulate gawk-test.rtr3 --sites gawk.sites --stream
     repro-alloc quantiles gawk-test.rtr3
-    repro-alloc sites gawk-test.json.gz --top 10
+    repro-alloc sites gawk-test.rtr3 --top 10
     repro-alloc warm --jobs 4
     repro-alloc table all
     repro-alloc stats --program gawk
@@ -30,9 +30,9 @@ Mirrors the paper's workflow as subcommands::
     repro-alloc search show --top 5
     repro-alloc search best --require-improvement
 
-``trace`` runs a workload and stores its allocation trace; ``convert``
-rewrites a trace between the v2 (monolithic JSON) and v3 (chunked,
-streamable) formats; ``profile`` trains a short-lived site database from
+``trace`` runs a workload and stores its allocation trace in format v3,
+the one trace format; ``convert`` upgrades a trace written in the old v2
+(monolithic JSON) format to v3; ``profile`` trains a short-lived site database from
 a trace; ``predict`` scores a database against a trace (Table 4's
 columns); ``simulate`` replays a trace against an allocator (with
 ``--stream``, through the constant-memory event pipeline — ``table`` and

@@ -1,9 +1,9 @@
 """Trace-file command family: record, convert, and inspect traces.
 
-``trace`` runs a workload and stores its allocation trace; ``convert``
-rewrites it between the v2 (monolithic JSON) and v3 (chunked,
-streamable) formats; ``quantiles``/``sites``/``diff`` are the read-only
-inspection views over stored traces.
+``trace`` runs a workload and stores its allocation trace in format v3;
+``convert`` upgrades a v2 (monolithic JSON) trace to v3, one way;
+``quantiles``/``sites``/``diff`` are the read-only inspection views over
+stored traces.
 """
 
 from __future__ import annotations
@@ -13,7 +13,12 @@ import argparse
 from repro.analysis.compare import diff_traces, render_diff
 from repro.analysis.inspect import lifetime_report, sites_report
 from repro.core.predictor import DEFAULT_THRESHOLD
-from repro.runtime.tracefile import convert_trace, load_trace, save_trace
+from repro.runtime.tracefile import (
+    FORMAT_VERSION,
+    convert_trace,
+    load_trace,
+    save_trace,
+)
 from repro.workloads.registry import PROGRAM_ORDER, run_workload
 
 __all__ = ["register_trace", "register_inspect"]
@@ -24,8 +29,8 @@ def register_trace(sub) -> None:
     trace.add_argument("program", choices=PROGRAM_ORDER)
     trace.add_argument("dataset", help="dataset name (train/test/...)")
     trace.add_argument("-o", "--output", required=True,
-                       help="trace file (.json/.json.gz for v2, "
-                            ".rtr3 for the streamable v3 format)")
+                       help="trace file to write (format v3, whatever "
+                            "its name; .rtr3 by convention)")
     trace.add_argument("--scale", type=float, default=1.0,
                        help="input scale factor (default 1.0)")
     trace.set_defaults(handler=_cmd_trace)
@@ -33,14 +38,10 @@ def register_trace(sub) -> None:
 
 def register_inspect(sub) -> None:
     convert = sub.add_parser(
-        "convert", help="convert a trace file between formats (v2 <-> v3)"
+        "convert", help="upgrade a v2 trace file to format v3"
     )
-    convert.add_argument("source", help="trace file to read")
-    convert.add_argument("dest", help="trace file to write")
-    convert.add_argument("--trace-version", type=int, default=None,
-                         choices=[2, 3],
-                         help="target format version (default: 3, or 2 "
-                              "when DEST ends in .json/.json.gz)")
+    convert.add_argument("source", help="trace file to read (v2 or v3)")
+    convert.add_argument("dest", help="v3 trace file to write")
     convert.set_defaults(handler=_cmd_convert)
 
     quantiles = sub.add_parser(
@@ -86,9 +87,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    version = convert_trace(args.source, args.dest,
-                            version=args.trace_version)
-    print(f"{args.source} -> {args.dest} (format v{version})")
+    convert_trace(args.source, args.dest)
+    print(f"{args.source} -> {args.dest} (format v{FORMAT_VERSION})")
     return 0
 
 

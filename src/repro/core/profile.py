@@ -152,25 +152,20 @@ def build_profile(
     paper's tables is computed directly from the trace by
     :func:`repro.core.predictor.actual_short_lived_bytes`.
 
-    An in-memory :class:`Trace` folds objects in allocation (object-id)
-    order, as always; an :class:`~repro.runtime.stream.protocol.
-    EventSource` folds each object at its death event in one stream pass
-    with an O(live objects) working set.  Every order-independent
-    statistic — counts, byte sums, min/max lifetime, and therefore the
-    all-short-lived predictor selection — is identical between the two;
-    only the order-*dependent* P^2 quantile approximations inside each
-    site can differ, which is why the materialized path keeps the
-    historical fold order (``repro-alloc sites`` reports stay stable).
+    Objects fold in allocation (object-id) order, which the
+    order-dependent P^2 quartiles inside each site depend on.  So an
+    :class:`~repro.runtime.stream.protocol.EventSource` is materialized
+    with :func:`~repro.runtime.stream.protocol.build_trace` first, which
+    also gives it that function's error contract; a wrapped in-memory
+    trace is unwrapped.
     """
     from repro.runtime.events import Trace as _Trace
-    from repro.runtime.stream.protocol import TraceEventSource
+    from repro.runtime.stream.protocol import TraceEventSource, build_trace
 
     if isinstance(trace, TraceEventSource):
-        # An in-memory trace merely wrapped as a stream: unwrap so the
-        # P^2 fold order (and hence the sites report) stays historical.
         trace = trace.trace
-    if not isinstance(trace, _Trace):
-        return _build_profile_streaming(trace, chain_length, size_rounding)
+    elif not isinstance(trace, _Trace):
+        trace = build_trace(trace)
     profile = SiteProfile(
         program=trace.program,
         dataset=trace.dataset,
@@ -208,45 +203,3 @@ def _site_keys(
         return key
 
     return key_of
-
-
-def _build_profile_streaming(
-    source: "EventSource",
-    chain_length: Optional[int],
-    size_rounding: int,
-) -> SiteProfile:
-    """One-pass :func:`build_profile` over an event stream."""
-    from repro.runtime.stream.protocol import EV_ALLOC, EV_FREE
-
-    header = source.header
-    profile = SiteProfile(
-        program=header.program,
-        dataset=header.dataset,
-        chain_length=chain_length,
-        size_rounding=size_rounding,
-    )
-    key_of = _site_keys(header.chains, chain_length, size_rounding)
-    live = {}
-    for ev in source.events():
-        tag = ev[0]
-        if tag == EV_ALLOC:
-            live[ev[1]] = (ev[2], ev[3], ev[4])
-        elif tag == EV_FREE:
-            chain_id, size, birth = live.pop(ev[1])
-            profile.observe(
-                key_of(chain_id, size), size=size, lifetime=ev[2] - birth,
-                touches=ev[3],
-            )
-    summary = source.summary
-    end_time = summary.end_time
-    unfreed_touches = dict(summary.unfreed_touches)
-    for obj_id in sorted(live):
-        chain_id, size, birth = live[obj_id]
-        profile.observe(
-            key_of(chain_id, size),
-            size=size,
-            lifetime=end_time - birth,
-            touches=unfreed_touches.get(obj_id, 0),
-            freed=False,
-        )
-    return profile

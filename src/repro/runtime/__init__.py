@@ -7,7 +7,7 @@ serialized by :mod:`repro.runtime.tracefile` and stream through the event
 protocol of :mod:`repro.runtime.stream`.
 """
 
-from repro.runtime.events import LiveStats, ObjectView, Trace, TraceBuilder
+from repro.runtime.events import LiveStats, Trace, TraceBuilder
 from repro.runtime.heap import HeapError, HeapObject, TracedHeap, traced
 from repro.runtime.stackcap import StackTracedHeap, capture_chain
 from repro.runtime.tracefile import (
@@ -28,7 +28,6 @@ from repro.runtime.stream import (
 
 __all__ = [
     "LiveStats",
-    "ObjectView",
     "Trace",
     "TraceBuilder",
     "HeapError",

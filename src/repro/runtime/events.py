@@ -19,19 +19,19 @@ still live when the program ends have no death time and are treated as
 long-lived by every consumer.
 
 Object records are stored as parallel arrays so multi-hundred-thousand
-object traces stay cheap; :meth:`Trace.record` materializes a lightweight
-view when record-at-a-time access is clearer.
+object traces stay cheap; :class:`~repro.runtime.stream.protocol.
+TraceEventSource` views a trace as the event tuples every consumer shares.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Optional
 
-from repro.core.sites import AllocationSite, CallChain, ChainTable
+from repro.core.sites import CallChain, ChainTable
 
-__all__ = ["ObjectView", "Trace", "TraceBuilder", "LiveStats"]
+__all__ = ["Trace", "TraceBuilder", "LiveStats"]
 
 #: Sentinel stored in the deaths array for objects never freed.
 _NEVER_FREED = -1
@@ -40,31 +40,6 @@ _NEVER_FREED = -1
 TAG_ALLOC = 0
 TAG_FREE = 1
 TAG_TOUCH = 2
-
-
-@dataclass(frozen=True)
-class ObjectView:
-    """Read-only view of one traced object.
-
-    ``lifetime`` follows the paper's convention: bytes allocated between
-    birth and death, where an object never explicitly freed dies at
-    program exit (its lifetime runs to the end of the trace — this is why
-    the paper's maximum lifetimes equal each program's total allocation).
-    ``death`` is ``None`` for such objects; ``freed`` distinguishes them.
-    """
-
-    obj_id: int
-    chain_id: int
-    size: int
-    birth: int
-    death: Optional[int]
-    touches: int
-    lifetime: int
-
-    @property
-    def freed(self) -> bool:
-        """Whether the object was freed before the program ended."""
-        return self.death is not None
 
 
 @dataclass(frozen=True)
@@ -131,35 +106,9 @@ class Trace:
         """The byte-time clock at program exit (equals ``total_bytes``)."""
         return self.total_bytes
 
-    def record(self, obj_id: int) -> ObjectView:
-        """The record of object ``obj_id`` (ids are dense from 0)."""
-        if not 0 <= obj_id < len(self._sizes):
-            raise IndexError(f"no object {obj_id} in trace")
-        death = self._deaths[obj_id]
-        return ObjectView(
-            obj_id=obj_id,
-            chain_id=self._chain_ids[obj_id],
-            size=self._sizes[obj_id],
-            birth=self._births[obj_id],
-            death=None if death == _NEVER_FREED else death,
-            touches=self._touches[obj_id],
-            lifetime=self.lifetime_of(obj_id),
-        )
-
-    def records(self) -> Iterator[ObjectView]:
-        """All object records in allocation order."""
-        for obj_id in range(len(self._sizes)):
-            yield self.record(obj_id)
-
     def chain_of(self, obj_id: int) -> CallChain:
         """The raw (unpruned) call chain of object ``obj_id``."""
         return self.chains.chain(self._chain_ids[obj_id])
-
-    def site_of(self, obj_id: int) -> AllocationSite:
-        """The allocation site (chain + size) of object ``obj_id``."""
-        return AllocationSite(
-            chain=self.chain_of(obj_id), size=self._sizes[obj_id]
-        )
 
     def size_of(self, obj_id: int) -> int:
         """Requested size of object ``obj_id`` in bytes."""
@@ -189,39 +138,6 @@ class Trace:
     # ------------------------------------------------------------------
     # Event sequence
     # ------------------------------------------------------------------
-
-    def events(self) -> Iterator[Tuple[str, int]]:
-        """Alloc/free events in program order as ``("alloc"|"free", obj_id)``.
-
-        Touch events, if recorded, are skipped; use :meth:`full_events`
-        for the complete reference timeline.
-        """
-        for code in self._events:
-            tag = code & 3
-            if tag == TAG_ALLOC:
-                yield ("alloc", code >> 2)
-            elif tag == TAG_FREE:
-                yield ("free", code >> 2)
-
-    def full_events(self) -> Iterator[Tuple[str, int, int]]:
-        """Every event in program order as ``(kind, obj_id, count)``.
-
-        ``kind`` is ``"alloc"``, ``"free"``, or ``"touch"``; ``count`` is
-        the number of references for touch events and 1 otherwise.  Touch
-        events are present only when the trace was recorded with
-        ``record_touches`` enabled (see :class:`~repro.runtime.heap.TracedHeap`).
-        """
-        touch_index = 0
-        for code in self._events:
-            tag = code & 3
-            obj_id = code >> 2
-            if tag == TAG_ALLOC:
-                yield ("alloc", obj_id, 1)
-            elif tag == TAG_FREE:
-                yield ("free", obj_id, 1)
-            else:
-                yield ("touch", obj_id, self._touch_counts[touch_index])
-                touch_index += 1
 
     @property
     def has_touch_events(self) -> bool:

@@ -6,7 +6,8 @@ Layout (all integers little-endian)::
                H frame          gzip JSON header (identity, chain
                                 table, has_touch_events)
                E frame ...      gzip JSON event chunks, ~64k events
-                                each, in program order
+                                each, in program order (one JSON
+                                list per event tuple)
                F frame          gzip JSON footer (aggregate counters,
                                 unfreed touch counts, chunk index)
     trailer    b"RPRTRIDX" + u64 footer offset + magic            24 bytes
@@ -20,10 +21,12 @@ then stream one chunk at a time, giving O(live objects + one chunk)
 replay memory.  The chunk index in the footer records every E frame's
 offset and event count.
 
-Writes go through :func:`repro.runtime.tracefile.atomic_output` — the
-same temp-file + ``os.replace`` path as the v2 writer — and gzip with
-``mtime=0``, so a given stream always produces byte-identical files and
-an interrupted write never publishes a partial one.  Reads validate the
+Writes go through :func:`repro.runtime.tracefile.atomic_output`, so an
+interrupted write never publishes a partial file.  Each payload is one
+gzip member with a fixed header (mtime 0, XFL 2, OS 3) written here
+rather than by :func:`gzip.compress`, whose OS byte differs between
+Python versions; so a given stream produces the same bytes on every
+supported interpreter linked against the same zlib.  Reads validate the
 magic, the trailer, every frame boundary, and the final event count
 against the footer: a truncated or corrupt mid-stream chunk raises
 :class:`~repro.runtime.tracefile.TraceFormatError`, never a silently
@@ -76,10 +79,20 @@ _KIND_FOOTER = b"F"
 _EVENT_LENGTHS = {EV_ALLOC: 5, EV_FREE: 4, EV_TOUCH: 3}
 
 
+#: The gzip member header of every frame payload: magic, deflate, no
+#: flags, mtime 0, XFL 2 (level 9), OS 3 (Unix).
+_GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\x03"
+#: gzip member trailer: CRC-32 and input size mod 2**32.
+_GZIP_TRAILER = struct.Struct("<II")
+
+
 def _pack_frame(kind: bytes, doc: dict) -> bytes:
     data = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-    # mtime=0 keeps the bytes deterministic for a given stream.
-    payload = gzip.compress(data, compresslevel=9, mtime=0)
+    deflate = zlib.compressobj(9, zlib.DEFLATED, -15)
+    payload = b"".join((
+        _GZIP_HEADER, deflate.compress(data), deflate.flush(),
+        _GZIP_TRAILER.pack(zlib.crc32(data), len(data) & 0xFFFFFFFF),
+    ))
     return _FRAME.pack(kind, len(payload)) + payload
 
 
@@ -166,7 +179,8 @@ class TraceFileSource(EventSource):
             fh.seek(0)
             if fh.read(len(tracefile.V3_MAGIC)) != tracefile.V3_MAGIC:
                 raise tracefile.TraceFormatError(
-                    f"{self.path}: not a v3 trace file (bad magic)"
+                    f"{self.path}: not a v3 trace file (bad magic); "
+                    f"`repro-alloc convert` upgrades a v2 trace"
                 )
             fh.seek(size - _TRAILER.size)
             trailer_magic, footer_offset, end_magic = _TRAILER.unpack(

@@ -1,22 +1,16 @@
-"""Trace serialization.
+"""Trace serialization: format v3 is the one trace format.
 
-Two on-disk formats share this entry point:
+Every trace is stored in the streaming format of
+:mod:`repro.runtime.stream.v3` — chunked, length-prefixed gzip frames
+with a footer index.  :func:`save_trace` writes it whatever the file is
+named, :func:`load_trace` materializes it, and :func:`open_trace_stream`
+replays it from disk in O(live objects + one chunk) memory.  Writes
+publish atomically through :func:`atomic_output`.
 
-* **v2** — one (optionally gzipped) JSON document holding the chain
-  table, the per-object parallel arrays, and the event sequence.  JSON
-  keeps the format debuggable with standard tools; loading materializes
-  the whole :class:`~repro.runtime.events.Trace`.
-* **v3** — the streaming format of :mod:`repro.runtime.stream.v3`:
-  chunked, length-prefixed gzip frames with a footer index, replayable
-  via :func:`open_trace_stream` in O(live objects + one chunk) memory.
-
-:func:`save_trace` picks the format from the file name (``.rtr3`` means
-v3, anything else writes the v2 document unchanged — existing call
-sites keep producing byte-identical files); :func:`load_trace` sniffs
-the leading magic so either format materializes, and
-:func:`convert_trace` rewrites one format as the other.  Both formats
-are versioned so stored training traces survive library upgrades, and
-both publish atomically through :func:`atomic_output`.
+The v2 format — one (optionally gzipped) JSON document — is read only by
+:func:`convert_trace` (``repro-alloc convert``), the one-way upgrade of
+traces written before v3 became the only format.  Loading or streaming a
+v2 file raises a :class:`TraceFormatError` that names ``convert``.
 """
 
 from __future__ import annotations
@@ -41,14 +35,13 @@ __all__ = [
     "atomic_output",
     "TraceFormatError",
     "FORMAT_VERSION",
-    "V2_FORMAT_VERSION",
     "V3_MAGIC",
 ]
 
 #: Current trace format generation (what the cache keys embed).
 FORMAT_VERSION = 3
-#: The materialized single-document JSON format, still read and written.
-V2_FORMAT_VERSION = 2
+#: The single-document JSON format that :func:`convert_trace` upgrades.
+_V2_FORMAT_VERSION = 2
 
 #: Leading magic of a v3 streaming trace file.
 V3_MAGIC = b"RPRTRC3\n"
@@ -68,7 +61,6 @@ def atomic_output(path: PathLike) -> Iterator[BinaryIO]:
     file under the final name (the persistent trace cache relies on
     every published entry being complete).  The temp file lives in the
     destination directory so ``os.replace`` stays on one filesystem.
-    Both the v2 and v3 writers go through here.
     """
     name = os.fspath(path)
     directory = os.path.dirname(name) or "."
@@ -87,70 +79,53 @@ def atomic_output(path: PathLike) -> Iterator[BinaryIO]:
         raise
 
 
-def save_trace(trace: Trace, path: PathLike, version: int = None) -> None:
-    """Write ``trace`` to ``path``.
+def save_trace(trace: Trace, path: PathLike) -> None:
+    """Write ``trace`` to ``path`` in format v3, whatever the file name."""
+    from repro.runtime.stream.protocol import TraceEventSource
+    from repro.runtime.stream.v3 import write_trace_v3
 
-    ``version`` defaults by file name — ``.rtr3`` writes the v3
-    streaming format, everything else the v2 JSON document
-    (gzip-compressed when the name ends ``.gz``).
-    """
-    name = os.fspath(path)
-    if version is None:
-        version = FORMAT_VERSION if name.endswith(".rtr3") else V2_FORMAT_VERSION
-    if version == FORMAT_VERSION:
-        from repro.runtime.stream.protocol import TraceEventSource
-        from repro.runtime.stream.v3 import write_trace_v3
-
-        write_trace_v3(TraceEventSource(trace), name)
-        return
-    if version != V2_FORMAT_VERSION:
-        raise ValueError(f"unknown trace format version {version!r}")
-    arrays = trace.raw_arrays()
-    doc = {
-        "format": "repro-trace",
-        "version": V2_FORMAT_VERSION,
-        "program": trace.program,
-        "dataset": trace.dataset,
-        "total_calls": trace.total_calls,
-        "heap_refs": trace.heap_refs,
-        "non_heap_refs": trace.non_heap_refs,
-        "chains": [list(chain) for chain in trace.chains.to_list()],
-        "chain_ids": arrays["chain_ids"].tolist(),
-        "sizes": arrays["sizes"].tolist(),
-        "births": arrays["births"].tolist(),
-        "deaths": arrays["deaths"].tolist(),
-        "touches": arrays["touches"].tolist(),
-        "events": arrays["events"].tolist(),
-        "touch_counts": arrays["touch_counts"].tolist(),
-    }
-    data = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-    with atomic_output(name) as fh:
-        if name.endswith(".gz"):
-            # mtime=0 keeps the bytes deterministic for a given trace.
-            with gzip.GzipFile(fileobj=fh, mode="wb", mtime=0) as gz:
-                gz.write(data)
-        else:
-            fh.write(data)
-
-
-def _sniff_v3(path: PathLike) -> bool:
-    """Whether ``path`` starts with the v3 magic (missing file raises)."""
-    with open(path, "rb") as fh:
-        return fh.read(len(V3_MAGIC)) == V3_MAGIC
+    write_trace_v3(TraceEventSource(trace), path)
 
 
 def load_trace(path: PathLike) -> Trace:
-    """Read a trace previously written by :func:`save_trace` (v2 or v3).
+    """Materialize the v3 trace at ``path``.
 
-    A v3 file is materialized through its event stream; prefer
-    :func:`open_trace_stream` when the consumer can take an
+    Prefer :func:`open_trace_stream` when the consumer can take an
     :class:`~repro.runtime.stream.protocol.EventSource` instead.
     """
-    if _sniff_v3(path):
-        from repro.runtime.stream.protocol import build_trace
-        from repro.runtime.stream.v3 import TraceFileSource
+    from repro.runtime.stream.protocol import build_trace
 
-        return build_trace(TraceFileSource(path))
+    return build_trace(open_trace_stream(path))
+
+
+def open_trace_stream(path: PathLike):
+    """An :class:`~repro.runtime.stream.protocol.EventSource` streaming
+    the v3 trace at ``path`` from disk."""
+    from repro.runtime.stream.v3 import TraceFileSource
+
+    return TraceFileSource(path)
+
+
+def convert_trace(src: PathLike, dst: PathLike) -> None:
+    """Rewrite trace file ``src`` (v2 or v3) as a v3 file at ``dst``.
+
+    A v3 source streams disk to disk without materializing; a v2
+    document has no index to stream from, so it is read whole.
+    """
+    from repro.runtime.stream.protocol import TraceEventSource
+    from repro.runtime.stream.v3 import write_trace_v3
+
+    with open(src, "rb") as fh:
+        is_v3 = fh.read(len(V3_MAGIC)) == V3_MAGIC
+    if is_v3:
+        source = open_trace_stream(src)
+    else:
+        source = TraceEventSource(_read_v2(src))
+    write_trace_v3(source, dst)
+
+
+def _read_v2(path: PathLike) -> Trace:
+    """The trace in the v2 document at ``path`` (gzipped when ``.gz``)."""
     if str(path).endswith(".gz"):
         with gzip.open(path, "rb") as fh:
             try:
@@ -168,10 +143,10 @@ def load_trace(path: PathLike) -> Trace:
         raise TraceFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "repro-trace":
         raise TraceFormatError(f"{path}: not a repro trace file")
-    if doc.get("version") != V2_FORMAT_VERSION:
+    if doc.get("version") != _V2_FORMAT_VERSION:
         raise TraceFormatError(
             f"{path}: unsupported trace version {doc.get('version')!r} "
-            f"(this library reads versions {V2_FORMAT_VERSION} "
+            f"(convert reads versions {_V2_FORMAT_VERSION} "
             f"and {FORMAT_VERSION})"
         )
     try:
@@ -195,44 +170,3 @@ def load_trace(path: PathLike) -> Trace:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"{path}: malformed trace file: {exc}") from exc
-
-
-def open_trace_stream(path: PathLike):
-    """An :class:`~repro.runtime.stream.protocol.EventSource` over a file.
-
-    A v3 file streams from disk in O(live objects + one chunk) memory; a
-    v2 file has no index to stream from, so it is loaded fully and
-    wrapped (documented fallback — run :func:`convert_trace` once to get
-    true streaming replays of an old trace).
-    """
-    from repro.runtime.stream.protocol import TraceEventSource
-    from repro.runtime.stream.v3 import TraceFileSource
-
-    if _sniff_v3(path):
-        return TraceFileSource(path)
-    return TraceEventSource(load_trace(path))
-
-
-def convert_trace(src: PathLike, dst: PathLike, version: int = None) -> int:
-    """Rewrite trace file ``src`` as ``dst``; returns the version written.
-
-    ``version`` defaults by destination name exactly like
-    :func:`save_trace`.  Converting v3 -> v3 streams disk-to-disk
-    without materializing; converting *from* v2 necessarily loads the
-    source document first (that is the format being escaped).
-    """
-    name = os.fspath(dst)
-    if version is None:
-        version = FORMAT_VERSION if name.endswith(".rtr3") else V2_FORMAT_VERSION
-    source = open_trace_stream(src)
-    if version == FORMAT_VERSION:
-        from repro.runtime.stream.v3 import write_trace_v3
-
-        write_trace_v3(source, name)
-    elif version == V2_FORMAT_VERSION:
-        from repro.runtime.stream.protocol import build_trace
-
-        save_trace(build_trace(source), name, version=V2_FORMAT_VERSION)
-    else:
-        raise ValueError(f"unknown trace format version {version!r}")
-    return version

@@ -7,6 +7,7 @@ traces are session-scoped; tests must treat them as read-only.
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,12 @@ from repro.runtime.stream.protocol import (
     StreamSummary,
 )
 from repro.workloads.registry import WORKLOADS
+
+#: A v2 trace document (gzipped JSON) of ``make_touch_trace(objects=24)``,
+#: written by the v2 writer before v3 became the only format; the input
+#: of the tests of ``convert``, the one-way v2 upgrade.
+V2_FIXTURE = Path(__file__).parent / "data" / "touchy-v2.json.gz"
+V2_FIXTURE_OBJECTS = 24
 
 
 class ListSource(EventSource):
@@ -88,6 +95,35 @@ def make_churn_trace(
         for obj in live:
             heap.free(obj)
     return heap.finish()
+
+
+def make_touch_trace(objects: int = 120):
+    """A churn trace recorded with touch events (locality-measurable)."""
+    heap = TracedHeap("touchy", dataset="synthetic", record_touches=True)
+    live = []
+    with heap.frame("work"):
+        for index in range(objects):
+            with heap.frame("helper"):
+                obj = heap.malloc(16 + 8 * (index % 5))
+            heap.touch(obj, 1 + index % 3)
+            live.append(obj)
+            if len(live) > 4:
+                victim = live.pop(0)
+                heap.touch(victim, 2)
+                heap.free(victim)
+        for obj in live:
+            heap.free(obj)
+    return heap.finish()
+
+
+def assert_traces_equal(a, b):
+    """Trace ``b`` holds ``a``'s identity, counters, chains and records."""
+    assert (b.program, b.dataset) == (a.program, a.dataset)
+    assert (b.total_calls, b.heap_refs, b.non_heap_refs) == (
+        a.total_calls, a.heap_refs, a.non_heap_refs
+    )
+    assert b.chains.to_list() == a.chains.to_list()
+    assert b.raw_arrays() == a.raw_arrays()
 
 
 @pytest.fixture

@@ -7,11 +7,17 @@ import json
 import pytest
 
 from repro.cli import main
+from tests.conftest import (
+    V2_FIXTURE,
+    V2_FIXTURE_OBJECTS,
+    assert_traces_equal,
+    make_touch_trace,
+)
 
 
 class TestTraceCommand:
     def test_trace_writes_file(self, tmp_path, capsys):
-        out = tmp_path / "t.json.gz"
+        out = tmp_path / "t.rtr3"
         assert main(["trace", "gawk", "tiny", "-o", str(out)]) == 0
         assert out.exists()
         assert "gawk/tiny" in capsys.readouterr().out
@@ -29,7 +35,7 @@ class TestTraceCommand:
 class TestPipeline:
     @pytest.fixture
     def trace_file(self, tmp_path):
-        out = tmp_path / "gawk.json.gz"
+        out = tmp_path / "gawk.rtr3"
         main(["trace", "gawk", "tiny", "-o", str(out)])
         return out
 
@@ -82,14 +88,14 @@ class TestPipeline:
 class TestCorruptTrace:
     def test_truncated_gzip_is_a_clean_error(self, tmp_path, capsys):
         # Regression: a truncated gzip used to escape as a raw traceback.
-        out = tmp_path / "t.json.gz"
+        out = tmp_path / "t.rtr3"
         assert main(["trace", "gawk", "tiny", "-o", str(out)]) == 0
         out.write_bytes(out.read_bytes()[: out.stat().st_size // 2])
         capsys.readouterr()
         assert main(["quantiles", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "truncated or corrupt" in err
+        assert err.startswith(f"error: {out}: truncated")
+        assert "Traceback" not in err
 
     def test_corrupt_json_is_a_clean_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -208,7 +214,7 @@ class TestTelemetryCommands:
         assert "top_misprediction_sites" in summary
 
     def test_simulate_stdout_unchanged_by_telemetry(self, tmp_path, capsys):
-        trace = tmp_path / "gawk.json.gz"
+        trace = tmp_path / "gawk.rtr3"
         sites = tmp_path / "gawk.sites"
         main(["trace", "gawk", "tiny", "-o", str(trace)])
         main(["profile", str(trace), "-o", str(sites)])
@@ -258,7 +264,7 @@ class TestTableCommand:
 class TestInspectionCommands:
     @pytest.fixture
     def trace_file(self, tmp_path):
-        out = tmp_path / "perl.json.gz"
+        out = tmp_path / "perl.rtr3"
         main(["trace", "perl", "tiny", "-o", str(out)])
         return out
 
@@ -282,8 +288,8 @@ class TestInspectionCommands:
 
 class TestDiffCommand:
     def test_diff_renders_attribution(self, tmp_path, capsys):
-        train = tmp_path / "train.json.gz"
-        test = tmp_path / "test.json.gz"
+        train = tmp_path / "train.rtr3"
+        test = tmp_path / "test.rtr3"
         main(["trace", "perl", "train", "-o", str(train), "--scale", "0.05"])
         main(["trace", "perl", "test", "-o", str(test), "--scale", "0.05"])
         capsys.readouterr()
@@ -314,16 +320,28 @@ class TestStreamingCli:
         assert isinstance(open_trace_stream(v3_trace), TraceFileSource)
 
     def test_convert_upgrades_v2_to_v3(self, tmp_path, capsys):
-        v2 = tmp_path / "gawk.json.gz"
-        v3 = tmp_path / "gawk.rtr3"
-        main(["trace", "gawk", "tiny", "-o", str(v2)])
-        capsys.readouterr()
-        assert main(["convert", str(v2), str(v3)]) == 0
+        v3 = tmp_path / "touchy.rtr3"
+        assert main(["convert", str(V2_FIXTURE), str(v3)]) == 0
         assert "format v3" in capsys.readouterr().out
 
         from repro.runtime.tracefile import load_trace
 
-        assert load_trace(v3).total_objects == load_trace(v2).total_objects
+        assert_traces_equal(
+            make_touch_trace(objects=V2_FIXTURE_OBJECTS), load_trace(v3)
+        )
+
+    def test_reading_a_v2_trace_names_convert(self, capsys):
+        assert main(["quantiles", str(V2_FIXTURE)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {V2_FIXTURE}: not a v3 trace file")
+        assert "repro-alloc convert" in err
+
+    def test_convert_has_no_version_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["convert", str(V2_FIXTURE), str(tmp_path / "t.rtr3"),
+                  "--trace-version", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_convert_missing_source_is_a_clean_error(self, tmp_path, capsys):
         assert main([

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.sites import ChainTable
 from repro.runtime.events import TraceBuilder
+from repro.runtime.stream.protocol import EV_ALLOC, EV_FREE, TraceEventSource
 
 
 def build_simple_trace():
@@ -59,39 +60,17 @@ class TestTrace:
         assert not trace.freed(c)
         assert trace.lifetime_of(c) == trace.end_time - 48
 
-    def test_record_view(self):
-        trace, (a, _, c) = build_simple_trace()
-        view = trace.record(a)
-        assert view.size == 16
-        assert view.death == 48
-        assert view.freed
-        assert view.lifetime == 48
-        assert view.touches == 3
-        survivor = trace.record(c)
-        assert survivor.death is None
-        assert not survivor.freed
-
-    def test_record_out_of_range(self):
-        trace, _ = build_simple_trace()
-        with pytest.raises(IndexError):
-            trace.record(3)
-
-    def test_records_iteration(self):
-        trace, _ = build_simple_trace()
-        views = list(trace.records())
-        assert [v.obj_id for v in views] == [0, 1, 2]
-
     def test_chain_and_site(self):
         trace, (a, b, _) = build_simple_trace()
         assert trace.chain_of(a) == ("main", "f")
-        site = trace.site_of(b)
-        assert site.chain == ("main", "g")
-        assert site.size == 32
+        assert trace.chain_of(b) == ("main", "g")
+        assert trace.size_of(b) == 32
 
     def test_event_sequence_in_program_order(self):
         trace, (a, b, c) = build_simple_trace()
-        assert list(trace.events()) == [
-            ("alloc", a), ("alloc", b), ("free", a), ("alloc", c), ("free", b),
+        assert list(TraceEventSource(trace).events()) == [
+            (EV_ALLOC, a, 0, 16, 0), (EV_ALLOC, b, 1, 32, 16),
+            (EV_FREE, a, 48, 3), (EV_ALLOC, c, 0, 8, 48), (EV_FREE, b, 56, 1),
         ]
         assert trace.event_count == 5
 

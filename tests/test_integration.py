@@ -18,19 +18,20 @@ from repro.core.cce import train_cce_predictor
 from repro.core.predictor import evaluate, train_site_predictor
 from repro.core.profile import build_profile
 from repro.core.sites import FULL_CHAIN
+from repro.runtime.stream.protocol import EV_ALLOC, EV_FREE, TraceEventSource
 
 
 class TestTraceIntegrity:
     def test_event_pairing(self, any_tiny_trace):
         trace = any_tiny_trace
         live = set()
-        for kind, obj_id in trace.events():
-            if kind == "alloc":
-                assert obj_id not in live
-                live.add(obj_id)
-            else:
-                assert obj_id in live
-                live.remove(obj_id)
+        for ev in TraceEventSource(trace).events():
+            if ev[0] == EV_ALLOC:
+                assert ev[1] not in live
+                live.add(ev[1])
+            elif ev[0] == EV_FREE:
+                assert ev[1] in live
+                live.remove(ev[1])
         survivors = {
             i for i in range(trace.total_objects) if not trace.freed(i)
         }
@@ -39,10 +40,11 @@ class TestTraceIntegrity:
     def test_births_monotone(self, any_tiny_trace):
         trace = any_tiny_trace
         clock = 0
-        for kind, obj_id in trace.events():
-            if kind == "alloc":
-                assert trace.record(obj_id).birth == clock
-                clock += trace.size_of(obj_id)
+        for ev in TraceEventSource(trace).events():
+            if ev[0] == EV_ALLOC:
+                _, _, _, size, birth = ev
+                assert birth == clock
+                clock += size
         assert clock == trace.total_bytes
 
     def test_lifetimes_positive(self, any_tiny_trace):
@@ -120,4 +122,6 @@ class TestCrossWorkloadShape:
         second = run_workload("gawk", "tiny")
         assert first.total_objects == second.total_objects
         assert first.total_bytes == second.total_bytes
-        assert list(first.events()) == list(second.events())
+        assert list(TraceEventSource(first).events()) == list(
+            TraceEventSource(second).events()
+        )

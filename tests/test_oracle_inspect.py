@@ -10,6 +10,12 @@ from repro.alloc.spec import PAPER_DEFAULT_SPEC
 from repro.analysis.simulate import simulate_spec
 from repro.core.predictor import train_site_predictor
 from repro.runtime.heap import TracedHeap
+from repro.runtime.stream.protocol import (
+    EV_ALLOC,
+    EV_FREE,
+    EV_TOUCH,
+    TraceEventSource,
+)
 from tests.conftest import make_churn_trace
 
 
@@ -90,10 +96,12 @@ class TestTouchEventRoundTrip:
             heap.free(obj)
         trace = heap.finish()
         assert trace.has_touch_events
-        path = tmp_path / "touchy.json.gz"
+        path = tmp_path / "touchy.rtr3"
         save_trace(trace, path)
         loaded = load_trace(path)
-        assert list(loaded.full_events()) == list(trace.full_events())
+        assert list(TraceEventSource(loaded).events()) == list(
+            TraceEventSource(trace).events()
+        )
         assert loaded.has_touch_events
 
     def test_events_skips_touches(self):
@@ -102,15 +110,18 @@ class TestTouchEventRoundTrip:
         heap.touch(obj, 5)
         heap.free(obj)
         trace = heap.finish()
-        assert list(trace.events()) == [("alloc", 0), ("free", 0)]
-        assert list(trace.full_events()) == [
-            ("alloc", 0, 1), ("touch", 0, 5), ("free", 0, 1),
+        events = list(TraceEventSource(trace).events())
+        assert [ev[:2] for ev in events if ev[0] != EV_TOUCH] == [
+            (EV_ALLOC, 0), (EV_FREE, 0),
+        ]
+        assert events == [
+            (EV_ALLOC, 0, 0, 8, 0), (EV_TOUCH, 0, 5), (EV_FREE, 0, 8, 5),
         ]
 
     def test_no_touch_events_by_default(self, churn_trace):
         assert not churn_trace.has_touch_events
-        kinds = {kind for kind, _, _ in churn_trace.full_events()}
-        assert "touch" not in kinds
+        kinds = {ev[0] for ev in TraceEventSource(churn_trace).events()}
+        assert EV_TOUCH not in kinds
 
     def test_live_stats_unaffected_by_touches(self):
         with_touches = TracedHeap("a", record_touches=True)

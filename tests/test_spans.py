@@ -270,7 +270,7 @@ class TestPipelineInstrumentation:
 class TestCliSpansFlags:
     def test_stdout_identical_with_and_without_tracing(self, tmp_path,
                                                        capsys):
-        trace_path = tmp_path / "t.json.gz"
+        trace_path = tmp_path / "t.rtr3"
         assert main([
             "trace", "gawk", "tiny", "-o", str(trace_path),
         ]) == 0
@@ -291,7 +291,7 @@ class TestCliSpansFlags:
         assert "spans:" not in plain.err
 
     def test_spans_out_writes_root_cli_span(self, tmp_path, capsys):
-        trace_path = tmp_path / "t.json.gz"
+        trace_path = tmp_path / "t.rtr3"
         assert main(["trace", "gawk", "tiny", "-o", str(trace_path)]) == 0
         spans_path = tmp_path / "spans.json"
         assert main([
@@ -303,7 +303,7 @@ class TestCliSpansFlags:
         assert "cli.quantiles" in names
 
     def test_folded_output_written(self, tmp_path, capsys):
-        trace_path = tmp_path / "t.json.gz"
+        trace_path = tmp_path / "t.rtr3"
         assert main(["trace", "gawk", "tiny", "-o", str(trace_path)]) == 0
         folded = tmp_path / "spans.folded"
         assert main([

@@ -36,7 +36,9 @@ from repro.analysis.simulate import simulate_spec
 from repro.analysis.trace_cache import TraceCache
 from repro.cli import main
 from repro.core.predictor import train_site_predictor
+from repro.core.profile import build_profile
 from repro.runtime import folds
+from repro.runtime.events import TraceBuilder
 from repro.runtime.stream import protocol
 from repro.obs.attrib import attribute_sites
 from repro.obs.metrics import Metrics
@@ -49,7 +51,7 @@ from repro.runtime.stream.protocol import (
     stream_live_stats,
 )
 from repro.runtime.stream.v3 import TraceFileSource, write_trace_v3
-from repro.runtime.tracefile import TraceFormatError, load_trace, save_trace
+from repro.runtime.tracefile import TraceFormatError, load_trace
 from repro.search import DEFAULT_SPACE, run_search
 from tests.conftest import ListSource
 
@@ -377,8 +379,11 @@ def _replay_firstfit(source):
     return simulate_spec(source, FIRSTFIT_SPEC)
 
 
-#: Consumers that walk a stream without materializing it.
+#: Consumers of a stream: ``train_site_predictor`` and
+#: ``stream_live_stats`` walk it without materializing it, and
+#: ``build_profile`` materializes it with ``build_trace``.
 STREAM_CONSUMERS = {
+    "build_profile": build_profile,
     "train_site_predictor": train_site_predictor,
     "stream_live_stats": stream_live_stats,
 }
@@ -406,7 +411,7 @@ class TestStreamConsumersErrorContract:
         for stream, where in ((source, "bad/test"),
                               (TraceFileSource(path), str(path))):
             errors = set()
-            for consumer in (build_trace, _all_records,
+            for consumer in (build_trace, _all_records, build_profile,
                              train_site_predictor, stream_live_stats,
                              _replay_firstfit):
                 with pytest.raises(TraceFormatError) as info:
@@ -433,7 +438,7 @@ class TestStreamConsumersErrorContract:
     @pytest.mark.parametrize("case", BAD_SIZES)
     def test_replay_rejects_sizes_below_one(self, case, spec, mode,
                                             tmp_path):
-        # A v2 file loads without build_trace's checks, so the
+        # A hand-built trace skips build_trace's checks, so the
         # materialized replay meets the bad size in the packed arrays;
         # the streamed one meets it in the v3 file's events.
         events, message = MALFORMED[case]
@@ -441,12 +446,10 @@ class TestStreamConsumersErrorContract:
         good = [_A0, _A1]
         predictor = train_site_predictor(ListSource(good), threshold=4096)
         if mode == "materialized":
-            path = tmp_path / "bad.json"
-            save_trace(build_trace(ListSource(good)), path)
-            doc = json.loads(path.read_text())
-            doc["sizes"][1] = size
-            path.write_text(json.dumps(doc))
-            source, where = load_trace(path), "bad/test"
+            builder = TraceBuilder("bad", "test")
+            builder.add_alloc(("main", "f"), size=16, birth=0)
+            builder.add_alloc(("main", "f"), size=size, birth=16)
+            source, where = builder.build(), "bad/test"
         else:
             path = tmp_path / "bad.rtr3"
             write_trace_v3(ListSource(events), path)

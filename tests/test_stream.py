@@ -8,6 +8,9 @@ whether fed a materialized :class:`Trace` or a streamed v3 file.
 
 from __future__ import annotations
 
+import gzip
+import struct
+
 import pytest
 
 from repro.alloc.spec import BSD_SPEC, FIRSTFIT_SPEC, PAPER_DEFAULT_SPEC
@@ -36,48 +39,22 @@ from repro.runtime.stream import (
     write_trace_v3,
 )
 from repro.runtime.tracefile import (
+    V3_MAGIC,
     TraceFormatError,
     convert_trace,
     load_trace,
     open_trace_stream,
     save_trace,
 )
-from tests.conftest import make_churn_trace
+from tests.conftest import (
+    V2_FIXTURE,
+    V2_FIXTURE_OBJECTS,
+    assert_traces_equal,
+    make_churn_trace,
+    make_touch_trace,
+)
 
 THRESHOLD = 4096  # separates churn from keeper in make_churn_trace
-
-
-def make_touch_trace(objects: int = 120):
-    """A churn trace recorded with touch events (locality-measurable)."""
-    heap = TracedHeap("touchy", dataset="synthetic", record_touches=True)
-    live = []
-    with heap.frame("work"):
-        for index in range(objects):
-            with heap.frame("helper"):
-                obj = heap.malloc(16 + 8 * (index % 5))
-            heap.touch(obj, 1 + index % 3)
-            live.append(obj)
-            if len(live) > 4:
-                victim = live.pop(0)
-                heap.touch(victim, 2)
-                heap.free(victim)
-        for obj in live:
-            heap.free(obj)
-    return heap.finish()
-
-
-def assert_traces_equal(a, b):
-    assert b.program == a.program
-    assert b.dataset == a.dataset
-    assert b.total_objects == a.total_objects
-    assert b.total_bytes == a.total_bytes
-    assert b.total_calls == a.total_calls
-    assert b.heap_refs == a.heap_refs
-    assert b.non_heap_refs == a.non_heap_refs
-    assert list(b.full_events()) == list(a.full_events())
-    for obj_id in range(a.total_objects):
-        assert b.record(obj_id) == a.record(obj_id)
-        assert b.chain_of(obj_id) == a.chain_of(obj_id)
 
 
 def object_folds(trace):
@@ -232,13 +209,12 @@ class TestV3File:
         assert list(source.events()) == list(source.events())
         assert list(source.events()) == list(TraceEventSource(trace).events())
 
-    def test_open_trace_stream_on_v2_falls_back_to_memory(self, tmp_path):
-        trace = make_churn_trace(objects=40)
-        path = tmp_path / "trace.json.gz"
-        save_trace(trace, path)
-        source = open_trace_stream(path)
-        assert isinstance(source, EventSource)
-        assert_traces_equal(trace, build_trace(source))
+    def test_open_trace_stream_on_v2_names_convert(self):
+        for read in (open_trace_stream, load_trace):
+            with pytest.raises(TraceFormatError) as info:
+                read(V2_FIXTURE)
+            assert str(info.value).startswith(f"{V2_FIXTURE}: ")
+            assert "repro-alloc convert" in str(info.value)
 
     def test_same_trace_writes_identical_bytes(self, tmp_path):
         trace = make_churn_trace(objects=30)
@@ -301,42 +277,54 @@ class TestV3File:
         with pytest.raises(TraceFormatError):
             TraceFileSource(path)
 
+    def test_every_frame_is_a_fixed_header_gzip_member(self, tmp_path):
+        # The header is pinned, not a digest: the deflate bytes after it
+        # depend on the zlib build, the header on nothing.
+        path = tmp_path / "chunked.rtr3"
+        write_trace_v3(TraceEventSource(make_touch_trace()), path,
+                       chunk_events=64)
+        raw = path.read_bytes()
+        assert raw.startswith(V3_MAGIC)
+        offset, end = len(V3_MAGIC), len(raw) - 24  # the trailer
+        kinds = []
+        while offset < end:
+            kind, length = struct.unpack_from("<cI", raw, offset)
+            payload = raw[offset + 5:offset + 5 + length]
+            assert payload[:10] == bytes.fromhex("1f8b0800000000000203")
+            gzip.decompress(payload)
+            kinds.append(kind)
+            offset += 5 + length
+        assert offset == end
+        assert kinds[0] == b"H" and kinds[-1] == b"F"
+        assert kinds[1:-1] == [b"E"] * len(TraceFileSource(path).chunk_index)
+        assert len(kinds) > 3
+
 
 class TestConverter:
     def test_v2_to_v3(self, tmp_path):
-        trace = make_churn_trace(objects=50)
-        v2 = tmp_path / "trace.json.gz"
         v3 = tmp_path / "trace.rtr3"
-        save_trace(trace, v2)
-        assert convert_trace(v2, v3) == 3
-        assert_traces_equal(trace, load_trace(v3))
+        convert_trace(V2_FIXTURE, v3)
+        assert_traces_equal(
+            make_touch_trace(objects=V2_FIXTURE_OBJECTS), load_trace(v3)
+        )
 
-    def test_v3_to_v2_matches_a_direct_v2_save(self, tmp_path):
-        trace = make_churn_trace(objects=50)
-        v3 = tmp_path / "trace.rtr3"
-        back = tmp_path / "back.json.gz"
-        direct = tmp_path / "direct.json.gz"
-        save_trace(trace, v3)
-        assert convert_trace(v3, back) == 2
-        save_trace(trace, direct)
-        assert back.read_bytes() == direct.read_bytes()
+    def test_v2_upgrade_matches_a_direct_v3_save(self, tmp_path):
+        upgraded = tmp_path / "upgraded.rtr3"
+        direct = tmp_path / "direct.rtr3"
+        convert_trace(V2_FIXTURE, upgraded)
+        save_trace(make_touch_trace(objects=V2_FIXTURE_OBJECTS), direct)
+        assert upgraded.read_bytes() == direct.read_bytes()
 
-    def test_conversion_is_lossless_both_ways(self, tmp_path):
-        trace = make_touch_trace()
-        v2 = tmp_path / "t.json.gz"
+    def test_v3_to_v3_rewrites_identical_bytes(self, tmp_path):
         v3 = tmp_path / "t.rtr3"
-        v2_again = tmp_path / "t2.json.gz"
-        save_trace(trace, v2)
-        convert_trace(v2, v3)
-        convert_trace(v3, v2_again)
-        assert v2.read_bytes() == v2_again.read_bytes()
+        again = tmp_path / "t2.rtr3"
+        save_trace(make_touch_trace(), v3)
+        convert_trace(v3, again)
+        assert again.read_bytes() == v3.read_bytes()
 
-    def test_explicit_version_overrides_the_suffix(self, tmp_path):
-        trace = make_churn_trace(objects=20)
-        v2 = tmp_path / "trace.json.gz"
-        odd = tmp_path / "streamed.dat"
-        save_trace(trace, v2)
-        assert convert_trace(v2, odd, version=3) == 3
+    def test_any_destination_name_writes_v3(self, tmp_path):
+        odd = tmp_path / "streamed.json.gz"
+        convert_trace(V2_FIXTURE, odd)
         assert isinstance(open_trace_stream(odd), TraceFileSource)
 
 
@@ -384,6 +372,22 @@ class TestStreamingParity:
             assert other.max_lifetime == stats.max_lifetime
             assert other.unfreed_objects == stats.unfreed_objects
             assert other.unfreed_bytes == stats.unfreed_bytes
+            # A stream is materialized first, so even the fold-order
+            # dependent P^2 quartiles agree.
+            assert other.histogram.quantiles() == stats.histogram.quantiles()
+
+    def test_profile_quartiles_match_on_a_workload_trace(
+        self, tmp_path, espresso_tiny
+    ):
+        # espresso frees some sites' objects out of allocation order, so
+        # a profile folded in free order would move their P^2 quartiles.
+        path = tmp_path / "espresso.rtr3"
+        save_trace(espresso_tiny, path)
+        streamed = dict(build_profile(TraceFileSource(path)).sites())
+        for key, stats in build_profile(espresso_tiny).sites():
+            assert streamed[key].histogram.quantiles() == (
+                stats.histogram.quantiles()
+            )
 
     def test_site_predictors_match(self, streamed):
         trace, source = streamed

@@ -1,8 +1,8 @@
 """End-to-end parity: converted v3 streams reproduce the tables exactly.
 
 The acceptance test for the streaming refactor (DESIGN.md §10): every
-workload is traced once, written in the legacy v2 format, pushed through
-the ``convert_trace`` upgrade to chunked v3, and then replayed through a
+workload is traced once, saved as a v3 file, rewritten disk to disk by
+``convert_trace``, and then replayed through a
 ``TraceStore(streaming=True)``.  Tables 4, 7, and 8 rendered from the
 streamed files must be *byte-identical* to the materialized path, and the
 trained predictor databases must serialize to identical bytes.
@@ -33,9 +33,9 @@ SCALE = 0.05
 def stores(tmp_path_factory):
     """(materialized store, streaming store) over one shared cache.
 
-    The streaming store's cache entries are produced by the v2 -> v3
-    converter rather than written natively, so this fixture exercises the
-    whole upgrade path: trace -> v2 file -> convert -> v3 file -> stream.
+    The streaming store's cache entries are produced by the converter
+    rather than written natively, so this fixture exercises the whole
+    path: trace -> v3 file -> convert -> v3 file -> stream.
     """
     root = tmp_path_factory.mktemp("stream-parity")
     cache_dir = root / "cache"
@@ -43,11 +43,11 @@ def stores(tmp_path_factory):
     cache = TraceCache(cache_dir, metrics=Metrics())
     for program, dataset in materialized.warm_pairs():
         trace = materialized.trace(program, dataset)
-        legacy = root / f"{program}-{dataset}.json.gz"
-        save_trace(trace, legacy)  # suffix selects the v2 writer
+        saved = root / f"{program}-{dataset}.rtr3"
+        save_trace(trace, saved)
         entry = cache.entry_path(program, dataset, SCALE)
         entry.parent.mkdir(parents=True, exist_ok=True)
-        assert convert_trace(legacy, entry, version=3) == 3
+        convert_trace(saved, entry)
     streaming = TraceStore(scale=SCALE, cache_dir=cache_dir, streaming=True)
     return materialized, streaming
 

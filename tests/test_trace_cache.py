@@ -15,7 +15,7 @@ from repro.obs.spans import TRACER
 from repro.analysis import trace_cache as trace_cache_mod
 from repro.analysis.trace_cache import TraceCache, default_cache_dir
 from repro.runtime import tracefile
-from tests.conftest import make_churn_trace
+from tests.conftest import assert_traces_equal, make_churn_trace
 
 PROGRAM = "synthetic"
 DATASET = "synthetic"
@@ -72,8 +72,7 @@ class TestHitMiss:
         loaded = cache.load(PROGRAM, DATASET, SCALE)
         assert loaded is not None
         assert cache.metrics.counter("trace_cache.hit") == 1
-        assert list(loaded.events()) == list(trace.events())
-        assert loaded.total_bytes == trace.total_bytes
+        assert_traces_equal(trace, loaded)
 
     def test_corrupt_entry_is_a_miss_and_removed(self, cache):
         trace = make_churn_trace(objects=40)
@@ -118,7 +117,7 @@ class TestHitMiss:
         assert not errors
         loaded = cache.load(PROGRAM, DATASET, SCALE)
         assert loaded is not None
-        assert list(loaded.events()) == list(trace.events())
+        assert_traces_equal(trace, loaded)
 
 
 class TestTraceStoreIntegration:
@@ -139,7 +138,7 @@ class TestTraceStoreIntegration:
         trace_b = store_b.trace("gawk", "tiny")
         assert metrics_b.counter("trace_cache.hit") == 1
         assert metrics_b.counter("trace_cache.store") == 0
-        assert list(trace_b.events()) == list(trace_a.events())
+        assert_traces_equal(trace_a, trace_b)
         assert trace_b.live_stats() == trace_a.live_stats()
 
     def test_memory_layer_still_memoizes(self, tmp_path):

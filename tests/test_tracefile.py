@@ -2,49 +2,39 @@
 
 from __future__ import annotations
 
-import gzip
 import json
+import shutil
 
 import pytest
 
-from repro.runtime.tracefile import TraceFormatError, load_trace, save_trace
-from tests.conftest import make_churn_trace
+from repro.runtime.tracefile import (
+    V3_MAGIC,
+    TraceFormatError,
+    convert_trace,
+    load_trace,
+    save_trace,
+)
+from tests.conftest import V2_FIXTURE, assert_traces_equal, make_churn_trace
 
 
 class TestRoundTrip:
     def test_plain_json(self, tmp_path):
+        # Any name writes v3, including the v2 document's old suffixes.
         trace = make_churn_trace(objects=50)
         path = tmp_path / "trace.json"
         save_trace(trace, path)
-        loaded = load_trace(path)
-        self.assert_traces_equal(trace, loaded)
+        assert path.read_bytes().startswith(V3_MAGIC)
+        assert_traces_equal(trace, load_trace(path))
 
     def test_gzip(self, tmp_path):
         trace = make_churn_trace(objects=50)
         path = tmp_path / "trace.json.gz"
         save_trace(trace, path)
-        loaded = load_trace(path)
-        self.assert_traces_equal(trace, loaded)
-        # Must really be gzip on disk.
-        with gzip.open(path, "rb") as fh:
-            fh.read(16)
-
-    @staticmethod
-    def assert_traces_equal(a, b):
-        assert b.program == a.program
-        assert b.dataset == a.dataset
-        assert b.total_objects == a.total_objects
-        assert b.total_bytes == a.total_bytes
-        assert b.total_calls == a.total_calls
-        assert b.heap_refs == a.heap_refs
-        assert b.non_heap_refs == a.non_heap_refs
-        assert list(b.events()) == list(a.events())
-        for obj_id in range(a.total_objects):
-            assert b.record(obj_id) == a.record(obj_id)
-            assert b.chain_of(obj_id) == a.chain_of(obj_id)
+        assert path.read_bytes().startswith(V3_MAGIC)
+        assert_traces_equal(trace, load_trace(path))
 
     def test_workload_trace_round_trip(self, tmp_path, gawk_tiny):
-        path = tmp_path / "gawk.json.gz"
+        path = tmp_path / "gawk.rtr3"
         save_trace(gawk_tiny, path)
         loaded = load_trace(path)
         assert loaded.total_objects == gawk_tiny.total_objects
@@ -52,15 +42,16 @@ class TestRoundTrip:
 
 
 class TestAtomicWrite:
+    """``convert`` publishes through the same atomic write as ``save``."""
+
     def test_no_temp_files_left_behind(self, tmp_path):
-        trace = make_churn_trace(objects=30)
-        save_trace(trace, tmp_path / "trace.json.gz")
-        assert [p.name for p in tmp_path.iterdir()] == ["trace.json.gz"]
+        convert_trace(V2_FIXTURE, tmp_path / "trace.rtr3")
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.rtr3"]
 
     def test_interrupted_write_preserves_existing_file(
         self, tmp_path, monkeypatch
     ):
-        path = tmp_path / "trace.json.gz"
+        path = tmp_path / "trace.rtr3"
         original = make_churn_trace(objects=30)
         save_trace(original, path)
 
@@ -71,59 +62,61 @@ class TestAtomicWrite:
             "repro.runtime.tracefile.os.replace", exploding_replace
         )
         with pytest.raises(OSError):
-            save_trace(make_churn_trace(objects=60), path)
+            convert_trace(V2_FIXTURE, path)
         monkeypatch.undo()
 
         # The old complete file is untouched and no temp litter remains.
-        assert [p.name for p in tmp_path.iterdir()] == ["trace.json.gz"]
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.rtr3"]
         loaded = load_trace(path)
         assert loaded.total_objects == original.total_objects
 
     def test_same_trace_writes_identical_bytes(self, tmp_path):
-        trace = make_churn_trace(objects=30)
-        a, b = tmp_path / "a.json.gz", tmp_path / "b.json.gz"
-        save_trace(trace, a)
-        save_trace(trace, b)
+        a, b = tmp_path / "a.rtr3", tmp_path / "b.rtr3"
+        convert_trace(V2_FIXTURE, a)
+        convert_trace(V2_FIXTURE, b)
         assert a.read_bytes() == b.read_bytes()
 
 
 class TestErrors:
+    """The v2 reader behind ``convert`` rejects malformed documents."""
+
+    @staticmethod
+    def assert_rejected(path):
+        out = path.parent / "out.rtr3"
+        with pytest.raises(TraceFormatError):
+            convert_trace(path, out)
+        assert not out.exists()
+
     def test_truncated_gzip_is_format_error(self, tmp_path):
         path = tmp_path / "trace.json.gz"
-        save_trace(make_churn_trace(objects=30), path)
+        shutil.copyfile(V2_FIXTURE, path)
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        with pytest.raises(TraceFormatError):
-            load_trace(path)
+        self.assert_rejected(path)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(b"this is not json")
-        with pytest.raises(TraceFormatError):
-            load_trace(path)
+        self.assert_rejected(path)
 
     def test_wrong_format_marker(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"format": "something-else"}))
-        with pytest.raises(TraceFormatError):
-            load_trace(path)
+        self.assert_rejected(path)
 
     def test_wrong_version(self, tmp_path):
         path = tmp_path / "vers.json"
         path.write_text(json.dumps({"format": "repro-trace", "version": 999}))
-        with pytest.raises(TraceFormatError):
-            load_trace(path)
+        self.assert_rejected(path)
 
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "partial.json"
-        path.write_text(json.dumps({"format": "repro-trace", "version": 1}))
-        with pytest.raises(TraceFormatError):
-            load_trace(path)
+        path.write_text(json.dumps({"format": "repro-trace", "version": 2}))
+        self.assert_rejected(path)
 
     def test_non_dict_document(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]")
-        with pytest.raises(TraceFormatError):
-            load_trace(path)
+        self.assert_rejected(path)
 
 
 class TestPropertyRoundTrip:
@@ -154,10 +147,10 @@ class TestPropertyRoundTrip:
                 elif action == "touch" and live:
                     heap.touch(live[number % len(live)], 1 + number % 5)
         trace = heap.finish()
-        path = tmp_path_factory.mktemp("rt") / "trace.json.gz"
+        path = tmp_path_factory.mktemp("rt") / "trace.rtr3"
         save_trace(trace, path)
         loaded = load_trace(path)
-        assert list(loaded.full_events()) == list(trace.full_events())
+        assert_traces_equal(trace, loaded)
         assert loaded.total_bytes == trace.total_bytes
         assert loaded.live_stats() == trace.live_stats()
         for obj_id in range(trace.total_objects):
