@@ -3,7 +3,9 @@
 Four allocators back the paper's comparisons:
 
 * :class:`~repro.alloc.firstfit.FirstFitAllocator` — Knuth first-fit with
-  boundary tags and a roving pointer (the space baseline).
+  boundary tags and a roving pointer that each search starts from; the
+  rover moves only when its block leaves the free list, so this is not
+  next-fit (the space baseline).
 * :class:`~repro.alloc.bsd.BsdAllocator` — 4.3BSD power-of-two buckets
   (the CPU baseline).
 * :class:`~repro.alloc.arena.ArenaAllocator` — the paper's contribution:

@@ -17,9 +17,9 @@ object-lifetime arenas:
   count has dropped to zero (all its objects died); such an arena is reset
   and reused.  If none exists — the arenas are *polluted* by mispredicted
   long-lived objects — the object falls through to the general heap.
-* Freeing an arena object just decrements its arena's count; the space is
-  reclaimed wholesale when the count reaches zero.  Freeing anything else
-  goes to the general allocator (a
+* Freeing an arena object just decrements its arena's count (the size of
+  its live-object map); the space is reclaimed wholesale when the count
+  reaches zero.  Freeing anything else goes to the general allocator (a
   :class:`~repro.alloc.firstfit.FirstFitAllocator`, making first-fit "the
   degenerate case of an arena allocator that allocates no objects in
   arenas", §5.2).
@@ -60,16 +60,24 @@ ARENA_ALIGNMENT = 8
 
 
 class Arena:
-    """One fixed-size arena: a bump pointer and a live-object count."""
+    """One fixed-size arena: a bump pointer and a live-object count.
 
-    __slots__ = ("base", "size", "alloc", "count", "_live")
+    The count is the size of the live-object map, so it can neither
+    drift from the objects nor underflow.
+    """
+
+    __slots__ = ("base", "size", "alloc", "_live")
 
     def __init__(self, base: int, size: int):
         self.base = base
         self.size = size
         self.alloc = base  # next free byte
-        self.count = 0  # live objects
         self._live: Dict[int, int] = {}  # addr -> requested size
+
+    @property
+    def count(self) -> int:
+        """Objects still live in this arena."""
+        return len(self._live)
 
     @property
     def used(self) -> int:
@@ -89,7 +97,6 @@ class Arena:
         """Allocate ``size`` bytes; caller must have checked :meth:`fits`."""
         addr = self.alloc
         self.alloc += _aligned(size)
-        self.count += 1
         self._live[addr] = size
         return addr
 
@@ -98,14 +105,11 @@ class Arena:
         size = self._live.pop(addr, None)
         if size is None:
             raise AllocatorError(f"free of unknown arena address {addr}")
-        if self.count <= 0:
-            raise AllocatorError(f"arena at {self.base}: count underflow")
-        self.count -= 1
         return size
 
     def reset(self) -> None:
         """Recycle the arena; only legal once every object has died."""
-        if self.count != 0:
+        if self._live:
             raise AllocatorError(
                 f"arena at {self.base} reset with {self.count} live objects"
             )
@@ -161,14 +165,18 @@ class ArenaAllocator(Allocator):
         self.arenas_used = 1
         self.arenas_exhausted = False
         self._general = FirstFitAllocator(base=self._arena_limit)
-        # Table 7 accounting.
+        # Table 7 accounting; the general heap's share is derived.
         self.arena_bytes = 0
-        self.general_bytes = 0
 
     @property
     def general(self) -> FirstFitAllocator:
         """The general-purpose allocator handling non-arena objects."""
         return self._general
+
+    @property
+    def general_bytes(self) -> int:
+        """Bytes requested of the general heap (Table 7's non-arena bytes)."""
+        return self.ops.bytes_requested - self.arena_bytes
 
     @property
     def arena_area_size(self) -> int:
@@ -212,7 +220,7 @@ class ArenaAllocator(Allocator):
                     if need <= self.arena_size:  # else no arena could hold it
                         for index, candidate in enumerate(self.arenas):
                             ops.arenas_scanned += 1
-                            if candidate.count == 0:
+                            if not candidate._live:
                                 candidate.reset()
                                 ops.arena_resets += 1
                                 self._current = index
@@ -225,7 +233,6 @@ class ArenaAllocator(Allocator):
                             self.arenas_exhausted = True
                 if arena is not None:
                     arena.alloc = addr + need
-                    arena.count += 1
                     arena._live[addr] = size
                     ops.arena_allocs += 1
                     self.arena_bytes += size
@@ -236,7 +243,6 @@ class ArenaAllocator(Allocator):
                 placement = "overflow"
             else:
                 placement = "general"
-        self.general_bytes += size
         addr = self._general.malloc(size, chain)
         if self.probe is not None:
             self.probe.on_alloc(addr, size, chain, placement)
@@ -248,9 +254,6 @@ class ArenaAllocator(Allocator):
             arena = self.arenas[(addr - self._arena_base) // self.arena_size]
             if arena._live.pop(addr, None) is None:
                 raise AllocatorError(f"free of unknown arena address {addr}")
-            if arena.count <= 0:
-                raise AllocatorError(f"arena at {arena.base}: count underflow")
-            arena.count -= 1
             self.ops.arena_frees += 1
         else:
             self._general.free(addr)
@@ -303,13 +306,8 @@ class ArenaAllocator(Allocator):
         return snapshot
 
     def check_invariants(self) -> None:
-        """Arena counts must match live objects; general heap must audit."""
+        """No arena bumps past its end; the general heap must audit."""
         for arena in self.arenas:
-            if arena.count != len(arena._live):
-                raise AllocatorError(
-                    f"arena at {arena.base}: count {arena.count} != "
-                    f"{len(arena._live)} live objects"
-                )
             if arena.alloc > arena.base + arena.size:
                 raise AllocatorError(f"arena at {arena.base}: overflow")
         self._general.check_invariants()

@@ -48,13 +48,9 @@ class BsdAllocator(Allocator):
         # BSD requests whole pages from the system; model that directly.
         self.space = AddressSpace(base=base, increment=PAGE_SIZE)
         self._free: Dict[int, List[int]] = {}  # bucket -> LIFO of addresses
-        self._allocated: Dict[int, int] = {}  # addr -> (bucket, req size)
-        self._req_sizes: Dict[int, int] = {}
+        # Live block -> requested size; free recomputes the bucket from it.
+        self._allocated: Dict[int, int] = {}
         self._live_bytes = 0
-        # Telemetry gauges: total free blocks across buckets and the
-        # power-of-two bytes occupied by live objects.
-        self._free_blocks = 0
-        self._block_bytes_live = 0
 
     def malloc(self, size: int, chain: Optional[ChainKey] = None) -> int:
         self.ops.allocs += 1
@@ -62,15 +58,14 @@ class BsdAllocator(Allocator):
         # bucket_for(size), inlined: replay runs this once per allocation.
         if size <= 0:
             raise AllocatorError(f"allocation size must be positive, got {size}")
-        bucket = max(MIN_BUCKET, (size + BSD_HEADER_SIZE - 1).bit_length())
+        bucket = (size + BSD_HEADER_SIZE - 1).bit_length()
+        if bucket < MIN_BUCKET:
+            bucket = MIN_BUCKET
         stack = self._free.get(bucket)
         if not stack:
             stack = self._refill(bucket)
         addr = stack.pop()
-        self._free_blocks -= 1
-        self._block_bytes_live += 1 << bucket
-        self._allocated[addr] = bucket
-        self._req_sizes[addr] = size
+        self._allocated[addr] = size
         self._live_bytes += size
         user_addr = addr + BSD_HEADER_SIZE
         if self.probe is not None:
@@ -79,14 +74,15 @@ class BsdAllocator(Allocator):
 
     def free(self, addr: int) -> None:
         base_addr = addr - BSD_HEADER_SIZE
-        bucket = self._allocated.pop(base_addr, None)
-        if bucket is None:
+        size = self._allocated.pop(base_addr, None)
+        if size is None:
             raise AllocatorError(f"free of unknown address {addr}")
         self.ops.frees += 1
-        self._live_bytes -= self._req_sizes.pop(base_addr)
+        self._live_bytes -= size
+        bucket = (size + BSD_HEADER_SIZE - 1).bit_length()
+        if bucket < MIN_BUCKET:
+            bucket = MIN_BUCKET
         self._free[bucket].append(base_addr)
-        self._free_blocks += 1
-        self._block_bytes_live -= 1 << bucket
         if self.probe is not None:
             self.probe.on_free(addr)
 
@@ -98,9 +94,7 @@ class BsdAllocator(Allocator):
         chunk = max(block_size, PAGE_SIZE)
         start = self.space.sbrk(chunk)
         stack = self._free.setdefault(bucket, [])
-        for addr in range(start, start + chunk, block_size):
-            stack.append(addr)
-            self._free_blocks += 1
+        stack.extend(range(start, start + chunk, block_size))
         return stack
 
     @property
@@ -112,36 +106,35 @@ class BsdAllocator(Allocator):
         return self._live_bytes
 
     def telemetry_snapshot(self) -> dict:
-        """Bucket-heap gauges.
+        """Bucket-heap gauges, read off the free lists.
 
+        Every carved byte is in a block that is either live or on a
+        bucket's free list, so the free lists give both gauges.
         ``internal_frag`` is the classic power-of-two waste: live blocks'
         rounded size (header included) minus the bytes actually requested,
         as a fraction of the heap extent.  ``external_frag`` is the bytes
         sitting on free lists as a fraction of the extent.
         """
         extent = self.space.brk - self.space.base
-        free_bytes = extent - self._block_bytes_live
+        free_blocks = free_bytes = 0
+        for bucket, stack in self._free.items():
+            free_blocks += len(stack)
+            free_bytes += len(stack) << bucket
         return {
             "heap_size": extent,
             "max_heap_size": self.space.max_heap_size,
             "live_bytes": self._live_bytes,
             "used_blocks": len(self._allocated),
-            "free_blocks": self._free_blocks,
+            "free_blocks": free_blocks,
             "free_bytes": free_bytes,
             "external_frag": _frac(free_bytes, extent),
             "internal_frag": _frac(
-                self._block_bytes_live - self._live_bytes, extent
+                extent - free_bytes - self._live_bytes, extent
             ),
         }
 
     def check_invariants(self) -> None:
         """Every block is either allocated or on exactly one free list."""
-        total_free = sum(len(stack) for stack in self._free.values())
-        if total_free != self._free_blocks:
-            raise AllocatorError(
-                f"free-block gauge stale: counted {self._free_blocks}, "
-                f"lists hold {total_free}"
-            )
         seen = set()
         for bucket, stack in self._free.items():
             block_size = 1 << bucket

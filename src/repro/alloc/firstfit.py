@@ -2,15 +2,25 @@
 
 The paper's space baseline (§5.2): "a relatively simple first-fit
 algorithm with enhancements described by Knuth" — boundary tags for O(1)
-coalescing, a roving pointer so successive searches resume where the last
-one stopped (Knuth, TAOCP vol. 1 §2.5), immediate coalescing of freed
-blocks with both neighbours, and ``sbrk`` growth when no free block fits.
+coalescing, a roving pointer from which each search starts (Knuth, TAOCP
+vol. 1 §2.5), immediate coalescing of freed blocks with both neighbours,
+and ``sbrk`` growth when no free block fits.
 
-The simulator keeps full block metadata (address, size, free bit, and the
-boundary-tag neighbour maps) so fragmentation and the maximum break are
-measured, not modelled.  Each block carries a fixed 8-byte header — the
-per-object overhead that arena allocation avoids, which is part of why the
-arena allocator wins on space for big heaps (Table 8, GHOST row).
+The rover moves only when the block it points at leaves the free list.
+Taken by a search, that block hands the rover to its remainder (split)
+or to its successor on the list (taken whole); merged into a freed left
+neighbour, to its successor.  A search that picks any other block leaves
+the rover where the search began, so searches do *not* resume where the
+last one stopped (DESIGN.md §19 says why the rule stays).  A freed block
+that does not coalesce into its left neighbour is linked in just after
+the rover.
+
+The simulator keeps full block metadata (address, size, free bit, and
+links to both physical neighbours, the boundary tags' job) so
+fragmentation and the maximum break are measured, not modelled.  Each
+block carries a fixed 8-byte header — the per-object overhead that arena
+allocation avoids, which is part of why the arena allocator wins on space
+for big heaps (Table 8, GHOST row).
 
 Work accounting: ``blocks_scanned`` counts free-list blocks examined,
 ``splits`` and ``coalesces`` count block surgery, ``sbrks`` counts heap
@@ -35,20 +45,27 @@ MIN_BLOCK_SIZE = HEADER_SIZE + ALIGNMENT
 
 
 class _Block:
-    """One contiguous block, allocated or free.
+    """One contiguous block, allocated or free; a new block is free.
 
-    ``size`` includes the header.  Free blocks are linked into the circular
+    ``size`` includes the header.  ``left`` and ``right`` link the
+    physical neighbours (``None`` at the heap's ends), which is what
+    Knuth's boundary tags give a real heap: O(1) access to both
+    coalescing candidates.  Free blocks are also linked into the circular
     free list through ``prev``/``next``.
     """
 
-    __slots__ = ("addr", "size", "free", "prev", "next", "req_size")
+    __slots__ = ("addr", "size", "free", "prev", "next", "left", "right",
+                 "req_size")
 
-    def __init__(self, addr: int, size: int, free: bool):
+    def __init__(self, addr: int, size: int, left: Optional["_Block"],
+                 right: Optional["_Block"]):
         self.addr = addr
         self.size = size
-        self.free = free
+        self.free = True
         self.prev: Optional["_Block"] = None
         self.next: Optional["_Block"] = None
+        self.left = left
+        self.right = right
         self.req_size = 0  # caller-requested bytes when allocated
 
     def __repr__(self) -> str:
@@ -69,13 +86,13 @@ class FirstFitAllocator(Allocator):
         super().__init__()
         self.space = AddressSpace(base=base, increment=sbrk_increment)
         self._blocks: Dict[int, _Block] = {}  # by start address
-        self._ends: Dict[int, _Block] = {}  # block ending at addr -> block
+        self._top: Optional[_Block] = None  # the block ending at the break
         self._rover: Optional[_Block] = None  # some free block, or None
         self._live_bytes = 0
         # Telemetry gauges, maintained incrementally so snapshots never
-        # walk the heap: count and total size of allocated blocks, and
+        # walk the heap: total size of allocated blocks and the free-list
+        # length.  The allocated-block count is the block map's size less
         # the free-list length.
-        self._used_blocks = 0
         self._used_block_bytes = 0
         self._free_blocks = 0
 
@@ -111,15 +128,17 @@ class FirstFitAllocator(Allocator):
         remainder = block.size - need
         if remainder >= MIN_BLOCK_SIZE:
             ops.splits += 1
-            ends = self._ends
-            tail = _Block(block.addr + need, remainder, free=True)
-            del ends[block.addr + block.size]
+            right = block.right
+            tail = _Block(block.addr + need, remainder, block, right)
+            if right is None:
+                self._top = tail
+            else:
+                right.left = tail
+            block.right = tail
             block.size = need
-            ends[block.addr + need] = block
             self._blocks[tail.addr] = tail
-            ends[tail.addr + remainder] = tail
             # The remainder takes the allocated block's place on the free
-            # list, so the roving pointer naturally continues from it.
+            # list, and the rover's too if it pointed at the block.
             if block.next is block:
                 tail.prev = tail.next = tail
             else:
@@ -134,7 +153,6 @@ class FirstFitAllocator(Allocator):
             self._freelist_remove(block)
         block.free = False
         block.req_size = size
-        self._used_blocks += 1
         self._used_block_bytes += block.size
         self._live_bytes += size
         addr = block.addr + HEADER_SIZE
@@ -150,32 +168,34 @@ class FirstFitAllocator(Allocator):
             raise AllocatorError(f"double free at address {addr}")
         self.ops.frees += 1
         self._live_bytes -= block.req_size
-        self._used_blocks -= 1
         self._used_block_bytes -= block.size
         block.free = True
         block.req_size = 0
 
-        # Coalesce with free neighbours through the boundary tags.
-        blocks = self._blocks
-        ends = self._ends
-        right = blocks.get(block.addr + block.size)
+        # Coalesce with free neighbours through the neighbour links,
+        # right first.
+        right = block.right
         if right is not None and right.free:
             self.ops.coalesces += 1
             self._freelist_remove(right)
-            del blocks[right.addr]
-            del ends[block.addr + block.size]
-            del ends[right.addr + right.size]
+            del self._blocks[right.addr]
             block.size += right.size
-            ends[block.addr + block.size] = block
-        left = ends.get(block.addr)
+            right = block.right = right.right
+            if right is None:
+                self._top = block
+            else:
+                right.left = block
+        left = block.left
         if left is not None and left.free:
             # The left neighbour absorbs the block; it is already listed.
             self.ops.coalesces += 1
-            del blocks[block.addr]
-            del ends[left.addr + left.size]
-            del ends[block.addr + block.size]
+            del self._blocks[block.addr]
             left.size += block.size
-            ends[left.addr + left.size] = left
+            left.right = right
+            if right is None:
+                self._top = left
+            else:
+                right.left = left
         else:
             self._freelist_insert(block)
         if self.probe is not None:
@@ -200,16 +220,17 @@ class FirstFitAllocator(Allocator):
         """
         extent = self.space.brk - self.space.base
         free_bytes = extent - self._used_block_bytes
+        used_blocks = len(self._blocks) - self._free_blocks
         internal_waste = (
             self._used_block_bytes
-            - self._used_blocks * HEADER_SIZE
+            - used_blocks * HEADER_SIZE
             - self._live_bytes
         )
         return {
             "heap_size": extent,
             "max_heap_size": self.space.max_heap_size,
             "live_bytes": self._live_bytes,
-            "used_blocks": self._used_blocks,
+            "used_blocks": used_blocks,
             "free_blocks": self._free_blocks,
             "free_bytes": free_bytes,
             "external_frag": _frac(free_bytes, extent),
@@ -225,18 +246,17 @@ class FirstFitAllocator(Allocator):
         """Extend the heap so a block of ``need`` bytes exists at the top."""
         self.ops.sbrks += 1
         # If the topmost block is free, sbrk only the shortfall and extend it.
-        top = self._ends.get(self.space.brk)
+        top = self._top
         if top is not None and top.free:
-            grow = need - top.size
-            old_brk = self.space.sbrk(grow)
-            del self._ends[old_brk]
+            old_brk = self.space.sbrk(need - top.size)
             top.size += self.space.brk - old_brk
-            self._ends[top.addr + top.size] = top
             return top
         old_brk = self.space.sbrk(need)
-        block = _Block(old_brk, self.space.brk - old_brk, free=True)
+        block = _Block(old_brk, self.space.brk - old_brk, top, None)
+        if top is not None:
+            top.right = block
+        self._top = block
         self._blocks[block.addr] = block
-        self._ends[block.addr + block.size] = block
         self._freelist_insert(block)
         return block
 
@@ -272,38 +292,48 @@ class FirstFitAllocator(Allocator):
     # ------------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Full heap audit: coverage, adjacency, free-list consistency."""
+        """Full heap audit: coverage, neighbour links, the free list."""
         addr = self.space.base
         free_blocks = set()
-        used_blocks = 0
         used_block_bytes = 0
-        prev_free = False
+        left = None
+        walked = 0
         while addr < self.space.brk:
             block = self._blocks.get(addr)
             if block is None:
                 raise AllocatorError(f"hole or overlap at address {addr}")
-            if self._ends.get(addr + block.size) is not block:
-                raise AllocatorError(f"end map wrong for {block!r}")
+            if block.left is not left or (
+                left is not None and left.right is not block
+            ):
+                raise AllocatorError(f"neighbour links wrong at {block!r}")
             if block.free:
-                if prev_free:
+                if left is not None and left.free:
                     raise AllocatorError(
                         f"adjacent free blocks not coalesced at {addr}"
                     )
                 free_blocks.add(id(block))
             else:
-                used_blocks += 1
                 used_block_bytes += block.size
-            prev_free = block.free
             addr += block.size
+            left = block
+            walked += 1
         if addr != self.space.brk:
             raise AllocatorError("blocks overrun the program break")
-        if (used_blocks, used_block_bytes) != (
-            self._used_blocks, self._used_block_bytes
+        if self._top is not left or (
+            left is not None and left.right is not None
         ):
             raise AllocatorError(
-                f"telemetry gauges stale: {self._used_blocks} blocks/"
-                f"{self._used_block_bytes} bytes counted, heap has "
-                f"{used_blocks}/{used_block_bytes}"
+                f"top block is {self._top!r}, heap ends at {left!r}"
+            )
+        if walked != len(self._blocks):
+            raise AllocatorError(
+                f"block map holds {len(self._blocks)} blocks, "
+                f"heap has {walked}"
+            )
+        if used_block_bytes != self._used_block_bytes:
+            raise AllocatorError(
+                f"telemetry gauge stale: {self._used_block_bytes} used-block "
+                f"bytes counted, heap has {used_block_bytes}"
             )
         # Free list must contain exactly the free blocks, each once.
         seen = set()

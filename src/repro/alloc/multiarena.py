@@ -91,14 +91,6 @@ class _Area:
     def live_bytes(self) -> int:
         return sum(arena.live_bytes for arena in self.arenas)
 
-    def check(self) -> None:
-        for arena in self.arenas:
-            if arena.count != len(arena._live):
-                raise AllocatorError(
-                    f"arena at {arena.base}: count {arena.count} != "
-                    f"{len(arena._live)} live objects"
-                )
-
 
 class MultiArenaAllocator(Allocator):
     """Class-laddered arena allocation over a first-fit general heap."""
@@ -131,7 +123,6 @@ class MultiArenaAllocator(Allocator):
             cursor = area.limit
         self._areas_limit = cursor
         self._general = FirstFitAllocator(base=cursor)
-        self.general_bytes = 0
 
     @property
     def general(self) -> FirstFitAllocator:
@@ -176,7 +167,6 @@ class MultiArenaAllocator(Allocator):
                 placement = "overflow"
             else:
                 placement = "general"
-        self.general_bytes += size
         addr = self._general.malloc(size, chain)
         if self.probe is not None:
             self.probe.on_alloc(addr, size, chain, placement)
@@ -218,6 +208,11 @@ class MultiArenaAllocator(Allocator):
         """Bytes served from any class area."""
         return sum(stats.bytes for stats in self.area_stats)
 
+    @property
+    def general_bytes(self) -> int:
+        """Bytes requested of the general heap."""
+        return self.ops.bytes_requested - self.arena_bytes
+
     def telemetry_snapshot(self) -> dict:
         """General-heap gauges plus per-class area occupancy/overflows."""
         snapshot = self._general.telemetry_snapshot()
@@ -254,6 +249,4 @@ class MultiArenaAllocator(Allocator):
         return snapshot
 
     def check_invariants(self) -> None:
-        for area in self.areas:
-            area.check()
         self._general.check_invariants()

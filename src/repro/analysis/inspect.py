@@ -29,8 +29,7 @@ def lifetime_report(trace: Trace, threshold: int = DEFAULT_THRESHOLD) -> str:
         return f"{trace.program}/{trace.dataset}: empty trace"
     total = trace.total_bytes
     histogram = P2Histogram(cells=4)
-    for lifetime, _ in pairs:
-        histogram.add(lifetime)
+    histogram.extend(lifetime for lifetime, _ in pairs)
     byte_qs = _byte_weighted_quartiles(pairs, total)
     short = actual_short_lived_bytes(trace, threshold)
 

@@ -19,6 +19,7 @@ distinct allocator placement replays once however many tables read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.alloc.costs import DEFAULT_COST_MODEL, execution_instructions
@@ -214,8 +215,7 @@ def table3(store: TraceStore) -> List[Table3Row]:
 
         histogram = P2Histogram(cells=4)
         for lifetime, (count, _) in runs:
-            for _ in range(count):
-                histogram.add(lifetime)
+            histogram.extend(repeat(lifetime, count))
         rows.append(
             Table3Row(
                 program=program,

@@ -31,26 +31,22 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from functools import lru_cache
 from typing import Iterable, List, Sequence
 
 __all__ = ["P2Quantile", "P2Histogram", "ExactQuantiles"]
 
 
-def _parabolic(q: Sequence[float], n: Sequence[float], i: int, d: int) -> float:
-    """P^2 parabolic prediction of marker ``i`` moved ``d`` positions.
-
-    Implements equation (1) of Jain & Chlamtac: the new height is found by
-    fitting a parabola through marker ``i`` and its neighbours.
-    """
-    return q[i] + d / (n[i + 1] - n[i - 1]) * (
-        (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-        + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
+@lru_cache(maxsize=None)
+def _index_ranges(nmarkers: int):
+    """The P^2 update's index ranges for ``nmarkers`` markers, built once
+    and shared by every estimator of that size: the markers above each
+    cell, every marker, and the interior markers."""
+    return (
+        tuple(range(k + 1, nmarkers) for k in range(nmarkers)),
+        range(nmarkers),
+        range(1, nmarkers - 1),
     )
-
-
-def _linear(q: Sequence[float], n: Sequence[float], i: int, d: int) -> float:
-    """Linear fallback used when the parabolic prediction is not monotone."""
-    return q[i] + d * (q[i + d] - q[i]) / (n[i + d] - n[i])
 
 
 class _P2Markers:
@@ -74,6 +70,7 @@ class _P2Markers:
         self._n: List[float] = []  # marker positions (1-based counts)
         self._np: List[float] = []  # desired marker positions
         self._count = 0
+        self._ranges = _index_ranges(self._nmarkers)
 
     @property
     def count(self) -> int:
@@ -82,61 +79,78 @@ class _P2Markers:
 
     def add(self, x: float) -> None:
         """Fold one observation into the estimate."""
-        self._count += 1
-        if self._q:
-            self._update(x)
-        else:
-            insort(self._initial, x)
-            if len(self._initial) == self._nmarkers:
-                self._q = list(self._initial)
-                self._n = [float(i + 1) for i in range(self._nmarkers)]
-                self._np = [
-                    1.0 + (self._nmarkers - 1) * inc for inc in self._increments
-                ]
-                self._initial = []
+        self.extend((x,))
 
     def extend(self, xs: Iterable[float]) -> None:
-        """Fold every observation of ``xs`` into the estimate."""
-        for x in xs:
-            self.add(x)
-
-    def _update(self, x: float) -> None:
+        """Fold every observation of ``xs`` into the estimate, in order."""
+        xs = iter(xs)
+        if not self._q:
+            # Warm-up: keep the first observations sorted until there is
+            # one per marker; they become the initial heights.
+            initial = self._initial
+            for x in xs:
+                self._count += 1
+                insort(initial, x)
+                if len(initial) == self._nmarkers:
+                    break
+            else:
+                return
+            self._q = initial
+            self._n = [float(i + 1) for i in range(self._nmarkers)]
+            self._np = [
+                1.0 + (self._nmarkers - 1) * inc for inc in self._increments
+            ]
+            self._initial = []
         q, n, np_ = self._q, self._n, self._np
+        increments = self._increments
+        above, markers, interior = self._ranges
         last = self._nmarkers - 1
+        count = self._count
+        for x in xs:
+            count += 1
+            # Find the cell containing x, extending the extreme markers if
+            # needed (steps B1-B2 of the published algorithm).
+            if x < q[0]:
+                q[0] = x
+                k = 0
+            elif x >= q[last]:
+                if x > q[last]:
+                    q[last] = x
+                k = last - 1
+            else:
+                k = 0
+                while not (q[k] <= x < q[k + 1]):
+                    k += 1
 
-        # Find the cell containing x, extending the extreme markers if
-        # needed (steps B1-B2 of the published algorithm).
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[last]:
-            if x > q[last]:
-                q[last] = x
-            k = last - 1
-        else:
-            k = 0
-            while not (q[k] <= x < q[k + 1]):
-                k += 1
+            # Shift positions of markers above the cell, advance desired
+            # positions of every marker (steps B3-B4).
+            for i in above[k]:
+                n[i] += 1.0
+            for i in markers:
+                np_[i] += increments[i]
 
-        # Shift positions of markers above the cell, advance desired
-        # positions of every marker (steps B3-B4).
-        for i in range(k + 1, self._nmarkers):
-            n[i] += 1.0
-        for i in range(self._nmarkers):
-            np_[i] += self._increments[i]
-
-        # Adjust interior markers toward their desired positions (step B5).
-        for i in range(1, last):
-            d = np_[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                d <= -1.0 and n[i - 1] - n[i] < -1.0
-            ):
-                step = 1 if d > 0 else -1
-                candidate = _parabolic(q, n, i, step)
-                if not (q[i - 1] < candidate < q[i + 1]):
-                    candidate = _linear(q, n, i, step)
-                q[i] = candidate
-                n[i] += step
+            # Adjust interior markers toward their desired positions (step
+            # B5): the parabolic prediction of equation (1), or the linear
+            # one when the parabola would break monotonicity.
+            for i in interior:
+                d = np_[i] - n[i]
+                if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
+                    d <= -1.0 and n[i - 1] - n[i] < -1.0
+                ):
+                    step = 1 if d > 0 else -1
+                    candidate = q[i] + step / (n[i + 1] - n[i - 1]) * (
+                        (n[i] - n[i - 1] + step) * (q[i + 1] - q[i])
+                        / (n[i + 1] - n[i])
+                        + (n[i + 1] - n[i] - step) * (q[i] - q[i - 1])
+                        / (n[i] - n[i - 1])
+                    )
+                    if not (q[i - 1] < candidate < q[i + 1]):
+                        candidate = q[i] + step * (q[i + step] - q[i]) / (
+                            n[i + step] - n[i]
+                        )
+                    q[i] = candidate
+                    n[i] += step
+        self._count = count
 
     def _marker_heights(self) -> List[float]:
         """Marker heights, falling back to sorted observations pre-warmup."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.sites import CallChain, ChainTable
 
@@ -84,6 +84,7 @@ class Trace:
         self._touch_counts = touch_counts if touch_counts is not None else array("q")
         self._live_stats: Optional[LiveStats] = None
         self._total_bytes: Optional[int] = None
+        self._unfreed_touches: Optional[Tuple[Tuple[int, int], ...]] = None
 
     # ------------------------------------------------------------------
     # Object records
@@ -134,6 +135,20 @@ class Trace:
     def touches_of(self, obj_id: int) -> int:
         """How many heap references were made to object ``obj_id``."""
         return self._touches[obj_id]
+
+    @property
+    def unfreed_touches(self) -> Tuple[Tuple[int, int], ...]:
+        """``(obj_id, touches)`` of every never-freed object with a
+        nonzero touch count, by object id; cached after first use."""
+        if self._unfreed_touches is None:
+            deaths = self._deaths
+            touches = self._touches
+            self._unfreed_touches = tuple(
+                (obj_id, touches[obj_id])
+                for obj_id in range(len(deaths))
+                if deaths[obj_id] == _NEVER_FREED and touches[obj_id] != 0
+            )
+        return self._unfreed_touches
 
     # ------------------------------------------------------------------
     # Event sequence

@@ -164,12 +164,6 @@ class TraceEventSource(EventSource):
     def summary(self) -> StreamSummary:
         if self._summary is None:
             trace = self.trace
-            unfreed = tuple(
-                (obj_id, self._touches[obj_id])
-                for obj_id in range(len(self._sizes))
-                if self._deaths[obj_id] == _NEVER_FREED
-                and self._touches[obj_id] != 0
-            )
             self._summary = StreamSummary(
                 total_calls=trace.total_calls,
                 heap_refs=trace.heap_refs,
@@ -177,7 +171,7 @@ class TraceEventSource(EventSource):
                 end_time=trace.end_time,
                 total_objects=trace.total_objects,
                 event_count=trace.event_count,
-                unfreed_touches=unfreed,
+                unfreed_touches=trace.unfreed_touches,
             )
         return self._summary
 

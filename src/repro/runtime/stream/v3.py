@@ -40,6 +40,7 @@ import json
 import os
 import struct
 import zlib
+from itertools import islice
 from typing import BinaryIO, Iterator, Tuple
 
 from repro.core.sites import ChainTable
@@ -124,17 +125,13 @@ def write_trace_v3(
         offset += fh.write(_pack_frame(_KIND_HEADER, header_doc))
         chunks = []
         event_count = 0
-        buffer = []
-        for ev in source.events():
-            buffer.append(list(ev))
-            if len(buffer) >= chunk_events:
-                chunks.append([offset, len(buffer)])
-                event_count += len(buffer)
-                offset += fh.write(
-                    _pack_frame(_KIND_EVENTS, {"events": buffer})
-                )
-                buffer = []
-        if buffer:
+        events = source.events()
+        # The source's tuples go into the frame as they are: ``json``
+        # writes a tuple as an array, so the bytes match a list's.
+        while True:
+            buffer = list(islice(events, chunk_events))
+            if not buffer:
+                break
             chunks.append([offset, len(buffer)])
             event_count += len(buffer)
             offset += fh.write(_pack_frame(_KIND_EVENTS, {"events": buffer}))

@@ -110,9 +110,12 @@ def convert_trace(src: PathLike, dst: PathLike) -> None:
     """Rewrite trace file ``src`` (v2 or v3) as a v3 file at ``dst``.
 
     A v3 source streams disk to disk without materializing; a v2
-    document has no index to stream from, so it is read whole.
+    document has no index to stream from, so it is read whole and
+    checked as :func:`~repro.runtime.stream.protocol.build_trace` checks
+    a stream before anything is written: a malformed one raises a
+    :class:`TraceFormatError` naming ``src`` and leaves ``dst`` alone.
     """
-    from repro.runtime.stream.protocol import TraceEventSource
+    from repro.runtime.stream.protocol import TraceEventSource, build_trace
     from repro.runtime.stream.v3 import write_trace_v3
 
     with open(src, "rb") as fh:
@@ -121,6 +124,8 @@ def convert_trace(src: PathLike, dst: PathLike) -> None:
         source = open_trace_stream(src)
     else:
         source = TraceEventSource(_read_v2(src))
+        source.path = os.fspath(src)  # what a failed check names
+        build_trace(source)
     write_trace_v3(source, dst)
 
 
@@ -153,7 +158,7 @@ def _read_v2(path: PathLike) -> Trace:
         chains = ChainTable.from_list(
             [tuple(chain) for chain in doc["chains"]]
         )
-        return Trace(
+        trace = Trace(
             program=doc["program"],
             dataset=doc["dataset"],
             chains=chains,
@@ -170,3 +175,15 @@ def _read_v2(path: PathLike) -> Trace:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"{path}: malformed trace file: {exc}") from exc
+    # Each event code indexes the per-object arrays by object id.
+    arrays = trace.raw_arrays()
+    objects = trace.total_objects
+    if any(
+        len(arrays[name]) != objects
+        for name in ("chain_ids", "births", "deaths", "touches")
+    ) or (arrays["events"] and max(arrays["events"]) >> 2 >= objects):
+        raise TraceFormatError(
+            f"{path}: malformed trace file: the per-object arrays and the "
+            f"event codes disagree on the object count ({objects} sizes)"
+        )
+    return trace

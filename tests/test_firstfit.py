@@ -59,9 +59,10 @@ class TestBasics:
 
 
 class TestReuseAndCoalescing:
-    # A small sbrk increment keeps the heap tight so the roving-pointer
-    # (next-fit) search has exactly one hole that can satisfy the probe
-    # request, making reuse assertions deterministic.
+    # A small sbrk increment keeps the heap tight so the search from the
+    # rover (which stays put unless its own block is taken: not next-fit)
+    # has exactly one hole that can satisfy the probe request, making
+    # reuse assertions deterministic.
 
     def test_freed_block_reused(self):
         alloc = FirstFitAllocator(sbrk_increment=80)
@@ -175,3 +176,20 @@ class TestRandomizedInvariants:
         # All space coalesced: one free block spanning the whole heap.
         free_blocks = [b for b in alloc._blocks.values() if b.free]
         assert len(free_blocks) == 1
+
+
+class TestAudit:
+    def test_audit_catches_broken_neighbour_links(self):
+        # The audit checks the links free and _grow follow, not just the
+        # address map.
+        alloc = FirstFitAllocator(sbrk_increment=64)
+        first, second, _ = (alloc.malloc(16) for _ in range(3))
+        alloc.check_invariants()
+        middle = alloc._blocks[second - HEADER_SIZE]
+        middle.left = None
+        with pytest.raises(AllocatorError, match="neighbour links"):
+            alloc.check_invariants()
+        middle.left = alloc._blocks[first - HEADER_SIZE]
+        alloc._top = middle
+        with pytest.raises(AllocatorError, match="top block"):
+            alloc.check_invariants()

@@ -151,6 +151,113 @@ class TestP2Histogram:
         assert hist.quantiles() == [float(value)] * 5
 
 
+def _p2_reference(increments, xs):
+    """Jain & Chlamtac's P^2, transcribed step by step from the paper.
+
+    ``increments[i]`` is marker ``i``'s desired-position increment per
+    observation.  Returns the marker heights, or ``None`` before one
+    observation per marker has arrived.  The estimators must match this
+    bit for bit, so the arithmetic keeps the published formulas'
+    operand order.
+    """
+    m = len(increments)
+    xs = list(xs)
+    if len(xs) < m:
+        return None
+    # A: the first m observations, sorted, are the initial heights.
+    q = sorted(xs[:m])
+    n = [float(i + 1) for i in range(m)]
+    desired = [1.0 + (m - 1) * inc for inc in increments]
+    for x in xs[m:]:
+        # B1: find the cell k with q[k] <= x < q[k + 1]; a new extreme
+        # replaces the end marker's height.
+        if x < q[0]:
+            q[0] = x
+            k = 0
+        elif x >= q[m - 1]:
+            q[m - 1] = max(q[m - 1], x)
+            k = m - 2
+        else:
+            k = max(i for i in range(m - 1) if q[i] <= x)
+        # B2: the markers above the cell move up one position.
+        for i in range(k + 1, m):
+            n[i] = n[i] + 1.0
+        # B3: every desired position advances by its increment.
+        for i in range(m):
+            desired[i] = desired[i] + increments[i]
+        # B4-B5: an interior marker at least one position off its desired
+        # position, with room to move, moves one step; its height follows
+        # the parabola (equation 1), or the line when the parabola would
+        # leave the neighbours' heights.
+        for i in range(1, m - 1):
+            d = desired[i] - n[i]
+            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
+                d <= -1.0 and n[i - 1] - n[i] < -1.0
+            ):
+                d = 1 if d > 0 else -1
+                parabolic = q[i] + d / (n[i + 1] - n[i - 1]) * (
+                    (n[i] - n[i - 1] + d) * (q[i + 1] - q[i])
+                    / (n[i + 1] - n[i])
+                    + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1])
+                    / (n[i] - n[i - 1])
+                )
+                if q[i - 1] < parabolic < q[i + 1]:
+                    q[i] = parabolic
+                else:
+                    q[i] = q[i] + d * (q[i + d] - q[i]) / (n[i + d] - n[i])
+                n[i] = n[i] + d
+    return q
+
+
+@st.composite
+def _p2_streams(draw):
+    """Lifetime-like streams: unsorted, sorted, or runs of one value
+    (the shape Table 3 feeds, lifetime by lifetime)."""
+    kind = draw(st.sampled_from(["unsorted", "sorted", "repeated"]))
+    if kind == "repeated":
+        runs = draw(st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(1, 40)),
+            max_size=30,
+        ))
+        return [value for value, count in runs for _ in range(count)]
+    xs = draw(st.lists(
+        st.integers(0, 10**6) | st.floats(0, 1e9, allow_nan=False),
+        max_size=300,
+    ))
+    return sorted(xs) if kind == "sorted" else xs
+
+
+class TestP2MatchesPublishedAlgorithm:
+    """``add`` and ``extend`` give the published algorithm's floats."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(xs=_p2_streams(), cells=st.sampled_from([2, 4, 8]),
+           split=st.integers(0, 300))
+    def test_histogram(self, xs, cells, split):
+        expected = _p2_reference([i / cells for i in range(cells + 1)], xs)
+        one_by_one = P2Histogram(cells)
+        for x in xs:
+            one_by_one.add(x)
+        mixed = P2Histogram(cells)
+        for x in xs[:split]:
+            mixed.add(x)
+        mixed.extend(iter(xs[split:]))
+        for hist in (one_by_one, mixed):
+            assert hist.count == len(xs)
+            if expected is not None:
+                assert hist.quantiles() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(xs=_p2_streams(), p=st.sampled_from([0.1, 0.25, 0.5, 0.9]))
+    def test_quantile(self, xs, p):
+        expected = _p2_reference([0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0], xs)
+        est = P2Quantile(p)
+        est.extend(xs)
+        assert est.count == len(xs)
+        if expected is not None:
+            assert est.value() == expected[2]
+
+
 class TestExactQuantiles:
     def test_empty_raises(self):
         with pytest.raises(ValueError):

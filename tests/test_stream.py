@@ -27,6 +27,7 @@ from repro.core.predictor import (
 )
 from repro.core.profile import build_profile
 from repro.obs.metrics import Metrics
+from repro.runtime.events import TraceBuilder
 from repro.runtime.heap import TracedHeap
 from repro.runtime.stream import (
     EventSource,
@@ -88,6 +89,15 @@ class TestProtocol:
         assert summary.end_time == trace.end_time
         assert summary.total_objects == trace.total_objects
         assert summary.event_count == trace.event_count
+
+    def test_unfreed_touches_walk_once_per_trace(self):
+        # Every source over one trace shares the trace's cached walk.
+        builder = TraceBuilder("kept", "synthetic")
+        builder.set_touches(builder.add_alloc(("main", "work"), 32, 0), 3)
+        trace = builder.build()
+        first = TraceEventSource(trace).summary.unfreed_touches
+        assert first == ((0, 3),)
+        assert TraceEventSource(trace).summary.unfreed_touches is first
 
     def test_events_returns_a_fresh_iterator_each_call(self):
         source = TraceEventSource(make_churn_trace(objects=30))

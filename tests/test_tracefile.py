@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gzip
 import json
 import shutil
 
@@ -117,6 +118,30 @@ class TestErrors:
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]")
         self.assert_rejected(path)
+
+    @pytest.mark.parametrize("field, index, value, problem", [
+        ("sizes", 3, 0, "object 3 has size 0"),
+        ("sizes", 3, -8, "object 3 has size -8"),
+        ("chain_ids", 3, 1, "object 3 names chain id 1"),
+        # A free of object 24, one past the fixture's last object.
+        ("events", None, (24 << 2) | 1, "disagree on the object count"),
+    ], ids=["size-0", "negative-size", "uninterned-chain",
+            "never-allocated-free"])
+    def test_malformed_stream(self, tmp_path, field, index, value, problem):
+        # The document parses, but its stream breaks build_trace's
+        # contract: convert must name the v2 file and write nothing.
+        doc = json.loads(gzip.decompress(V2_FIXTURE.read_bytes()))
+        if index is None:
+            doc[field].append(value)
+        else:
+            doc[field][index] = value
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.rtr3"
+        with pytest.raises(TraceFormatError, match=problem) as info:
+            convert_trace(path, out)
+        assert str(info.value).startswith(f"{path}: ")
+        assert not out.exists()
 
 
 class TestPropertyRoundTrip:
