@@ -123,7 +123,6 @@ def main() -> int:
               f"on {sys.platform}")
         return 0
 
-    from repro.runtime.stream.protocol import TraceEventSource
     from repro.runtime.stream.v3 import write_trace_v3
     from repro.workloads.registry import run_workload
 
@@ -132,8 +131,7 @@ def main() -> int:
         print(f"tracing {args.program}/{args.dataset} at scale "
               f"{args.scale:g} ...")
         trace = run_workload(args.program, args.dataset, scale=args.scale)
-        write_trace_v3(TraceEventSource(trace), trace_path,
-                       chunk_events=SMOKE_CHUNK_EVENTS)
+        write_trace_v3(trace, trace_path, chunk_events=SMOKE_CHUNK_EVENTS)
         size_kb = trace_path.stat().st_size // 1024
         print(f"  {trace.total_objects} objects, {trace.event_count} "
               f"events -> {trace_path.name} ({size_kb} KB)")

@@ -51,7 +51,7 @@ from repro.analysis.simulate import (
     replay_spec,
 )
 from repro.analysis.trace_cache import TraceCache, cache_disabled_by_env
-from repro.core.cce import CCEPredictor, train_cce_predictor
+from repro.core.cce import CCEPredictor
 from repro.core.multiclass import MultiClassPredictor
 from repro.core.predictor import (
     DEFAULT_THRESHOLD,
@@ -63,9 +63,8 @@ from repro.core.predictor import (
     pair_table,
 )
 from repro.core.sites import FULL_CHAIN
-from repro.runtime.events import Trace
+from repro.runtime.events import EventSource, Trace
 from repro.runtime.folds import PairTable
-from repro.runtime.stream.protocol import EventSource, TraceEventSource
 from repro.workloads.registry import PROGRAM_ORDER, run_workload
 
 __all__ = ["TraceStore", "WarmResult", "EVAL_DATASET", "TRAIN_DATASET"]
@@ -137,7 +136,7 @@ class TraceStore:
     ``metrics`` (the process-wide default when omitted).
 
     With ``streaming=True`` the store hands consumers
-    :class:`~repro.runtime.stream.protocol.EventSource` views that replay
+    :class:`~repro.runtime.stream.v3.TraceFileSource` streams that replay
     the cached v3 files chunk by chunk (see :meth:`source`) instead of
     retaining materialized traces, keeping the whole pipeline's footprint
     at O(live objects + one chunk) per execution.  :meth:`trace` still
@@ -223,21 +222,22 @@ class TraceStore:
         return self._traces[key]
 
     def source(self, program: str, dataset: str = EVAL_DATASET) -> EventSource:
-        """An event-stream view of one workload execution.
+        """The event source of one workload execution.
 
-        In the default (materialized) mode this wraps :meth:`trace`, so it
-        costs nothing beyond that call.  In streaming mode the resolution
-        order mirrors :meth:`trace` but never materializes: a trace
-        already in this store's memory is wrapped; otherwise the disk
-        cache's v3 entry is opened as a chunked file stream; on a miss the
-        workload runs once, publishes its trace to the cache, and the
-        *file* is streamed back rather than the run's trace being
-        retained.  Only with the cache disabled does streaming mode fall
-        back to wrapping the in-memory run (without retaining it).
+        In the default (materialized) mode this is :meth:`trace`, a
+        :class:`Trace` being the in-memory event source.  In streaming
+        mode the resolution order mirrors :meth:`trace` but never
+        materializes: a trace already in this store's memory is returned;
+        otherwise the disk cache's v3 entry is opened as a chunked file
+        stream; on a miss the workload runs once, publishes its trace to
+        the cache, and the *file* is streamed back rather than the run's
+        trace being retained.  Only with the cache disabled does
+        streaming mode fall back to the in-memory run (without retaining
+        it).
         """
         key = (program, dataset)
         if not self.streaming or key in self._traces:
-            return TraceEventSource(self.trace(program, dataset))
+            return self.trace(program, dataset)
         if self._cache is not None:
             source = self._cache.open_stream(program, dataset, self.scale)
             if source is not None:
@@ -250,7 +250,7 @@ class TraceStore:
             source = self._cache.open_stream(program, dataset, self.scale)
             if source is not None:
                 return source
-        return TraceEventSource(trace)
+        return trace
 
     def predictor(
         self,
@@ -325,12 +325,13 @@ class TraceStore:
         threshold: int = DEFAULT_THRESHOLD,
         size_rounding: int = TRUE_PREDICTION_ROUNDING,
     ) -> CCEPredictor:
-        """A (cached) call-chain-encryption predictor."""
+        """A (cached) call-chain-encryption predictor, selected from the
+        execution's stored pair table."""
         key = (program, train_dataset, threshold, size_rounding)
         if key not in self._cce_predictors:
-            self._cce_predictors[key] = train_cce_predictor(
-                self.source(program, train_dataset), threshold=threshold,
-                size_rounding=size_rounding,
+            table = self._training_table(program, train_dataset, threshold)
+            self._cce_predictors[key] = CCEPredictor.from_table(
+                table, threshold, size_rounding, program=program,
             )
         return self._cce_predictors[key]
 

@@ -25,7 +25,7 @@ workloads' buffers and arrays).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.alloc.base import Allocator
 from repro.alloc.cache import CacheConfig, SetAssociativeCache
@@ -36,13 +36,8 @@ from repro.alloc.spec import (
     PAPER_DEFAULT_SPEC,
     build_allocator,
 )
-from repro.runtime.events import Trace
-from repro.runtime.stream.protocol import (
-    EV_ALLOC,
-    EV_FREE,
-    EventSource,
-    as_event_source,
-)
+from repro.runtime.events import EV_ALLOC, EV_FREE, EventSource
+from repro.runtime.stream.protocol import check_footer, first_malformed
 
 __all__ = [
     "LocalityResult",
@@ -89,7 +84,7 @@ class LocalityResult:
 
 
 def measure_locality(
-    trace: Union[Trace, EventSource],
+    source: EventSource,
     allocator: Allocator,
     config: Optional[CacheConfig] = None,
     region_boundary: int = 0,
@@ -102,8 +97,10 @@ def measure_locality(
 
     Streams the event protocol: alloc events carry their own size and
     chain, so the per-object working set is the live-address/cursor maps.
+    A malformed stream, or a footer that disagrees with it, raises the
+    :class:`~repro.runtime.tracefile.TraceFormatError` that
+    :func:`~repro.runtime.stream.protocol.build_trace` raises for it.
     """
-    source = as_event_source(trace)
     header = source.header
     if not header.has_touch_events:
         raise ValueError(
@@ -111,16 +108,21 @@ def measure_locality(
             "record_touches=True"
         )
     chain_of = header.chains.chain
+    chain_count = len(header.chains)
     cache = SetAssociativeCache(config)
     addresses: Dict[int, int] = {}
     cursors: Dict[int, int] = {}
     sizes: Dict[int, int] = {}
-    in_region = 0
+    in_region = next_id = allocated = 0
     for ev in source.events():
         tag = ev[0]
         obj_id = ev[1]
         if tag == EV_ALLOC:
             size = ev[3]
+            if obj_id != next_id or not 0 <= ev[2] < chain_count or size < 1:
+                raise first_malformed(source)
+            next_id += 1
+            allocated += size
             addr = allocator.malloc(size, chain_of(ev[2]))
             addresses[obj_id] = addr
             sizes[obj_id] = size
@@ -131,7 +133,10 @@ def measure_locality(
             if addr < region_boundary:
                 in_region += cache.accesses - before
         elif tag == EV_FREE:
-            addr = addresses.pop(obj_id)
+            try:
+                addr = addresses.pop(obj_id)
+            except KeyError as exc:
+                raise first_malformed(source) from exc
             cache.access(addr)  # header read on free
             if addr < region_boundary:
                 in_region += 1
@@ -146,11 +151,11 @@ def measure_locality(
             size = sizes[obj_id]
             offset = cursors[obj_id]
             before = cache.accesses
-            cache.access_range(addr + offset % max(size, 1),
-                               min(count * WORD, size))
+            cache.access_range(addr + offset % size, min(count * WORD, size))
             if addr < region_boundary:
                 in_region += cache.accesses - before
-            cursors[obj_id] = (offset + count * WORD) % max(size, 1)
+            cursors[obj_id] = (offset + count * WORD) % size
+    check_footer(source, next_id, allocated, addresses.__contains__)
     return LocalityResult(
         allocator=allocator.name,
         program=header.program,
@@ -161,7 +166,7 @@ def measure_locality(
 
 
 def compare_locality(
-    trace: Union[Trace, EventSource],
+    source: EventSource,
     predictor: LifetimePredictor,
     config: Optional[CacheConfig] = None,
     prefragment_holes: int = 0,
@@ -176,7 +181,6 @@ def compare_locality(
     land all over the fragmented expanse, while the arena allocator keeps
     them inside its 64 KB area.
     """
-    source = as_event_source(trace)
     firstfit = build_allocator(FIRSTFIT_SPEC)
     bsd = build_allocator(BSD_SPEC)
     arena = build_allocator(PAPER_DEFAULT_SPEC, predictor)

@@ -20,7 +20,7 @@ lets one arena replay answer every arena count it never outgrew.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from repro.alloc.base import Allocator, OpCounts
 from repro.alloc.costs import (
@@ -34,16 +34,8 @@ from repro.alloc.costs import (
 from repro.alloc.spec import AllocatorSpec, build_allocator
 from repro.core.predictor import LifetimePredictor
 from repro.obs.spans import TRACER
-from repro.runtime.events import Trace
-from repro.runtime.stream.protocol import (
-    EV_ALLOC,
-    EV_FREE,
-    EventSource,
-    TraceEventSource,
-    as_event_source,
-    check_footer,
-    first_malformed,
-)
+from repro.runtime.events import EV_ALLOC, EV_FREE, EventSource, Trace
+from repro.runtime.stream.protocol import check_footer, first_malformed
 
 if TYPE_CHECKING:
     from repro.obs.telemetry import Telemetry
@@ -99,16 +91,15 @@ class SimulationResult:
         return _pct(self.arena_bytes, self.total_bytes)
 
 
-def replay(trace: Union[Trace, EventSource], allocator: Allocator,
+def replay(source: EventSource, allocator: Allocator,
            check_invariants: bool = False,
            telemetry: Optional["Telemetry"] = None) -> None:
     """Drive ``allocator`` with a trace's event sequence.
 
-    ``trace`` is an in-memory :class:`Trace` or any
-    :class:`~repro.runtime.stream.protocol.EventSource` (e.g. a v3 trace
-    file opened with :func:`~repro.runtime.tracefile.open_trace_stream`);
-    replay memory is the source's — for a streamed file, the live
-    address map plus one chunk.
+    ``source`` is an in-memory :class:`Trace` or a v3 trace file opened
+    with :func:`~repro.runtime.tracefile.open_trace_stream`; replay
+    memory is the source's — for a streamed file, the live address map
+    plus one chunk.
 
     The allocator is driven on ``(chain id, size)``, as the paper's
     simulator was (§5.2): replay binds it to the header's chain table
@@ -137,7 +128,6 @@ def replay(trace: Union[Trace, EventSource], allocator: Allocator,
     untouched — with ``telemetry=None`` (the default) the allocators pay
     one ``is None`` test per operation.
     """
-    source = as_event_source(trace)
     header = source.header
     allocator.bind_chains(header.chains)
     if telemetry is not None:
@@ -151,7 +141,7 @@ def replay(trace: Union[Trace, EventSource], allocator: Allocator,
         malloc, free = allocator.malloc, allocator.free
         if check_invariants:
             malloc, free = _audited(allocator)
-        if isinstance(source, TraceEventSource):
+        if isinstance(source, Trace):
             _replay_arrays(source, malloc, free)
         else:
             _replay_events(source, malloc, free)
@@ -161,7 +151,7 @@ def replay(trace: Union[Trace, EventSource], allocator: Allocator,
         telemetry.finish()
 
 
-def _replay_arrays(source: TraceEventSource, malloc, free) -> None:
+def _replay_arrays(trace: Trace, malloc, free) -> None:
     """Replay an in-memory trace from its packed event codes.
 
     Chain ids and sizes are range-checked once, over their whole arrays:
@@ -169,14 +159,14 @@ def _replay_arrays(source: TraceEventSource, malloc, free) -> None:
     :func:`~repro.runtime.stream.protocol.build_trace`'s per-event
     checks.
     """
-    arrays = source.trace.raw_arrays()
+    arrays = trace.raw_arrays()
     sizes = arrays["sizes"]
     chain_ids = arrays["chain_ids"]
     if chain_ids and not (
-        min(chain_ids) >= 0 and max(chain_ids) < len(source.header.chains)
+        min(chain_ids) >= 0 and max(chain_ids) < len(trace.chains)
         and min(sizes) >= 1
     ):
-        raise first_malformed(source)
+        raise first_malformed(trace)
     addresses = {}
     for code in arrays["events"]:
         tag = code & 3
@@ -187,7 +177,7 @@ def _replay_arrays(source: TraceEventSource, malloc, free) -> None:
             try:
                 addr = addresses.pop(code >> 2)
             except KeyError as exc:
-                raise first_malformed(source) from exc
+                raise first_malformed(trace) from exc
             free(addr)
 
 
@@ -286,14 +276,13 @@ class ReplayCounts:
 
 
 def replay_spec(
-    trace: Union[Trace, EventSource],
+    source: EventSource,
     spec: AllocatorSpec,
     predictor: Optional[LifetimePredictor] = None,
     telemetry: Optional["Telemetry"] = None,
 ) -> ReplayCounts:
     """Replay a trace against the allocator ``spec`` describes and
     collect its counters (see :func:`simulate_spec`)."""
-    source = as_event_source(trace)
     allocator = build_allocator(spec, predictor)
     replay(source, allocator, telemetry=telemetry)
     common = dict(
@@ -395,7 +384,7 @@ def price(
 
 
 def simulate_spec(
-    trace: Union[Trace, EventSource],
+    source: EventSource,
     spec: AllocatorSpec,
     predictor: Optional[LifetimePredictor] = None,
     model: CostModel = DEFAULT_COST_MODEL,
@@ -413,7 +402,7 @@ def simulate_spec(
     Always a fresh replay; :meth:`~repro.analysis.experiments.TraceStore.
     simulate` is the memoized form.
     """
-    return price(replay_spec(trace, spec, predictor, telemetry), spec, model)
+    return price(replay_spec(source, spec, predictor, telemetry), spec, model)
 
 
 def _pct(numerator: int, denominator: int) -> float:

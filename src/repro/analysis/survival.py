@@ -18,14 +18,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
-from repro.runtime.events import Trace
-from repro.runtime.stream.protocol import (
-    EventSource,
-    as_event_source,
-    iter_object_lifetimes,
-)
+from repro.runtime.events import EventSource
+from repro.runtime.stream.protocol import iter_object_lifetimes
 
 __all__ = ["SurvivalCurve", "survival_curve", "DEFAULT_AGES"]
 
@@ -75,9 +71,9 @@ class SurvivalCurve:
 
 
 def survival_curve(
-    trace: Union[Trace, EventSource], ages: Sequence[int] = DEFAULT_AGES
+    source: EventSource, ages: Sequence[int] = DEFAULT_AGES
 ) -> SurvivalCurve:
-    """Compute the exact byte survival curve of ``trace`` at ``ages``.
+    """Compute the exact byte survival curve of ``source`` at ``ages``.
 
     ``ages`` must be strictly increasing.  Unfreed objects follow the
     trace convention (they die at program exit).
@@ -90,7 +86,6 @@ def survival_curve(
     age_list = list(ages)
     if not age_list or age_list != sorted(set(age_list)):
         raise ValueError(f"ages must be strictly increasing, got {ages}")
-    source = as_event_source(trace)
     # buckets[i] = bytes of objects dead before age_list[i] but not
     # before age_list[i-1]; the last bucket (lifetime >= all ages) never
     # counts as dead.

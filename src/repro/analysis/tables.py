@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.alloc.costs import DEFAULT_COST_MODEL, execution_instructions
 from repro.obs.spans import traced
@@ -32,9 +32,9 @@ from repro.core.predictor import (
 )
 from repro.core.quantile import P2Histogram
 from repro.core.sites import FULL_CHAIN
-from repro.runtime.events import Trace
+from repro.runtime.events import EventSource
 from repro.runtime.folds import LifetimeFold, fold_object_lifetimes
-from repro.runtime.stream.protocol import EventSource, stream_live_stats
+from repro.runtime.stream.protocol import stream_live_stats
 from repro.alloc.spec import (
     BSD_SPEC,
     FIRSTFIT_SPEC,
@@ -491,13 +491,8 @@ def table9(store: TraceStore) -> List[Table9Row]:
 # Headline claim: >90% of bytes are short-lived
 # ----------------------------------------------------------------------
 
-def short_lived_fraction(
-    trace: "Union[Trace, EventSource]", threshold: int
-) -> float:
+def short_lived_fraction(source: EventSource, threshold: int) -> float:
     """Fraction of bytes that die within ``threshold`` (the §4.1 claim)."""
-    from repro.runtime.stream.protocol import as_event_source
-
-    source = as_event_source(trace)
     total_bytes = source.summary.end_time  # == total bytes allocated
     if total_bytes == 0:
         return 0.0

@@ -1,11 +1,16 @@
-"""The benchmark-trajectory store: ``BENCH_<seq>.json`` on disk.
+"""Numbered session trajectories on disk: ``<PREFIX>_<seq>.json``.
 
-A trajectory is an append-only directory of numbered session files
-(default ``results/bench``, overridable with ``--bench-dir`` or the
-``REPRO_BENCH_DIR`` environment variable).  Sequence numbers are
-zero-padded so lexical and numeric order agree; writes are atomic
-(temp file + ``os.replace``) so an interrupted run never leaves a
-half-written session for ``bench compare`` to trip over.
+A trajectory is an append-only directory of numbered session files.
+:class:`SessionStore` is the one implementation; a subclass names the
+file prefix, the session class, the environment variable and the
+default directory.  :class:`BenchStore` keeps ``BENCH_<seq>.json``
+(default ``results/bench``, overridable with ``--bench-dir`` or
+``REPRO_BENCH_DIR``), and :class:`~repro.search.results.SearchStore`
+keeps ``SEARCH_<seq>.json``.  Sequence numbers are zero-padded so
+lexical and numeric order agree; writes publish through
+:func:`~repro.runtime.tracefile.atomic_output` so an interrupted run
+never leaves a half-written session for ``bench compare`` or
+``diff-sessions`` to trip over.
 """
 
 from __future__ import annotations
@@ -13,35 +18,49 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Any, List, Tuple, Union
 
 from repro.bench.record import BenchSession
+from repro.runtime.tracefile import atomic_output
 
-__all__ = ["BENCH_DIR_ENV", "BenchStore", "default_bench_dir"]
+__all__ = ["BENCH_DIR_ENV", "BenchStore", "SessionStore", "default_bench_dir"]
 
 #: Environment variable naming the trajectory directory.
 BENCH_DIR_ENV = "REPRO_BENCH_DIR"
 
-_SEQ_RE = re.compile(r"^BENCH_(\d+)\.json$")
 
+class SessionStore:
+    """Reads and appends one ``<prefix>_<seq>.json`` trajectory.
 
-def default_bench_dir() -> Path:
-    """``$REPRO_BENCH_DIR`` or ``results/bench`` under the working tree."""
-    env = os.environ.get(BENCH_DIR_ENV)
-    if env:
-        return Path(env).expanduser()
-    return Path("results") / "bench"
+    Sessions are objects with a ``seq``, a ``to_dict()`` and a
+    ``session_type.from_dict`` that reads it back.  Files are written
+    with ``indent=2, sort_keys=True`` and a trailing newline, so the
+    same session always writes the same bytes.
+    """
 
-
-class BenchStore:
-    """Reads and appends the ``BENCH_<seq>.json`` trajectory."""
+    #: Session files are ``<prefix>_<seq:04d>.json``.
+    prefix = ""
+    #: The class :meth:`load` builds, through its ``from_dict``.
+    session_type: Any = None
+    #: Environment variable that overrides :attr:`default_dir`.
+    dir_env = ""
+    #: The directory, under the working tree, when neither the caller
+    #: nor the environment names one.
+    default_dir = Path()
 
     def __init__(self, directory: Union[str, os.PathLike, None] = None):
         self.directory = (
-            Path(directory) if directory else default_bench_dir()
+            Path(directory) if directory else self.default_directory()
         )
+
+    @classmethod
+    def default_directory(cls) -> Path:
+        """``$<dir_env>`` or :attr:`default_dir`."""
+        env = os.environ.get(cls.dir_env)
+        if env:
+            return Path(env).expanduser()
+        return cls.default_dir
 
     # ------------------------------------------------------------------
     # Listing
@@ -49,10 +68,11 @@ class BenchStore:
 
     def session_paths(self) -> List[Tuple[int, Path]]:
         """Every ``(seq, path)`` in the trajectory, ascending by seq."""
+        pattern = re.compile(rf"^{self.prefix}_(\d+)\.json$")
         found: List[Tuple[int, Path]] = []
         if self.directory.is_dir():
             for path in self.directory.iterdir():
-                match = _SEQ_RE.match(path.name)
+                match = pattern.match(path.name)
                 if match:
                     found.append((int(match.group(1)), path))
         found.sort(key=lambda pair: pair[0])
@@ -63,7 +83,7 @@ class BenchStore:
         paths = self.session_paths()
         return (paths[-1][0] + 1) if paths else 1
 
-    def history(self) -> List[BenchSession]:
+    def history(self) -> list:
         """Every session in the trajectory, ascending by seq."""
         return [self.load(path) for _, path in self.session_paths()]
 
@@ -73,13 +93,13 @@ class BenchStore:
 
     def path_for(self, seq: int) -> Path:
         """Where session ``seq`` lives (whether or not present)."""
-        return self.directory / f"BENCH_{seq:04d}.json"
+        return self.directory / f"{self.prefix}_{seq:04d}.json"
 
-    def load(self, ref: Union[int, str, os.PathLike]) -> BenchSession:
+    def load(self, ref: Union[int, str, os.PathLike]):
         """Load a session by seq number, ``"latest"``/``"prev"``, or path."""
         path = self.resolve(ref)
         with open(path, "r", encoding="utf-8") as handle:
-            return BenchSession.from_dict(json.load(handle))
+            return self.session_type.from_dict(json.load(handle))
 
     def resolve(self, ref: Union[int, str, os.PathLike]) -> Path:
         """Turn a session reference into the file that holds it."""
@@ -99,26 +119,28 @@ class BenchStore:
             return self.path_for(int(text))
         return Path(ref)
 
-    def write(self, session: BenchSession) -> Path:
+    def write(self, session) -> Path:
         """Atomically write ``session`` to its trajectory file."""
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(session.seq)
         payload = json.dumps(session.to_dict(), indent=2, sort_keys=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.directory), prefix=".bench-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as tmp:
-                tmp.write(payload)
-                tmp.write("\n")
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        with atomic_output(path) as fh:
+            fh.write(payload.encode("utf-8") + b"\n")
         return path
 
     def __repr__(self) -> str:
-        return f"<BenchStore dir={str(self.directory)!r}>"
+        return f"<{type(self).__name__} dir={str(self.directory)!r}>"
+
+
+class BenchStore(SessionStore):
+    """Reads and appends the ``BENCH_<seq>.json`` trajectory."""
+
+    prefix = "BENCH"
+    session_type = BenchSession
+    dir_env = BENCH_DIR_ENV
+    default_dir = Path("results") / "bench"
+
+
+def default_bench_dir() -> Path:
+    """``$REPRO_BENCH_DIR`` or ``results/bench`` under the working tree."""
+    return BenchStore.default_directory()

@@ -26,13 +26,14 @@ from repro.core.predictor import (
     DEFAULT_THRESHOLD,
     TRUE_PREDICTION_ROUNDING,
     LifetimePredictor,
+    pair_table,
 )
 from repro.core.sites import CallChain, round_size
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.runtime.events import Trace
-    from repro.runtime.stream.protocol import EventSource
+    from repro.runtime.events import EventSource
+    from repro.runtime.folds import PairTable
 
 __all__ = [
     "function_id",
@@ -109,47 +110,63 @@ class CCEPredictor(LifetimePredictor):
     def predicts_short_lived(self, chain: CallChain, size: int) -> bool:
         return self.key_for(chain, size) in self.keys
 
+    @classmethod
+    def from_table(
+        cls,
+        table: "PairTable",
+        threshold: int = DEFAULT_THRESHOLD,
+        size_rounding: int = TRUE_PREDICTION_ROUNDING,
+        bits: int = KEY_BITS,
+        program: str = "?",
+    ) -> "CCEPredictor":
+        """Select from one execution's pair table with the
+        all-short-lived site rule.
+
+        A (key, size) entry qualifies only if *every* object whose chain
+        encrypts to that key died under ``threshold``, which is the max
+        lifetime over the key's rows being under it — so chains that
+        collide with a long-lived chain are (safely) disqualified.  Max
+        lifetimes do not depend on the table's threshold, so any table of
+        the execution serves.
+        """
+        chain_of = table.chains.chain
+        # One encryption per chain id, not one sha256 per frame per row.
+        chain_keys: Dict[int, int] = {
+            chain_id: encrypt_chain(chain_of(chain_id), bits)
+            for chain_id in {chain_id for chain_id, _ in table.rows}
+        }
+        maxima = table.max_lifetimes(
+            lambda chain_id, size: (
+                chain_keys[chain_id], round_size(size, size_rounding)
+            )
+        )
+        return cls(
+            frozenset(
+                key for key, lifetime in maxima.items()
+                if lifetime < threshold
+            ),
+            threshold=threshold,
+            size_rounding=size_rounding,
+            bits=bits,
+            program=program,
+        )
+
 
 def train_cce_predictor(
-    trace: Union["Trace", "EventSource"],
+    trace: "EventSource",
     threshold: int = DEFAULT_THRESHOLD,
     size_rounding: int = TRUE_PREDICTION_ROUNDING,
     bits: int = KEY_BITS,
 ) -> CCEPredictor:
-    """Train a :class:`CCEPredictor` with the all-short-lived site rule.
+    """Train a :class:`CCEPredictor` from one execution's trace.
 
-    A (key, size) entry qualifies only if *every* object whose chain
-    encrypts to that key died under the threshold — so chains that collide
-    with a long-lived chain are (safely) disqualified.  The and-fold is
-    order-independent, so a streamed trace selects exactly the keys the
-    materialized one does.
+    This is :func:`~repro.core.predictor.pair_table` followed by
+    :meth:`CCEPredictor.from_table`, so a streamed trace selects exactly
+    the keys the materialized one does.
     """
-    from repro.runtime.stream.protocol import (
-        as_event_source,
-        iter_object_lifetimes,
-    )
-
-    source = as_event_source(trace)
-    chain_of = source.header.chains.chain
-    # One encryption per chain id, not one sha256 per frame per object.
-    chain_keys: Dict[int, int] = {}
-    all_short: Dict[Tuple[int, int], bool] = {}
-    for chain_id, size, lifetime, _ in iter_object_lifetimes(source):
-        chain_key = chain_keys.get(chain_id)
-        if chain_key is None:
-            chain_key = chain_keys[chain_id] = encrypt_chain(
-                chain_of(chain_id), bits
-            )
-        key = (chain_key, round_size(size, size_rounding))
-        short = lifetime < threshold
-        all_short[key] = all_short.get(key, True) and short
-    selected = frozenset(key for key, short in all_short.items() if short)
-    return CCEPredictor(
-        selected,
-        threshold=threshold,
-        size_rounding=size_rounding,
-        bits=bits,
-        program=source.header.program,
+    table = pair_table(trace, threshold)
+    return CCEPredictor.from_table(
+        table, threshold, size_rounding, bits, program=table.program
     )
 
 

@@ -19,7 +19,7 @@ to its threshold the way the paper sizes 64 KB to the 32 KB cutoff.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -33,9 +33,8 @@ from repro.core.profile import SiteKey
 from repro.core.sites import FULL_CHAIN, CallChain, site_key
 
 if TYPE_CHECKING:
-    from repro.runtime.events import Trace
+    from repro.runtime.events import EventSource
     from repro.runtime.folds import PairTable
-    from repro.runtime.stream.protocol import EventSource
 
 __all__ = [
     "DEFAULT_CLASS_THRESHOLDS",
@@ -141,7 +140,7 @@ class MultiClassPredictor(LifetimePredictor):
 
 
 def train_multiclass_predictor(
-    trace: Union["Trace", "EventSource"],
+    trace: "EventSource",
     thresholds: Sequence[int] = DEFAULT_CLASS_THRESHOLDS,
     chain_length: Optional[int] = FULL_CHAIN,
     size_rounding: int = TRUE_PREDICTION_ROUNDING,

@@ -47,14 +47,8 @@ from repro.core.sites import (
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.runtime.events import Trace
+    from repro.runtime.events import EventSource
     from repro.runtime.folds import PairTable
-    from repro.runtime.stream.protocol import EventSource
-
-#: Consumers here take either an in-memory trace or an event stream; all
-#: per-object statistics they accumulate are order-independent, so both
-#: inputs produce identical predictors and evaluations.
-TraceLike = Union["Trace", "EventSource"]
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -359,7 +353,7 @@ class StaticEscapePredictor(LifetimePredictor):
 
 
 def pair_table(
-    trace: TraceLike, threshold: int = DEFAULT_THRESHOLD
+    trace: "EventSource", threshold: int = DEFAULT_THRESHOLD
 ) -> "PairTable":
     """One execution's :class:`~repro.runtime.folds.PairTable` at
     ``threshold``, in one pass.
@@ -376,20 +370,18 @@ def pair_table(
     # DEFAULT_THRESHOLD, so a top-level obs import would be circular.
     from repro.obs.spans import TRACER
     from repro.runtime.folds import PairTable, fold_object_lifetimes
-    from repro.runtime.stream.protocol import as_event_source
 
-    source = as_event_source(trace)
-    header = source.header
+    header = trace.header
     with TRACER.span("profile.train_sites", cat="core",
                      program=header.program, dataset=header.dataset,
                      threshold=threshold):
         return fold_object_lifetimes(
-            source, PairTable(header, source.summary, threshold)
+            trace, PairTable(header, trace.summary, threshold)
         )
 
 
 def train_site_predictor(
-    trace: TraceLike,
+    trace: "EventSource",
     threshold: int = DEFAULT_THRESHOLD,
     chain_length: Optional[int] = FULL_CHAIN,
     size_rounding: int = TRUE_PREDICTION_ROUNDING,
@@ -417,7 +409,7 @@ def train_site_predictor(
 
 
 def train_size_only_predictor(
-    trace: TraceLike, threshold: int = DEFAULT_THRESHOLD
+    trace: "EventSource", threshold: int = DEFAULT_THRESHOLD
 ) -> SizeOnlyPredictor:
     """Train a :class:`SizeOnlyPredictor`: sizes whose objects all died young."""
     table = pair_table(trace, threshold)
@@ -426,7 +418,7 @@ def train_size_only_predictor(
     )
 
 
-def actual_short_lived_bytes(trace: TraceLike, threshold: int) -> int:
+def actual_short_lived_bytes(trace: "EventSource", threshold: int) -> int:
     """Bytes of objects that truly died under ``threshold`` — the oracle.
 
     This is the per-object ground truth behind the Actual Short-lived Bytes
@@ -486,7 +478,7 @@ class PredictionEvaluation:
 
 def evaluate(
     predictor: LifetimePredictor,
-    trace: TraceLike,
+    trace: "EventSource",
     count_matched_sites: bool = True,
 ) -> PredictionEvaluation:
     """Score ``predictor`` on ``trace``.

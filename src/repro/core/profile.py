@@ -21,11 +21,10 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.core.quantile import P2Histogram
 from repro.core.sites import FULL_CHAIN, CallChain, ChainTable, site_key
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.runtime.events import Trace
-    from repro.runtime.stream.protocol import EventSource
+    from repro.runtime.events import EventSource
 
 __all__ = ["SiteStats", "SiteProfile", "build_profile", "SiteKey"]
 
@@ -140,7 +139,7 @@ class SiteProfile:
         }
 
 def build_profile(
-    trace: Union["Trace", "EventSource"],
+    trace: "EventSource",
     chain_length: Optional[int] = FULL_CHAIN,
     size_rounding: int = 1,
 ) -> SiteProfile:
@@ -153,18 +152,15 @@ def build_profile(
     :func:`repro.core.predictor.actual_short_lived_bytes`.
 
     Objects fold in allocation (object-id) order, which the
-    order-dependent P^2 quartiles inside each site depend on.  So an
-    :class:`~repro.runtime.stream.protocol.EventSource` is materialized
-    with :func:`~repro.runtime.stream.protocol.build_trace` first, which
-    also gives it that function's error contract; a wrapped in-memory
-    trace is unwrapped.
+    order-dependent P^2 quartiles inside each site depend on.  So a
+    source that is not already a :class:`~repro.runtime.events.Trace` is
+    materialized with :func:`~repro.runtime.stream.protocol.build_trace`
+    first, which also gives it that function's error contract.
     """
     from repro.runtime.events import Trace as _Trace
-    from repro.runtime.stream.protocol import TraceEventSource, build_trace
+    from repro.runtime.stream.protocol import build_trace
 
-    if isinstance(trace, TraceEventSource):
-        trace = trace.trace
-    elif not isinstance(trace, _Trace):
+    if not isinstance(trace, _Trace):
         trace = build_trace(trace)
     profile = SiteProfile(
         program=trace.program,

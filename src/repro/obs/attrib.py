@@ -279,11 +279,10 @@ def attribute_sites(
 ) -> AttributionProfile:
     """Attribute one execution's costs per call chain.
 
-    ``trace`` is anything :func:`~repro.runtime.stream.protocol.
-    as_event_source` accepts.  This is
-    :func:`~repro.core.predictor.pair_table` at the threshold followed
-    by :func:`attribute_table`, so materialized and streamed inputs
-    produce the same profile field for field.
+    ``trace`` is a :class:`~repro.runtime.events.Trace` or a v3 file.
+    This is :func:`~repro.core.predictor.pair_table` at the threshold
+    followed by :func:`attribute_table`, so materialized and streamed
+    inputs produce the same profile field for field.
 
     With ``spec`` (an :class:`~repro.alloc.AllocatorSpec`) the profile
     and threshold come from the spec — the declarative path the search

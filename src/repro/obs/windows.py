@@ -58,11 +58,7 @@ from repro.core.predictor import (
 from repro.core.sites import CallChain, ChainTable
 from repro.obs.spans import TRACER
 from repro.runtime.folds import LifetimeFold, fold_object_lifetimes
-from repro.runtime.stream.protocol import (
-    EV_ALLOC,
-    EventSource,
-    as_event_source,
-)
+from repro.runtime.events import EV_ALLOC, EventSource
 
 __all__ = [
     "WINDOW_AXES",
@@ -454,7 +450,7 @@ class WindowProfile:
 
 
 def window_profile(
-    trace,
+    source: EventSource,
     windows: int = DEFAULT_WINDOWS,
     by: str = "bytes",
     predictor: Optional[LifetimePredictor] = None,
@@ -462,12 +458,11 @@ def window_profile(
 ) -> WindowProfile:
     """Compute one execution's windowed time series.
 
-    ``trace`` is anything :func:`~repro.runtime.stream.protocol.
-    as_event_source` accepts.  The fold runs through
+    ``source`` is a :class:`~repro.runtime.events.Trace` or a v3 file.
+    The fold runs through
     :func:`~repro.runtime.folds.fold_object_lifetimes`, so materialized
     and streamed inputs produce the same profile field for field.
     """
-    source = as_event_source(trace)
     header = source.header
     spec = window_spec_for(source, windows=windows, by=by)
     with TRACER.span("windows.fold", cat="obs", program=header.program,

@@ -21,8 +21,6 @@ from repro.runtime.stream import (
     EventSource,
     StreamHeader,
     StreamSummary,
-    TraceEventSource,
-    as_event_source,
     build_trace,
 )
 
@@ -44,7 +42,5 @@ __all__ = [
     "EventSource",
     "StreamHeader",
     "StreamSummary",
-    "TraceEventSource",
-    "as_event_source",
     "build_trace",
 ]

@@ -19,27 +19,126 @@ still live when the program ends have no death time and are treated as
 long-lived by every consumer.
 
 Object records are stored as parallel arrays so multi-hundred-thousand
-object traces stay cheap; :class:`~repro.runtime.stream.protocol.
-TraceEventSource` views a trace as the event tuples every consumer shares.
+object traces stay cheap.
+
+A trace is also the in-memory :class:`EventSource`, the stream every
+consumer takes (the other one is a v3 file,
+:class:`~repro.runtime.stream.v3.TraceFileSource`).  An event stream
+is::
+
+    StreamHeader                     (prologue: identity + chain table)
+    (tag, ...) event tuples          (program order)
+    StreamSummary                    (epilogue: aggregate counters)
+
+Events are plain tuples with an integer tag first, chosen for hot-path
+speed — the replay loop dispatches on ``ev[0]`` without attribute lookups:
+
+* ``(EV_ALLOC, obj_id, chain_id, size, birth)`` — an object birth.  The
+  chain id indexes the header's chain table; carrying size and chain in
+  the event is what lets consumers run without a materialized object
+  table.
+* ``(EV_FREE, obj_id, death, touches)`` — an explicit free at byte-time
+  ``death``; ``touches`` is the object's lifetime reference count.
+* ``(EV_TOUCH, obj_id, count)`` — ``count`` heap references to a live
+  object (present only when the trace was recorded with touch events).
+
+The tags are also the low two bits of a trace's packed event codes
+(object id above), so :meth:`Trace.events` is a shift and a mask per
+event, not a translation table.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.core.sites import CallChain, ChainTable
 
-__all__ = ["Trace", "TraceBuilder", "LiveStats"]
+__all__ = [
+    "EV_ALLOC",
+    "EV_FREE",
+    "EV_TOUCH",
+    "Event",
+    "EventSource",
+    "LiveStats",
+    "StreamHeader",
+    "StreamSummary",
+    "Trace",
+    "TraceBuilder",
+]
 
 #: Sentinel stored in the deaths array for objects never freed.
 _NEVER_FREED = -1
 
-#: Event tags in the low two bits of each event code (object id above).
-TAG_ALLOC = 0
-TAG_FREE = 1
-TAG_TOUCH = 2
+#: Event tags: the first field of an event tuple, and the low two bits
+#: of a trace's packed event codes.
+EV_ALLOC = 0
+EV_FREE = 1
+EV_TOUCH = 2
+
+Event = Tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class StreamHeader:
+    """Stream prologue: execution identity plus the interned chain table.
+
+    Available before the first event, so consumers can resolve
+    ``chain_id`` -> :class:`~repro.core.sites.CallChain` while streaming.
+    """
+
+    program: str
+    dataset: str
+    chains: ChainTable
+    has_touch_events: bool
+
+
+@dataclass(frozen=True)
+class StreamSummary:
+    """Stream epilogue: the aggregate counters a trace carries.
+
+    ``end_time`` is the final byte-time clock value (total bytes
+    allocated); ``unfreed_touches`` holds ``(obj_id, touches)`` pairs for
+    never-freed objects with a nonzero touch count, sorted by object id —
+    by definition O(live objects at exit).
+    """
+
+    total_calls: int
+    heap_refs: int
+    non_heap_refs: int
+    end_time: int
+    total_objects: int
+    event_count: int
+    unfreed_touches: Tuple[Tuple[int, int], ...] = ()
+
+
+class EventSource:
+    """One execution's event stream: header, events, summary.
+
+    ``events()`` must return a *fresh* iterator each call, so one source
+    can be replayed several times (Table 8 replays the same trace against
+    three allocators).  ``header`` and ``summary`` are available without
+    consuming events (the v3 file format keeps its footer reachable
+    through a fixed-size trailer for exactly this reason).
+
+    Objects never freed die at program exit (``summary.end_time``).
+    Their identity is implicit (everything still in a consumer's live
+    set when the stream ends); only their touch counts need carrying,
+    which ``summary.unfreed_touches`` does.
+    """
+
+    @property
+    def header(self) -> StreamHeader:
+        raise NotImplementedError
+
+    @property
+    def summary(self) -> StreamSummary:
+        raise NotImplementedError
+
+    def events(self) -> Iterator[Event]:
+        """The event tuples in program order (a fresh iterator per call)."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -50,7 +149,7 @@ class LiveStats:
     max_live_objects: int
 
 
-class Trace:
+class Trace(EventSource):
     """One program execution's complete allocation trace."""
 
     def __init__(
@@ -84,7 +183,7 @@ class Trace:
         self._touch_counts = touch_counts if touch_counts is not None else array("q")
         self._live_stats: Optional[LiveStats] = None
         self._total_bytes: Optional[int] = None
-        self._unfreed_touches: Optional[Tuple[Tuple[int, int], ...]] = None
+        self._summary: Optional[StreamSummary] = None
 
     # ------------------------------------------------------------------
     # Object records
@@ -136,23 +235,62 @@ class Trace:
         """How many heap references were made to object ``obj_id``."""
         return self._touches[obj_id]
 
+    # ------------------------------------------------------------------
+    # Event stream
+    # ------------------------------------------------------------------
+
     @property
-    def unfreed_touches(self) -> Tuple[Tuple[int, int], ...]:
-        """``(obj_id, touches)`` of every never-freed object with a
-        nonzero touch count, by object id; cached after first use."""
-        if self._unfreed_touches is None:
+    def header(self) -> StreamHeader:
+        return StreamHeader(
+            program=self.program,
+            dataset=self.dataset,
+            chains=self.chains,
+            has_touch_events=self.has_touch_events,
+        )
+
+    @property
+    def summary(self) -> StreamSummary:
+        """The trace's counters; the one walk over the object arrays, for
+        ``unfreed_touches``, is made on first use and cached."""
+        if self._summary is None:
             deaths = self._deaths
             touches = self._touches
-            self._unfreed_touches = tuple(
-                (obj_id, touches[obj_id])
-                for obj_id in range(len(deaths))
-                if deaths[obj_id] == _NEVER_FREED and touches[obj_id] != 0
+            self._summary = StreamSummary(
+                total_calls=self.total_calls,
+                heap_refs=self.heap_refs,
+                non_heap_refs=self.non_heap_refs,
+                end_time=self.end_time,
+                total_objects=self.total_objects,
+                event_count=self.event_count,
+                unfreed_touches=tuple(
+                    (obj_id, touches[obj_id])
+                    for obj_id in range(len(deaths))
+                    if deaths[obj_id] == _NEVER_FREED and touches[obj_id] != 0
+                ),
             )
-        return self._unfreed_touches
+        return self._summary
 
-    # ------------------------------------------------------------------
-    # Event sequence
-    # ------------------------------------------------------------------
+    def events(self) -> Iterator[Event]:
+        chain_ids = self._chain_ids
+        sizes = self._sizes
+        births = self._births
+        deaths = self._deaths
+        touches = self._touches
+        touch_counts = self._touch_counts
+        touch_index = 0
+        for code in self._events:
+            tag = code & 3
+            obj_id = code >> 2
+            if tag == EV_ALLOC:
+                yield (
+                    EV_ALLOC, obj_id,
+                    chain_ids[obj_id], sizes[obj_id], births[obj_id],
+                )
+            elif tag == EV_FREE:
+                yield (EV_FREE, obj_id, deaths[obj_id], touches[obj_id])
+            else:
+                yield (EV_TOUCH, obj_id, touch_counts[touch_index])
+                touch_index += 1
 
     @property
     def has_touch_events(self) -> bool:
@@ -174,10 +312,10 @@ class Trace:
             max_bytes = max_objects = 0
             for code in self._events:
                 tag = code & 3
-                if tag == TAG_TOUCH:
+                if tag == EV_TOUCH:
                     continue
                 size = self._sizes[code >> 2]
-                if tag == TAG_FREE:
+                if tag == EV_FREE:
                     live_bytes -= size
                     live_objects -= 1
                 else:
@@ -255,7 +393,7 @@ class TraceBuilder:
         self._births.append(birth)
         self._deaths.append(_NEVER_FREED)
         self._touches.append(0)
-        self._events.append((obj_id << 2) | TAG_ALLOC)
+        self._events.append((obj_id << 2) | EV_ALLOC)
         return obj_id
 
     def add_free(self, obj_id: int, death: int, touches: int) -> None:
@@ -264,7 +402,7 @@ class TraceBuilder:
             raise ValueError(f"object {obj_id} freed twice")
         self._deaths[obj_id] = death
         self._touches[obj_id] = touches
-        self._events.append((obj_id << 2) | TAG_FREE)
+        self._events.append((obj_id << 2) | EV_FREE)
 
     def set_touches(self, obj_id: int, touches: int) -> None:
         """Record touch counts for an object that is never freed."""
@@ -272,7 +410,7 @@ class TraceBuilder:
 
     def add_touch_event(self, obj_id: int, count: int) -> None:
         """Record one touch event (only when ``record_touches`` is set)."""
-        self._events.append((obj_id << 2) | TAG_TOUCH)
+        self._events.append((obj_id << 2) | EV_TOUCH)
         self._touch_counts.append(count)
 
     def build(self) -> Trace:

@@ -32,14 +32,14 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, TypeVar
 
 from repro.core.profile import SiteKey
 from repro.core.sites import site_key
-from repro.runtime.events import _NEVER_FREED, Trace
-from repro.runtime.stream.protocol import (
+from repro.runtime.events import (
+    _NEVER_FREED,
     EventSource,
     StreamHeader,
     StreamSummary,
-    TraceEventSource,
-    iter_object_records,
+    Trace,
 )
+from repro.runtime.stream.protocol import iter_object_records
 
 K = TypeVar("K")
 
@@ -217,13 +217,13 @@ def fold_object_lifetimes(
 ) -> LifetimeFold:
     """Fold every object lifetime of ``source`` into ``fold``; return it.
 
-    An in-memory source folds from its object arrays; any other source
+    A :class:`Trace` folds from its object arrays; any other source
     folds the records of one :func:`iter_object_records` pass, so a
     malformed stream raises that iterator's
     :class:`~repro.runtime.tracefile.TraceFormatError`.
     """
-    if isinstance(source, TraceEventSource):
-        _fold_trace(source.trace, fold)
+    if isinstance(source, Trace):
+        _fold_trace(source, fold)
     else:
         add_object = fold.add_object
         for record in iter_object_records(source):

@@ -255,8 +255,12 @@ class TracedHeap:
     def finish(self) -> Trace:
         """Seal the heap and return the completed trace.
 
-        Objects still live keep ``death=None`` in the trace (their touch
-        counts are flushed here); every consumer treats them as long-lived.
+        Objects still live keep the never-freed sentinel ``-1`` in the
+        trace's deaths array; every consumer treats them as dying at
+        program exit.  Their touch counts are not recorded: an object's
+        touches reach the trace only through :meth:`free`, and this only
+        builds the trace, so a never-freed object records 0 touches and
+        the trace's ``summary.unfreed_touches`` is empty.
         """
         self._check_open()
         self._finished = True

@@ -8,9 +8,10 @@ typed event protocol those consumers share:
 
 * :mod:`repro.runtime.stream.protocol` — event tuples (alloc/free/touch),
   the chain-table prologue (:class:`StreamHeader`) and aggregate-counters
-  epilogue (:class:`StreamSummary`), and the :class:`EventSource`
-  abstraction of which the in-memory :class:`~repro.runtime.events.Trace`
-  is one implementation (:class:`TraceEventSource`);
+  epilogue (:class:`StreamSummary`), re-exported from
+  :mod:`repro.runtime.events`, and the checked walkers over any
+  :class:`EventSource`: the in-memory
+  :class:`~repro.runtime.events.Trace` or a v3 file;
 * :mod:`repro.runtime.stream.v3` — trace format v3: chunked,
   length-prefixed gzip frames with a footer index, replayable from disk
   in O(live objects + one chunk) memory via
@@ -24,8 +25,6 @@ from repro.runtime.stream.protocol import (
     EventSource,
     StreamHeader,
     StreamSummary,
-    TraceEventSource,
-    as_event_source,
     build_trace,
     iter_object_lifetimes,
     stream_live_stats,
@@ -43,8 +42,6 @@ __all__ = [
     "EventSource",
     "StreamHeader",
     "StreamSummary",
-    "TraceEventSource",
-    "as_event_source",
     "build_trace",
     "iter_object_lifetimes",
     "stream_live_stats",

@@ -1,54 +1,39 @@
-"""The typed event protocol behind every trace consumer.
+"""The stream checks and walkers behind every trace consumer.
 
-An event stream is::
-
-    StreamHeader                     (prologue: identity + chain table)
-    (tag, ...) event tuples          (program order)
-    StreamSummary                    (epilogue: aggregate counters)
-
-Events are plain tuples with an integer tag first, chosen for hot-path
-speed — the replay loop dispatches on ``ev[0]`` without attribute lookups:
-
-* ``(EV_ALLOC, obj_id, chain_id, size, birth)`` — an object birth.  The
-  chain id indexes the header's chain table; carrying size and chain in
-  the event is what lets consumers run without a materialized object
-  table (and removes the per-event ``size_of``/``chain_of`` lookups the
-  old replay loop did).
-* ``(EV_FREE, obj_id, death, touches)`` — an explicit free at byte-time
-  ``death``; ``touches`` is the object's lifetime reference count.
-* ``(EV_TOUCH, obj_id, count)`` — ``count`` heap references to a live
-  object (present only when the trace was recorded with touch events).
+The event protocol itself — the ``EV_*`` tags, :class:`StreamHeader`,
+:class:`StreamSummary` and :class:`EventSource` — lives in
+:mod:`repro.runtime.events` beside :class:`~repro.runtime.events.Trace`,
+which is the in-memory event source; this module re-exports it.  A
+consumer takes an :class:`EventSource`: either a ``Trace`` or a v3 file
+(:class:`~repro.runtime.stream.v3.TraceFileSource`), whose memory model
+is O(live objects + one chunk).
 
 Object ids are dense in allocation order — the ``n``-th ``EV_ALLOC`` of a
 stream carries ``obj_id == n`` — which is what lets
 :func:`build_trace` rebuild the parallel-array :class:`Trace` with pure
-appends.
-
-An :class:`EventSource` bundles the header, the summary, and a
-*re-iterable* event sequence: ``events()`` returns a fresh iterator on
-every call, so one source can be replayed several times (Table 8 replays
-the same trace against three allocators).  Consumers that accept "a
-trace" take either a :class:`~repro.runtime.events.Trace` or an
-:class:`EventSource` and normalize via :func:`as_event_source`; the
-memory model is then the source's: O(1) extra for a wrapped in-memory
-trace, O(live objects + one chunk) for a v3 file
-(:class:`~repro.runtime.stream.v3.TraceFileSource`).
-
-Objects never freed follow the trace convention — they die at program
-exit (``summary.end_time``).  Their identity is implicit (everything
-still in a consumer's live set when the stream ends); only their touch
-counts need carrying, which ``summary.unfreed_touches`` does in
-O(live-at-exit) space.
+appends.  Every walker here checks each event the way
+:func:`build_trace` does and reports a malformed stream through
+:func:`event_error`, and checks the footer with :func:`check_footer`
+once its pass ends.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Iterator, Tuple, Union
+from typing import Iterator, Tuple
 
-from repro.core.sites import ChainTable
-from repro.runtime.events import _NEVER_FREED, LiveStats, Trace
+from repro.runtime.events import (
+    _NEVER_FREED,
+    EV_ALLOC,
+    EV_FREE,
+    EV_TOUCH,
+    Event,
+    EventSource,
+    LiveStats,
+    StreamHeader,
+    StreamSummary,
+    Trace,
+)
 from repro.runtime.tracefile import TraceFormatError
 
 __all__ = [
@@ -59,8 +44,6 @@ __all__ = [
     "StreamHeader",
     "StreamSummary",
     "EventSource",
-    "TraceEventSource",
-    "as_event_source",
     "build_trace",
     "check_footer",
     "event_error",
@@ -69,149 +52,6 @@ __all__ = [
     "iter_object_records",
     "stream_live_stats",
 ]
-
-#: Event tags.  Values match the low-bit tags packed into
-#: :class:`~repro.runtime.events.Trace` event codes, so wrapping a trace
-#: is a shift-and-mask, not a translation table.
-EV_ALLOC = 0
-EV_FREE = 1
-EV_TOUCH = 2
-
-Event = Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class StreamHeader:
-    """Stream prologue: execution identity plus the interned chain table.
-
-    Available before the first event, so consumers can resolve
-    ``chain_id`` -> :class:`~repro.core.sites.CallChain` while streaming.
-    """
-
-    program: str
-    dataset: str
-    chains: ChainTable
-    has_touch_events: bool
-
-
-@dataclass(frozen=True)
-class StreamSummary:
-    """Stream epilogue: the aggregate counters a trace carries.
-
-    ``end_time`` is the final byte-time clock value (total bytes
-    allocated); ``unfreed_touches`` holds ``(obj_id, touches)`` pairs for
-    never-freed objects with a nonzero touch count, sorted by object id —
-    by definition O(live objects at exit).
-    """
-
-    total_calls: int
-    heap_refs: int
-    non_heap_refs: int
-    end_time: int
-    total_objects: int
-    event_count: int
-    unfreed_touches: Tuple[Tuple[int, int], ...] = ()
-
-
-class EventSource:
-    """One execution's event stream: header, events, summary.
-
-    ``events()`` must return a *fresh* iterator each call.  ``header``
-    and ``summary`` are available without consuming events (the v3 file
-    format keeps its footer reachable through a fixed-size trailer for
-    exactly this reason).
-    """
-
-    @property
-    def header(self) -> StreamHeader:
-        raise NotImplementedError
-
-    @property
-    def summary(self) -> StreamSummary:
-        raise NotImplementedError
-
-    def events(self) -> Iterator[Event]:
-        """The event tuples in program order (a fresh iterator per call)."""
-        raise NotImplementedError
-
-
-class TraceEventSource(EventSource):
-    """An in-memory :class:`Trace` viewed through the event protocol."""
-
-    def __init__(self, trace: Trace):
-        self.trace = trace
-        arrays = trace.raw_arrays()
-        self._chain_ids = arrays["chain_ids"]
-        self._sizes = arrays["sizes"]
-        self._births = arrays["births"]
-        self._deaths = arrays["deaths"]
-        self._touches = arrays["touches"]
-        self._codes = arrays["events"]
-        self._touch_counts = arrays["touch_counts"]
-        self._header = StreamHeader(
-            program=trace.program,
-            dataset=trace.dataset,
-            chains=trace.chains,
-            has_touch_events=trace.has_touch_events,
-        )
-        self._summary: Union[StreamSummary, None] = None
-
-    @property
-    def header(self) -> StreamHeader:
-        return self._header
-
-    @property
-    def summary(self) -> StreamSummary:
-        if self._summary is None:
-            trace = self.trace
-            self._summary = StreamSummary(
-                total_calls=trace.total_calls,
-                heap_refs=trace.heap_refs,
-                non_heap_refs=trace.non_heap_refs,
-                end_time=trace.end_time,
-                total_objects=trace.total_objects,
-                event_count=trace.event_count,
-                unfreed_touches=trace.unfreed_touches,
-            )
-        return self._summary
-
-    def events(self) -> Iterator[Event]:
-        chain_ids = self._chain_ids
-        sizes = self._sizes
-        births = self._births
-        deaths = self._deaths
-        touches = self._touches
-        touch_counts = self._touch_counts
-        touch_index = 0
-        for code in self._codes:
-            tag = code & 3
-            obj_id = code >> 2
-            if tag == EV_ALLOC:
-                yield (
-                    EV_ALLOC, obj_id,
-                    chain_ids[obj_id], sizes[obj_id], births[obj_id],
-                )
-            elif tag == EV_FREE:
-                yield (EV_FREE, obj_id, deaths[obj_id], touches[obj_id])
-            else:
-                yield (EV_TOUCH, obj_id, touch_counts[touch_index])
-                touch_index += 1
-
-
-def as_event_source(trace: Union[Trace, EventSource]) -> EventSource:
-    """Normalize "a trace" to an :class:`EventSource`.
-
-    Every consumer that historically took a :class:`Trace` funnels
-    through this, so materialized and streaming callers share one code
-    path (and therefore one set of results).
-    """
-    if isinstance(trace, EventSource):
-        return trace
-    if isinstance(trace, Trace):
-        return TraceEventSource(trace)
-    raise TypeError(
-        f"expected a Trace or EventSource, got {type(trace).__name__}"
-    )
 
 
 def event_error(
@@ -323,7 +163,7 @@ def check_footer(source: EventSource, objects: int, allocated: int,
 def build_trace(source: EventSource) -> Trace:
     """Materialize an event stream back into an in-memory :class:`Trace`.
 
-    The inverse of :class:`TraceEventSource`: alloc events arrive in
+    The inverse of :meth:`Trace.events`: alloc events arrive in
     dense object-id order, so the parallel arrays are rebuilt with pure
     appends and the result round-trips exactly (same events, arrays, and
     aggregates).
@@ -479,13 +319,13 @@ def iter_object_records(
 def stream_live_stats(source: EventSource) -> LiveStats:
     """High-water marks of live bytes/objects from one stream pass.
 
-    Same accumulation as :meth:`Trace.live_stats`; a wrapped in-memory
-    trace delegates to it so the per-trace cache keeps working.  A
-    malformed stream, or a footer that disagrees with it, raises as in
+    Same accumulation as :meth:`Trace.live_stats`; a :class:`Trace`
+    delegates to it so the per-trace cache keeps working.  A malformed
+    stream, or a footer that disagrees with it, raises as in
     :func:`iter_object_records`.
     """
-    if isinstance(source, TraceEventSource):
-        return source.trace.live_stats()
+    if isinstance(source, Trace):
+        return source.live_stats()
     chain_count = len(source.header.chains)
     live_sizes = {}
     live_bytes = live_objects = next_id = allocated = 0

@@ -81,10 +81,9 @@ def atomic_output(path: PathLike) -> Iterator[BinaryIO]:
 
 def save_trace(trace: Trace, path: PathLike) -> None:
     """Write ``trace`` to ``path`` in format v3, whatever the file name."""
-    from repro.runtime.stream.protocol import TraceEventSource
     from repro.runtime.stream.v3 import write_trace_v3
 
-    write_trace_v3(TraceEventSource(trace), path)
+    write_trace_v3(trace, path)
 
 
 def load_trace(path: PathLike) -> Trace:
@@ -115,7 +114,7 @@ def convert_trace(src: PathLike, dst: PathLike) -> None:
     a stream before anything is written: a malformed one raises a
     :class:`TraceFormatError` naming ``src`` and leaves ``dst`` alone.
     """
-    from repro.runtime.stream.protocol import TraceEventSource, build_trace
+    from repro.runtime.stream.protocol import build_trace
     from repro.runtime.stream.v3 import write_trace_v3
 
     with open(src, "rb") as fh:
@@ -123,7 +122,7 @@ def convert_trace(src: PathLike, dst: PathLike) -> None:
     if is_v3:
         source = open_trace_stream(src)
     else:
-        source = TraceEventSource(_read_v2(src))
+        source = _read_v2(src)
         source.path = os.fspath(src)  # what a failed check names
         build_trace(source)
     write_trace_v3(source, dst)

@@ -9,24 +9,22 @@ Unlike bench sessions, search sessions carry **no wall-clock stamp and
 no replay mode**: the same (space, workload, scale, seed, objective)
 must produce a byte-identical file whether the replay ran materialized
 or streamed (``--stream``), and CI compares the files with ``cmp`` to
-prove it.  The store mirrors :class:`~repro.bench.BenchStore`
-(append-only numbered files, atomic writes, ``latest``/``prev``/seq/path
-references) so ``diff-sessions`` can gate one ranked session against
-another.
+prove it.  The store is a :class:`~repro.bench.store.SessionStore`, as
+:class:`~repro.bench.BenchStore` is (append-only numbered files, atomic
+writes, ``latest``/``prev``/seq/path references), so ``diff-sessions``
+can gate one ranked session against another.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import platform
-import re
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional
 
 from repro.bench.provenance import git_sha
+from repro.bench.store import SessionStore
 
 __all__ = [
     "SEARCH_DIR_ENV",
@@ -47,19 +45,9 @@ SEARCH_DIR_ENV = "REPRO_SEARCH_DIR"
 #: readers can refuse documents they do not understand.
 SEARCH_SCHEMA_VERSION = 1
 
-_SEQ_RE = re.compile(r"^SEARCH_(\d+)\.json$")
-
 
 class SearchFormatError(ValueError):
     """A search-session document that cannot be understood."""
-
-
-def default_search_dir() -> Path:
-    """``$REPRO_SEARCH_DIR`` or ``results/search`` under the working tree."""
-    env = os.environ.get(SEARCH_DIR_ENV)
-    if env:
-        return Path(env).expanduser()
-    return Path("results") / "search"
 
 
 def search_provenance() -> Dict[str, Any]:
@@ -154,81 +142,18 @@ class SearchSession:
             )
 
 
-class SearchStore:
+class SearchStore(SessionStore):
     """Reads and appends the ``SEARCH_<seq>.json`` trajectory."""
 
-    def __init__(self, directory: Union[str, os.PathLike, None] = None):
-        self.directory = (
-            Path(directory) if directory else default_search_dir()
-        )
+    prefix = "SEARCH"
+    session_type = SearchSession
+    dir_env = SEARCH_DIR_ENV
+    default_dir = Path("results") / "search"
 
-    def session_paths(self) -> List[Tuple[int, Path]]:
-        """Every ``(seq, path)`` in the trajectory, ascending by seq."""
-        found: List[Tuple[int, Path]] = []
-        if self.directory.is_dir():
-            for path in self.directory.iterdir():
-                match = _SEQ_RE.match(path.name)
-                if match:
-                    found.append((int(match.group(1)), path))
-        found.sort(key=lambda pair: pair[0])
-        return found
 
-    def next_seq(self) -> int:
-        """The sequence number the next :meth:`write` will use."""
-        paths = self.session_paths()
-        return (paths[-1][0] + 1) if paths else 1
-
-    def path_for(self, seq: int) -> Path:
-        """Where session ``seq`` lives (whether or not present)."""
-        return self.directory / f"SEARCH_{seq:04d}.json"
-
-    def load(self, ref: Union[int, str, os.PathLike]) -> SearchSession:
-        """Load a session by seq number, ``"latest"``/``"prev"``, or path."""
-        path = self.resolve(ref)
-        with open(path, "r", encoding="utf-8") as handle:
-            return SearchSession.from_dict(json.load(handle))
-
-    def resolve(self, ref: Union[int, str, os.PathLike]) -> Path:
-        """Turn a session reference into the file that holds it."""
-        if isinstance(ref, int):
-            return self.path_for(ref)
-        text = str(ref)
-        if text in ("latest", "prev"):
-            paths = self.session_paths()
-            want = 1 if text == "latest" else 2
-            if len(paths) < want:
-                raise FileNotFoundError(
-                    f"no {text!r} session: the search trajectory at "
-                    f"{self.directory} holds {len(paths)} session(s)"
-                )
-            return paths[-want][1]
-        if text.isdigit():
-            return self.path_for(int(text))
-        return Path(ref)
-
-    def write(self, session: SearchSession) -> Path:
-        """Atomically write ``session`` to its trajectory file."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(session.seq)
-        payload = json.dumps(session.to_dict(), indent=2, sort_keys=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.directory), prefix=".search-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as tmp:
-                tmp.write(payload)
-                tmp.write("\n")
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
-
-    def __repr__(self) -> str:
-        return f"<SearchStore dir={str(self.directory)!r}>"
+def default_search_dir() -> Path:
+    """``$REPRO_SEARCH_DIR`` or ``results/search`` under the working tree."""
+    return SearchStore.default_directory()
 
 
 # ----------------------------------------------------------------------

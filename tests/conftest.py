@@ -34,13 +34,16 @@ class ListSource(EventSource):
     The events are taken as given, malformed or not, so error-contract
     tests can feed any consumer (or ``write_trace_v3``) a stream the
     traced runtime would never record.  The summary is the one the
-    events imply, with any ``summary`` field overrides applied.
+    events imply, with any ``summary`` field overrides applied;
+    ``has_touch_events`` sets the header's flag, which
+    ``measure_locality`` requires.
     """
 
-    def __init__(self, events, chains=(("main", "f"),), summary=None):
+    def __init__(self, events, chains=(("main", "f"),), summary=None,
+                 has_touch_events=False):
         self._events = list(events)
         self._header = StreamHeader("bad", "test", ChainTable.from_list(chains),
-                                    has_touch_events=False)
+                                    has_touch_events=has_touch_events)
         allocs = [ev for ev in self._events if ev[0] == EV_ALLOC]
         self._summary = StreamSummary(
             total_calls=0, heap_refs=0, non_heap_refs=0,

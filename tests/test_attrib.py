@@ -36,8 +36,6 @@ from repro.obs.diff import (
 )
 from repro.runtime.folds import PairTable
 from repro.runtime.stream.protocol import (
-    TraceEventSource,
-    as_event_source,
     iter_object_lifetimes,
 )
 from repro.runtime.stream.v3 import TraceFileSource, write_trace_v3
@@ -68,7 +66,7 @@ def predictor(trace):
 
 @pytest.fixture(scope="module")
 def lifetimes(trace):
-    return list(iter_object_lifetimes(as_event_source(trace)))
+    return list(iter_object_lifetimes(trace))
 
 
 class TestAttributionFold:
@@ -149,7 +147,7 @@ class TestAttributionFold:
     def test_add_is_order_independent(self, trace, lifetimes, predictor):
         # Attribution prices a pair table, whose add is order-independent:
         # the rows, and every profile priced from them, match in any order.
-        source = as_event_source(trace)
+        source = trace
 
         def fold_of(items):
             table = PairTable(source.header, source.summary, THRESHOLD)
@@ -171,13 +169,13 @@ class TestAttributionFold:
 class TestReplayModeParity:
     def test_materialized_stream_identical(self, trace, tmp_path):
         path = tmp_path / "churn.rtr3"
-        write_trace_v3(TraceEventSource(trace), path, chunk_events=16)
+        write_trace_v3(trace, path, chunk_events=16)
         docs = [
             json.dumps(
                 attribute_sites(source, profile="bsd").to_dict(),
                 sort_keys=True,
             )
-            for source in (TraceEventSource(trace), TraceFileSource(path))
+            for source in (trace, TraceFileSource(path))
         ]
         assert docs[0] == docs[1]
 

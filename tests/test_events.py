@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.sites import ChainTable
 from repro.runtime.events import TraceBuilder
-from repro.runtime.stream.protocol import EV_ALLOC, EV_FREE, TraceEventSource
+from repro.runtime.stream.protocol import EV_ALLOC, EV_FREE
 
 
 def build_simple_trace():
@@ -68,7 +68,7 @@ class TestTrace:
 
     def test_event_sequence_in_program_order(self):
         trace, (a, b, c) = build_simple_trace()
-        assert list(TraceEventSource(trace).events()) == [
+        assert list(trace.events()) == [
             (EV_ALLOC, a, 0, 16, 0), (EV_ALLOC, b, 1, 32, 16),
             (EV_FREE, a, 48, 3), (EV_ALLOC, c, 0, 8, 48), (EV_FREE, b, 56, 1),
         ]

@@ -22,7 +22,6 @@ from repro.core.predictor import (
     train_size_only_predictor,
 )
 from repro.runtime.folds import LifetimeFold, fold_object_lifetimes
-from repro.runtime.stream.protocol import TraceEventSource
 from repro.runtime.stream.v3 import TraceFileSource, write_trace_v3
 from tests.conftest import make_churn_trace
 
@@ -51,7 +50,7 @@ class _LifetimeRecordFold(LifetimeFold):
 
 @pytest.fixture(scope="module")
 def memory_source():
-    return TraceEventSource(make_churn_trace(objects=600))
+    return make_churn_trace(objects=600)
 
 
 @pytest.fixture(scope="module")

@@ -18,14 +18,14 @@ from repro.core.cce import train_cce_predictor
 from repro.core.predictor import evaluate, train_site_predictor
 from repro.core.profile import build_profile
 from repro.core.sites import FULL_CHAIN
-from repro.runtime.stream.protocol import EV_ALLOC, EV_FREE, TraceEventSource
+from repro.runtime.stream.protocol import EV_ALLOC, EV_FREE
 
 
 class TestTraceIntegrity:
     def test_event_pairing(self, any_tiny_trace):
         trace = any_tiny_trace
         live = set()
-        for ev in TraceEventSource(trace).events():
+        for ev in trace.events():
             if ev[0] == EV_ALLOC:
                 assert ev[1] not in live
                 live.add(ev[1])
@@ -40,7 +40,7 @@ class TestTraceIntegrity:
     def test_births_monotone(self, any_tiny_trace):
         trace = any_tiny_trace
         clock = 0
-        for ev in TraceEventSource(trace).events():
+        for ev in trace.events():
             if ev[0] == EV_ALLOC:
                 _, _, _, size, birth = ev
                 assert birth == clock
@@ -122,6 +122,4 @@ class TestCrossWorkloadShape:
         second = run_workload("gawk", "tiny")
         assert first.total_objects == second.total_objects
         assert first.total_bytes == second.total_bytes
-        assert list(TraceEventSource(first).events()) == list(
-            TraceEventSource(second).events()
-        )
+        assert list(first.events()) == list(second.events())

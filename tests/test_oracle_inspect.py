@@ -14,7 +14,6 @@ from repro.runtime.stream.protocol import (
     EV_ALLOC,
     EV_FREE,
     EV_TOUCH,
-    TraceEventSource,
 )
 from tests.conftest import make_churn_trace
 
@@ -99,9 +98,7 @@ class TestTouchEventRoundTrip:
         path = tmp_path / "touchy.rtr3"
         save_trace(trace, path)
         loaded = load_trace(path)
-        assert list(TraceEventSource(loaded).events()) == list(
-            TraceEventSource(trace).events()
-        )
+        assert list(loaded.events()) == list(trace.events())
         assert loaded.has_touch_events
 
     def test_events_skips_touches(self):
@@ -110,7 +107,7 @@ class TestTouchEventRoundTrip:
         heap.touch(obj, 5)
         heap.free(obj)
         trace = heap.finish()
-        events = list(TraceEventSource(trace).events())
+        events = list(trace.events())
         assert [ev[:2] for ev in events if ev[0] != EV_TOUCH] == [
             (EV_ALLOC, 0), (EV_FREE, 0),
         ]
@@ -120,7 +117,7 @@ class TestTouchEventRoundTrip:
 
     def test_no_touch_events_by_default(self, churn_trace):
         assert not churn_trace.has_touch_events
-        kinds = {ev[0] for ev in TraceEventSource(churn_trace).events()}
+        kinds = {ev[0] for ev in churn_trace.events()}
         assert EV_TOUCH not in kinds
 
     def test_live_stats_unaffected_by_touches(self):

@@ -5,8 +5,8 @@ Every order-independent consumer reads one
 instead of visiting objects one by one.  The references here are the
 per-object loops those consumers ran before: the evaluation fold
 (integer sums, key-set unions, one verdict per pair), the attribution
-fold's ``add``, the per-size AND of size-only training, the oracle byte
-sum and the all-short-lived site rule.  Over generated well-formed
+fold's ``add``, the per-size AND of size-only training, the per-key AND
+of CCE training, the oracle byte sum and the all-short-lived site rule.  Over generated well-formed
 streams (the strategy of ``tests/test_replay_core.py``, with a random
 site predictor and a random size-only one) and one real program at a
 small scale, at two thresholds, each consumer must equal its reference
@@ -26,7 +26,7 @@ from repro.alloc.costs import DEFAULT_COST_MODEL
 from repro.alloc.firstfit import ALIGNMENT, HEADER_SIZE
 from repro.alloc.spec import BSD_SPEC, PAPER_DEFAULT_SPEC, AllocatorSpec
 from repro.analysis.experiments import TraceStore
-from repro.core.cce import train_cce_predictor
+from repro.core.cce import CCEPredictor, encrypt_chain, train_cce_predictor
 from repro.core.multiclass import train_multiclass_predictor
 from repro.core.predictor import (
     PredictionEvaluation,
@@ -35,10 +35,11 @@ from repro.core.predictor import (
     actual_short_lived_bytes,
     evaluate,
     evaluate_table,
+    pair_table,
     train_site_predictor,
     train_size_only_predictor,
 )
-from repro.core.sites import FULL_CHAIN, site_key
+from repro.core.sites import FULL_CHAIN, round_size, site_key
 from repro.obs.attrib import SiteAttribution, attribute_sites
 from repro.runtime.stream.protocol import (
     EV_ALLOC,
@@ -198,6 +199,16 @@ def _reference_sizes(objects, threshold):
     return frozenset(size for size, ok in short.items() if ok)
 
 
+def _reference_cce(objects, threshold, rounding):
+    """CCE training's per-(CCE key, rounded size) AND of shortness."""
+    chain_of = objects.header.chains.chain
+    short = {}
+    for chain_id, size, lifetime, _ in objects.records:
+        key = (encrypt_chain(chain_of(chain_id)), round_size(size, rounding))
+        short[key] = short.get(key, True) and lifetime < threshold
+    return frozenset(key for key, ok in short.items() if ok)
+
+
 def _reference_short_bytes(objects, threshold):
     """The oracle: bytes of the objects that died under ``threshold``."""
     return sum(
@@ -240,6 +251,16 @@ def _check_consumers(traces, site, sizes, boundary):
             assert train_size_only_predictor(trace, threshold).sizes == (
                 _reference_sizes(objects, threshold)
             ), label
+            for rounding in (1, 4):
+                reference = _reference_cce(objects, threshold, rounding)
+                assert train_cce_predictor(
+                    trace, threshold, rounding
+                ).keys == reference, (label, rounding)
+                # Selection reads only max lifetimes, so a table folded
+                # at another threshold selects the same keys.
+                assert CCEPredictor.from_table(
+                    pair_table(trace, THRESHOLDS[-1]), threshold, rounding
+                ).keys == reference, (label, rounding)
             for length, rounding in LEVELS:
                 assert train_site_predictor(
                     trace, threshold, length, rounding
@@ -364,6 +385,9 @@ class TestRealProgram:
         cce = store.cce_predictor(PROGRAM, train_dataset="test")
         fresh = train_cce_predictor(store.source(PROGRAM))
         assert cce.keys == fresh.keys
+        assert cce.keys == _reference_cce(
+            _Objects(store.source(PROGRAM)), cce.threshold, cce.size_rounding
+        )
         assert store.evaluate(PROGRAM, cce) == evaluate(
             fresh, store.source(PROGRAM)
         )

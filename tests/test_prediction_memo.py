@@ -55,7 +55,6 @@ from repro.runtime.heap import TracedHeap
 from repro.runtime.stream.protocol import (
     EV_ALLOC,
     EV_FREE,
-    TraceEventSource,
     iter_object_lifetimes,
 )
 from repro.runtime.stream.v3 import TraceFileSource, write_trace_v3
@@ -176,8 +175,7 @@ def train_files(train_traces, tmp_path_factory):
     paths = {}
     for program, trace in train_traces.items():
         paths[program] = directory / f"{program}.rtr3"
-        write_trace_v3(TraceEventSource(trace), paths[program],
-                       chunk_events=512)
+        write_trace_v3(trace, paths[program], chunk_events=512)
     return paths
 
 
@@ -233,9 +231,7 @@ class TestTrainingMatchesProfileRule:
                                                   program):
         trace = train_traces[program]
         all_short = {}
-        for chain_id, size, lifetime, _ in iter_object_lifetimes(
-            TraceEventSource(trace)
-        ):
+        for chain_id, size, lifetime, _ in iter_object_lifetimes(trace):
             key = (encrypt_chain(trace.chains.chain(chain_id)),
                    round_size(size, 4))
             all_short[key] = all_short.get(key, True) and lifetime < 32768
@@ -249,7 +245,7 @@ class TestTrainingMatchesProfileRule:
 
 def _reference_evaluate(predictor, trace):
     """The per-object scoring loop, with no memo."""
-    source = TraceEventSource(trace)
+    source = trace
     totals = dict(total=0, predicted=0, error=0, objects=0, refs=0)
     test_keys, matched = set(), set()
     for chain_id, size, lifetime, touches in iter_object_lifetimes(source):
@@ -333,7 +329,7 @@ class TestEvaluationAndReplay:
         chain_of = trace.chains.chain
         allocator = build_allocator(spec, predictor)
         addresses = {}
-        for ev in TraceEventSource(trace).events():
+        for ev in trace.events():
             if ev[0] == EV_ALLOC:
                 addresses[ev[1]] = allocator.malloc(ev[3], chain_of(ev[2]))
             elif ev[0] == EV_FREE:

@@ -29,7 +29,6 @@ from repro.obs.spans import TRACER
 from repro.runtime.stream.protocol import (
     EV_ALLOC,
     EV_FREE,
-    TraceEventSource,
     build_trace,
 )
 from tests.conftest import ListSource
@@ -106,9 +105,7 @@ class TestSharedArenaReplays:
     @given(stream=streams(), data=st.data())
     def test_generated_streams(self, stream, data):
         events, chains = stream
-        source = TraceEventSource(
-            build_trace(ListSource(events, chains=chains))
-        )
+        source = build_trace(ListSource(events, chains=chains))
         geometry = dict(
             arena_size=data.draw(st.sampled_from([64, 256, 1024])),
         )
@@ -131,9 +128,7 @@ class TestSharedArenaReplays:
             frozenset({site_key(chains[0], 48, FULL_CHAIN, 4)}), 32768,
             FULL_CHAIN, 4,
         )
-        source = TraceEventSource(
-            build_trace(ListSource(events, chains=chains))
-        )
+        source = build_trace(ListSource(events, chains=chains))
         exhausted = _check_orders(source, predictor, dict(arena_size=256),
                                   random.Random(5))
         assert exhausted == set(range(1, 11))

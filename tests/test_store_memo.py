@@ -12,8 +12,8 @@
 * ``build_trace`` raises ``TraceFormatError`` for every malformed
   stream and every footer that disagrees with its events, so the trace
   cache counts such an entry as corrupt; the streaming consumers
-  (training, live stats, ``simulate --stream``) raise the same error
-  for the same malformed stream or footer.
+  (training, live stats, ``simulate --stream``, ``measure_locality``)
+  raise the same error for the same malformed stream or footer.
 """
 
 from __future__ import annotations
@@ -29,9 +29,11 @@ from repro.alloc.spec import (
     FIRSTFIT_SPEC,
     PAPER_DEFAULT_SPEC,
     AllocatorSpec,
+    build_allocator,
 )
 from repro.analysis import tables
 from repro.analysis.experiments import TraceStore
+from repro.analysis.locality import measure_locality
 from repro.analysis.simulate import simulate_spec
 from repro.analysis.trace_cache import TraceCache
 from repro.cli import main
@@ -432,6 +434,27 @@ class TestStreamConsumersErrorContract:
         assert code == 1
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["memory", "file"])
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_measure_locality_raises_build_traces_error(self, case, mode,
+                                                        tmp_path):
+        # The locality replay walks a touch-recorded stream, so it needs
+        # the header flag; otherwise it meets each malformed stream or
+        # footer as the other consumers do.
+        events, summary, message = REJECTED[case]
+        source = ListSource(events, summary=summary, has_touch_events=True)
+        where = "bad/test"
+        if mode == "file":
+            path = tmp_path / "bad.rtr3"
+            write_trace_v3(source, path)
+            source, where = TraceFileSource(path), str(path)
+        with pytest.raises(TraceFormatError) as expected:
+            build_trace(source)
+        with pytest.raises(TraceFormatError) as info:
+            measure_locality(source, build_allocator(FIRSTFIT_SPEC))
+        assert str(info.value) == str(expected.value)
+        assert str(info.value).startswith(f"{where}: {message}")
 
     @pytest.mark.parametrize("mode", ["materialized", "streamed"])
     @pytest.mark.parametrize("spec", ["arena", "bsd", "firstfit"])

@@ -32,9 +32,7 @@ from repro.runtime.heap import TracedHeap
 from repro.runtime.stream import (
     EventSource,
     StreamSummary,
-    TraceEventSource,
     TraceFileSource,
-    as_event_source,
     build_trace,
     iter_object_lifetimes,
     write_trace_v3,
@@ -74,7 +72,7 @@ def object_folds(trace):
 class TestProtocol:
     def test_header_mirrors_the_trace(self):
         trace = make_churn_trace(objects=40)
-        source = TraceEventSource(trace)
+        source = trace
         assert source.header.program == trace.program
         assert source.header.dataset == trace.dataset
         assert source.header.chains is trace.chains
@@ -82,7 +80,7 @@ class TestProtocol:
 
     def test_summary_mirrors_the_trace(self):
         trace = make_churn_trace(objects=40)
-        summary = TraceEventSource(trace).summary
+        summary = trace.summary
         assert summary.total_calls == trace.total_calls
         assert summary.heap_refs == trace.heap_refs
         assert summary.non_heap_refs == trace.non_heap_refs
@@ -95,37 +93,28 @@ class TestProtocol:
         builder = TraceBuilder("kept", "synthetic")
         builder.set_touches(builder.add_alloc(("main", "work"), 32, 0), 3)
         trace = builder.build()
-        first = TraceEventSource(trace).summary.unfreed_touches
+        first = trace.summary.unfreed_touches
         assert first == ((0, 3),)
-        assert TraceEventSource(trace).summary.unfreed_touches is first
+        assert trace.summary.unfreed_touches is first
 
     def test_events_returns_a_fresh_iterator_each_call(self):
-        source = TraceEventSource(make_churn_trace(objects=30))
+        source = make_churn_trace(objects=30)
         first = list(source.events())
         assert list(source.events()) == first
         assert len(first) == source.summary.event_count
 
     def test_wrap_then_rebuild_round_trips(self):
         trace = make_churn_trace(objects=50)
-        assert_traces_equal(trace, build_trace(TraceEventSource(trace)))
+        assert_traces_equal(trace, build_trace(trace))
 
     def test_touch_events_round_trip(self):
         trace = make_touch_trace()
         assert trace.has_touch_events
-        assert_traces_equal(trace, build_trace(TraceEventSource(trace)))
-
-    def test_as_event_source_passes_sources_through(self):
-        source = TraceEventSource(make_churn_trace(objects=10))
-        assert as_event_source(source) is source
-        assert isinstance(as_event_source(source.trace), TraceEventSource)
-
-    def test_as_event_source_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            as_event_source([1, 2, 3])
+        assert_traces_equal(trace, build_trace(trace))
 
     def test_iter_object_lifetimes_covers_every_object(self):
         trace = make_churn_trace(objects=60)
-        source = TraceEventSource(trace)
+        source = trace
         chain = source.header.chains.chain
         streamed = sorted(
             (chain(chain_id), size, lifetime, touches)
@@ -142,7 +131,7 @@ class TestProtocol:
             heap.free(heap.malloc(16))
             heap.malloc(32)
         trace = heap.finish()
-        source = TraceEventSource(trace)
+        source = trace
         streamed = sorted(row for row in iter_object_lifetimes(source))
         chain = source.header.chains.chain
         assert [
@@ -162,7 +151,7 @@ class TestProtocol:
 
     def test_unfreed_touches_survive_a_summary_round_trip(self):
         trace = make_churn_trace(objects=30)
-        source = TraceEventSource(trace)
+        source = trace
         keeper = next(obj_id for obj_id in range(trace.total_objects)
                       if not trace.freed(obj_id))
         doctored = StreamSummary(
@@ -202,7 +191,7 @@ class TestV3File:
     def test_multi_chunk_round_trip(self, tmp_path):
         trace = make_churn_trace(objects=100)
         path = tmp_path / "chunked.rtr3"
-        write_trace_v3(TraceEventSource(trace), path, chunk_events=64)
+        write_trace_v3(trace, path, chunk_events=64)
         source = TraceFileSource(path)
         assert len(source.chunk_index) > 1
         assert_traces_equal(trace, build_trace(source))
@@ -217,7 +206,7 @@ class TestV3File:
         assert source.summary.event_count == trace.event_count
         # Fresh iterator per call, same events each time.
         assert list(source.events()) == list(source.events())
-        assert list(source.events()) == list(TraceEventSource(trace).events())
+        assert list(source.events()) == list(trace.events())
 
     def test_open_trace_stream_on_v2_names_convert(self):
         for read in (open_trace_stream, load_trace):
@@ -267,7 +256,7 @@ class TestV3File:
     def test_corrupt_mid_stream_chunk_is_a_format_error(self, tmp_path):
         path = tmp_path / "trace.rtr3"
         trace = make_churn_trace(objects=200)
-        write_trace_v3(TraceEventSource(trace), path, chunk_events=64)
+        write_trace_v3(trace, path, chunk_events=64)
         raw = bytearray(path.read_bytes())
         # Flip one byte in the middle of the event-frame region: the
         # trailer and footer stay valid, so the damage only surfaces
@@ -291,8 +280,7 @@ class TestV3File:
         # The header is pinned, not a digest: the deflate bytes after it
         # depend on the zlib build, the header on nothing.
         path = tmp_path / "chunked.rtr3"
-        write_trace_v3(TraceEventSource(make_touch_trace()), path,
-                       chunk_events=64)
+        write_trace_v3(make_touch_trace(), path, chunk_events=64)
         raw = path.read_bytes()
         assert raw.startswith(V3_MAGIC)
         offset, end = len(V3_MAGIC), len(raw) - 24  # the trailer

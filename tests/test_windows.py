@@ -41,7 +41,6 @@ from repro.obs.windows import (
     write_windows_json,
 )
 from repro.runtime.stream.protocol import (
-    as_event_source,
     iter_object_records,
 )
 from tests.conftest import make_churn_trace
@@ -56,7 +55,7 @@ def trace():
 
 @pytest.fixture(scope="module")
 def records(trace):
-    return list(iter_object_records(as_event_source(trace)))
+    return list(iter_object_records(trace))
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +65,7 @@ def profile(trace):
 
 class TestWindowSpec:
     def test_bytes_axis_equal_spans(self, trace):
-        spec = window_spec_for(as_event_source(trace), windows=4)
+        spec = window_spec_for(trace, windows=4)
         end = trace.end_time
         assert spec.starts == (0, end // 4, (2 * end) // 4, (3 * end) // 4)
         assert spec.span(3) == ((3 * end) // 4, end)
@@ -82,7 +81,7 @@ class TestWindowSpec:
         assert spec.index(10_000) == 3
 
     def test_events_axis_boundaries_are_quantile_births(self, trace):
-        source = as_event_source(trace)
+        source = trace
         spec = window_spec_for(source, windows=4, by="events")
         total = trace.total_objects
         births = [rec[3] for rec in sorted(
@@ -101,7 +100,7 @@ class TestWindowSpec:
         ]
 
     def test_rejects_bad_axis_and_count(self, trace):
-        source = as_event_source(trace)
+        source = trace
         with pytest.raises(ValueError, match="axis"):
             window_spec_for(source, windows=4, by="wall-clock")
         with pytest.raises(ValueError, match=">= 1"):
@@ -178,7 +177,7 @@ class TestWindowFold:
         assert total == trace.total_objects
 
     def test_add_object_is_order_independent(self, trace, records):
-        source = as_event_source(trace)
+        source = trace
         spec = window_spec_for(source, windows=8)
         chains = source.header.chains
 
