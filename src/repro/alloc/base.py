@@ -18,7 +18,7 @@ the test suite can assert heap integrity after every scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.core.sites import CallChain, ChainTable

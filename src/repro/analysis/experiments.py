@@ -46,6 +46,7 @@ from repro.obs.spans import TRACER
 from repro.analysis.simulate import (
     ReplayCounts,
     SimulationResult,
+    arena_pass,
     counts_for,
     price,
     replay_spec,
@@ -145,12 +146,13 @@ class TraceStore:
 
     The store also computes each distinct derived result once (DESIGN.md
     §17): one replay per allocator placement, shared by the arena counts
-    it never outgrew (:meth:`simulate`), one pair table per execution
-    and threshold (:meth:`pair_table`) that every predictor selects from
-    and every evaluation and attribution prices, and one attribution per
-    distinct prediction (:meth:`attribution`).  These memos hold results
-    only — counters, pair tables, profiles — and live exactly as long as
-    the store.
+    it never outgrew, and one general heap per predictor, shared by the
+    arena geometries that overflow nothing (:meth:`simulate`); one pair
+    table per execution and threshold (:meth:`pair_table`) that every
+    predictor selects from and every evaluation and attribution prices;
+    and one attribution per distinct prediction (:meth:`attribution`).
+    These memos hold results only — counters, pair tables, profiles —
+    and live exactly as long as the store.
     """
 
     def __init__(
@@ -188,6 +190,7 @@ class TraceStore:
         # allocator or a source.
         self._pair_tables: Dict[Tuple[str, str], Dict[int, PairTable]] = {}
         self._replays: Dict[tuple, List[ReplayCounts]] = {}
+        self._general_halves: Dict[tuple, ReplayCounts] = {}
         self._attributions: Dict[tuple, AttributionProfile] = {}
 
     @property
@@ -419,8 +422,11 @@ class TraceStore:
         ``num_arenas`` aside, so specs that differ only in the costing
         ``strategy`` share a replay, and an arena spec is answered by
         any stored replay that never outgrew its arena count
-        (:func:`~repro.analysis.simulate.counts_for`).  Every call
-        prices the counters under its own strategy and ``model`` with
+        (:func:`~repro.analysis.simulate.counts_for`).  A new arena
+        placement is first tried against its predictor's general half,
+        the first replay under that predictor that overflowed nothing
+        (:meth:`_replay`).  Every call prices the counters under its own
+        strategy and ``model`` with
         :func:`~repro.analysis.simulate.price`, the function
         :func:`~repro.analysis.simulate.simulate_spec` prices with, so
         the result equals a fresh ``simulate_spec`` field for field.
@@ -436,12 +442,36 @@ class TraceStore:
             if counts is not None:
                 break
         else:
-            counts = replay_spec(
-                self.source(program, dataset), spec,
-                self.predictor_for(program, spec),
-            )
+            counts = self._replay(program, dataset, spec)
             replays.append(counts)
         return price(counts, spec, model)
+
+    def _replay(self, program: str, dataset: str, spec) -> ReplayCounts:
+        """``spec``'s counts when no stored replay of its placement holds
+        them.
+
+        An arena spec whose predictor has a general half, on an in-memory
+        trace, is answered by
+        :func:`~repro.analysis.simulate.arena_pass` unless it overflows.
+        Otherwise the trace is replayed in full, and the predictor's
+        first full replay that overflowed nothing becomes its general
+        half (DESIGN.md §17).
+        """
+        source = self.source(program, dataset)
+        predictor = self.predictor_for(program, spec)
+        if (spec.kind != "arena" or predictor is None
+                or not isinstance(source, Trace)):
+            return replay_spec(source, spec, predictor)
+        key = (program, dataset, predictor)
+        general = self._general_halves.get(key)
+        if general is not None:
+            counts = arena_pass(general, source, spec, predictor)
+            if counts is not None:
+                return counts
+        counts = replay_spec(source, spec, predictor)
+        if general is None and not counts.ops.arena_overflows:
+            self._general_halves[key] = counts
+        return counts
 
     def attribution(
         self,

@@ -146,7 +146,7 @@ def measure_locality(
         else:  # touch
             addr = addresses.get(obj_id)
             if addr is None:
-                continue  # touched after the tracer saw the free (no-op)
+                raise first_malformed(source)
             count = ev[2]
             size = sizes[obj_id]
             offset = cursors[obj_id]

@@ -7,7 +7,7 @@ units) the paper uses so EXPERIMENTS.md comparisons can be made by eye.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.analysis.tables import (
     TABLE6_LENGTHS,

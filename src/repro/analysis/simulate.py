@@ -14,14 +14,18 @@ and keeps its counters (:class:`ReplayCounts`), and :func:`price` turns
 counters into instruction costs.  Pricing never touches the trace, so
 :meth:`~repro.analysis.experiments.TraceStore.simulate` replays each
 distinct placement once and prices it per caller; :func:`counts_for`
-lets one arena replay answer every arena count it never outgrew.
+lets one arena replay answer every arena count it never outgrew, and
+:func:`arena_pass` lets one that overflowed nothing answer every other
+arena geometry of its predictor from a pass over the arena objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import TYPE_CHECKING, Optional
 
+from repro.alloc.arena import ARENA_ALIGNMENT
 from repro.alloc.base import Allocator, OpCounts
 from repro.alloc.costs import (
     DEFAULT_COST_MODEL,
@@ -46,6 +50,7 @@ __all__ = [
     "replay",
     "replay_spec",
     "counts_for",
+    "arena_pass",
     "price",
     "simulate_spec",
 ]
@@ -116,10 +121,10 @@ def replay(source: EventSource, allocator: Allocator,
     the event offset, and the object id (see
     :func:`~repro.runtime.stream.protocol.first_malformed`): a free of an
     object that is not live, an alloc under a chain id the header never
-    interned or of a size below 1, or, on a stream, an alloc out of
-    dense id order.  On a stream, a footer that disagrees with the
-    events raises too, once the pass ends (see
-    :func:`~repro.runtime.stream.protocol.check_footer`).
+    interned or of a size below 1, or, on a stream, a touch of an object
+    that is not live or an alloc out of dense id order.  On a stream, a
+    footer that disagrees with the events raises too, once the pass ends
+    (see :func:`~repro.runtime.stream.protocol.check_footer`).
 
     ``telemetry`` attaches a :class:`~repro.obs.telemetry.Telemetry`
     recorder for the duration of the replay: the allocator reports every
@@ -142,7 +147,8 @@ def replay(source: EventSource, allocator: Allocator,
         if check_invariants:
             malloc, free = _audited(allocator)
         if isinstance(source, Trace):
-            _replay_arrays(source, malloc, free)
+            _replay_arrays(source, source.raw_arrays()["events"], malloc,
+                           free)
         else:
             _replay_events(source, malloc, free)
         if check_invariants:
@@ -151,9 +157,11 @@ def replay(source: EventSource, allocator: Allocator,
         telemetry.finish()
 
 
-def _replay_arrays(trace: Trace, malloc, free) -> None:
-    """Replay an in-memory trace from its packed event codes.
+def _replay_arrays(trace: Trace, codes, malloc, free) -> None:
+    """Replay ``codes``, packed event codes of an in-memory trace.
 
+    ``codes`` is the trace's event array, or a subsequence of it that
+    keeps each object's alloc and free together (:func:`arena_pass`).
     Chain ids and sizes are range-checked once, over their whole arrays:
     a :class:`Trace` built by hand rather than loaded skips
     :func:`~repro.runtime.stream.protocol.build_trace`'s per-event
@@ -168,7 +176,7 @@ def _replay_arrays(trace: Trace, malloc, free) -> None:
     ):
         raise first_malformed(trace)
     addresses = {}
-    for code in arrays["events"]:
+    for code in codes:
         tag = code & 3
         if tag == EV_ALLOC:
             obj_id = code >> 2
@@ -185,8 +193,8 @@ def _replay_events(source: EventSource, malloc, free) -> None:
     """Replay any event source from its ``events()`` tuples.
 
     Each alloc is checked for dense id order, an interned chain id and
-    a size of at least 1, and the footer against the events once the
-    pass ends.
+    a size of at least 1, each free and touch for a live object, and
+    the footer against the events once the pass ends.
     """
     chain_count = len(source.header.chains)
     addresses = {}
@@ -210,6 +218,8 @@ def _replay_events(source: EventSource, malloc, free) -> None:
             except KeyError as exc:
                 raise first_malformed(source) from exc
             free(addr)
+        elif ev[1] not in addresses:
+            raise first_malformed(source)
     check_footer(source, next_id, allocated, addresses.__contains__)
 
 
@@ -337,6 +347,61 @@ def counts_for(
         counts,
         arena_area_size=area,
         max_heap_size=counts.max_heap_size - counts.arena_area_size + area,
+    )
+
+
+def arena_pass(
+    general: ReplayCounts,
+    trace: Trace,
+    spec: AllocatorSpec,
+    predictor: LifetimePredictor,
+) -> Optional[ReplayCounts]:
+    """What a replay of the arena ``spec`` counts, from ``general`` and a
+    pass over the predicted-short objects alone; or None.
+
+    ``general`` is a replay of ``trace`` under ``predictor`` in another
+    arena geometry, one that overflowed nothing.  Without an overflow the
+    first-fit general heap gets exactly the objects ``predictor`` calls
+    long-lived, in trace order, so its counters and every placement
+    total are the predictor's, whatever the geometry (DESIGN.md §17).
+    This replays only the predicted-short objects' allocs and frees
+    through a fresh ``spec`` allocator, and rewrites what the geometry
+    decides: the arena area, the max heap that includes it,
+    ``arenas_used``, ``arenas_exhausted``, and the arena scans and
+    resets.  None when ``spec`` overflows: a predicted-short object is
+    larger than its arenas (found before the pass), or the pass finds
+    every arena live.  ``predictor``'s verdicts must be a function of
+    ``(chain, size)``, as every predictor a store resolves is.
+    """
+    arrays = trace.raw_arrays()
+    sizes = arrays["sizes"]
+    # One verdict byte per object and a generator over the codes, so the
+    # pass holds no per-event list.
+    short = bytes(map(predictor.bind(trace.chains).__getitem__,
+                      zip(arrays["chain_ids"], sizes)))
+    largest = max(compress(sizes, short), default=0)
+    if ((largest + ARENA_ALIGNMENT - 1) // ARENA_ALIGNMENT
+            * ARENA_ALIGNMENT > spec.arena_size):
+        return None
+    codes = (code for code in arrays["events"] if short[code >> 2])
+    allocator = build_allocator(spec, predictor)
+    allocator.bind_chains(trace.chains)
+    with TRACER.span("simulate.arena_pass", cat="simulate",
+                     allocator=allocator.name, program=trace.program,
+                     dataset=trace.dataset):
+        _replay_arrays(trace, codes, allocator.malloc, allocator.free)
+    ops = allocator.ops
+    if ops.arena_overflows:
+        return None
+    area = allocator.arena_area_size
+    return replace(
+        general,
+        max_heap_size=general.max_heap_size - general.arena_area_size + area,
+        arena_area_size=area,
+        arenas_used=allocator.arenas_used,
+        arenas_exhausted=allocator.arenas_exhausted,
+        ops=replace(general.ops, arenas_scanned=ops.arenas_scanned,
+                    arena_resets=ops.arena_resets),
     )
 
 

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
-from repro.alloc.costs import DEFAULT_COST_MODEL, execution_instructions
+from repro.alloc.costs import execution_instructions
 from repro.obs.spans import traced
 from repro.core.predictor import (
     DEFAULT_THRESHOLD,
-    TRUE_PREDICTION_ROUNDING,
     SizeOnlyPredictor,
     actual_short_lived_bytes,
 )

@@ -30,7 +30,6 @@ from repro.cli._options import (
 )
 from repro.core.database import load_predictor
 from repro.obs import (
-    DEFAULT_SAMPLE_INTERVAL,
     Telemetry,
     export_timeline,
     render_stats,

@@ -24,7 +24,6 @@ from typing import Dict, Optional, Sequence, Tuple
 from typing import TYPE_CHECKING
 
 from repro.core.predictor import (
-    DEFAULT_THRESHOLD,
     TRUE_PREDICTION_ROUNDING,
     LifetimePredictor,
     pair_table,

@@ -204,8 +204,20 @@ class ChainTable:
 
     @classmethod
     def from_list(cls, chains: Iterable[Sequence[str]]) -> "ChainTable":
-        """Rebuild a table from a previously serialized chain list."""
+        """Rebuild a table from a previously serialized chain list.
+
+        Each chain keeps its position as its id.  A chain listed twice
+        raises :class:`ValueError` naming both positions, since merging
+        the two would shift the id of every later chain.
+        """
         table = cls()
-        for chain in chains:
-            table.intern(chain)
+        table._chains = [tuple(chain) for chain in chains]
+        table._ids = dict(zip(table._chains, range(len(table._chains))))
+        if len(table._ids) != len(table._chains):
+            for position, chain in enumerate(table._chains):
+                if table._ids[chain] != position:
+                    raise ValueError(
+                        f"chain {list(chain)} is listed twice, at positions "
+                        f"{position} and {table._ids[chain]}"
+                    )
         return table

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, List, Optional, TypeVar
+from typing import Any, Callable, Iterator, List, TypeVar
 
 from repro.runtime.events import Trace, TraceBuilder
 

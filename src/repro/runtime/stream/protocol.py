@@ -61,15 +61,17 @@ def event_error(
 
     Every consumer reports a malformed stream through this one message:
     the file (``program/dataset`` for an in-memory stream), the event
-    offset and the object id.  A free is malformed when its object is
-    not live.  An alloc is malformed when it names a chain id the header
-    never interned, or else when its id is not ``next_id``, the next in
-    dense allocation order, or else when its size is below 1.
+    offset and the object id.  A free or a touch is malformed when its
+    object is not live.  An alloc is malformed when it names a chain id
+    the header never interned, or else when its id is not ``next_id``,
+    the next in dense allocation order, or else when its size is below 1.
     """
     header = source.header
     obj_id = ev[1]
     if ev[0] == EV_FREE:
         problem = f"free of object {obj_id}, which is not live"
+    elif ev[0] == EV_TOUCH:
+        problem = f"touch of object {obj_id}, which is not live"
     elif not 0 <= ev[2] < len(header.chains):
         problem = (
             f"object {obj_id} names chain id {ev[2]}, but the header "
@@ -119,6 +121,8 @@ def first_malformed(source: EventSource) -> TraceFormatError:
             if ev[1] not in live:
                 return event_error(source, offset, ev)
             live.remove(ev[1])
+        elif ev[1] not in live:
+            return event_error(source, offset, ev)
     return TraceFormatError(
         f"{_where(source)}: a check failed on an event that a second pass "
         f"over the stream finds well formed"
@@ -171,11 +175,11 @@ def build_trace(source: EventSource) -> Trace:
     A malformed stream raises
     :class:`~repro.runtime.tracefile.TraceFormatError` (see
     :func:`event_error`): an alloc out of dense id order, under a chain
-    id the header never interned or of a size below 1, or a free of an
-    object that is not live — never allocated, negative, or already
-    freed.  An event's offset is the length of the event array before
-    it, so the checks cost a few comparisons per event and keep no
-    counter.  A footer that disagrees with the events raises too (see
+    id the header never interned or of a size below 1, or a free or a
+    touch of an object that is not live — never allocated, negative, or
+    already freed.  An event's offset is the length of the event array
+    before it, so the checks cost a few comparisons per event and keep
+    no counter.  A footer that disagrees with the events raises too (see
     :func:`check_footer`).
     """
     header = source.header
@@ -210,11 +214,13 @@ def build_trace(source: EventSource) -> Trace:
                 touches[obj_id] = ev[3]
                 events.append((obj_id << 2) | EV_FREE)
             else:
+                if obj_id < 0 or deaths[obj_id] != never:
+                    raise event_error(source, len(events), ev)
                 events.append((obj_id << 2) | EV_TOUCH)
                 touch_counts.append(ev[2])
     except IndexError as exc:
         # ``deaths[obj_id]`` of an id past every allocated object.
-        if ev and ev[0] == EV_FREE and ev[1] >= len(sizes):
+        if ev and ev[0] != EV_ALLOC and ev[1] >= len(sizes):
             raise event_error(source, len(events), ev) from exc
         raise
     objects = len(sizes)
@@ -304,6 +310,8 @@ def iter_object_records(
             except KeyError as exc:
                 raise first_malformed(source) from exc
             yield (ev[1], chain_id, size, birth, ev[2], ev[3])
+        elif ev[1] not in live:
+            raise first_malformed(source)
     check_footer(source, next_id, allocated, live.__contains__)
     summary = source.summary
     end_time = summary.end_time
@@ -333,6 +341,8 @@ def stream_live_stats(source: EventSource) -> LiveStats:
     for ev in source.events():
         tag = ev[0]
         if tag == EV_TOUCH:
+            if ev[1] not in live_sizes:
+                raise first_malformed(source)
             continue
         if tag == EV_FREE:
             try:

@@ -10,11 +10,13 @@ One candidate evaluation reads two results from the store:
 The store computes each distinct replay and attribution once: the grid's
 arena geometries share one attribution per predictor, and specs that
 differ only in ``num_arenas`` share one replay whenever it never
-outgrew their arena count.  On every program at scales 0.1 and 1.0
-the default grid runs one replay per (arena size, threshold): 6 for
-its 18 specs and the baseline.  A streaming store replays both passes
-from the cached v3 file, and the recorded numbers are the materialized
-store's byte for byte.
+outgrew their arena count.  A materialized store also answers the other
+arena sizes of a predictor whose first replay overflowed nothing with a
+pass over the predicted-short objects alone, so on every program but
+ghost the default grid runs 2 full replays and 4 arena passes for its
+18 specs and the baseline.  A streaming store replays each of the 6
+placements in full from the cached v3 file, and the recorded numbers
+are the materialized store's byte for byte.
 
 Grid mode scores every spec the space enumerates; evolve mode walks the
 space with the seeded driver in :mod:`repro.search.evolve`.  Either
@@ -24,7 +26,7 @@ paper-default baseline, and ranked by (score, spec hash).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.alloc.spec import PAPER_DEFAULT_SPEC, AllocatorSpec
 from repro.alloc.costs import DEFAULT_COST_MODEL, CostModel

@@ -16,7 +16,7 @@ sites carry espresso's layered call chains (``cube_and`` →
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.runtime.heap import HeapObject, TracedHeap, traced
 

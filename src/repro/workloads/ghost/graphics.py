@@ -25,7 +25,7 @@ rasterizer with exactly that allocation structure:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.runtime.heap import HeapObject, TracedHeap, traced
 

@@ -32,7 +32,7 @@ from repro.workloads.ghost.graphics import (
     Path,
     Rasterizer,
 )
-from repro.workloads.ghost.scanner import PSScanError, Token, scan
+from repro.workloads.ghost.scanner import Token, scan
 
 __all__ = ["PSError", "PSInterp"]
 

@@ -18,7 +18,7 @@ per-match scratch the original interpreter mallocs.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.runtime.heap import HeapObject, TracedHeap
 

@@ -9,6 +9,12 @@ visiting arena counts 1-64 in ascending, descending and shuffled order,
 every answer equals a fresh ``simulate_spec`` field for field.  The
 geometries include arenas small enough for every arena to be found
 live, and objects larger than an arena.
+
+A predictor's first replay that overflowed nothing also serves its
+other arena sizes (:func:`~repro.analysis.simulate.arena_pass`): over
+the same streams, with two arena geometries, the store's answer for the
+second equals a fresh replay, and the pass falls back to a full replay
+exactly when a fresh replay of the second geometry overflows.
 """
 
 from __future__ import annotations
@@ -22,7 +28,12 @@ from hypothesis import strategies as st
 
 from repro.alloc.spec import AllocatorSpec
 from repro.analysis.experiments import EVAL_DATASET, TraceStore
-from repro.analysis.simulate import replay_spec, simulate_spec
+from repro.analysis.simulate import (
+    arena_pass,
+    price,
+    replay_spec,
+    simulate_spec,
+)
 from repro.core.predictor import SitePredictor
 from repro.core.sites import FULL_CHAIN, site_key
 from repro.obs.spans import TRACER
@@ -32,7 +43,7 @@ from repro.runtime.stream.protocol import (
     build_trace,
 )
 from tests.conftest import ListSource
-from tests.test_replay_core import _site_predictor, streams
+from tests.test_replay_core import _allocs, _site_predictor, streams
 
 COUNTS = range(1, 65)
 ORDERS = ("ascending", "descending", "shuffled")
@@ -100,6 +111,24 @@ def _check_orders(source, predictor, geometry, rng):
     return exhausted
 
 
+def _churn():
+    """200 48-byte objects, every 20th never freed, and a predictor that
+    calls them all short-lived."""
+    events = []
+    clock = 0
+    for obj_id in range(200):
+        events.append((EV_ALLOC, obj_id, 0, 48, clock))
+        clock += 48
+        if obj_id % 20:
+            events.append((EV_FREE, obj_id, clock, 0))
+    chains = [("main", "hot")]
+    predictor = SitePredictor(
+        frozenset({site_key(chains[0], 48, FULL_CHAIN, 4)}), 32768,
+        FULL_CHAIN, 4,
+    )
+    return build_trace(ListSource(events, chains=chains)), predictor
+
+
 class TestSharedArenaReplays:
     @settings(max_examples=40, deadline=None)
     @given(stream=streams(), data=st.data())
@@ -116,22 +145,82 @@ class TestSharedArenaReplays:
     def test_exhausted_replay_is_not_reused(self):
         # Every 20th object survives and pins the 256-byte arena it
         # lands in: ten survivors find up to ten arenas all live.
-        events = []
-        clock = 0
-        for obj_id in range(200):
-            events.append((EV_ALLOC, obj_id, 0, 48, clock))
-            clock += 48
-            if obj_id % 20:
-                events.append((EV_FREE, obj_id, clock, 0))
-        chains = [("main", "hot")]
-        predictor = SitePredictor(
-            frozenset({site_key(chains[0], 48, FULL_CHAIN, 4)}), 32768,
-            FULL_CHAIN, 4,
-        )
-        source = build_trace(ListSource(events, chains=chains))
+        source, predictor = _churn()
         exhausted = _check_orders(source, predictor, dict(arena_size=256),
                                   random.Random(5))
         assert exhausted == set(range(1, 11))
+
+
+def _small_site_predictor(data, events, chains) -> SitePredictor:
+    """Predicts a random share of the stream's sites whose objects are at
+    most a drawn size, so small arenas often overflow nothing."""
+    largest = data.draw(st.sampled_from([64, 1024, 8192]))
+    rng, allocs = _allocs(data, events, chains)
+    small = [(chain, size) for chain, size in allocs if size <= largest]
+    chosen = small[:int(rng.random() * (len(small) + 1))]
+    sites = frozenset(
+        site_key(chain, size, FULL_CHAIN, 4) for chain, size in chosen
+    )
+    return SitePredictor(sites, threshold=32 * 1024,
+                         chain_length=FULL_CHAIN, size_rounding=4)
+
+
+class TestGeneralHeapPerPredictor:
+    @settings(max_examples=150, deadline=None)
+    @given(stream=streams(), data=st.data())
+    def test_second_geometry(self, stream, data):
+        events, chains = stream
+        source = build_trace(ListSource(events, chains=chains))
+        predictor = _small_site_predictor(data, events, chains)
+        sizes = data.draw(st.lists(st.sampled_from([64, 256, 1024, 8192]),
+                                   min_size=2, max_size=2, unique=True))
+        first, second = (
+            AllocatorSpec(num_arenas=data.draw(st.integers(1, 8)),
+                          arena_size=size)
+            for size in sizes
+        )
+        general = replay_spec(source, first, predictor)
+        fresh = replay_spec(source, second, predictor)
+        if not general.ops.arena_overflows:
+            answer = arena_pass(general, source, second, predictor)
+            assert (answer is None) == (fresh.ops.arena_overflows > 0)
+            assert answer in (None, fresh)
+        TRACER.reset()
+        TRACER.enable()
+        try:
+            store = GeneratedStore(source, predictor)
+            assert store.simulate("bad", first) == price(general, first)
+            assert store.simulate("bad", second) == price(fresh, second)
+            full = len(TRACER.find("simulate.replay"))
+        finally:
+            TRACER.disable()
+            TRACER.reset()
+        # The second geometry replays in full exactly when the first
+        # left no general half or the second overflows.
+        assert full == 1 + bool(general.ops.arena_overflows
+                                or fresh.ops.arena_overflows)
+
+    def test_resets_and_both_fallbacks(self, spans):
+        # The ten survivors pin ten arenas.  16 x 256 overflows nothing
+        # and keeps the general half; 16 x 512 resets arenas without
+        # overflowing; 8 x 512 finds all its arenas live, so its pass
+        # falls back; no 32-byte arena holds a 48-byte object, so
+        # 16 x 32 falls back before any pass.
+        source, predictor = _churn()
+        store = GeneratedStore(source, predictor)
+        replays = {}
+        for count, size in ((16, 256), (16, 512), (8, 512), (16, 32)):
+            spec = AllocatorSpec(num_arenas=count, arena_size=size)
+            fresh = replay_spec(source, spec, predictor)
+            overflows = (count, size) in ((8, 512), (16, 32))
+            assert bool(fresh.ops.arena_overflows) == overflows
+            assert bool(fresh.ops.arena_resets) == (size != 32)
+            before = len(spans.find("simulate.replay"))
+            assert store.simulate("bad", spec) == price(fresh, spec)
+            replays[count, size] = len(spans.find("simulate.replay")) - before
+        assert replays == {(16, 256): 1, (16, 512): 0, (8, 512): 1,
+                           (16, 32): 1}
+        assert len(spans.find("simulate.arena_pass")) == 2
 
 
 @pytest.fixture(scope="module")

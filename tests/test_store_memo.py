@@ -7,6 +7,9 @@
 * Counts: span counts on one store pin how many passes ``table all``
   and ``run_search`` make, and a count of every per-object lifetime
   pass pins that Tables 4-6 read one pair table per execution.
+* General heaps: a materialized store answers an arena geometry that
+  overflows nothing from its predictor's first full replay and a pass
+  over the arena objects, equal to a fresh ``simulate_spec``.
 * Multi-class training streams: a streaming store resolves a multiarena
   spec without materializing its training trace.
 * ``build_trace`` raises ``TraceFormatError`` for every malformed
@@ -48,6 +51,7 @@ from repro.obs.spans import TRACER
 from repro.runtime.stream.protocol import (
     EV_ALLOC,
     EV_FREE,
+    EV_TOUCH,
     build_trace,
     iter_object_records,
     stream_live_stats,
@@ -203,8 +207,9 @@ class TestPassCounts:
         # score, train and select from those alone.
         assert passes == [0, 0, 5, 10, 0, 0, 0, 0, 0]
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", ["streaming"])
     def test_run_search(self, cache_dir, mode, spans):
+        # A streamed store replays every new placement in full.
         store = _store(cache_dir, mode)
         run_search(store, PROGRAM, DEFAULT_SPACE)
         assert len(list(DEFAULT_SPACE.specs())) == 18
@@ -215,6 +220,39 @@ class TestPassCounts:
         # One pair table trains every predictor; the attributions price
         # the test execution's tables at 16 KB and 32 KB.
         assert len(spans.find("profile.train_sites")) == 3
+
+    @pytest.mark.parametrize("program", ["espresso", PROGRAM])
+    def test_run_search_shares_each_predictors_general_heap(
+        self, cache_dir, program, spans
+    ):
+        # One full replay per threshold, that is per predictor: it
+        # overflows nothing, so the other two arena sizes replay only
+        # their predicted-short objects against its general heap.
+        store = _store(cache_dir, "materialized")
+        run_search(store, program, DEFAULT_SPACE)
+        assert len(spans.find("simulate.replay")) == 2
+        assert len(spans.find("simulate.arena_pass")) == 4
+        assert len(spans.find("attrib.fold")) == 2
+        assert len(spans.find("profile.train_sites")) == 3
+
+
+class TestGeneralHeap:
+    @pytest.mark.parametrize("program, passes", [("cfrac", 4), ("ghost", 0)])
+    def test_default_space_matches_fresh(self, cache_dir, program, passes,
+                                         spans):
+        # ghost's 6 KB short-lived objects overflow every arena size, so
+        # it keeps no general half and replays each placement in full.
+        store = _store(cache_dir, "materialized")
+        for spec in (PAPER_DEFAULT_SPEC, *DEFAULT_SPACE.specs()):
+            fresh = simulate_spec(
+                store.source(program), spec,
+                store.predictor_for(program, spec),
+            )
+            memo = store.simulate(program, spec)
+            assert dataclasses.asdict(memo) == dataclasses.asdict(fresh), (
+                spec.describe()
+            )
+        assert len(spans.find("simulate.arena_pass")) == passes
 
 
 class TestMulticlassStreams:
@@ -281,6 +319,18 @@ MALFORMED = {
         [_A0, (EV_ALLOC, 1, 0, -8, 16)],
         "event 1: object 1 has size -8; sizes are >= 1",
     ),
+    "touch-never-allocated": (
+        [_A0, (EV_TOUCH, 7, 3), (EV_FREE, 0, 16, 3)],
+        "event 1: touch of object 7, which is not live",
+    ),
+    "touch-negative-id": (
+        [_A0, (EV_TOUCH, -1, 2), (EV_FREE, 0, 16, 2)],
+        "event 1: touch of object -1, which is not live",
+    ),
+    "touch-after-free": (
+        [_A0, (EV_FREE, 0, 16, 0), (EV_TOUCH, 0, 1)],
+        "event 2: touch of object 0, which is not live",
+    ),
 }
 
 #: The cases a replay must reject before the allocator sees the size.
@@ -327,10 +377,19 @@ REJECTED = {
 }
 
 
+def _source(events, summary=None) -> ListSource:
+    """A stream of ``events``, its header's touch flag set when they
+    hold a touch, as a touch-recorded trace's is."""
+    return ListSource(
+        events, summary=summary,
+        has_touch_events=any(ev[0] == EV_TOUCH for ev in events),
+    )
+
+
 def _rejected(case: str):
     """``case``'s stream and the error it must raise."""
     events, summary, message = REJECTED[case]
-    return ListSource(events, summary=summary), message
+    return _source(events, summary), message
 
 
 class TestBuildTraceErrorContract:
@@ -397,7 +456,7 @@ class TestStreamConsumersErrorContract:
     def test_file_source_names_path(self, case, consumer, tmp_path):
         events, message = MALFORMED[case]
         path = tmp_path / "bad.rtr3"
-        write_trace_v3(ListSource(events), path)
+        write_trace_v3(_source(events), path)
         with pytest.raises(TraceFormatError) as info:
             STREAM_CONSUMERS[consumer](TraceFileSource(path))
         assert str(info.value).startswith(f"{path}: {message}")

@@ -30,7 +30,9 @@ from repro.obs.metrics import Metrics
 from repro.runtime.events import TraceBuilder
 from repro.runtime.heap import TracedHeap
 from repro.runtime.stream import (
+    EV_ALLOC,
     EventSource,
+    StreamHeader,
     StreamSummary,
     TraceFileSource,
     build_trace,
@@ -214,6 +216,33 @@ class TestV3File:
                 read(V2_FIXTURE)
             assert str(info.value).startswith(f"{V2_FIXTURE}: ")
             assert "repro-alloc convert" in str(info.value)
+
+    def test_header_listing_a_chain_twice_is_a_format_error(self, tmp_path):
+        # Merged, the header [a, a, c] would resolve chain id 1 to c and
+        # reject the event naming chain id 2.
+        class Listed(list):
+            def to_list(self):
+                return list(self)
+
+        class RepeatedChain(EventSource):
+            header = StreamHeader(
+                "bad", "test", Listed([("main", "a"), ("main", "a"),
+                                       ("main", "c")]), False,
+            )
+            summary = StreamSummary(0, 0, 0, end_time=16, total_objects=1,
+                                    event_count=1)
+
+            def events(self):
+                return iter([(EV_ALLOC, 0, 2, 16, 0)])
+
+        path = tmp_path / "repeat.rtr3"
+        write_trace_v3(RepeatedChain(), path)
+        with pytest.raises(TraceFormatError) as info:
+            TraceFileSource(path)
+        assert str(info.value) == (
+            f"{path}: malformed v3 header/footer: chain ['main', 'a'] is "
+            f"listed twice, at positions 0 and 1"
+        )
 
     def test_same_trace_writes_identical_bytes(self, tmp_path):
         trace = make_churn_trace(objects=30)

@@ -143,6 +143,23 @@ class TestErrors:
         assert str(info.value).startswith(f"{path}: ")
         assert not out.exists()
 
+    def test_repeated_chain(self, tmp_path):
+        # Merging the repeat would give every later chain the id of the
+        # one before it; convert must refuse the document instead.
+        doc = json.loads(gzip.decompress(V2_FIXTURE.read_bytes()))
+        last = len(doc["chains"])
+        doc["chains"].append(doc["chains"][0])
+        path = tmp_path / "repeat.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.rtr3"
+        with pytest.raises(TraceFormatError) as info:
+            convert_trace(path, out)
+        assert str(info.value).startswith(f"{path}: malformed trace file: ")
+        assert str(info.value).endswith(
+            f"is listed twice, at positions 0 and {last}"
+        )
+        assert not out.exists()
+
 
 class TestPropertyRoundTrip:
     """Hypothesis: arbitrary alloc/free/touch programs survive the file."""
