@@ -8,7 +8,10 @@ open_trace_stream`, one materializing with :func:`load_trace` first —
 and then derives a hard ``RLIMIT_AS`` cap halfway between the two peaks.
 Under that cap the streamed replay must succeed and the materialized
 replay must die: the cap is sized below the materialized footprint, so
-only a replay that never holds the whole trace can fit.
+only a replay that never holds the whole trace can fit.  The trace is
+written with the writer's default frame size: the reader holds one slice
+of a frame, not the frame, so the frame size does not set the streamed
+replay's memory.
 
 The cap is self-calibrated rather than hard-coded because the
 interpreter's baseline address space varies across Python builds; the
@@ -44,11 +47,6 @@ if str(SRC) not in sys.path:
 DEFAULT_MARGIN_KB = 8 * 1024
 
 DEFAULT_SCALE = 20.0
-
-#: Chunk size for the smoke trace.  Smaller than the writer's default so
-#: one decoded chunk stays far below the midpoint cap — the proof should
-#: bound the *model*, not be won or lost on one chunk-size constant.
-SMOKE_CHUNK_EVENTS = 8192
 
 
 def vm_peak_kb() -> int:
@@ -131,7 +129,7 @@ def main() -> int:
         print(f"tracing {args.program}/{args.dataset} at scale "
               f"{args.scale:g} ...")
         trace = run_workload(args.program, args.dataset, scale=args.scale)
-        write_trace_v3(trace, trace_path, chunk_events=SMOKE_CHUNK_EVENTS)
+        write_trace_v3(trace, trace_path)
         size_kb = trace_path.stat().st_size // 1024
         print(f"  {trace.total_objects} objects, {trace.event_count} "
               f"events -> {trace_path.name} ({size_kb} KB)")

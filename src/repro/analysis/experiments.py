@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -138,9 +137,9 @@ class TraceStore:
 
     With ``streaming=True`` the store hands consumers
     :class:`~repro.runtime.stream.v3.TraceFileSource` streams that replay
-    the cached v3 files chunk by chunk (see :meth:`source`) instead of
+    the cached v3 files slice by slice (see :meth:`source`) instead of
     retaining materialized traces, keeping the whole pipeline's footprint
-    at O(live objects + one chunk) per execution.  :meth:`trace` still
+    at O(live objects + one slice) per execution.  :meth:`trace` still
     materializes on demand for the few consumers that need random access
     (e.g. the oracle simulation).
 
@@ -530,6 +529,12 @@ class TraceStore:
         results: List[WarmResult] = []
         with TRACER.span("warm", cat="pipeline", scale=self.scale):
             if jobs and jobs > 1 and self._cache is not None:
+                # Only a parallel warm loads the process-pool machinery.
+                from concurrent.futures import (
+                    ProcessPoolExecutor,
+                    as_completed,
+                )
+
                 self._cache.directory.mkdir(parents=True, exist_ok=True)
                 with ProcessPoolExecutor(max_workers=jobs) as pool:
                     futures = {

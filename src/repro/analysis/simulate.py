@@ -104,7 +104,7 @@ def replay(source: EventSource, allocator: Allocator,
     ``source`` is an in-memory :class:`Trace` or a v3 trace file opened
     with :func:`~repro.runtime.tracefile.open_trace_stream`; replay
     memory is the source's — for a streamed file, the live address map
-    plus one chunk.
+    plus one slice of a frame.
 
     The allocator is driven on ``(chain id, size)``, as the paper's
     simulator was (§5.2): replay binds it to the header's chain table

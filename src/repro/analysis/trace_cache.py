@@ -14,7 +14,7 @@ directory (default ``~/.cache/repro-alloc``, overridable with the
     <program>-<dataset>-scale<scale>-v<FORMAT_VERSION>-<srchash>.rtr3
 
 The v3 format lets :meth:`TraceCache.open_stream` replay an entry in
-O(live objects + one chunk) memory without materializing it; ``load``
+O(live objects + one slice) memory without materializing it; ``load``
 still returns a fully materialized :class:`~repro.runtime.events.Trace`
 from the same bytes.  The key bakes in everything that could change the
 trace:

@@ -26,6 +26,7 @@ in the same function are not distinguished); ours match that choice.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -208,10 +209,13 @@ class ChainTable:
 
         Each chain keeps its position as its id.  A chain listed twice
         raises :class:`ValueError` naming both positions, since merging
-        the two would shift the id of every later chain.
+        the two would shift the id of every later chain.  Each function
+        name is interned with :func:`sys.intern`, so a table decoded
+        from a file holds one string per name however many chains
+        repeat it, and the site keys built from it share them.
         """
         table = cls()
-        table._chains = [tuple(chain) for chain in chains]
+        table._chains = [tuple(map(sys.intern, chain)) for chain in chains]
         table._ids = dict(zip(table._chains, range(len(table._chains))))
         if len(table._ids) != len(table._chains):
             for position, chain in enumerate(table._chains):

@@ -409,7 +409,16 @@ class TraceBuilder:
         self._touches[obj_id] = touches
 
     def add_touch_event(self, obj_id: int, count: int) -> None:
-        """Record one touch event (only when ``record_touches`` is set)."""
+        """Record one touch event (only when ``record_touches`` is set).
+
+        Raises :class:`ValueError` for an object that is not live (never
+        allocated, negative, or already freed), as :meth:`add_free` does
+        for a double free, so a built trace holds no touch that a v3
+        consumer would reject.
+        """
+        if (not 0 <= obj_id < len(self._deaths)
+                or self._deaths[obj_id] != _NEVER_FREED):
+            raise ValueError(f"touch of object {obj_id}, which is not live")
         self._events.append((obj_id << 2) | EV_TOUCH)
         self._touch_counts.append(count)
 

@@ -14,7 +14,7 @@ typed event protocol those consumers share:
   :class:`~repro.runtime.events.Trace` or a v3 file;
 * :mod:`repro.runtime.stream.v3` — trace format v3: chunked,
   length-prefixed gzip frames with a footer index, replayable from disk
-  in O(live objects + one chunk) memory via
+  in O(live objects + one slice of a frame) memory via
   :func:`~repro.runtime.tracefile.open_trace_stream`.
 """
 

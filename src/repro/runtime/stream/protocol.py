@@ -6,7 +6,7 @@ The event protocol itself — the ``EV_*`` tags, :class:`StreamHeader`,
 which is the in-memory event source; this module re-exports it.  A
 consumer takes an :class:`EventSource`: either a ``Trace`` or a v3 file
 (:class:`~repro.runtime.stream.v3.TraceFileSource`), whose memory model
-is O(live objects + one chunk).
+is O(live objects + one slice of a frame).
 
 Object ids are dense in allocation order — the ``n``-th ``EV_ALLOC`` of a
 stream carries ``obj_id == n`` — which is what lets

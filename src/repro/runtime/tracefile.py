@@ -4,7 +4,7 @@ Every trace is stored in the streaming format of
 :mod:`repro.runtime.stream.v3` — chunked, length-prefixed gzip frames
 with a footer index.  :func:`save_trace` writes it whatever the file is
 named, :func:`load_trace` materializes it, and :func:`open_trace_stream`
-replays it from disk in O(live objects + one chunk) memory.  Writes
+replays it from disk in O(live objects + one slice) memory.  Writes
 publish atomically through :func:`atomic_output`.
 
 The v2 format — one (optionally gzipped) JSON document — is read only by

@@ -34,7 +34,8 @@ class ListSource(EventSource):
     The events are taken as given, malformed or not, so error-contract
     tests can feed any consumer (or ``write_trace_v3``) a stream the
     traced runtime would never record.  The summary is the one the
-    events imply, with any ``summary`` field overrides applied;
+    events imply (a size that is not an integer adds no bytes), with
+    any ``summary`` field overrides applied;
     ``has_touch_events`` sets the header's flag, which
     ``measure_locality`` requires.
     """
@@ -47,7 +48,8 @@ class ListSource(EventSource):
         allocs = [ev for ev in self._events if ev[0] == EV_ALLOC]
         self._summary = StreamSummary(
             total_calls=0, heap_refs=0, non_heap_refs=0,
-            end_time=sum(ev[3] for ev in allocs), total_objects=len(allocs),
+            end_time=sum(ev[3] for ev in allocs if type(ev[3]) is int),
+            total_objects=len(allocs),
             event_count=len(self._events),
         )
         if summary:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.sites import ChainTable
 from repro.runtime.events import TraceBuilder
-from repro.runtime.stream.protocol import EV_ALLOC, EV_FREE
+from repro.runtime.stream.protocol import EV_ALLOC, EV_FREE, EV_TOUCH
 
 
 def build_simple_trace():
@@ -35,6 +35,26 @@ class TestTraceBuilder:
         builder.add_free(obj, death=8, touches=0)
         with pytest.raises(ValueError):
             builder.add_free(obj, death=8, touches=0)
+
+    @pytest.mark.parametrize("case", ["never-allocated", "negative",
+                                      "after-free"])
+    def test_touch_of_an_object_that_is_not_live_rejected(self, case):
+        # The array replays and live stats never read touch codes, so the
+        # builder refuses what every v3 consumer would reject.
+        builder = TraceBuilder(program="p", dataset="d", record_touches=True)
+        obj = builder.add_alloc(("m",), size=8, birth=0)
+        builder.add_touch_event(obj, 2)
+        if case == "after-free":
+            builder.add_free(obj, death=8, touches=2)
+        target = {"never-allocated": 7, "negative": -1, "after-free": obj}
+        with pytest.raises(ValueError) as info:
+            builder.add_touch_event(target[case], 1)
+        assert str(info.value) == (
+            f"touch of object {target[case]}, which is not live"
+        )
+        assert list(builder.build().events()) == [
+            (EV_ALLOC, 0, 0, 8, 0), (EV_TOUCH, 0, 2),
+        ] + ([(EV_FREE, 0, 8, 2)] if case == "after-free" else [])
 
     def test_set_touches_for_survivors(self):
         builder = TraceBuilder(program="p", dataset="d")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -185,6 +188,15 @@ class TestChainTable:
         rebuilt = ChainTable.from_list(table.to_list())
         assert rebuilt.to_list() == table.to_list()
         assert rebuilt.id_of(("a", "b")) == table.id_of(("a", "b"))
+
+    def test_from_list_holds_one_string_per_name(self):
+        # Names decoded from a file arrive as one string per occurrence.
+        chains = json.loads('[["main", "parse", "node"], ["main", "node"]]')
+        assert chains[0][2] is not chains[1][1]
+        table = ChainTable.from_list(chains)
+        first, second = table.to_list()
+        assert first[0] is second[0] and first[2] is second[1]
+        assert first[2] is sys.intern("node")
 
     def test_iteration_in_id_order(self):
         table = ChainTable()

@@ -57,7 +57,12 @@ from repro.runtime.stream.protocol import (
     stream_live_stats,
 )
 from repro.runtime.stream.v3 import TraceFileSource, write_trace_v3
-from repro.runtime.tracefile import TraceFormatError, load_trace
+from repro.runtime.tracefile import (
+    TraceFormatError,
+    convert_trace,
+    load_trace,
+    open_trace_stream,
+)
 from repro.search import DEFAULT_SPACE, run_search
 from tests.conftest import ListSource
 
@@ -545,3 +550,110 @@ class TestStreamConsumersErrorContract:
         with pytest.raises(TraceFormatError) as info:
             replays[spec]()
         assert str(info.value) == f"{where}: {message}"
+
+
+# ----------------------------------------------------------------------
+# The v3 reader: one error for a field that is not an integer
+# ----------------------------------------------------------------------
+
+#: Streams whose v3 file holds a field that is not an integer: (events,
+#: the error every consumer of the file raises).
+NON_INTEGER = {
+    "list-tag": (
+        [([EV_ALLOC], 0, 0, 16, 0)],
+        "event 0: object 0 has tag [0]; tags are integers",
+    ),
+    "list-chain-id": (
+        [(EV_ALLOC, 0, [0], 16, 0)],
+        "event 0: object 0 has chain id [0]; chain ids are integers",
+    ),
+    "string-size": (
+        [_A0, (EV_ALLOC, 1, 0, "16", 16)],
+        'event 1: object 1 has size "16"; sizes are integers',
+    ),
+    "float-birth": (
+        [(EV_ALLOC, 0, 0, 16, 0.5)],
+        "event 0: object 0 has birth 0.5; births are integers",
+    ),
+    "string-object-id": (
+        [_A0, (EV_FREE, "0", 16, 0)],
+        'event 1: object "0" has object id "0"; object ids are integers',
+    ),
+    "list-free-touches": (
+        [_A0, (EV_FREE, 0, 16, [0])],
+        "event 1: object 0 has touch count [0]; touch counts are integers",
+    ),
+    "bool-touch-count": (
+        [_A0, (EV_TOUCH, 0, True), (EV_FREE, 0, 16, 1)],
+        "event 1: object 0 has touch count true; touch counts are "
+        "integers",
+    ),
+}
+
+
+def _arena_replay(source):
+    predictor = train_site_predictor(ListSource([_A0, _A1]), threshold=4096)
+    return simulate_spec(source, PAPER_DEFAULT_SPEC, predictor)
+
+
+#: Every consumer of a v3 file, called with its path.
+FILE_CONSUMERS = {
+    "load_trace": load_trace,
+    "convert_trace": lambda path: convert_trace(path, f"{path}.out"),
+    "build_trace": lambda path: build_trace(open_trace_stream(path)),
+    "iter_object_records": lambda path: _all_records(open_trace_stream(path)),
+    "build_profile": lambda path: build_profile(open_trace_stream(path)),
+    "train_site_predictor": lambda path: train_site_predictor(
+        open_trace_stream(path)
+    ),
+    "stream_live_stats": lambda path: stream_live_stats(
+        open_trace_stream(path)
+    ),
+    "replay_firstfit": lambda path: _replay_firstfit(open_trace_stream(path)),
+    "replay_bsd": lambda path: simulate_spec(open_trace_stream(path),
+                                             BSD_SPEC),
+    "replay_arena": lambda path: _arena_replay(open_trace_stream(path)),
+    "measure_locality": lambda path: measure_locality(
+        open_trace_stream(path), build_allocator(FIRSTFIT_SPEC)
+    ),
+}
+
+
+def _non_integer_file(case: str, tmp_path):
+    """``case``'s stream written to v3, and the error it must raise."""
+    events, message = NON_INTEGER[case]
+    path = tmp_path / "bad.rtr3"
+    write_trace_v3(ListSource(events, has_touch_events=True), path)
+    return path, f"{path}: {message}"
+
+
+class TestNonIntegerFieldsErrorContract:
+    @pytest.mark.parametrize("consumer", sorted(FILE_CONSUMERS))
+    @pytest.mark.parametrize("case", sorted(NON_INTEGER))
+    def test_every_consumer_raises_the_readers_error(self, case, consumer,
+                                                    tmp_path):
+        path, message = _non_integer_file(case, tmp_path)
+        with pytest.raises(TraceFormatError) as info:
+            FILE_CONSUMERS[consumer](path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("stream", [[], ["--stream"]])
+    @pytest.mark.parametrize("case", sorted(NON_INTEGER))
+    def test_cli_exits_one_with_error_line(self, case, stream, tmp_path,
+                                           capsys):
+        path, message = _non_integer_file(case, tmp_path)
+        code = main(["simulate", str(path), "--allocator", "firstfit",
+                     *stream])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("case", sorted(NON_INTEGER))
+    def test_trace_cache_counts_the_entry_corrupt(self, case, tmp_path):
+        events, _ = NON_INTEGER[case]
+        cache = TraceCache(tmp_path / "cache", metrics=Metrics())
+        path = cache.entry_path("bad", "test", 1.0)
+        path.parent.mkdir(parents=True)
+        write_trace_v3(ListSource(events), path)
+        assert cache.load("bad", "test", 1.0) is None
+        assert cache.metrics.counter("trace_cache.corrupt") == 1
+        assert not path.exists()

@@ -9,9 +9,14 @@ whether fed a materialized :class:`Trace` or a streamed v3 file.
 from __future__ import annotations
 
 import gzip
+import json
 import struct
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.alloc.spec import BSD_SPEC, FIRSTFIT_SPEC, PAPER_DEFAULT_SPEC
 from repro.analysis.locality import compare_locality, measure_locality
@@ -31,6 +36,7 @@ from repro.runtime.events import TraceBuilder
 from repro.runtime.heap import TracedHeap
 from repro.runtime.stream import (
     EV_ALLOC,
+    EV_FREE,
     EventSource,
     StreamHeader,
     StreamSummary,
@@ -39,6 +45,7 @@ from repro.runtime.stream import (
     iter_object_lifetimes,
     write_trace_v3,
 )
+from repro.runtime.stream import v3
 from repro.runtime.tracefile import (
     V3_MAGIC,
     TraceFormatError,
@@ -50,10 +57,12 @@ from repro.runtime.tracefile import (
 from tests.conftest import (
     V2_FIXTURE,
     V2_FIXTURE_OBJECTS,
+    ListSource,
     assert_traces_equal,
     make_churn_trace,
     make_touch_trace,
 )
+from tests.test_replay_core import streams
 
 THRESHOLD = 4096  # separates churn from keeper in make_churn_trace
 
@@ -325,6 +334,201 @@ class TestV3File:
         assert kinds[0] == b"H" and kinds[-1] == b"F"
         assert kinds[1:-1] == [b"E"] * len(TraceFileSource(path).chunk_index)
         assert len(kinds) > 3
+
+
+def _frames(path):
+    """``(kind, payload)`` of every frame of the v3 file at ``path``."""
+    raw = path.read_bytes()
+    offset, end = len(V3_MAGIC), len(raw) - 24  # the trailer
+    frames = []
+    while offset < end:
+        kind, length = struct.unpack_from("<cI", raw, offset)
+        frames.append((kind, raw[offset + 5:offset + 5 + length]))
+        offset += 5 + length
+    return frames
+
+
+def _whole_document_events(path):
+    """The file's events, each E frame decoded as one JSON document."""
+    return [
+        tuple(ev)
+        for kind, payload in _frames(path) if kind == b"E"
+        for ev in json.loads(gzip.decompress(payload))["events"]
+    ]
+
+
+def _with_event_text(path, text: bytes) -> None:
+    """Rewrite the one-E-frame file at ``path`` so its E frame holds
+    ``text``."""
+    _with_event_payload(path, gzip.compress(text, mtime=0))
+
+
+def _with_event_payload(path, event_payload: bytes) -> None:
+    """Rewrite the one-E-frame file at ``path``: its E frame's payload
+    is ``event_payload``, and the trailer points at the moved footer."""
+    out = [V3_MAGIC]
+    for kind, payload in _frames(path):
+        if kind == b"E":
+            payload = event_payload
+        if kind == b"F":
+            footer_offset = sum(map(len, out))
+        out.append(struct.pack("<cI", kind, len(payload)) + payload)
+    out.append(struct.pack("<8sQ8s", b"RPRTRIDX", footer_offset, V3_MAGIC))
+    path.write_bytes(b"".join(out))
+
+
+def _slices_of(count):
+    """Writer and reader slices of ``count`` events, not 4,096."""
+    return mock.patch.object(v3, "_SLICE_EVENTS", count)
+
+
+#: One alloc and its free, the stream :func:`_with_event_text` rewrites.
+_PAIR = [(EV_ALLOC, 0, 0, 16, 0), (EV_FREE, 0, 16, 0)]
+
+
+def _twenty_chain_trace(events: int):
+    """A trace of ``events`` events over 20 chains, 50 objects live."""
+    builder = TraceBuilder("slices", "test")
+    chains = [("main", f"f{i % 5}", f"site{i}") for i in range(20)]
+    live, clock = [], 0
+    for index in range(events // 2):
+        size = 16 + index * 37 % 4000
+        live.append(builder.add_alloc(chains[index % 20], size, clock))
+        clock += size
+        if len(live) > 50:
+            builder.add_free(live.pop(0), clock, index % 7)
+    for obj in live:
+        builder.add_free(obj, clock, 1)
+    return builder.build()
+
+
+class TestSlices:
+    @settings(max_examples=100, deadline=None)
+    @given(stream=streams(), chunk_events=st.integers(1, 64),
+           slice_events=st.integers(1, 8))
+    def test_sliced_reader_matches_a_whole_document_decode(
+        self, tmp_path_factory, stream, chunk_events, slice_events
+    ):
+        events, chains = stream
+        source = ListSource(events, chains=chains)
+        directory = tmp_path_factory.mktemp("slices")
+        whole, sliced = directory / "whole.rtr3", directory / "sliced.rtr3"
+        write_trace_v3(source, whole, chunk_events=chunk_events)
+        with _slices_of(slice_events):
+            write_trace_v3(source, sliced, chunk_events=chunk_events)
+            read = list(TraceFileSource(whole).events())
+        # Deflate's output does not depend on how its input is split.
+        assert sliced.read_bytes() == whole.read_bytes()
+        assert read == _whole_document_events(whole) == events
+
+    def test_one_frame_writes_and_reads_in_a_few_megabytes(self, tmp_path):
+        # A whole decoded 58,000-event frame took about 13 MB each way.
+        trace = _twenty_chain_trace(58000)
+        path = tmp_path / "one-frame.rtr3"
+        tracemalloc.start()
+        try:
+            write_trace_v3(trace, path)
+            _, write_peak = tracemalloc.get_traced_memory()
+            source = TraceFileSource(path)
+            tracemalloc.reset_peak()
+            read = sum(1 for _ in source.events())
+            _, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert source.chunk_index == ((source.chunk_index[0][0], 58000),)
+        assert read == 58000
+        assert write_peak < 5e6 and read_peak < 5e6, (write_peak, read_peak)
+
+    @pytest.mark.parametrize("slice_events", [1, 4096])
+    @pytest.mark.parametrize("spacing", ["everywhere", "inside-events"])
+    def test_frame_written_with_spaces_reads_the_same_events(
+        self, tmp_path, spacing, slice_events
+    ):
+        # Spaced everywhere, the frame is not in the writer's layout and
+        # is parsed whole.  Spaced only inside events, it is cut at
+        # ``],[`` and its slices fail the integer test, so each event of
+        # them is checked on its own.
+        events = [(EV_ALLOC, 0, 0, 16, 0), (EV_ALLOC, 1, 0, 24, 16),
+                  (EV_FREE, 0, 40, 3), (EV_FREE, 1, 40, 0)]
+        path = tmp_path / "spaced.rtr3"
+        write_trace_v3(ListSource(events), path)
+        if spacing == "everywhere":
+            text = json.dumps({"events": events})
+        else:
+            text = '{"events":[%s]}' % ",".join(map(json.dumps, events))
+        _with_event_text(path, text.encode())
+        with _slices_of(slice_events):
+            assert list(TraceFileSource(path).events()) == events
+
+    @pytest.mark.parametrize("slice_events", [1, 4096])
+    @pytest.mark.parametrize("spacing", ["compact", "spaced"])
+    def test_a_field_that_is_not_an_integer_raises_on_either_path(
+        self, tmp_path, spacing, slice_events
+    ):
+        # With one-event slices the bad event starts the third slice.
+        path = tmp_path / "listed.rtr3"
+        write_trace_v3(ListSource(_PAIR), path)
+        bad = [*map(list, _PAIR), [EV_ALLOC, 1, [0], 16, 16]]
+        separators = (",", ":") if spacing == "compact" else None
+        _with_event_text(
+            path, json.dumps({"events": bad}, separators=separators).encode()
+        )
+        with _slices_of(slice_events), pytest.raises(TraceFormatError) as info:
+            list(TraceFileSource(path).events())
+        assert str(info.value) == (
+            f"{path}: event 2: object 1 has chain id [0]; chain ids are "
+            f"integers"
+        )
+
+    @pytest.mark.parametrize("event", [[EV_ALLOC, 0, 0, 16], [7, 0, 0], [],
+                                       [EV_FREE], 5])
+    def test_an_event_of_no_kinds_shape_is_malformed(self, tmp_path, event):
+        path = tmp_path / "shape.rtr3"
+        write_trace_v3(ListSource(_PAIR), path)
+        text = {"events": [list(_PAIR[0]), event]}
+        _with_event_text(
+            path, json.dumps(text, separators=(",", ":")).encode()
+        )
+        with pytest.raises(TraceFormatError) as info:
+            list(TraceFileSource(path).events())
+        assert str(info.value) == (
+            f"{path}: event 1: malformed event "
+            f"{json.dumps(event, separators=(',', ':'))}"
+        )
+
+    @pytest.mark.parametrize("tail", [b"\x00", b"second member"])
+    def test_a_frame_payload_is_one_whole_gzip_member(self, tmp_path, tail):
+        path = tmp_path / "tail.rtr3"
+        write_trace_v3(ListSource(_PAIR), path)
+        (_, payload), = [f for f in _frames(path) if f[0] == b"E"]
+        if tail != b"\x00":
+            tail = gzip.compress(tail)
+        _with_event_payload(path, payload + tail)
+        with pytest.raises(TraceFormatError) as info:
+            list(TraceFileSource(path).events())
+        assert str(info.value) == (
+            f"{path}: corrupt frame payload: not one whole gzip member"
+        )
+
+    @pytest.mark.parametrize("slice_events", [1, 4096])
+    @pytest.mark.parametrize("field", [[[0], [0]], "xxxxxxxxxxxxx],[xx"])
+    def test_a_cut_inside_a_nested_list_or_string_raises(
+        self, tmp_path, field, slice_events
+    ):
+        # With one-event slices the first cut lands on the ``],[``
+        # inside the field, and the slice fails to parse; uncut, the
+        # field fails the integer test.
+        path = tmp_path / "nested.rtr3"
+        write_trace_v3(ListSource(_PAIR), path)
+        bad = [[EV_ALLOC, 0, field, 16, 0], list(_PAIR[1])]
+        _with_event_text(
+            path, json.dumps({"events": bad}, separators=(",", ":")).encode()
+        )
+        with _slices_of(slice_events), pytest.raises(TraceFormatError) as info:
+            list(TraceFileSource(path).events())
+        message = str(info.value)
+        assert message.startswith(f"{path}: event 0")
+        assert ("not valid JSON" in message) == (slice_events == 1)
 
 
 class TestConverter:
