@@ -16,7 +16,8 @@ counters into instruction costs.  Pricing never touches the trace, so
 distinct placement once and prices it per caller; :func:`counts_for`
 lets one arena replay answer every arena count it never outgrew, and
 :func:`arena_pass` lets one that overflowed nothing answer every other
-arena geometry of its predictor from a pass over the arena objects.
+arena geometry of its predictor from a walk that keeps only each
+arena's live count, with no allocator.
 """
 
 from __future__ import annotations
@@ -147,8 +148,7 @@ def replay(source: EventSource, allocator: Allocator,
         if check_invariants:
             malloc, free = _audited(allocator)
         if isinstance(source, Trace):
-            _replay_arrays(source, source.raw_arrays()["events"], malloc,
-                           free)
+            _replay_arrays(source, malloc, free)
         else:
             _replay_events(source, malloc, free)
         if check_invariants:
@@ -157,11 +157,9 @@ def replay(source: EventSource, allocator: Allocator,
         telemetry.finish()
 
 
-def _replay_arrays(trace: Trace, codes, malloc, free) -> None:
-    """Replay ``codes``, packed event codes of an in-memory trace.
+def _replay_arrays(trace: Trace, malloc, free) -> None:
+    """Replay an in-memory trace from its packed event codes.
 
-    ``codes`` is the trace's event array, or a subsequence of it that
-    keeps each object's alloc and free together (:func:`arena_pass`).
     Chain ids and sizes are range-checked once, over their whole arrays:
     a :class:`Trace` built by hand rather than loaded skips
     :func:`~repro.runtime.stream.protocol.build_trace`'s per-event
@@ -176,7 +174,7 @@ def _replay_arrays(trace: Trace, codes, malloc, free) -> None:
     ):
         raise first_malformed(trace)
     addresses = {}
-    for code in codes:
+    for code in arrays["events"]:
         tag = code & 3
         if tag == EV_ALLOC:
             obj_id = code >> 2
@@ -357,51 +355,84 @@ def arena_pass(
     predictor: LifetimePredictor,
 ) -> Optional[ReplayCounts]:
     """What a replay of the arena ``spec`` counts, from ``general`` and a
-    pass over the predicted-short objects alone; or None.
+    walk over the predicted-short objects' arena counts; or None.
 
     ``general`` is a replay of ``trace`` under ``predictor`` in another
     arena geometry, one that overflowed nothing.  Without an overflow the
     first-fit general heap gets exactly the objects ``predictor`` calls
     long-lived, in trace order, so its counters and every placement
     total are the predictor's, whatever the geometry (DESIGN.md §17).
-    This replays only the predicted-short objects' allocs and frees
-    through a fresh ``spec`` allocator, and rewrites what the geometry
-    decides: the arena area, the max heap that includes it,
-    ``arenas_used``, ``arenas_exhausted``, and the arena scans and
-    resets.  None when ``spec`` overflows: a predicted-short object is
-    larger than its arenas (found before the pass), or the pass finds
-    every arena live.  ``predictor``'s verdicts must be a function of
-    ``(chain, size)``, as every predictor a store resolves is.
+    This rewrites what the geometry decides: the arena area, the max
+    heap that includes it, ``arenas_used``, ``arenas_exhausted``, and the
+    arena scans and resets.  No allocator is built and no address made:
+    one walk over the trace's event codes keeps what a §5.1 arena holds,
+    a live count per arena and the current arena's room, plus each live
+    predicted-short object's arena, and applies the rule of
+    :meth:`~repro.alloc.arena.ArenaAllocator.malloc` to them.  None when
+    ``spec`` overflows: a predicted-short object is larger than its
+    arenas (found before the walk), or a scan finds every arena live.
+    ``predictor``'s verdicts must be a function of ``(chain, size)``, as
+    every predictor a store resolves is.  The replay that made
+    ``general`` range-checked the trace's chain ids and sizes; the walk
+    checks that each free is of an object it placed.
     """
     arrays = trace.raw_arrays()
     sizes = arrays["sizes"]
-    # One verdict byte per object and a generator over the codes, so the
-    # pass holds no per-event list.
+    # One verdict byte per object; the walk holds no per-event list.
     short = bytes(map(predictor.bind(trace.chains).__getitem__,
                       zip(arrays["chain_ids"], sizes)))
+    arena_size = spec.arena_size
     largest = max(compress(sizes, short), default=0)
     if ((largest + ARENA_ALIGNMENT - 1) // ARENA_ALIGNMENT
-            * ARENA_ALIGNMENT > spec.arena_size):
+            * ARENA_ALIGNMENT > arena_size):
         return None
-    codes = (code for code in arrays["events"] if short[code >> 2])
-    allocator = build_allocator(spec, predictor)
-    allocator.bind_chains(trace.chains)
+    counts = [0] * spec.num_arenas
+    homes = {}  # live predicted-short object -> the index of its arena
+    current = 0
+    room = arena_size
+    arenas_used = 1
+    scanned = resets = 0
     with TRACER.span("simulate.arena_pass", cat="simulate",
-                     allocator=allocator.name, program=trace.program,
+                     allocator=spec.kind, program=trace.program,
                      dataset=trace.dataset):
-        _replay_arrays(trace, codes, allocator.malloc, allocator.free)
-    ops = allocator.ops
-    if ops.arena_overflows:
-        return None
-    area = allocator.arena_area_size
+        for code in arrays["events"]:
+            obj_id = code >> 2
+            if not short[obj_id]:
+                continue
+            tag = code & 3
+            if tag == EV_ALLOC:
+                need = ((sizes[obj_id] + ARENA_ALIGNMENT - 1)
+                        // ARENA_ALIGNMENT * ARENA_ALIGNMENT)
+                if need > room:
+                    # A scan examines arenas from the first and resets
+                    # the first one whose count is zero; it only ever
+                    # switches to an arena it resets, so one room holds.
+                    try:
+                        current = counts.index(0)
+                    except ValueError:
+                        return None  # every arena live: an overflow
+                    scanned += current + 1
+                    resets += 1
+                    room = arena_size
+                    if current >= arenas_used:
+                        arenas_used = current + 1
+                room -= need
+                counts[current] += 1
+                homes[obj_id] = current
+            elif tag == EV_FREE:
+                try:
+                    counts[homes.pop(obj_id)] -= 1
+                except KeyError as exc:
+                    raise first_malformed(trace) from exc
+    area = spec.num_arenas * arena_size
     return replace(
         general,
         max_heap_size=general.max_heap_size - general.arena_area_size + area,
         arena_area_size=area,
-        arenas_used=allocator.arenas_used,
-        arenas_exhausted=allocator.arenas_exhausted,
-        ops=replace(general.ops, arenas_scanned=ops.arenas_scanned,
-                    arena_resets=ops.arena_resets),
+        arenas_used=arenas_used,
+        arenas_exhausted=False,
+        ops=replace(general.ops, arenas_scanned=scanned,
+                    arena_resets=resets),
     )
 
 

@@ -397,7 +397,14 @@ class TraceBuilder:
         return obj_id
 
     def add_free(self, obj_id: int, death: int, touches: int) -> None:
-        """Record the death of object ``obj_id`` at byte-time ``death``."""
+        """Record the death of object ``obj_id`` at byte-time ``death``.
+
+        Raises :class:`ValueError` for an object never allocated or
+        negative, and for a double free, so a built trace holds no free
+        that a v3 consumer would reject.
+        """
+        if not 0 <= obj_id < len(self._deaths):
+            raise ValueError(f"free of object {obj_id}, which is not live")
         if self._deaths[obj_id] != _NEVER_FREED:
             raise ValueError(f"object {obj_id} freed twice")
         self._deaths[obj_id] = death
@@ -412,9 +419,8 @@ class TraceBuilder:
         """Record one touch event (only when ``record_touches`` is set).
 
         Raises :class:`ValueError` for an object that is not live (never
-        allocated, negative, or already freed), as :meth:`add_free` does
-        for a double free, so a built trace holds no touch that a v3
-        consumer would reject.
+        allocated, negative, or already freed), as :meth:`add_free` does,
+        so a built trace holds no touch that a v3 consumer would reject.
         """
         if (not 0 <= obj_id < len(self._deaths)
                 or self._deaths[obj_id] != _NEVER_FREED):

@@ -36,6 +36,31 @@ class TestTraceBuilder:
         with pytest.raises(ValueError):
             builder.add_free(obj, death=8, touches=0)
 
+    @pytest.mark.parametrize("case, target, message", [
+        ("never-allocated", 5, "free of object 5, which is not live"),
+        ("negative", -1, "free of object -1, which is not live"),
+        ("after-free", 0, "object 0 freed twice"),
+    ])
+    def test_free_of_an_object_that_is_not_live_rejected(self, case, target,
+                                                         message):
+        # A negative id would index the deaths from the end: after two
+        # allocs, a free of -1 would mark object 1 freed.
+        builder = TraceBuilder(program="p", dataset="d")
+        builder.add_alloc(("m",), size=8, birth=0)
+        builder.add_alloc(("m",), size=16, birth=8)
+        if case == "after-free":
+            builder.add_free(0, death=24, touches=0)
+        with pytest.raises(ValueError) as info:
+            builder.add_free(target, death=32, touches=0)
+        assert str(info.value) == message
+        trace = builder.build()
+        assert list(trace.events()) == [
+            (EV_ALLOC, 0, 0, 8, 0), (EV_ALLOC, 1, 0, 16, 8),
+        ] + ([(EV_FREE, 0, 24, 0)] if case == "after-free" else [])
+        assert [trace.freed(obj) for obj in (0, 1)] == [
+            case == "after-free", False,
+        ]
+
     @pytest.mark.parametrize("case", ["never-allocated", "negative",
                                       "after-free"])
     def test_touch_of_an_object_that_is_not_live_rejected(self, case):

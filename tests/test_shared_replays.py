@@ -11,16 +11,21 @@ geometries include arenas small enough for every arena to be found
 live, and objects larger than an arena.
 
 A predictor's first replay that overflowed nothing also serves its
-other arena sizes (:func:`~repro.analysis.simulate.arena_pass`): over
-the same streams, with two arena geometries, the store's answer for the
-second equals a fresh replay, and the pass falls back to a full replay
-exactly when a fresh replay of the second geometry overflows.
+other arena sizes (:func:`~repro.analysis.simulate.arena_pass`, a walk
+over the arenas' live counts): over the same streams, with two arena
+geometries, the store's answer for the second equals a fresh replay,
+and the pass falls back to a full replay exactly when a fresh replay of
+the second geometry overflows.  Three more geometries per stream, of
+1-8 small arenas that reset and overflow, pin the walk's counts to a
+fresh replay's field for field, and one pass over an espresso-sized
+trace holds O(live predicted-short objects) memory.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -37,12 +42,15 @@ from repro.analysis.simulate import (
 from repro.core.predictor import SitePredictor
 from repro.core.sites import FULL_CHAIN, site_key
 from repro.obs.spans import TRACER
+from repro.runtime.events import TraceBuilder
 from repro.runtime.stream.protocol import (
     EV_ALLOC,
     EV_FREE,
     build_trace,
 )
+from repro.runtime.tracefile import TraceFormatError
 from tests.conftest import ListSource
+from tests.test_prediction_memo import _packed_trace
 from tests.test_replay_core import _allocs, _site_predictor, streams
 
 COUNTS = range(1, 65)
@@ -199,6 +207,91 @@ class TestGeneralHeapPerPredictor:
         # left no general half or the second overflows.
         assert full == 1 + bool(general.ops.arena_overflows
                                 or fresh.ops.arena_overflows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stream=streams(), data=st.data())
+    def test_three_small_geometries(self, stream, data):
+        # 64 arenas of 8 KB hold every object, so the general half is
+        # almost always kept.  1-8 arenas of 64-1,024 bytes reset in
+        # some examples and find every arena live in others.
+        events, chains = stream
+        source = build_trace(ListSource(events, chains=chains))
+        predictor = _small_site_predictor(data, events, chains)
+        first = AllocatorSpec(num_arenas=64, arena_size=8192)
+        general = replay_spec(source, first, predictor)
+        store = GeneratedStore(source, predictor)
+        assert store.simulate("bad", first) == price(general, first)
+        for _ in range(3):
+            spec = AllocatorSpec(num_arenas=data.draw(st.integers(1, 8)),
+                                 arena_size=data.draw(st.integers(64, 1024)))
+            fresh = replay_spec(source, spec, predictor)
+            if not general.ops.arena_overflows:
+                answer = arena_pass(general, source, spec, predictor)
+                assert (answer is None) == (fresh.ops.arena_overflows > 0)
+                if answer is not None:
+                    assert (dataclasses.asdict(answer)
+                            == dataclasses.asdict(fresh))
+            assert store.simulate("bad", spec) == price(fresh, spec)
+
+    def test_one_pass_holds_live_objects_only(self):
+        # An espresso-sized trace: 18,000 objects of 96 (chain, size)
+        # pairs, as espresso has at scale 0.1.  The odd objects are
+        # predicted short and at most 33 of them live at once; the rest
+        # live up to 2,000 allocations.  One pass peaked at 24 KiB, most
+        # of it the verdict bytes; a verdict or a code listed per event
+        # would take 270 KiB and more.
+        builder = TraceBuilder(program="big", dataset="test")
+        chains = [("main", f"site{i}") for i in range(8)]
+        sizes = (5, 12, 16, 24, 31, 40, 48, 57, 64, 72, 88, 96)
+        rng = random.Random(29)
+        short, long, clock = [], [], 0
+        for obj_id in range(18000):
+            size = rng.choice(sizes)
+            builder.add_alloc(chains[obj_id % 8], size, clock)
+            clock += size
+            (short if obj_id % 2 else long).append(obj_id)
+            for pool, most, odds in ((short, 32, 0.3), (long, 2000, 0)):
+                if len(pool) > most or (pool and rng.random() < odds):
+                    builder.add_free(pool.pop(rng.randrange(len(pool))),
+                                     clock, 0)
+        source = builder.build()
+        predictor = SitePredictor(
+            frozenset(site_key(chain, size, FULL_CHAIN, 4)
+                      for chain in chains[1::2] for size in sizes),
+            32768, FULL_CHAIN, 4,
+        )
+        general = replay_spec(source, AllocatorSpec(), predictor)
+        spec = AllocatorSpec(num_arenas=16, arena_size=1024)
+        tracemalloc.start()
+        try:
+            answer = arena_pass(general, source, spec, predictor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert answer == replay_spec(source, spec, predictor)
+        assert answer.ops.arena_resets > 400
+        assert peak < 64 * 1024, peak
+
+    @pytest.mark.parametrize("events, offset", [
+        ([(EV_ALLOC, 0, 0, 48, 0), (EV_FREE, 0, 48, 0),
+          (EV_FREE, 0, 48, 0)], 2),
+        ([(EV_FREE, 0, 0, 0), (EV_ALLOC, 0, 0, 48, 0)], 0),
+    ])
+    def test_free_of_an_object_never_placed(self, events, offset):
+        # Hand-packed codes, which no loader checked: a double free and
+        # a free before the alloc of a predicted-short object.
+        predictor = SitePredictor(
+            frozenset({site_key(("main", "f"), 48, FULL_CHAIN, 4)}), 32768,
+            FULL_CHAIN, 4,
+        )
+        well_formed = [(EV_ALLOC, 0, 0, 48, 0), (EV_FREE, 0, 48, 0)]
+        general = replay_spec(_packed_trace(well_formed), AllocatorSpec(),
+                              predictor)
+        with pytest.raises(TraceFormatError,
+                           match=f"bad/test: event {offset}: free of "
+                                 f"object 0"):
+            arena_pass(general, _packed_trace(events), AllocatorSpec(),
+                       predictor)
 
     def test_resets_and_both_fallbacks(self, spans):
         # The ten survivors pin ten arenas.  16 x 256 overflows nothing
