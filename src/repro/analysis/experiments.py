@@ -45,10 +45,14 @@ from repro.obs.spans import TRACER
 from repro.analysis.simulate import (
     ReplayCounts,
     SimulationResult,
-    arena_pass,
+    arena_counts,
+    arena_walk,
+    bsd_walk,
     counts_for,
+    general_replay,
     price,
     replay_spec,
+    verdict_bytes,
 )
 from repro.analysis.trace_cache import TraceCache, cache_disabled_by_env
 from repro.core.cce import CCEPredictor
@@ -144,14 +148,15 @@ class TraceStore:
     (e.g. the oracle simulation).
 
     The store also computes each distinct derived result once (DESIGN.md
-    §17): one replay per allocator placement, shared by the arena counts
-    it never outgrew, and one general heap per predictor, shared by the
-    arena geometries that overflow nothing (:meth:`simulate`); one pair
-    table per execution and threshold (:meth:`pair_table`) that every
-    predictor selects from and every evaluation and attribution prices;
-    and one attribution per distinct prediction (:meth:`attribution`).
-    These memos hold results only — counters, pair tables, profiles —
-    and live exactly as long as the store.
+    §17): one replay or walk per allocator placement, shared by the
+    arena counts it never outgrew, and one first-fit replay per set of
+    objects the arena walks leave to the general heap (:meth:`simulate`);
+    one pair table per execution and threshold (:meth:`pair_table`) that
+    every predictor selects from and every evaluation and attribution
+    prices; and one attribution per distinct prediction
+    (:meth:`attribution`).
+    These memos hold results only — counters, verdict bytes, pair
+    tables, profiles — and live exactly as long as the store.
     """
 
     def __init__(
@@ -189,7 +194,8 @@ class TraceStore:
         # allocator or a source.
         self._pair_tables: Dict[Tuple[str, str], Dict[int, PairTable]] = {}
         self._replays: Dict[tuple, List[ReplayCounts]] = {}
-        self._general_halves: Dict[tuple, ReplayCounts] = {}
+        self._verdicts: Dict[tuple, bytes] = {}
+        self._general_heaps: Dict[tuple, ReplayCounts] = {}
         self._attributions: Dict[tuple, AttributionProfile] = {}
 
     @property
@@ -421,9 +427,8 @@ class TraceStore:
         ``num_arenas`` aside, so specs that differ only in the costing
         ``strategy`` share a replay, and an arena spec is answered by
         any stored replay that never outgrew its arena count
-        (:func:`~repro.analysis.simulate.counts_for`).  A new arena
-        placement is first tried against its predictor's general half,
-        the first replay under that predictor that overflowed nothing
+        (:func:`~repro.analysis.simulate.counts_for`).  A new placement
+        on an in-memory trace is answered by walks where it can
         (:meth:`_replay`).  Every call prices the counters under its own
         strategy and ``model`` with
         :func:`~repro.analysis.simulate.price`, the function
@@ -447,30 +452,40 @@ class TraceStore:
 
     def _replay(self, program: str, dataset: str, spec) -> ReplayCounts:
         """``spec``'s counts when no stored replay of its placement holds
-        them.
+        them (DESIGN.md §17).
 
-        An arena spec whose predictor has a general half, on an in-memory
-        trace, is answered by
-        :func:`~repro.analysis.simulate.arena_pass` unless it overflows.
-        Otherwise the trace is replayed in full, and the predictor's
-        first full replay that overflowed nothing becomes its general
-        half (DESIGN.md §17).
+        On an in-memory trace, kind ``bsd`` is a counts-only walk
+        (:func:`~repro.analysis.simulate.bsd_walk`), and an arena spec
+        with a predictor is an arena walk composed with one first-fit
+        replay of the objects the walk left to the general heap
+        (:func:`~repro.analysis.simulate.arena_counts`).  The verdict
+        bytes are kept per (execution, predictor), and the first-fit
+        replay per (execution, verdict bytes, overflowed objects), which
+        is everything it reads, so geometries and predictors that leave
+        first-fit the same objects share it.  Every other spec, and
+        every spec on a streamed source, is replayed in full.
         """
         source = self.source(program, dataset)
         predictor = self.predictor_for(program, spec)
-        if (spec.kind != "arena" or predictor is None
-                or not isinstance(source, Trace)):
-            return replay_spec(source, spec, predictor)
-        key = (program, dataset, predictor)
-        general = self._general_halves.get(key)
-        if general is not None:
-            counts = arena_pass(general, source, spec, predictor)
-            if counts is not None:
-                return counts
-        counts = replay_spec(source, spec, predictor)
-        if general is None and not counts.ops.arena_overflows:
-            self._general_halves[key] = counts
-        return counts
+        if isinstance(source, Trace):
+            if spec.kind == "bsd":
+                return bsd_walk(source)
+            if spec.kind == "arena" and predictor is not None:
+                key = (program, dataset, predictor)
+                short = self._verdicts.get(key)
+                if short is None:
+                    short = self._verdicts[key] = verdict_bytes(
+                        source, predictor
+                    )
+                walk = arena_walk(source, spec, short)
+                key = (program, dataset, short, walk.overflowed)
+                general = self._general_heaps.get(key)
+                if general is None:
+                    general = self._general_heaps[key] = general_replay(
+                        source, short, walk.overflowed
+                    )
+                return arena_counts(source, spec, walk, general)
+        return replay_spec(source, spec, predictor)
 
     def attribution(
         self,

@@ -12,22 +12,31 @@ need.
 A simulation is two steps: :func:`replay_spec` drives the allocator
 and keeps its counters (:class:`ReplayCounts`), and :func:`price` turns
 counters into instruction costs.  Pricing never touches the trace, so
-:meth:`~repro.analysis.experiments.TraceStore.simulate` replays each
-distinct placement once and prices it per caller; :func:`counts_for`
-lets one arena replay answer every arena count it never outgrew, and
-:func:`arena_pass` lets one that overflowed nothing answer every other
-arena geometry of its predictor from a walk that keeps only each
-arena's live count, with no allocator.
+:meth:`~repro.analysis.experiments.TraceStore.simulate` computes each
+distinct placement once and prices it per caller, and
+:func:`counts_for` lets one arena replay answer every arena count it
+never outgrew.
+
+On an in-memory trace the store answers BSD and predicting arena
+placements without building either allocator, and gets field for field
+what :func:`replay_spec` counts (DESIGN.md §17).  :func:`bsd_walk`
+reads the BSD heap off each bucket's peak live count.  An arena
+placement is :func:`arena_walk`, which keeps each arena's live count
+and the current arena's room, composed by :func:`arena_counts` with
+:func:`general_replay`, one first-fit replay of the objects the walk
+left to the general heap; geometries and predictors that leave
+first-fit the same objects share that replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import compress
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.alloc.arena import ARENA_ALIGNMENT
 from repro.alloc.base import Allocator, OpCounts
+from repro.alloc.bsd import PAGE_SIZE, bucket_for
 from repro.alloc.costs import (
     DEFAULT_COST_MODEL,
     AllocatorCost,
@@ -36,7 +45,7 @@ from repro.alloc.costs import (
     bsd_cost,
     firstfit_cost,
 )
-from repro.alloc.spec import AllocatorSpec, build_allocator
+from repro.alloc.spec import FIRSTFIT_SPEC, AllocatorSpec, build_allocator
 from repro.core.predictor import LifetimePredictor
 from repro.obs.spans import TRACER
 from repro.runtime.events import EV_ALLOC, EV_FREE, EventSource, Trace
@@ -51,7 +60,12 @@ __all__ = [
     "replay",
     "replay_spec",
     "counts_for",
-    "arena_pass",
+    "ArenaWalk",
+    "verdict_bytes",
+    "arena_walk",
+    "general_replay",
+    "arena_counts",
+    "bsd_walk",
     "price",
     "simulate_spec",
 ]
@@ -157,11 +171,12 @@ def replay(source: EventSource, allocator: Allocator,
         telemetry.finish()
 
 
-def _replay_arrays(trace: Trace, malloc, free) -> None:
-    """Replay an in-memory trace from its packed event codes.
+def _check_arrays(trace: Trace) -> None:
+    """Raise the trace's first malformed event unless every chain id is
+    interned and every size is at least 1.
 
-    Chain ids and sizes are range-checked once, over their whole arrays:
-    a :class:`Trace` built by hand rather than loaded skips
+    Checked once, over the whole arrays: a :class:`Trace` built by hand
+    rather than loaded skips
     :func:`~repro.runtime.stream.protocol.build_trace`'s per-event
     checks.
     """
@@ -173,6 +188,15 @@ def _replay_arrays(trace: Trace, malloc, free) -> None:
         and min(sizes) >= 1
     ):
         raise first_malformed(trace)
+
+
+def _replay_arrays(trace: Trace, malloc, free) -> None:
+    """Replay an in-memory trace from its packed event codes, once
+    :func:`_check_arrays` passes."""
+    _check_arrays(trace)
+    arrays = trace.raw_arrays()
+    sizes = arrays["sizes"]
+    chain_ids = arrays["chain_ids"]
     addresses = {}
     for code in arrays["events"]:
         tag = code & 3
@@ -348,51 +372,74 @@ def counts_for(
     )
 
 
-def arena_pass(
-    general: ReplayCounts,
-    trace: Trace,
-    spec: AllocatorSpec,
-    predictor: LifetimePredictor,
-) -> Optional[ReplayCounts]:
-    """What a replay of the arena ``spec`` counts, from ``general`` and a
-    walk over the predicted-short objects' arena counts; or None.
+@dataclass(frozen=True)
+class ArenaWalk:
+    """What one arena geometry did with a trace's predicted-short objects
+    (:func:`arena_walk`): the arena half of a §5.1 replay's counters, and
+    the predicted-short objects it left to the general heap."""
 
-    ``general`` is a replay of ``trace`` under ``predictor`` in another
-    arena geometry, one that overflowed nothing.  Without an overflow the
-    first-fit general heap gets exactly the objects ``predictor`` calls
-    long-lived, in trace order, so its counters and every placement
-    total are the predictor's, whatever the geometry (DESIGN.md §17).
-    This rewrites what the geometry decides: the arena area, the max
-    heap that includes it, ``arenas_used``, ``arenas_exhausted``, and the
-    arena scans and resets.  No allocator is built and no address made:
-    one walk over the trace's event codes keeps what a §5.1 arena holds,
-    a live count per arena and the current arena's room, plus each live
-    predicted-short object's arena, and applies the rule of
-    :meth:`~repro.alloc.arena.ArenaAllocator.malloc` to them.  None when
-    ``spec`` overflows: a predicted-short object is larger than its
-    arenas (found before the walk), or a scan finds every arena live.
-    ``predictor``'s verdicts must be a function of ``(chain, size)``, as
-    every predictor a store resolves is.  The replay that made
-    ``general`` range-checked the trace's chain ids and sizes; the walk
-    checks that each free is of an object it placed.
+    predicted_short: int
+    arena_allocs: int
+    arena_frees: int
+    arena_bytes: int
+    #: Requested bytes of the arena objects never freed.
+    arena_live_bytes: int
+    arenas_scanned: int
+    arena_resets: int
+    arenas_used: int
+    arenas_exhausted: bool
+    #: The overflowed objects' ids, in trace order.
+    overflowed: Tuple[int, ...]
+
+
+def verdict_bytes(trace: Trace, predictor: LifetimePredictor) -> bytes:
+    """``predictor``'s verdict on each object of ``trace``, one byte per
+    object, nonzero for short-lived.
+
+    The arrays are range-checked first (:func:`_check_arrays`), so a
+    chain id the header never interned raises the trace's
+    :class:`~repro.runtime.tracefile.TraceFormatError` and never reaches
+    the predictor's memo.  ``predictor``'s verdicts must be a function of
+    ``(chain, size)``, as every predictor a store resolves is.
+    """
+    _check_arrays(trace)
+    arrays = trace.raw_arrays()
+    return bytes(map(predictor.bind(trace.chains).__getitem__,
+                     zip(arrays["chain_ids"], arrays["sizes"])))
+
+
+def arena_walk(trace: Trace, spec: AllocatorSpec, short: bytes) -> ArenaWalk:
+    """The arena half of a replay of the arena ``spec``, from a walk over
+    the predicted-short objects' arena counts.
+
+    ``short`` is :func:`verdict_bytes` of ``trace`` under the spec's
+    predictor.  One walk over the trace's event codes keeps what a §5.1
+    arena holds, a live count per arena and the current arena's room,
+    plus each live arena object's arena, and applies the rule of
+    :meth:`~repro.alloc.arena.ArenaAllocator.malloc` to them; it skips
+    touch codes and every object not predicted short, and builds no
+    allocator and makes no address (DESIGN.md §17).  A predicted-short
+    object overflows to the general heap when it is larger than an arena
+    (no scan), or when a scan finds every arena live, which scans all
+    of them and sets ``arenas_exhausted``.  A free of a predicted-short
+    object the walk neither placed nor overflowed raises the trace's
+    first malformed event; :func:`general_replay` checks the frees of
+    every other object.  Like :func:`_replay_arrays`, the walk takes
+    each object to be allocated once, as in every loaded or built trace.
     """
     arrays = trace.raw_arrays()
     sizes = arrays["sizes"]
-    # One verdict byte per object; the walk holds no per-event list.
-    short = bytes(map(predictor.bind(trace.chains).__getitem__,
-                      zip(arrays["chain_ids"], sizes)))
     arena_size = spec.arena_size
-    largest = max(compress(sizes, short), default=0)
-    if ((largest + ARENA_ALIGNMENT - 1) // ARENA_ALIGNMENT
-            * ARENA_ALIGNMENT > arena_size):
-        return None
-    counts = [0] * spec.num_arenas
-    homes = {}  # live predicted-short object -> the index of its arena
+    num_arenas = spec.num_arenas
+    counts = [0] * num_arenas
+    homes = {}  # live arena object -> the index of its arena
+    overflowed = {}  # overflowed object -> None, in trace order
     current = 0
     room = arena_size
     arenas_used = 1
     scanned = resets = 0
-    with TRACER.span("simulate.arena_pass", cat="simulate",
+    exhausted = False
+    with TRACER.span("simulate.arena_walk", cat="simulate",
                      allocator=spec.kind, program=trace.program,
                      dataset=trace.dataset):
         for code in arrays["events"]:
@@ -404,13 +451,19 @@ def arena_pass(
                 need = ((sizes[obj_id] + ARENA_ALIGNMENT - 1)
                         // ARENA_ALIGNMENT * ARENA_ALIGNMENT)
                 if need > room:
+                    if need > arena_size:
+                        overflowed[obj_id] = None  # no arena holds it
+                        continue
                     # A scan examines arenas from the first and resets
                     # the first one whose count is zero; it only ever
                     # switches to an arena it resets, so one room holds.
                     try:
                         current = counts.index(0)
                     except ValueError:
-                        return None  # every arena live: an overflow
+                        scanned += num_arenas  # every arena live
+                        exhausted = True
+                        overflowed[obj_id] = None
+                        continue
                     scanned += current + 1
                     resets += 1
                     room = arena_size
@@ -423,16 +476,182 @@ def arena_pass(
                 try:
                     counts[homes.pop(obj_id)] -= 1
                 except KeyError as exc:
-                    raise first_malformed(trace) from exc
-    area = spec.num_arenas * arena_size
-    return replace(
-        general,
-        max_heap_size=general.max_heap_size - general.arena_area_size + area,
-        arena_area_size=area,
+                    if obj_id not in overflowed:
+                        raise first_malformed(trace) from exc
+    predicted_short = len(short) - short.count(0)
+    arena_allocs = predicted_short - len(overflowed)
+    return ArenaWalk(
+        predicted_short=predicted_short,
+        arena_allocs=arena_allocs,
+        arena_frees=arena_allocs - len(homes),
+        arena_bytes=(sum(compress(sizes, short))
+                     - sum(map(sizes.__getitem__, overflowed))),
+        arena_live_bytes=sum(map(sizes.__getitem__, homes)),
+        arenas_scanned=scanned,
+        arena_resets=resets,
         arenas_used=arenas_used,
-        arenas_exhausted=False,
-        ops=replace(general.ops, arenas_scanned=scanned,
-                    arena_resets=resets),
+        arenas_exhausted=exhausted,
+        overflowed=tuple(overflowed),
+    )
+
+
+#: Maps a verdict byte to 1 when it says long-lived, else to 0.
+_LONG = bytes([1]) + bytes(255)
+
+
+def general_replay(
+    trace: Trace, short: bytes, overflowed: Tuple[int, ...]
+) -> ReplayCounts:
+    """A first-fit replay of the objects an arena walk left to the
+    general heap: every object ``short`` calls long-lived, and the
+    ``overflowed`` ones, in trace order.
+
+    ``short`` is :func:`verdict_bytes` of ``trace``, which range-checked
+    its arrays.  The allocator comes out of ``build_allocator(FIRSTFIT_SPEC)``, and
+    the replay records a ``simulate.replay`` span.  Its counters are the
+    general heap's of a full arena replay that made the same placements:
+    first-fit decides from block sizes only, so its base does not matter
+    (DESIGN.md §17).  A free of an object that is not live raises the
+    trace's first malformed event.
+    """
+    general = bytearray(short.translate(_LONG))
+    for obj_id in overflowed:
+        general[obj_id] = 1
+    allocator = build_allocator(FIRSTFIT_SPEC)
+    malloc, free = allocator.malloc, allocator.free
+    arrays = trace.raw_arrays()
+    sizes = arrays["sizes"]
+    addresses = {}
+    with TRACER.span("simulate.replay", cat="simulate",
+                     allocator=allocator.name, program=trace.program,
+                     dataset=trace.dataset):
+        for code in arrays["events"]:
+            obj_id = code >> 2
+            if not general[obj_id]:
+                continue
+            tag = code & 3
+            if tag == EV_ALLOC:
+                addresses[obj_id] = malloc(sizes[obj_id])
+            elif tag == EV_FREE:
+                try:
+                    addr = addresses.pop(obj_id)
+                except KeyError as exc:
+                    raise first_malformed(trace) from exc
+                free(addr)
+    return ReplayCounts(
+        program=trace.program,
+        dataset=trace.dataset,
+        max_heap_size=allocator.max_heap_size,
+        final_live_bytes=allocator.live_bytes,
+        ops=allocator.ops,
+    )
+
+
+def arena_counts(
+    trace: Trace,
+    spec: AllocatorSpec,
+    walk: ArenaWalk,
+    general: ReplayCounts,
+) -> ReplayCounts:
+    """What a replay of the arena ``spec`` counts on ``trace``, from its
+    :func:`arena_walk` and the :func:`general_replay` of the objects that
+    walk left to the general heap; equal to a fresh :func:`replay_spec`
+    field for field.
+
+    An arena decision reads only verdicts, live counts and the current
+    arena's room, so the general heap gets exactly those objects in
+    trace order (DESIGN.md §17).  As in
+    :class:`~repro.alloc.arena.ArenaAllocator`, every free is counted on
+    the arena allocator and ``general_ops.frees`` stays 0.
+    """
+    allocs = trace.total_objects
+    requested = trace.total_bytes
+    area = spec.num_arenas * spec.arena_size
+    general_ops = general.ops
+    return ReplayCounts(
+        program=trace.program,
+        dataset=trace.dataset,
+        max_heap_size=area + general.max_heap_size,
+        final_live_bytes=general.final_live_bytes + walk.arena_live_bytes,
+        ops=OpCounts(
+            allocs=allocs,
+            frees=general_ops.frees + walk.arena_frees,
+            bytes_requested=requested,
+            arena_allocs=walk.arena_allocs,
+            arena_frees=walk.arena_frees,
+            arenas_scanned=walk.arenas_scanned,
+            arena_resets=walk.arena_resets,
+            arena_overflows=len(walk.overflowed),
+            predictions=allocs,
+            predicted_short=walk.predicted_short,
+        ),
+        general_ops=replace(general_ops, frees=0),
+        arena_bytes=walk.arena_bytes,
+        general_bytes=requested - walk.arena_bytes,
+        arena_area_size=area,
+        total_calls=trace.total_calls,
+        arenas_used=walk.arenas_used,
+        arenas_exhausted=walk.arenas_exhausted,
+    )
+
+
+def bsd_walk(trace: Trace) -> ReplayCounts:
+    """What a replay of the BSD allocator counts on ``trace``, from each
+    bucket's peak live count; equal to a fresh :func:`replay_spec` field
+    for field, with no allocator built.
+
+    :class:`~repro.alloc.bsd.BsdAllocator` never splits, coalesces or
+    returns a block.  A bucket's LIFO list is empty exactly when its
+    live count equals the blocks carved so far, and only then does an
+    alloc refill it, with one chunk of ``max(1 << bucket, PAGE_SIZE)``
+    bytes from a page-sized ``sbrk``.  So a bucket whose live count
+    peaks at P refills ``ceil(P / (chunk >> bucket))`` times, and
+    ``sbrks`` and the max heap are the refills and their chunks summed
+    over the buckets (DESIGN.md §17).  The walk keeps a live count and
+    its peak per bucket and each live object's bucket.  It checks what
+    :func:`_replay_arrays` checks and raises the same
+    :class:`~repro.runtime.tracefile.TraceFormatError`, and like that
+    replay it takes each object to be allocated once.
+    """
+    _check_arrays(trace)
+    arrays = trace.raw_arrays()
+    sizes = arrays["sizes"]
+    bucket_of = {size: bucket_for(size) for size in set(sizes)}
+    buckets = bytes(map(bucket_of.__getitem__, sizes))
+    counts = [0] * 65  # a 64-bit size's bucket is at most 64
+    peaks = [0] * 65
+    live = {}  # live object -> its bucket
+    with TRACER.span("simulate.bsd_walk", cat="simulate", allocator="bsd",
+                     program=trace.program, dataset=trace.dataset):
+        for code in arrays["events"]:
+            tag = code & 3
+            if tag == EV_ALLOC:
+                obj_id = code >> 2
+                bucket = live[obj_id] = buckets[obj_id]
+                count = counts[bucket] + 1
+                counts[bucket] = count
+                if count > peaks[bucket]:
+                    peaks[bucket] = count
+            elif tag == EV_FREE:
+                try:
+                    counts[live.pop(code >> 2)] -= 1
+                except KeyError as exc:
+                    raise first_malformed(trace) from exc
+    sbrks = heap = 0
+    for bucket, peak in enumerate(peaks):
+        if peak:
+            chunk = max(1 << bucket, PAGE_SIZE)
+            refills = -(-peak // (chunk >> bucket))
+            sbrks += refills
+            heap += refills * chunk
+    allocs = len(sizes)
+    return ReplayCounts(
+        program=trace.program,
+        dataset=trace.dataset,
+        max_heap_size=heap,
+        final_live_bytes=sum(map(sizes.__getitem__, live)),
+        ops=OpCounts(allocs=allocs, frees=allocs - len(live),
+                     bytes_requested=trace.total_bytes, sbrks=sbrks),
     )
 
 

@@ -10,10 +10,11 @@ One candidate evaluation reads two results from the store:
 The store computes each distinct replay and attribution once: the grid's
 arena geometries share one attribution per predictor, and specs that
 differ only in ``num_arenas`` share one replay whenever it never
-outgrew their arena count.  A materialized store also answers the other
-arena sizes of a predictor whose first replay overflowed nothing with a
-pass over the predicted-short objects alone, so on every program but
-ghost the default grid runs 2 full replays and 4 arena passes for its
+outgrew their arena count.  A materialized store computes each of the
+6 placements of the default grid as a walk over the predicted-short
+objects' arena counts plus a first-fit replay of the objects the walk
+leaves to the general heap, which geometries and predictors that leave
+it the same objects share: 6 walks and 1-2 first-fit replays for the
 18 specs and the baseline.  A streaming store replays each of the 6
 placements in full from the cached v3 file, and the recorded numbers
 are the materialized store's byte for byte.
