@@ -44,9 +44,7 @@ from repro.alloc.spec import (
     PAPER_DEFAULT_SPEC,
     AllocatorSpec,
     SpecError,
-    allocator_kinds,
     build_allocator,
-    register_kind,
 )
 
 __all__ = [
@@ -76,7 +74,5 @@ __all__ = [
     "PAPER_DEFAULT_SPEC",
     "AllocatorSpec",
     "SpecError",
-    "allocator_kinds",
     "build_allocator",
-    "register_kind",
 ]

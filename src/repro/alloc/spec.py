@@ -1,4 +1,4 @@
-"""Declarative allocator specifications and the construction registry.
+"""Declarative allocator specifications and their construction.
 
 The paper fixes one allocator shape — 16 x 4 KB arenas, a 32 KB
 short-lived cutoff, size rounding of four — and every consumer used to
@@ -19,9 +19,10 @@ Specs round-trip through JSON (:meth:`AllocatorSpec.to_json` /
 :meth:`AllocatorSpec.from_json`), validate on construction with
 actionable errors, and hash canonically (:meth:`AllocatorSpec.spec_hash`)
 so result sessions can pin exactly which configuration produced them.
-Construction goes through the registry: :func:`build_allocator` looks up
-the spec's kind and hands back a ready simulator, which is the single
-construction path `analysis`, `bench`, `obs`, and `search` share.
+Construction goes through :func:`build_allocator`, which looks up the
+spec's kind in one table of builders and hands back a ready simulator;
+it is the single construction path `analysis`, `bench`, `obs`, and
+`search` share.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.alloc.arena import (
     ARENA_ALIGNMENT,
@@ -52,8 +53,6 @@ __all__ = [
     "FIRSTFIT_SPEC",
     "BSD_SPEC",
     "build_allocator",
-    "register_kind",
-    "allocator_kinds",
 ]
 
 #: How a spec's predictor is resolved (by :meth:`TraceStore.predictor_for`):
@@ -112,10 +111,10 @@ class AllocatorSpec:
 
     def validate(self) -> None:
         """Raise :class:`SpecError` with an actionable message if invalid."""
-        if self.kind not in _REGISTRY:
+        if self.kind not in _BUILDERS:
             raise SpecError(
                 f"unknown allocator kind {self.kind!r}; "
-                f"expected one of {', '.join(allocator_kinds())}"
+                f"expected one of {', '.join(ALLOCATOR_KINDS)}"
             )
         self._require_int("num_arenas", self.num_arenas, minimum=1)
         self._require_int(
@@ -306,29 +305,8 @@ class AllocatorSpec:
 
 
 # ----------------------------------------------------------------------
-# Construction registry
+# Construction
 # ----------------------------------------------------------------------
-
-#: kind -> builder(spec, predictor) -> Allocator
-AllocatorBuilder = Callable[[AllocatorSpec, Optional[object]], Allocator]
-
-_REGISTRY: Dict[str, AllocatorBuilder] = {}
-
-
-def register_kind(kind: str):
-    """Register a builder for an allocator kind (decorator)."""
-
-    def decorate(builder: AllocatorBuilder) -> AllocatorBuilder:
-        _REGISTRY[kind] = builder
-        return builder
-
-    return decorate
-
-
-def allocator_kinds() -> Tuple[str, ...]:
-    """Registered kinds in sorted order."""
-    return tuple(sorted(_REGISTRY))
-
 
 def build_allocator(
     spec: AllocatorSpec, predictor: Optional[object] = None
@@ -339,18 +317,12 @@ def build_allocator(
     ``predictor`` field only says how a store should resolve one —
     see :meth:`repro.analysis.TraceStore.predictor_for`).  Kinds that
     take no predictor reject one, so a plumbing mistake fails loudly
-    instead of silently changing placement.
+    instead of silently changing placement.  The spec validated its
+    kind when it was made.
     """
-    builder = _REGISTRY.get(spec.kind)
-    if builder is None:
-        raise SpecError(
-            f"unknown allocator kind {spec.kind!r}; "
-            f"expected one of {', '.join(allocator_kinds())}"
-        )
-    return builder(spec, predictor)
+    return _BUILDERS[spec.kind](spec, predictor)
 
 
-@register_kind("arena")
 def _build_arena(
     spec: AllocatorSpec, predictor: Optional[object]
 ) -> ArenaAllocator:
@@ -359,7 +331,6 @@ def _build_arena(
     )
 
 
-@register_kind("firstfit")
 def _build_firstfit(
     spec: AllocatorSpec, predictor: Optional[object]
 ) -> FirstFitAllocator:
@@ -371,7 +342,6 @@ def _build_firstfit(
     return FirstFitAllocator()
 
 
-@register_kind("bsd")
 def _build_bsd(
     spec: AllocatorSpec, predictor: Optional[object]
 ) -> BsdAllocator:
@@ -382,7 +352,6 @@ def _build_bsd(
     return BsdAllocator()
 
 
-@register_kind("multiarena")
 def _build_multiarena(
     spec: AllocatorSpec, predictor: Optional[object]
 ) -> MultiArenaAllocator:
@@ -405,8 +374,16 @@ def _build_multiarena(
         raise SpecError(str(exc))
 
 
-#: The registered kinds, frozen at import (CLI choices lists).
-ALLOCATOR_KINDS = allocator_kinds()
+#: Each kind's builder: ``builder(spec, predictor)`` -> a ready simulator.
+_BUILDERS = {
+    "arena": _build_arena,
+    "bsd": _build_bsd,
+    "firstfit": _build_firstfit,
+    "multiarena": _build_multiarena,
+}
+
+#: The allocator kinds in sorted order (CLI choices lists).
+ALLOCATOR_KINDS = tuple(sorted(_BUILDERS))
 
 #: The paper's configuration (§5.2): 16 x 4 KB arenas, 32 KB cutoff,
 #: size rounding 4, full-chain true prediction, len4 chain costing.

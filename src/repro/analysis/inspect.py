@@ -4,33 +4,28 @@ Human-oriented views of a single trace: the overall lifetime distribution
 (a one-program Table 3) and the highest-volume allocation sites with
 their quartiles and short-lived verdicts (the per-site data of §4.1).
 Shared by ``repro-alloc quantiles`` / ``repro-alloc sites`` and the
-``lifetime_analysis`` example.
+``lifetime_analysis`` example.  The lifetime distribution is Table 3's
+fold: :func:`~repro.runtime.folds.lifetime_runs`, read by
+:func:`~repro.runtime.folds.lifetime_quartiles`.
 """
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.core.predictor import DEFAULT_THRESHOLD, actual_short_lived_bytes
 from repro.core.profile import build_profile
-from repro.core.quantile import P2Histogram
 from repro.runtime.events import Trace
+from repro.runtime.folds import lifetime_quartiles, lifetime_runs
 
 __all__ = ["lifetime_report", "sites_report"]
 
 
 def lifetime_report(trace: Trace, threshold: int = DEFAULT_THRESHOLD) -> str:
     """A one-program lifetime summary (Table 3 plus the headline claim)."""
-    pairs = sorted(
-        (trace.lifetime_of(obj_id), trace.size_of(obj_id))
-        for obj_id in range(trace.total_objects)
-    )
-    if not pairs:
+    runs = lifetime_runs(trace)
+    if not runs:
         return f"{trace.program}/{trace.dataset}: empty trace"
     total = trace.total_bytes
-    histogram = P2Histogram(cells=4)
-    histogram.extend(lifetime for lifetime, _ in pairs)
-    byte_qs = _byte_weighted_quartiles(pairs, total)
+    byte_qs, p2_qs = lifetime_quartiles(runs)
     short = actual_short_lived_bytes(trace, threshold)
 
     lines = [
@@ -39,31 +34,11 @@ def lifetime_report(trace: Trace, threshold: int = DEFAULT_THRESHOLD) -> str:
         "lifetime quartiles (byte-weighted): "
         + "  ".join(f"{q:,}" for q in byte_qs),
         "lifetime quartiles (P2, per object): "
-        + "  ".join(f"{q:,.0f}" for q in histogram.quantiles()),
+        + "  ".join(f"{q:,.0f}" for q in p2_qs),
         f"short-lived at {threshold} bytes: {100 * short / total:.1f}% "
         "of all bytes",
     ]
     return "\n".join(lines)
-
-
-def _byte_weighted_quartiles(pairs, total) -> List[int]:
-    targets = [0.0, 0.25, 0.50, 0.75, 1.0]
-    result: List[int] = []
-    cumulative = 0
-    iterator = iter(targets)
-    target = next(iterator)
-    for lifetime, size in pairs:
-        cumulative += size
-        while cumulative >= target * total:
-            result.append(lifetime)
-            nxt = next(iterator, None)
-            if nxt is None:
-                target = float("inf")
-                break
-            target = nxt
-    while len(result) < 5:
-        result.append(pairs[-1][0])
-    return result[:5]
 
 
 def sites_report(

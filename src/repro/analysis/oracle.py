@@ -7,66 +7,33 @@ simulates that ideal: each object is placed by its *actual* lifetime
 oracle capture with true-prediction capture measures exactly what site
 +size prediction gives up — the gap the paper's approach trades for
 requiring no programmer annotations.
+
+The oracle's verdicts are one byte per object, the form a trained
+predictor's take in :func:`~repro.analysis.simulate.verdict_bytes`, so
+its placement is the same arena walk and first-fit replay of what the
+walk left to the general heap (DESIGN.md §17); no allocator asks it
+anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Optional
 
 from repro.alloc.arena import DEFAULT_ARENA_SIZE, DEFAULT_NUM_ARENAS
 from repro.alloc.costs import DEFAULT_COST_MODEL, CostModel
 from repro.alloc.spec import AllocatorSpec
-from repro.analysis.simulate import SimulationResult, price, replay_spec
-from repro.core.predictor import DEFAULT_THRESHOLD, LifetimePredictor
-from repro.core.sites import ChainTable
+from repro.analysis.simulate import (
+    SimulationResult,
+    _check_arrays,
+    arena_counts,
+    arena_walk,
+    general_replay,
+    price,
+)
+from repro.core.predictor import DEFAULT_THRESHOLD
 from repro.runtime.events import Trace
 
 __all__ = ["simulate_arena_oracle"]
-
-
-class _NextVerdict(dict):
-    """A verdict memo that answers every lookup with the next verdict.
-
-    It stores nothing, so a repeated ``(chain, size)`` key is asked
-    again and gets the next object's answer, not the last one's.
-    """
-
-    __slots__ = ("_next",)
-
-    def __init__(self, verdicts: Iterable[bool]):
-        super().__init__()
-        self._next = iter(verdicts).__next__
-
-    def __missing__(self, key) -> bool:
-        return self._next()
-
-
-class _OracleAnswer(LifetimePredictor):
-    """A predictor that answers each allocation with its object's fate.
-
-    Models Hanson's programmer: the decision arrives with the allocation
-    itself, not from a site database.  Replay allocates in dense id
-    order and the arena reads its verdict memo once per allocation, so
-    the memo :meth:`bind` returns yields object ``i``'s true verdict at
-    the ``i``-th allocation.
-    """
-
-    def __init__(self, trace: Trace, threshold: int):
-        self.trace = trace
-        self.threshold = threshold
-
-    def bind(self, chains: Optional[ChainTable] = None) -> _NextVerdict:
-        lifetime_of = self.trace.lifetime_of
-        threshold = self.threshold
-        return _NextVerdict(
-            lifetime_of(obj_id) < threshold
-            for obj_id in range(self.trace.total_objects)
-        )
-
-    @property
-    def site_count(self) -> int:
-        return 0
 
 
 def simulate_arena_oracle(
@@ -83,9 +50,21 @@ def simulate_arena_oracle(
     arena machinery (blocking, overflow, size limits) stays exactly the
     paper's, so the result is the ceiling that a perfect predictor — not a
     perfect allocator — could reach.
+
+    Object ``i``'s verdict is ``lifetime_of(i) < threshold``, made after
+    the range checks :func:`~repro.analysis.simulate.verdict_bytes`
+    makes, so a malformed trace raises the
+    :class:`~repro.runtime.tracefile.TraceFormatError` a full replay
+    raises.
     """
     spec = AllocatorSpec(
         num_arenas=num_arenas, arena_size=arena_size, threshold=threshold
     )
-    counts = replay_spec(trace, spec, _OracleAnswer(trace, threshold))
+    _check_arrays(trace)
+    lifetime_of = trace.lifetime_of
+    short = bytes(lifetime_of(obj_id) < threshold
+                  for obj_id in range(trace.total_objects))
+    walk = arena_walk(trace, spec, short)
+    general = general_replay(trace, short, walk.overflowed)
+    counts = arena_counts(trace, spec, walk, general)
     return replace(price(counts, spec, model), allocator="arena (oracle)")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.runtime.events import EventSource
-from repro.runtime.stream.protocol import iter_object_lifetimes
+from repro.runtime.folds import lifetime_runs
 
 __all__ = ["SurvivalCurve", "survival_curve", "DEFAULT_AGES"]
 
@@ -78,10 +78,10 @@ def survival_curve(
     ``ages`` must be strictly increasing.  Unfreed objects follow the
     trace convention (they die at program exit).
 
-    Single-pass: each object's bytes fall into the age bucket of its
-    lifetime and the curve is a prefix sum over buckets, so a streamed
-    trace never needs the sorted lifetime list the old implementation
-    built (the bucket sums are the same integers, hence the same curve).
+    The curve reads Table 3's fold,
+    :func:`~repro.runtime.folds.lifetime_runs`: each distinct lifetime's
+    bytes fall into the age bucket of that lifetime, and the curve is a
+    prefix sum over buckets, the same integers a bucket per object gives.
     """
     age_list = list(ages)
     if not age_list or age_list != sorted(set(age_list)):
@@ -91,9 +91,9 @@ def survival_curve(
     # counts as dead.
     buckets = [0] * (len(age_list) + 1)
     total = 0
-    for _, size, lifetime, _ in iter_object_lifetimes(source):
-        total += size
-        buckets[bisect_right(age_list, lifetime)] += size
+    for lifetime, _, nbytes in lifetime_runs(source):
+        total += nbytes
+        buckets[bisect_right(age_list, lifetime)] += nbytes
     surviving: List[float] = []
     dead_bytes = 0
     for index in range(len(age_list)):

@@ -19,7 +19,6 @@ distinct allocator placement replays once however many tables read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 from repro.alloc.costs import execution_instructions
@@ -29,10 +28,9 @@ from repro.core.predictor import (
     SizeOnlyPredictor,
     actual_short_lived_bytes,
 )
-from repro.core.quantile import P2Histogram
 from repro.core.sites import FULL_CHAIN
 from repro.runtime.events import EventSource
-from repro.runtime.folds import LifetimeFold, fold_object_lifetimes
+from repro.runtime.folds import lifetime_quartiles, lifetime_runs
 from repro.runtime.stream.protocol import stream_live_stats
 from repro.alloc.spec import (
     BSD_SPEC,
@@ -161,65 +159,19 @@ class Table3Row:
     p2_quantiles: Tuple[float, float, float, float, float]
 
 
-class _LifetimeRuns(LifetimeFold):
-    """Objects and bytes per distinct lifetime."""
-
-    def __init__(self):
-        self.runs: Dict[int, List[int]] = {}
-
-    def add(
-        self, chain_id: int, size: int, lifetime: int, touches: int
-    ) -> None:
-        run = self.runs.get(lifetime)
-        if run is None:
-            self.runs[lifetime] = [1, size]
-        else:
-            run[0] += 1
-            run[1] += size
-
-
 @traced("table.table3", cat="table")
 def table3(store: TraceStore) -> List[Table3Row]:
     """Lifetime quartiles for each program."""
     rows = []
     for program in store.programs:
-        source = store.source(program, EVAL_DATASET)
-        # Walking the runs in lifetime order makes both passes below
-        # independent of fold order, so the (order-sensitive) P^2 fold
-        # sees the same sequence from a streamed trace as from a
-        # materialized one.  A byte quantile is the lifetime at which the
-        # running byte sum crosses its target, and every object of a run
-        # has the run's lifetime, so summing whole runs crosses at the
-        # same lifetimes as summing objects.
-        runs = sorted(
-            fold_object_lifetimes(source, _LifetimeRuns()).runs.items()
+        byte_qs, p2_qs = lifetime_quartiles(
+            lifetime_runs(store.source(program, EVAL_DATASET))
         )
-        total = sum(nbytes for _, (_, nbytes) in runs)
-        targets = [0.0, 0.25, 0.50, 0.75, 1.0]
-        byte_qs: List[int] = []
-        cumulative = 0
-        target_iter = iter(targets)
-        target = next(target_iter)
-        for lifetime, (_, nbytes) in runs:
-            cumulative += nbytes
-            while cumulative >= target * total:
-                byte_qs.append(lifetime)
-                nxt = next(target_iter, None)
-                if nxt is None:
-                    target = float("inf")
-                    break
-                target = nxt
-        while len(byte_qs) < 5:
-            byte_qs.append(runs[-1][0])
-
-        histogram = P2Histogram(cells=4)
-        for lifetime, (count, _) in runs:
-            histogram.extend(repeat(lifetime, count))
         rows.append(
             Table3Row(
                 program=program,
-                byte_quantiles=tuple(byte_qs[:5]),
-                p2_quantiles=tuple(histogram.quantiles()),
+                byte_quantiles=byte_qs,
+                p2_quantiles=p2_qs,
             )
         )
     return rows

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Optional, Set, Tuple, Union
 
-from repro.core.profile import SiteKey, SiteProfile
+from repro.core.profile import SiteKey
 from repro.core.sites import (
     FULL_CHAIN,
     CallChain,
@@ -54,7 +54,6 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "TRUE_PREDICTION_ROUNDING",
     "LifetimePredictor",
-    "SiteLookup",
     "SiteMemo",
     "SitePredictor",
     "SizeOnlyPredictor",
@@ -78,15 +77,16 @@ DEFAULT_THRESHOLD = 32 * 1024
 TRUE_PREDICTION_ROUNDING = 4
 
 
-class SiteLookup(dict):
-    """``lookup(chain, size)`` behind a dict, asked again on every access.
+class SiteMemo(dict):
+    """``lookup(chain, size)`` behind a dict that asks once per distinct key.
 
     Index it with a ``(chain, size)`` key or call it.  With ``chains``,
     a key's chain is an interned id of that table, resolved to its chain
-    tuple only when ``lookup`` is asked; without, it is the chain tuple.
-    This class stores nothing, so every access asks ``lookup`` again.
-    :class:`SiteMemo` is the storing form :meth:`LifetimePredictor.bind`
-    returns.
+    tuple only on a miss; without, it is the chain tuple.  Each answer is
+    stored under its key, so a repeat is one dict probe and no Python
+    call: the allocators index the memo straight from their ``malloc``.
+    The memo lives exactly as long as its owner (one allocator, one
+    fold, one replay) and pickles with it.
     """
 
     __slots__ = ("lookup", "chains")
@@ -100,33 +100,15 @@ class SiteLookup(dict):
         self.lookup = lookup
         self.chains = chains
 
-    def ask(self, chain: Union[CallChain, int], size: int) -> Any:
-        """``lookup``'s answer for one key, never read from the dict."""
+    def __missing__(self, key: Tuple[Union[CallChain, int], int]) -> Any:
+        chain, size = key
         if self.chains is not None:
             chain = self.chains.chain(chain)
-        return self.lookup(chain, size)
-
-    def __missing__(self, key: Tuple[Union[CallChain, int], int]) -> Any:
-        return self.ask(*key)
+        value = self[key] = self.lookup(chain, size)
+        return value
 
     def __call__(self, chain: Union[CallChain, int], size: int) -> Any:
         return self[chain, size]
-
-
-class SiteMemo(SiteLookup):
-    """A :class:`SiteLookup` that asks once per distinct key.
-
-    Each answer is stored under its key, so a repeat is one dict probe
-    and no Python call: the allocators index the memo straight from
-    their ``malloc``.  The memo lives exactly as long as its owner (one
-    allocator, one fold, one replay) and pickles with it.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, key: Tuple[Union[CallChain, int], int]) -> Any:
-        value = self[key] = self.ask(*key)
-        return value
 
 
 class LifetimePredictor:
@@ -134,8 +116,9 @@ class LifetimePredictor:
 
     A predictor answers one question at allocation time: will the object
     being born at ``(chain, size)`` be short-lived?  Implementations also
-    expose ``site_count`` (how many database entries back the prediction —
-    the Sites Used columns) and ``threshold`` (the short-lived cutoff they
+    expose ``key_for`` (the database key an allocation abstracts to),
+    ``site_count`` (how many database entries back the prediction — the
+    Sites Used columns) and ``threshold`` (the short-lived cutoff they
     were trained for).
 
     The answer is a pure function of ``(chain, size)``, so replay asks
@@ -148,17 +131,19 @@ class LifetimePredictor:
         """Whether an object born at ``(chain, size)`` is predicted short-lived."""
         raise NotImplementedError
 
-    def bind(self, chains: Optional[ChainTable] = None) -> SiteLookup:
+    def key_for(self, chain: CallChain, size: int) -> Any:
+        """The database key ``(chain, size)`` abstracts to; the Total
+        Sites and Sites Used columns count distinct keys."""
+        raise NotImplementedError
+
+    def bind(self, chains: Optional[ChainTable] = None) -> SiteMemo:
         """A memoized :meth:`predicts_short_lived` for one replay or fold.
 
         With ``chains``, the memo keys on ``(chain id, size)`` and turns
         an id into its chain only on a miss; without, it keys on chain
         tuples.  The memo belongs to the caller, not to the predictor, so
         a predictor reused across many replays keeps no chains alive
-        between them.  A predictor whose answer is not a function of
-        ``(chain, size)`` overrides this to return a mapping that stores
-        nothing (the oracle's answers each lookup with the next object's
-        verdict).
+        between them.
         """
         return SiteMemo(self.predicts_short_lived, chains)
 
@@ -229,26 +214,6 @@ class SitePredictor(LifetimePredictor):
     def predicts_short_lived(self, chain: CallChain, size: int) -> bool:
         return self.key_for(chain, size) in self.sites
 
-    def restricted_to(self, profile: SiteProfile) -> "SitePredictor":
-        """The sub-database of sites that actually occur in ``profile``.
-
-        Used to report the paper's true-prediction Sites Used column, which
-        counts only the training sites that matched the test execution.
-        """
-        if profile.level != self.level:
-            raise ValueError(
-                f"profile level {profile.level} does not match "
-                f"predictor level {self.level}"
-            )
-        matched = frozenset(key for key in self.sites if key in profile)
-        return SitePredictor(
-            matched,
-            threshold=self.threshold,
-            chain_length=self.chain_length,
-            size_rounding=self.size_rounding,
-            program=self.program,
-        )
-
 
 class SizeOnlyPredictor(LifetimePredictor):
     """Predicts short-lived objects from the requested size alone (Table 5)."""
@@ -272,6 +237,10 @@ class SizeOnlyPredictor(LifetimePredictor):
     @property
     def site_count(self) -> int:
         return len(self.sizes)
+
+    def key_for(self, chain: CallChain, size: int) -> int:
+        """The size: this predictor's database keys on nothing else."""
+        return size
 
     def predicts_short_lived(self, chain: CallChain, size: int) -> bool:
         return size in self.sizes
@@ -537,9 +506,9 @@ def evaluate_table(
                     if predictor.predicts_short_lived(chain, size) else ()
                 )
             else:
-                key = size
+                key = predictor.key_for(chain, size)
                 matched = (
-                    (size,) if predictor.predicts_short_lived(chain, size)
+                    (key,) if predictor.predicts_short_lived(chain, size)
                     else ()
                 )
             test_keys.add(key)

@@ -1,8 +1,7 @@
 """Order-independent per-object lifetime folds and the pass that feeds them.
 
-A :class:`LifetimeFold` consumes the same ``(chain_id, size, lifetime,
-touches)`` tuples :func:`~repro.runtime.stream.protocol.
-iter_object_lifetimes` yields.  Its ``add`` must be order-independent:
+A :class:`LifetimeFold` consumes one ``(chain_id, size, lifetime,
+touches)`` tuple per object.  Its ``add`` must be order-independent:
 folding the same multiset of objects in any order gives the same state.
 :func:`fold_object_lifetimes` relies on that, because an in-memory
 trace folds in object-id order while a stream folds in free order.
@@ -16,21 +15,29 @@ while position-aware folds (the windowed time series of
 byte-time positions directly — all three values are intrinsic to the
 object, so order-independence is preserved.
 
-:class:`PairTable` is the one concrete lifetime fold of the pipeline:
-each interned ``(chain id, size)`` pair's object count, short count,
+:class:`PairTable` is the per-site fold of the pipeline: each
+interned ``(chain id, size)`` pair's object count, short count,
 touches, lifetime sums and max lifetime at one threshold.  Evaluation,
 site, multi-class and size-only selection, the oracle byte sum and the
 per-site attribution read its rows, never the objects (DESIGN.md §16).
-The order-*dependent* accumulations (P^2 quantiles, live-byte
-high-water marks, allocator state) are deliberately absent — those
-replay the event stream in order.
+:class:`LifetimeRuns` is the one lifetime-distribution fold: the
+objects and bytes of each distinct lifetime.  Table 3 and ``repro-alloc
+quantiles`` read their quartiles off its sorted runs
+(:func:`lifetime_quartiles`), and the survival curves bucket the same
+runs.  The order-*dependent* accumulations (live-byte high-water marks,
+allocator state) are deliberately absent — those replay the event
+stream in order.  The P^2 quartiles depend on order too, so
+:func:`lifetime_quartiles` feeds them the runs in lifetime order,
+whichever order the objects were folded in.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, TypeVar
 
 from repro.core.profile import SiteKey
+from repro.core.quantile import P2Histogram
 from repro.core.sites import site_key
 from repro.runtime.events import (
     _NEVER_FREED,
@@ -45,8 +52,11 @@ K = TypeVar("K")
 
 __all__ = [
     "LifetimeFold",
+    "LifetimeRuns",
     "PairTable",
     "fold_object_lifetimes",
+    "lifetime_quartiles",
+    "lifetime_runs",
 ]
 
 
@@ -184,6 +194,71 @@ class PairTable(LifetimeFold):
         return sum(
             size * row[SHORT] for (_, size), row in self.rows.items()
         )
+
+
+class LifetimeRuns(LifetimeFold):
+    """Objects and bytes per distinct lifetime: one execution's lifetime
+    distribution, O(distinct lifetimes), never O(objects).
+
+    :attr:`runs` maps each lifetime to ``[objects, bytes]``; both are
+    integer sums, so ``add`` is order-independent.
+    """
+
+    def __init__(self):
+        self.runs: Dict[int, List[int]] = {}
+
+    def add(
+        self, chain_id: int, size: int, lifetime: int, touches: int
+    ) -> None:
+        run = self.runs.get(lifetime)
+        if run is None:
+            self.runs[lifetime] = [1, size]
+        else:
+            run[0] += 1
+            run[1] += size
+
+
+def lifetime_runs(source: EventSource) -> List[Tuple[int, int, int]]:
+    """``(lifetime, objects, bytes)`` per distinct lifetime of ``source``,
+    shortest first, from one :func:`fold_object_lifetimes` pass into a
+    :class:`LifetimeRuns`."""
+    runs = fold_object_lifetimes(source, LifetimeRuns()).runs
+    return sorted(
+        (lifetime, objects, nbytes)
+        for lifetime, (objects, nbytes) in runs.items()
+    )
+
+
+def lifetime_quartiles(
+    runs: List[Tuple[int, int, int]],
+) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
+    """Table 3's byte-weighted and P^2 quartiles of :func:`lifetime_runs`.
+
+    A byte quantile is the lifetime at which the running byte sum, in
+    lifetime order, crosses its share of the bytes.  Every object of a
+    run has the run's lifetime, so summing whole runs crosses at the
+    lifetimes summing objects does.  The P^2 histogram (four cells, over
+    objects) adds each run's lifetime once per object, shortest first,
+    so a streamed source and a materialized one feed it the same
+    sequence.  ``runs`` must not be empty.
+    """
+    total = sum(nbytes for _, _, nbytes in runs)
+    targets = iter((0.0, 0.25, 0.50, 0.75, 1.0))
+    target = next(targets)
+    byte_qs: List[int] = []
+    cumulative = 0
+    for lifetime, _, nbytes in runs:
+        cumulative += nbytes
+        while target is not None and cumulative >= target * total:
+            byte_qs.append(lifetime)
+            target = next(targets, None)
+    # ``target * total`` is a float; rounded up past a total above
+    # 2**53, it may never be crossed, and the maximum fills in.
+    byte_qs += [runs[-1][0]] * (5 - len(byte_qs))
+    histogram = P2Histogram(cells=4)
+    for lifetime, objects, _ in runs:
+        histogram.extend(repeat(lifetime, objects))
+    return tuple(byte_qs), tuple(histogram.quantiles())
 
 
 def _fold_trace(trace: Trace, fold: LifetimeFold) -> None:

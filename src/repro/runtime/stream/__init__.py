@@ -26,7 +26,6 @@ from repro.runtime.stream.protocol import (
     StreamHeader,
     StreamSummary,
     build_trace,
-    iter_object_lifetimes,
     stream_live_stats,
 )
 from repro.runtime.stream.v3 import (
@@ -43,7 +42,6 @@ __all__ = [
     "StreamHeader",
     "StreamSummary",
     "build_trace",
-    "iter_object_lifetimes",
     "stream_live_stats",
     "DEFAULT_CHUNK_EVENTS",
     "TraceFileSource",

@@ -260,11 +260,11 @@ def iter_object_lifetimes(
     a malformed stream raises as in :func:`iter_object_records`, whose
     records this collapses.
 
-    Every per-object accumulation in the pipeline that is
-    order-independent — the all-short-lived site folds behind each
-    predictor family, survival curves, lifetime quantile inputs — is fed
-    from this iterator, which is why the streaming and materialized
-    paths produce identical predictor databases and tables.
+    Nothing in the package reads objects this way: its folds go through
+    :func:`~repro.runtime.folds.fold_object_lifetimes`, which reads an
+    in-memory trace's arrays with no event pass.  The pipeline
+    benchmark's quantile layer pass (``benchmarks/pipeline/layers.py``)
+    imports it.
     """
     for _, chain_id, size, birth, death, touches in iter_object_records(
         source

@@ -89,9 +89,9 @@ def _reference_evaluate(predictor, objects, count_matched_sites):
                 key = predictor.key_for(chain, size)
                 matched = (key,) if key in predictor.sites else ()
             else:
-                key = size
+                key = predictor.key_for(chain, size)
                 matched = (
-                    (size,) if predictor.predicts_short_lived(chain, size)
+                    (key,) if predictor.predicts_short_lived(chain, size)
                     else ()
                 )
             test_keys.add(key)
@@ -397,6 +397,28 @@ class TestRealProgram:
             for key, tables in store._pair_tables.items()
         } == {(PROGRAM, "train"): [32768],
               (PROGRAM, "test"): sorted(THRESHOLDS)}
+
+    def test_sites_are_each_predictors_own_keys(self, cache_dir):
+        # Total Sites and Sites Used count the keys a CCE or multi-class
+        # predictor abstracts the table's pairs to, not their sizes.
+        store = _stores(cache_dir)[0]
+        train = store.source(PROGRAM, "train")
+        for predictor in (train_cce_predictor(train),
+                          train_multiclass_predictor(train, LADDER)):
+            table = store.pair_table(PROGRAM, threshold=predictor.threshold)
+            keys, matched = set(), set()
+            for chain_id, size in table.rows:
+                chain = table.chains.chain(chain_id)
+                key = predictor.key_for(chain, size)
+                keys.add(key)
+                if predictor.predicts_short_lived(chain, size):
+                    matched.add(key)
+            sizes = {size for _, size in table.rows}
+            assert len(keys) != len(sizes) and matched
+            result = store.evaluate(PROGRAM, predictor)
+            assert (result.total_sites, result.sites_used) == (
+                len(keys), len(matched)
+            ), type(predictor).__name__
 
     def test_table_at_another_threshold_is_refused(self, cache_dir):
         store = _stores(cache_dir)[0]

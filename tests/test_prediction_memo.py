@@ -12,7 +12,9 @@ ones do:
   database bytes;
 * memoized evaluation and arena replay against direct reference loops,
   and an allocator fed chain tuples against the replay that feeds ids;
-* the oracle, whose answer changes per object and so is never memoized;
+* the oracle's results on the tiny traces, pinned since before the
+  memos existed (``tests/test_oracle_inspect.py`` checks the oracle
+  differentially);
 * the replay loop's error contract for streams naming unknown ids.
 """
 
@@ -32,7 +34,7 @@ from repro.alloc.spec import (
     PAPER_DEFAULT_SPEC,
     build_allocator,
 )
-from repro.analysis.oracle import _OracleAnswer, simulate_arena_oracle
+from repro.analysis.oracle import simulate_arena_oracle
 from repro.analysis.simulate import replay, replay_spec, simulate_spec
 from repro.cli import main
 from repro.core.cce import CCEPredictor, encrypt_chain, train_cce_predictor
@@ -40,7 +42,6 @@ from repro.core.database import save_predictor
 from repro.core.multiclass import MultiClassPredictor, train_multiclass_predictor
 from repro.core.predictor import (
     LifetimePredictor,
-    SiteLookup,
     SiteMemo,
     SitePredictor,
     SizeOnlyPredictor,
@@ -51,7 +52,6 @@ from repro.core.predictor import (
 from repro.core.profile import build_profile
 from repro.core.sites import FULL_CHAIN, ChainTable, prune_recursive_cycles, round_size, site_key
 from repro.runtime.events import Trace
-from repro.runtime.heap import TracedHeap
 from repro.runtime.stream.protocol import (
     EV_ALLOC,
     EV_FREE,
@@ -265,6 +265,21 @@ def _reference_evaluate(predictor, trace):
     return totals, len(test_keys), len(matched)
 
 
+class _AskEveryTime(dict):
+    """A verdict dict that stores nothing, so every access asks again."""
+
+    def __init__(self, lookup, chains):
+        super().__init__()
+        self.lookup = lookup
+        self.chains = chains
+
+    def __missing__(self, key):
+        chain, size = key
+        if self.chains is not None:
+            chain = self.chains.chain(chain)
+        return self.lookup(chain, size)
+
+
 class _Unmemoized(LifetimePredictor):
     """Wraps a predictor so every allocation asks it directly."""
 
@@ -276,7 +291,7 @@ class _Unmemoized(LifetimePredictor):
         return self.inner.predicts_short_lived(chain, size)
 
     def bind(self, chains=None):
-        return SiteLookup(self.predicts_short_lived, chains)
+        return _AskEveryTime(self.predicts_short_lived, chains)
 
 
 #: The three allocators the pipeline benchmark's probe drives with tuples.
@@ -378,28 +393,6 @@ class TestOracleIsNeverMemoized:
             result.max_heap_size, result.arena_allocs, result.arena_bytes,
             result.ops.arena_overflows, result.ops.arena_resets,
         ) == self.EXPECTED[(program, threshold)]
-
-    def test_bound_oracle_follows_each_answer(self, churn_trace):
-        verdicts = [churn_trace.lifetime_of(obj_id) < 4096
-                    for obj_id in range(churn_trace.total_objects)]
-        assert True in verdicts and False in verdicts
-        bound = _OracleAnswer(churn_trace, 4096).bind(churn_trace.chains)
-        # One key asked once per object: each ask gets the next object's
-        # answer, and nothing is stored under the key.
-        assert [bound[0, 16] for _ in verdicts] == verdicts
-        assert not bound
-
-    def test_arena_places_repeated_site_per_answer(self):
-        heap = TracedHeap("oracle", dataset="test")
-        with heap.frame("f"):
-            heap.free(heap.malloc(16))  # dies at once: short
-            heap.malloc(16)  # outlives the 8 KB below: long
-            heap.malloc(8192)
-        oracle = _OracleAnswer(heap.finish(), 4096)
-        allocator = build_allocator(PAPER_DEFAULT_SPEC, oracle)
-        allocator.malloc(16, ("main", "f"))
-        allocator.malloc(16, ("main", "f"))
-        assert allocator.ops.arena_allocs == 1
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,20 +120,6 @@ class TestTrueEvaluation:
         assert result.predicted_short_bytes == 0
         assert result.predicted_objects == 0
         assert result.new_ref_pct == 0.0
-
-    def test_restricted_to_profile(self, churn_trace):
-        predictor = train_site_predictor(churn_trace, threshold=4096)
-        profile = build_profile(
-            churn_trace, chain_length=FULL_CHAIN, size_rounding=4
-        )
-        restricted = predictor.restricted_to(profile)
-        assert restricted.site_count <= predictor.site_count
-
-    def test_restricted_to_level_mismatch(self, churn_trace):
-        predictor = train_site_predictor(churn_trace, chain_length=2)
-        profile = build_profile(churn_trace, chain_length=3)
-        with pytest.raises(ValueError):
-            predictor.restricted_to(profile)
 
 
 class TestSizeOnlyPredictor:

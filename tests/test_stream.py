@@ -42,10 +42,10 @@ from repro.runtime.stream import (
     StreamSummary,
     TraceFileSource,
     build_trace,
-    iter_object_lifetimes,
     write_trace_v3,
 )
 from repro.runtime.stream import v3
+from repro.runtime.stream.protocol import iter_object_lifetimes
 from repro.runtime.tracefile import (
     V3_MAGIC,
     TraceFormatError,
